@@ -5,9 +5,11 @@ registry, enumerates instances over the requested prime/parameter sweep,
 runs them (optionally across worker processes), and emits one line per
 instance in human, json-lines, or csv form.
 
-Exit codes: 0 all instances passed (or none ran), 1 at least one genuine
-failure, 2 usage error, 3 internal inconsistency (engine disagreement or
-a theorem-suite invariant breaking, which means a checker bug).
+Exit codes: 0 all instances passed (or none ran; error records do not
+fail a run), 1 at least one failing instance, in any suite kind, 2 usage
+error (bad flag, budget or fault-injection variable, unwritable ``--out``),
+3 internal inconsistency: the two engines disagreed, or a theorem or
+identity suite hit a `NegativeValuation`.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
 from . import __version__
 from .errors import InternalError, UsageError
+from .padic import MAX_EXPONENT
 from .suites import (
     ALIASES,
     REGISTRY,
@@ -52,6 +55,7 @@ class RunConfig:
     out: str | None = None
     list_suites: bool = False
     fault: str | None = None
+    budgets: Budgets = field(default_factory=Budgets)
 
 
 def expand_selection(tokens: list[str]) -> list[str]:
@@ -79,11 +83,14 @@ def expand_selection(tokens: list[str]) -> list[str]:
     return ordered
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
+def _parse_int_list(flag: str, raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok != "")
+        values = tuple(int(tok) for tok in raw.split(",") if tok != "")
     except ValueError as ex:
-        raise UsageError(f"bad integer list {raw!r}") from ex
+        raise UsageError(f"bad integer list {raw!r} for {flag}") from ex
+    if any(v < 0 for v in values):
+        raise UsageError(f"{flag} entries must be >= 0, got {raw!r}")
+    return values
 
 
 def _parse_x_list(raw: str) -> tuple:
@@ -147,14 +154,20 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("--p-max must not be below --p-min")
     if ns.workers < 1:
         raise UsageError("--workers must be at least 1")
-    if ns.mod_exp is not None and ns.mod_exp < 1:
-        raise UsageError("--mod-exp must be at least 1")
+    if ns.mod_exp is not None and not 1 <= ns.mod_exp <= MAX_EXPONENT:
+        raise UsageError(f"--mod-exp must be between 1 and {MAX_EXPONENT}")
+    fault = os.environ.get("VERIFY_FAULT_INJECT") or None
+    if fault is not None and fault not in REGISTRY:
+        raise UsageError(
+            f"VERIFY_FAULT_INJECT={fault!r} names no suite; valid suites: "
+            + ", ".join(REGISTRY)
+        )
     return RunConfig(
         suites=suites,
         p_min=ns.p_min,
         p_max=ns.p_max,
-        n_values=_parse_int_list(ns.n),
-        r_values=_parse_int_list(ns.r),
+        n_values=_parse_int_list("--n", ns.n),
+        r_values=_parse_int_list("--r", ns.r),
         x_values=None if ns.x is None else _parse_x_list(ns.x),
         mod_exp=ns.mod_exp,
         engine=ns.engine,
@@ -162,7 +175,8 @@ def parse_args(argv=None) -> RunConfig:
         workers=ns.workers,
         out=ns.out,
         list_suites=ns.list_suites,
-        fault=os.environ.get("VERIFY_FAULT_INJECT"),
+        fault=fault,
+        budgets=Budgets.from_env(),
     )
 
 
@@ -292,14 +306,17 @@ def run(cfg: RunConfig) -> int:
         r_values=cfg.r_values,
         x_values=cfg.x_values,
         mod_exp=cfg.mod_exp,
-        budgets=Budgets.from_env(),
+        budgets=cfg.budgets,
     )
     items = [
         (sid, params, cfg.engine, sweep, cfg.fault)
         for sid in cfg.suites
         for params in instances_for(sid, sweep)
     ]
-    out = open(cfg.out, "w") if cfg.out else sys.stdout
+    try:
+        out = open(cfg.out, "w") if cfg.out else sys.stdout
+    except OSError as ex:
+        raise UsageError(f"cannot write --out {cfg.out!r}: {ex.strerror}") from ex
     close_out = cfg.out is not None
     writer = None
     if cfg.format == "csv":
@@ -371,13 +388,13 @@ def _list_suites(out) -> None:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
+        if cfg.list_suites:
+            _list_suites(sys.stdout)
+            return 0
+        return run(cfg)
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 2
-    if cfg.list_suites:
-        _list_suites(sys.stdout)
-        return 0
-    return run(cfg)
 
 
 if __name__ == "__main__":

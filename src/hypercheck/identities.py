@@ -139,11 +139,6 @@ def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
     return IdentityCase("identity-partfrac", {"k": k, "x": str(x)}, lhs, rhs)
 
 
-def partial_fraction_sums(k: int) -> list[IdentityCase]:
-    """All four family decompositions at index k."""
-    return [partial_fraction_sum(k, x) for x in _PARTFRAC_RHS]
-
-
 # --- convolution form of the harmonic-weighted term ------------------------
 
 _TERMS: dict[Fraction, list[Fraction]] = {}

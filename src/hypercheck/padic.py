@@ -260,16 +260,3 @@ class ScaledUnit:
         if self.is_zero or self.valuation >= self.ctx.e:
             return Residue(0, self.ctx)
         return Residue(self.unit.value * self.ctx.p**self.valuation, self.ctx)
-
-
-def scaled_mul(a: ScaledUnit, b: ScaledUnit) -> ScaledUnit:
-    return a * b
-
-
-def scaled_div(a: ScaledUnit, b: ScaledUnit) -> ScaledUnit:
-    return a / b
-
-
-def scaled_add_into_residue(acc: Residue, t: ScaledUnit) -> Residue:
-    """acc + t reduced mod p^e (sums of scaled units live in Residue space)."""
-    return acc + t.to_residue()

@@ -2,21 +2,26 @@
 
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
-as a parameterized suite: a generator of instances plus a checker that
-computes both sides by independent routes and emits a `Report`.
+as a parameterized suite: a generator of instances plus a check that
+computes both sides and returns them as a `Report`.
 
-Engine semantics: checkers honor the requested engine where a statement
-has both a modular route (valuation-tracked term recurrence) and an exact
-route (big-rational evaluation reduced at the end).  Under ``both`` the
-two are compared and any disagreement raises `InternalError`; the report
-then carries ``engine="modular"``.  Statements with only an exact route
-always report ``engine="exact"``.
+`run_instance` is the only code that knows the engine.  It hands each
+check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
+a modular route (valuation-tracked term recurrence) and an exact route
+(big-rational evaluation reduced at the end).  ``dual`` runs the modular
+route under ``modular``, the exact one under ``exact``, and both under
+``both``, where any disagreement raises `InternalError`; it returns the
+value with the label of the route that produced it (``"modular"`` under
+``both``).  Checks with a single route ignore ``dual`` and label their
+reports themselves.
 
-Kinds: ``theorem`` suites must never fail (a failure means a checker bug);
-``identity`` suites are exact equalities; ``conjecture`` suites report
-neutrally and attach an exact-oracle recomputation to any failure;
+Kinds: ``theorem`` suites are proved, so a failing instance means a
+checker bug, but it is reported like any other failure (a FAIL record,
+exit 1); ``identity`` suites are exact equalities; ``conjecture`` suites
+report neutrally and attach an exact-oracle recomputation to any failure;
 ``exploratory`` suites sweep beyond proved territory and are expected to
-surface counterexamples.
+surface counterexamples.  Exit 3 comes only from an engine disagreement
+or from a `NegativeValuation` in a theorem or identity suite.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import (
     InternalError,
     NegativeValuation,
     NonUnitDenominator,
+    UsageError,
     VerifyError,
 )
 from .padic import (
@@ -73,7 +79,12 @@ class Budgets:
     def from_env(cls) -> "Budgets":
         def get(name, default):
             raw = os.environ.get(name)
-            return default if raw is None else int(raw)
+            if raw is None:
+                return default
+            try:
+                return int(raw)
+            except ValueError:
+                raise UsageError(f"{name} must be an integer, got {raw!r}") from None
 
         return cls(
             binomial_max=get("VERIFY_BUDGET_BINOMIAL", cls.binomial_max),
@@ -100,15 +111,19 @@ def default_sweep() -> Sweep:
 
 @dataclass
 class Report:
-    """One suite instance outcome; all values pre-serialized for emission."""
+    """One suite instance outcome; all values pre-serialized for emission.
 
-    suite: str
-    params: dict
+    Checks fill in the values; `run_instance` stamps ``suite``, ``params``
+    and ``elapsed_ms``.
+    """
+
     lhs: str
     rhs: str
     modulus: str
     passed: bool
     engine: str
+    suite: str = ""
+    params: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
     note: str | None = None
     oracle: str | None = None
@@ -119,10 +134,8 @@ def _ser_params(params: dict) -> dict:
     return {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
 
 
-def _congruence_report(suite_id, params, lhs: Residue, rhs: Residue, label) -> Report:
+def _congruence_report(lhs: Residue, rhs: Residue, label: str) -> Report:
     return Report(
-        suite=suite_id,
-        params=_ser_params(params),
         lhs=str(lhs.value),
         rhs=str(rhs.value),
         modulus=str(lhs.ctx.modulus),
@@ -131,10 +144,8 @@ def _congruence_report(suite_id, params, lhs: Residue, rhs: Residue, label) -> R
     )
 
 
-def _exact_report(suite_id, params, lhs, rhs) -> Report:
+def _exact_report(lhs, rhs) -> Report:
     return Report(
-        suite=suite_id,
-        params=_ser_params(params),
         lhs=str(lhs),
         rhs=str(rhs),
         modulus="exact",
@@ -143,8 +154,8 @@ def _exact_report(suite_id, params, lhs, rhs) -> Report:
     )
 
 
-def _identity_report(case: identities.IdentityCase, suite_id: str) -> Report:
-    return _exact_report(suite_id, case.params, case.lhs, case.rhs)
+def _identity_report(case: identities.IdentityCase) -> Report:
+    return _exact_report(case.lhs, case.rhs)
 
 
 # --- shared evaluation helpers ---------------------------------------------
@@ -164,34 +175,18 @@ def _need_binomial(arg: int, sweep: Sweep):
         )
 
 
-def _dual(engine: str, modular_fn, exact_fn, fault: bool = False):
-    """Run the requested engine(s); returns (Residue, label).
-
-    Under ``both`` the modular value (after optional fault corruption,
-    used by the self-test hook) must match the exact oracle.
-    """
-    if engine == "exact":
-        return exact_fn(), "exact"
-    mv = modular_fn()
-    if fault:
-        mv = Residue(mv.value + 1, mv.ctx)
-    if engine == "both":
-        ev = exact_fn()
-        if mv.value != ev.value:
-            raise InternalError(
-                f"engine disagreement: modular {mv.value} vs exact {ev.value} "
-                f"mod {mv.ctx.p}^{mv.ctx.e}"
-            )
-    return mv, "modular"
+#: ``dual(modular_fn, exact_fn) -> (value, engine label)``; `run_instance`
+#: binds it to the run's engine and hands it to every check.
+Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], tuple[Residue, str]]
 
 
-def _f21_mod(x, n_terms: int, ctx: PrimePower) -> Residue:
-    return series.truncated_series_mod(series.two_f_one(x, n_terms), ctx)
-
-
-def _f21_exact(x, n_terms: int, ctx: PrimePower) -> Residue:
-    return residue_from_rational(
-        series.truncated_series_exact(series.two_f_one(x, n_terms)), ctx
+def _series(
+    dual: Dual, spec: series.SeriesSpec, ctx: PrimePower
+) -> tuple[Residue, str]:
+    """A truncated series mod p^e by the engine's route(s)."""
+    return dual(
+        lambda: series.truncated_series_mod(spec, ctx),
+        lambda: residue_from_rational(series.truncated_series_exact(spec), ctx),
     )
 
 
@@ -262,17 +257,12 @@ def gen_thm1(sweep):
             yield {"p": p, "x": x}
 
 
-def check_thm1(params, engine, sweep, fault):
+def check_thm1(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _dual(
-        engine,
-        lambda: _f21_mod(x, p, ctx),
-        lambda: _f21_exact(x, p, ctx),
-        fault,
-    )
+    lhs, label = _series(dual, series.two_f_one(x, p), ctx)
     rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
-    return _congruence_report("thm1", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
 def gen_sun(sweep):
@@ -281,17 +271,12 @@ def gen_sun(sweep):
             yield {"p": p, "x": x}
 
 
-def check_sun(params, engine, sweep, fault):
+def check_sun(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _dual(
-        engine,
-        lambda: _f21_mod(x, p, ctx),
-        lambda: _f21_exact(x, p, ctx),
-        fault,
-    )
+    lhs, label = _series(dual, series.two_f_one(x, p), ctx)
     rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
-    return _congruence_report("sun", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
 def gen_rv(sweep):
@@ -301,25 +286,14 @@ def gen_rv(sweep):
                 yield {"p": p, "n": n, "x": x}
 
 
-def _check_rv_like(suite_id, params, engine, sweep, fault):
+def check_rv(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _dual(
-        engine,
-        lambda: _f21_mod(x, n * p, ctx),
-        lambda: _f21_exact(x, n * p, ctx),
-        fault,
-    )
-    base, _ = _dual(
-        engine, lambda: _f21_mod(x, n, ctx), lambda: _f21_exact(x, n, ctx)
-    )
+    lhs, label = _series(dual, series.two_f_one(x, n * p), ctx)
+    base, _ = _series(dual, series.two_f_one(x, n), ctx)
     rhs = base * special.sign_of_least_residue(x, p)
-    return _congruence_report(suite_id, params, lhs, rhs, label)
-
-
-def check_rv(params, engine, sweep, fault):
-    return _check_rv_like("rv", params, engine, sweep, fault)
+    return _congruence_report(lhs, rhs, label)
 
 
 def gen_rv_general(sweep):
@@ -327,10 +301,6 @@ def gen_rv_general(sweep):
         for x in _general_xs(p):
             for n in sweep.n_values:
                 yield {"p": p, "n": n, "x": x}
-
-
-def check_rv_general(params, engine, sweep, fault):
-    return _check_rv_like("rv-x", params, engine, sweep, fault)
 
 
 def gen_corollary_px(sweep):
@@ -342,19 +312,14 @@ def gen_corollary_px(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_corollary_px(params, engine, sweep, fault):
+def check_corollary_px(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     _need_series(p**r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _dual(
-        engine,
-        lambda: _f21_mod(x, p**r, ctx),
-        lambda: _f21_exact(x, p**r, ctx),
-        fault,
-    )
+    lhs, label = _series(dual, series.two_f_one(x, p**r), ctx)
     sgn = special.sign_of_least_residue(x, p)
     rhs = _sign_residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
-    return _congruence_report("corollary", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
 _EISENSTEIN_BASES = (2, 3, 5, 7, 10)
@@ -371,7 +336,7 @@ def gen_lemma1(sweep):
                 yield {"p": p, "a": a, "r": r, "form": "power"}
 
 
-def check_lemma1(params, engine, sweep, fault):
+def check_lemma1(params, sweep, dual):
     p = params["p"]
     ctx2 = PrimePower(p, 2)
     if params["form"] == "product":
@@ -382,7 +347,7 @@ def check_lemma1(params, engine, sweep, fault):
         a, r = params["a"], params["r"]
         lhs = special.fermat_quotient(a**r, ctx2)
         rhs = special.fermat_quotient(a, ctx2) * r
-    return _congruence_report("lemma1", params, lhs, rhs, "modular")
+    return _congruence_report(lhs, rhs, "modular")
 
 
 def gen_lemma2(sweep):
@@ -391,7 +356,7 @@ def gen_lemma2(sweep):
             yield {"p": p, "d": d}
 
 
-def check_lemma2(params, engine, sweep, fault):
+def check_lemma2(params, sweep, dual):
     p, d = params["p"], params["d"]
     ctx = PrimePower(p, 1)
     lhs = special.harmonic_mod(p // d, ctx)
@@ -407,7 +372,7 @@ def check_lemma2(params, engine, sweep, fault):
         rhs = -(q2 * 3)
     else:
         rhs = -(q2 * 2) - half3 * q3
-    return _congruence_report("lemma2", params, lhs, rhs, "modular")
+    return _congruence_report(lhs, rhs, "modular")
 
 
 def gen_lemma4(sweep):
@@ -418,16 +383,14 @@ def gen_lemma4(sweep):
                     yield {"p": p, "r": r, "k": k, "x": x}
 
 
-def check_lemma4(params, engine, sweep, fault):
+def check_lemma4(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
     m = k + r * p
-    lhs, label = _dual(
-        engine,
+    lhs, label = dual(
         lambda: fam.term_scaled(m, ctx).to_residue(),
         lambda: residue_from_rational(fam.term_exact(m), ctx),
-        fault,
     )
     # right side: exact rationals throughout, reduced once
     weight = _pf_weight(x, k)[k]
@@ -438,14 +401,10 @@ def check_lemma4(params, engine, sweep, fault):
         + r * p * weight
     )
     rhs = residue_from_rational(fam.term_exact(r) * fam.term_exact(k) * corr, ctx)
-    return _congruence_report("lemma4", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
-def gen_lemma4_binom(sweep):
-    yield from gen_lemma4(sweep)
-
-
-def check_lemma4_binom(params, engine, sweep, fault):
+def check_lemma4_binom(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     n = k + r * p
@@ -461,7 +420,7 @@ def check_lemma4_binom(params, engine, sweep, fault):
         _binomial_product(fam, r) * _binomial_product(fam, k) * (1 + r * p * combo),
         ctx,
     )
-    return _congruence_report("lemma4-binom", params, lhs, rhs, "exact")
+    return _congruence_report(lhs, rhs, "exact")
 
 
 def _binomial_product(fam, n: int) -> int:
@@ -478,26 +437,20 @@ def gen_lemma5(sweep):
                 yield {"p": p, "k": k, "x": x}
 
 
-def check_lemma5(params, engine, sweep, fault):
+def check_lemma5(params, sweep, dual):
     p, k, x = params["p"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 1)
-    lhs, label = _dual(
-        engine,
+    lhs, label = dual(
         lambda: fam.term_scaled(k, ctx).to_residue(),
         lambda: residue_from_rational(fam.term_exact(k), ctx),
-        fault,
     )
     m = special.floor_px(x, p)
     signed = comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1)
-    return _congruence_report("lemma5", params, lhs, Residue(signed, ctx), label)
+    return _congruence_report(lhs, Residue(signed, ctx), label)
 
 
-def gen_lemma5_poch(sweep):
-    yield from gen_lemma5(sweep)
-
-
-def check_lemma5_poch(params, engine, sweep, fault):
+def check_lemma5_poch(params, sweep, dual):
     p, k, x = params["p"], params["k"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 1)
     m = special.floor_px(x, p)
@@ -510,7 +463,7 @@ def check_lemma5_poch(params, engine, sweep, fault):
         series.pochhammer_exact(x, k) * series.pochhammer_exact(1 - as_fraction(x), k),
         ctx,
     )
-    return _congruence_report("lemma5-poch", params, lhs, rhs, "modular")
+    return _congruence_report(lhs, rhs, "modular")
 
 
 def gen_babbage(sweep):
@@ -520,35 +473,25 @@ def gen_babbage(sweep):
                 yield {"p": p, "a": a, "b": b}
 
 
-def check_babbage(params, engine, sweep, fault):
+def check_babbage(params, sweep, dual):
     p, a, b = params["p"], params["a"], params["b"]
     _need_binomial(a * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(comb(a * p, b * p), ctx)
     rhs = Residue(comb(a, b), ctx)
-    return _congruence_report("babbage", params, lhs, rhs, "exact")
+    return _congruence_report(lhs, rhs, "exact")
 
 
 # --- proof-chain suites ----------------------------------------------------
 
 
-def gen_chain_x(sweep):
-    yield from gen_sun(sweep)
-
-
-def check_chain_reflect(params, engine, sweep, fault):
+def check_chain_reflect(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    spec = series.series_spec((-q, 1 + q), (1,), 1, p)
-    lhs, label = _dual(
-        engine,
-        lambda: series.truncated_series_mod(spec, ctx),
-        lambda: residue_from_rational(series.truncated_series_exact(spec), ctx),
-        fault,
-    )
+    lhs, label = _series(dual, series.series_spec((-q, 1 + q), (1,), 1, p), ctx)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
-    return _congruence_report("chain-reflect", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
 def _reflected_jet_sums(m: int, terms: int):
@@ -577,22 +520,16 @@ def _reflected_jet_sums(m: int, terms: int):
     return a_tot, b_tot
 
 
-def check_chain_jet(params, engine, sweep, fault):
+def check_chain_jet(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    spec = series.series_spec((-q, 1 + q), (1,), 1, p)
-    lhs, label = _dual(
-        engine,
-        lambda: series.truncated_series_mod(spec, ctx),
-        lambda: residue_from_rational(series.truncated_series_exact(spec), ctx),
-        fault,
-    )
+    lhs, label = _series(dual, series.series_spec((-q, 1 + q), (1,), 1, p), ctx)
     m = special.least_residue(x, p)
     delta = (q - m) / p
     a_tot, b_tot = _reflected_jet_sums(m, p)
     rhs = residue_from_rational(a_tot + delta * p * b_tot, ctx)
-    return _congruence_report("chain-jet", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
 def gen_chain_m(sweep):
@@ -601,7 +538,7 @@ def gen_chain_m(sweep):
             yield {"p": p, "m": m}
 
 
-def check_chain_backward(params, engine, sweep, fault):
+def check_chain_backward(params, sweep, dual):
     p, m = params["p"], params["m"]
     ctx = PrimePower(p, sweep.mod_exp or 1)
     # backward-offset first-order piece, via the jet route
@@ -619,18 +556,18 @@ def check_chain_backward(params, engine, sweep, fault):
         b_tot += Fraction(sign * p1 * d0, kf2)
     lhs = residue_from_rational(b_tot, ctx)
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
-    return _congruence_report("chain-backward", params, lhs, rhs, "exact")
+    return _congruence_report(lhs, rhs, "exact")
 
 
-def check_chain_binom(params, engine, sweep, fault):
+def check_chain_binom(params, sweep, dual):
     p, m = params["p"], params["m"]
     lhs = sum(
         comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1) for k in range(p)
     )
-    return _exact_report("chain-binom", params, Fraction(lhs), Fraction((-1) ** m))
+    return _exact_report(Fraction(lhs), Fraction((-1) ** m))
 
 
-def check_chain_forward(params, engine, sweep, fault):
+def check_chain_forward(params, sweep, dual):
     p, m = params["p"], params["m"]
     lhs = Fraction(0)
     inner = Fraction(0)
@@ -638,7 +575,7 @@ def check_chain_forward(params, engine, sweep, fault):
         inner += Fraction(1, m + k)
         lhs += comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1) * inner
     rhs = Fraction(-1) ** m * special.harmonic_exact(m)
-    return _exact_report("chain-forward", params, lhs, rhs)
+    return _exact_report(lhs, rhs)
 
 
 def gen_chain_block(sweep):
@@ -648,34 +585,24 @@ def gen_chain_block(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_chain_block(params, engine, sweep, fault):
+def check_chain_block(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     fam = QUARTIC_BY_X[x]
     _need_series((r + 1) * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     spec = series.two_f_one(x, (r + 1) * p)
-    lhs, label = _dual(
-        engine,
+    lhs, label = dual(
         lambda: series.partial_sum_block(fam, r, ctx),
         lambda: residue_from_rational(
             series.window_sum_exact(spec, r * p, (r + 1) * p), ctx
         ),
-        fault,
     )
-    base, _ = _dual(
-        engine, lambda: _f21_mod(x, p, ctx), lambda: _f21_exact(x, p, ctx)
-    )
+    base, _ = _series(dual, series.two_f_one(x, p), ctx)
     rhs = residue_from_rational(fam.term_exact(r), ctx) * base
-    return _congruence_report("chain-block", params, lhs, rhs, label)
+    return _congruence_report(lhs, rhs, label)
 
 
-def gen_chain_qx(sweep):
-    for p in sweep.primes:
-        for x in _quartic_xs(sweep):
-            yield {"p": p, "x": x}
-
-
-def check_chain_convolution(params, engine, sweep, fault):
+def check_chain_convolution(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 1)
     terms = identities._series_terms(x, p - 1)
@@ -687,7 +614,7 @@ def check_chain_convolution(params, engine, sweep, fault):
         sum((terms[i] * special.harmonic_exact(i) for i in range(p)), Fraction(0)),
         ctx,
     )
-    return _congruence_report("chain-convolution", params, lhs, rhs, "exact")
+    return _congruence_report(lhs, rhs, "exact")
 
 
 def gen_chain_weighted(sweep):
@@ -697,7 +624,7 @@ def gen_chain_weighted(sweep):
                 yield {"p": p, "x": x, "form": form}
 
 
-def check_chain_weighted(params, engine, sweep, fault):
+def check_chain_weighted(params, sweep, dual):
     p, x, form = params["p"], params["x"], params["form"]
     m = special.floor_px(x, p)
     hm = special.harmonic_exact(m)
@@ -709,11 +636,7 @@ def check_chain_weighted(params, engine, sweep, fault):
             Fraction(0),
         )
         return _congruence_report(
-            "chain-weighted",
-            params,
-            residue_from_rational(total, ctx),
-            Residue(0, ctx),
-            "exact",
+            residue_from_rational(total, ctx), Residue(0, ctx), "exact"
         )
     total = sum(
         (
@@ -725,26 +648,17 @@ def check_chain_weighted(params, engine, sweep, fault):
         ),
         Fraction(0),
     )
-    return _exact_report("chain-weighted", params, total, Fraction(0))
+    return _exact_report(total, Fraction(0))
 
 
-def gen_chain_product(sweep):
-    yield from gen_rv(sweep)
-
-
-def check_chain_product(params, engine, sweep, fault):
+def check_chain_product(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _dual(
-        engine,
-        lambda: _f21_mod(x, n * p, ctx),
-        lambda: _f21_exact(x, n * p, ctx),
-        fault,
-    )
-    fp, _ = _dual(engine, lambda: _f21_mod(x, p, ctx), lambda: _f21_exact(x, p, ctx))
-    fn, _ = _dual(engine, lambda: _f21_mod(x, n, ctx), lambda: _f21_exact(x, n, ctx))
-    return _congruence_report("chain-product", params, lhs, fp * fn, label)
+    lhs, label = _series(dual, series.two_f_one(x, n * p), ctx)
+    fp, _ = _series(dual, series.two_f_one(x, p), ctx)
+    fn, _ = _series(dual, series.two_f_one(x, n), ctx)
+    return _congruence_report(lhs, fp * fn, label)
 
 
 def gen_gessel(sweep):
@@ -754,13 +668,13 @@ def gen_gessel(sweep):
                 yield {"p": p, "n": n}
 
 
-def check_gessel(params, engine, sweep, fault):
+def check_gessel(params, sweep, dual):
     p, n = params["p"], params["n"]
     _need_binomial(2 * n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 3)
     lhs = Residue(special.apery_number(n * p), ctx)
     rhs = Residue(special.apery_number(n), ctx)
-    return _congruence_report("gessel", params, lhs, rhs, "exact")
+    return _congruence_report(lhs, rhs, "exact")
 
 
 # --- conjecture suites -----------------------------------------------------
@@ -821,9 +735,8 @@ def gen_conjecture(x: Fraction):
     return gen
 
 
-def check_conjecture(params, engine, sweep, fault):
+def check_conjecture(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
-    suite_id = f"conj-{x}"
     fam = QUARTIC_BY_X[x]
     e_t = sweep.mod_exp or 3
     _need_series(n * p, sweep)
@@ -837,57 +750,37 @@ def check_conjecture(params, engine, sweep, fault):
     ctx = PrimePower(p, e_t)
     eps = special.legendre(fam.character_arg, p)
 
-    def exact_value() -> Residue:
-        return residue_from_rational(_conj_exact_scaled(fam, p, n, eps), ctx)
-
-    rhs = _conj_rhs(x, ctx)
-    if engine == "exact":
-        try:
-            lhs = exact_value()
-        except NonUnitDenominator:
-            return _conj_divisibility_report(suite_id, params, fam, p, n, eps, ctx, rhs)
-        label = "exact"
-    else:
+    def modular() -> Residue:
         ctxw = PrimePower(p, e_t + w)
         f_np = series.truncated_series_mod(series.two_f_one(x, n * p), ctxw)
         f_n = series.truncated_series_mod(series.two_f_one(x, n), ctxw)
         diff = (f_np.value - eps * f_n.value) % ctxw.modulus
-        v_req = max(2, w)
-        if diff % p**v_req:
-            return _conj_divisibility_report(suite_id, params, fam, p, n, eps, ctx, rhs)
+        if diff % p ** max(2, w):
+            # the exact route raises the same error on a p in the denominator
+            raise NonUnitDenominator("scaled difference is not a p-adic integer")
         m = ctx.modulus
-        lhs = Residue(
-            diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx
+        return Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
+
+    rhs = _conj_rhs(x, ctx)
+    try:
+        lhs, label = dual(
+            modular,
+            lambda: residue_from_rational(_conj_exact_scaled(fam, p, n, eps), ctx),
         )
-        if fault:
-            lhs = Residue(lhs.value + 1, ctx)
-        if engine == "both":
-            ev = exact_value()
-            if lhs.value != ev.value:
-                raise InternalError(
-                    f"engine disagreement in {suite_id} {params}: "
-                    f"modular {lhs.value} vs exact {ev.value} mod {m}"
-                )
-        label = "modular"
-    rep = _congruence_report(suite_id, params, lhs, rhs, label)
+    except NonUnitDenominator:
+        return Report(
+            lhs="",
+            rhs=str(rhs.value),
+            modulus=str(ctx.modulus),
+            passed=False,
+            engine="modular",
+            note="divisibility violation: scaled difference is not a p-adic integer "
+            "at the required valuation",
+            oracle=_conj_oracle(fam, p, n, eps, ctx),
+        )
+    rep = _congruence_report(lhs, rhs, label)
     if not rep.passed:
         rep.oracle = _conj_oracle(fam, p, n, eps, ctx)
-    return rep
-
-
-def _conj_divisibility_report(suite_id, params, fam, p, n, eps, ctx, rhs) -> Report:
-    rep = Report(
-        suite=suite_id,
-        params=_ser_params(params),
-        lhs="",
-        rhs=str(rhs.value),
-        modulus=str(ctx.modulus),
-        passed=False,
-        engine="modular",
-        note="divisibility violation: scaled difference is not a p-adic integer "
-        "at the required valuation",
-        oracle=_conj_oracle(fam, p, n, eps, ctx),
-    )
     return rep
 
 
@@ -902,9 +795,9 @@ def _identity_gen_n(start: int):
     return gen
 
 
-def _identity_check(fn, suite_id):
-    def check(params, engine, sweep, fault):
-        return _identity_report(fn(params["n"]), suite_id)
+def _identity_check(fn):
+    def check(params, sweep, dual):
+        return _identity_report(fn(params["n"]))
 
     return check
 
@@ -915,14 +808,14 @@ def gen_identity_kx(sweep):
             yield {"k": k, "x": f.x}
 
 
-def check_identity_partfrac(params, engine, sweep, fault):
+def check_identity_partfrac(params, sweep, dual):
     case = identities.partial_fraction_sum(params["k"], params["x"])
-    return _identity_report(case, "identity-partfrac")
+    return _identity_report(case)
 
 
-def check_identity_convolution(params, engine, sweep, fault):
+def check_identity_convolution(params, sweep, dual):
     case = identities.term_convolution_identity(params["x"], params["k"])
-    return _identity_report(case, "identity-convolution")
+    return _identity_report(case)
 
 
 def gen_identity_taylor(sweep):
@@ -932,11 +825,11 @@ def gen_identity_taylor(sweep):
                 yield {"k": k, "r": r, "order": order}
 
 
-def check_identity_taylor(params, engine, sweep, fault):
+def check_identity_taylor(params, sweep, dual):
     case = identities.taylor_coefficient_check(params["k"], params["r"])[
         params["order"]
     ]
-    return _identity_report(case, "identity-taylor")
+    return _identity_report(case)
 
 
 def gen_identity_negation(sweep):
@@ -946,9 +839,9 @@ def gen_identity_negation(sweep):
             yield {"b": b, "k": k}
 
 
-def check_identity_negation(params, engine, sweep, fault):
+def check_identity_negation(params, sweep, dual):
     case = identities.negation_symmetry(params["b"], params["k"])
-    return _identity_report(case, "identity-negation")
+    return _identity_report(case)
 
 
 # --- registry --------------------------------------------------------------
@@ -960,7 +853,7 @@ class Suite:
     kind: str  # theorem | identity | conjecture | exploratory
     description: str
     gen: Callable[[Sweep], Iterable[dict]]
-    check: Callable[[dict, str, Sweep, bool], Report]
+    check: Callable[[dict, Sweep, Dual], Report]
 
 
 _SUITES = [
@@ -1017,7 +910,7 @@ _SUITES = [
         "lemma4-binom",
         "theorem",
         "central-binomial form of the term-shift congruence, mod p^2",
-        gen_lemma4_binom,
+        gen_lemma4,
         check_lemma4_binom,
     ),
     Suite(
@@ -1031,7 +924,7 @@ _SUITES = [
         "lemma5-poch",
         "theorem",
         "rising-product form of the term/binomial congruence, mod p",
-        gen_lemma5_poch,
+        gen_lemma5,
         check_lemma5_poch,
     ),
     Suite(
@@ -1045,14 +938,14 @@ _SUITES = [
         "chain-reflect",
         "theorem",
         "reflected-parameter restatement of the any-x congruence, mod p^2",
-        gen_chain_x,
+        gen_sun,
         check_chain_reflect,
     ),
     Suite(
         "chain-jet",
         "theorem",
         "first-order jet expansion of the reflected sum around the least residue, mod p^2",
-        gen_chain_x,
+        gen_sun,
         check_chain_jet,
     ),
     Suite(
@@ -1087,7 +980,7 @@ _SUITES = [
         "chain-convolution",
         "theorem",
         "partial-fraction weights reduce to harmonic weights under the sum, mod p",
-        gen_chain_qx,
+        gen_thm1,
         check_chain_convolution,
     ),
     Suite(
@@ -1101,7 +994,7 @@ _SUITES = [
         "chain-product",
         "theorem",
         "length-np sum factors into length-p times length-n sums, mod p^2",
-        gen_chain_product,
+        gen_rv,
         check_chain_product,
     ),
     Suite(
@@ -1116,35 +1009,35 @@ _SUITES = [
         "identity",
         "alternating binomial sum equals (-1)^n, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.alternating_binomial_sum, "identity-alt"),
+        _identity_check(identities.alternating_binomial_sum),
     ),
     Suite(
         "identity-harmonic",
         "identity",
         "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.harmonic_weighted_sum, "identity-harmonic"),
+        _identity_check(identities.harmonic_weighted_sum),
     ),
     Suite(
         "identity-tail",
         "identity",
         "tail-harmonic alternating sum equals (-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.tail_harmonic_sum, "identity-tail"),
+        _identity_check(identities.tail_harmonic_sum),
     ),
     Suite(
         "identity-shifted",
         "identity",
         "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum, "identity-shifted"),
+        _identity_check(identities.shifted_harmonic_sum),
     ),
     Suite(
         "identity-chain",
         "identity",
         "harmonic-difference form linking the alternating-sum identities, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.harmonic_difference_chain, "identity-chain"),
+        _identity_check(identities.harmonic_difference_chain),
     ),
     Suite(
         "identity-partfrac",
@@ -1207,16 +1100,14 @@ _SUITES = [
         "exploratory",
         "the np-vs-n factorization swept over general rational x (expected to fail)",
         gen_rv_general,
-        check_rv_general,
+        check_rv,
     ),
     Suite(
         "identity-shifted-printed",
         "exploratory",
         "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)",
         _identity_gen_n(1),
-        _identity_check(
-            identities.shifted_harmonic_sum_printed, "identity-shifted-printed"
-        ),
+        _identity_check(identities.shifted_harmonic_sum_printed),
     ),
 ]
 
@@ -1249,29 +1140,52 @@ def run_instance(
     sweep: Sweep | None = None,
     fault_suite: str | None = None,
 ) -> Report:
-    """Run one instance; domain errors become error reports, bugs raise."""
+    """Run one instance under `engine`; domain errors become error reports, bugs raise.
+
+    This is the only code that knows the engine: the check gets a `Dual`
+    bound to it.  The first value a check asks ``dual`` for is the
+    instance's primary value (its left side); when ``fault_suite`` names
+    this suite (the ``VERIFY_FAULT_INJECT`` self-test) the modular route's
+    primary value is off by one, so ``both`` raises `InternalError` and
+    ``modular`` reports a failure.
+    """
     suite = REGISTRY[suite_id]
     if sweep is None:
         sweep = default_sweep()
+    fault = fault_suite == suite_id
+
+    def dual(modular_fn, exact_fn):
+        nonlocal fault
+        if engine == "exact":
+            return exact_fn(), "exact"
+        mv = modular_fn()
+        if fault:
+            mv, fault = Residue(mv.value + 1, mv.ctx), False
+        if engine == "both":
+            ev = exact_fn()
+            if mv.value != ev.value:
+                raise InternalError(
+                    f"engine disagreement in {suite_id} {params}: modular {mv.value} "
+                    f"vs exact {ev.value} mod {mv.ctx.p}^{mv.ctx.e}"
+                )
+        return mv, "modular"
+
     t0 = time.perf_counter()
     try:
-        rep = suite.check(params, engine, sweep, fault_suite == suite_id)
-    except InternalError:
-        raise
+        rep = suite.check(params, sweep, dual)
     except NegativeValuation as ex:
         if suite.kind in ("theorem", "identity"):
             raise InternalError(f"{suite_id} {params}: {ex}") from ex
-        rep = _error_report(suite_id, params, ex)
+        rep = _error_report(ex)
     except VerifyError as ex:
-        rep = _error_report(suite_id, params, ex)
+        rep = _error_report(ex)
+    rep.suite, rep.params = suite_id, _ser_params(params)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep
 
 
-def _error_report(suite_id, params, ex: Exception) -> Report:
+def _error_report(ex: Exception) -> Report:
     return Report(
-        suite=suite_id,
-        params=_ser_params(params),
         lhs="",
         rhs="",
         modulus="",

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hypercheck
 from hypercheck import cli
 from hypercheck.errors import UsageError
 
@@ -153,6 +158,38 @@ def test_fault_injection_modular_only_fails_normally(capsys, monkeypatch):
         capsys, "thm1", "--p-min", "5", "--p-max", "5", "--engine", "modular"
     )
     assert code == 1
+
+
+def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("VERIFY_FAULT_INJECT", "nosuch")
+    code, out, err = run_main(capsys, "thm1", "--p-max", "7")
+    assert code == 2 and out == ""
+    assert "nosuch" in err and "thm1" in err and "conj-1/6" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["thm1", "--mod-exp", "7"], {}),
+        (["rv", "--n", "-1"], {}),
+        (["corollary", "--r", "1,-2"], {}),
+        (["thm1"], {"VERIFY_BUDGET_SERIES": "abc"}),
+        (["thm1", "--out", "{tmp}/missing/x"], {}),
+    ],
+)
+def test_bad_input_exits_two_without_traceback(tmp_path, argv, env):
+    src = Path(hypercheck.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercheck.cli", "--p-max", "7"]
+        + [arg.format(tmp=tmp_path) for arg in argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "usage error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_file(tmp_path, capsys):

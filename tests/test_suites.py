@@ -217,6 +217,19 @@ def test_conjecture_failure_attaches_exact_oracle():
     assert rep.oracle is not None and "exact recomputation" in rep.oracle
 
 
+@pytest.mark.parametrize("engine", ["modular", "exact", "both"])
+def test_conjecture_divisibility_violation_report(monkeypatch, engine):
+    # a flipped character leaves the scaled difference with a p in its
+    # denominator (n = 3 gives v_5(n^2 S(n)) = 2); every engine must report
+    # the same divisibility failure, labelled with the modular route
+    legendre = suites.special.legendre
+    monkeypatch.setattr(suites.special, "legendre", lambda a, p: -legendre(a, p))
+    rep = run_instance("conj-1/2", {"p": 5, "n": 3, "x": F(1, 2)}, engine=engine)
+    assert not rep.passed and rep.error is None and rep.lhs == ""
+    assert rep.engine == "modular" and rep.note.startswith("divisibility violation")
+    assert "not a p-adic integer" in rep.oracle
+
+
 def test_conjecture_precision_cap_is_reported():
     # v_p(n^2 S(n)) grows without bound in n; past the window cap the
     # instance must surface as a budget error, never a silent wrong answer
