@@ -2,15 +2,11 @@
 
 The compiled kernel (``_speedups``, Cython) is preferred when it was built
 and the call fits its 64-bit domain; otherwise the pure-Python kernel runs.
-``VERIFY_BACKEND=pure|ext|auto`` overrides the choice: ``pure`` never uses
-the extension, ``ext`` demands it (ImportError if the build is missing).
 Both kernels implement the identical algorithm and are cross-checked in
 the test suite.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernel_py
 
@@ -18,12 +14,6 @@ try:
     from . import _speedups
 except ImportError:  # extension not built; pure Python carries on
     _speedups = None
-
-_MODE = os.environ.get("VERIFY_BACKEND", "auto").lower()
-if _MODE not in ("auto", "pure", "ext"):
-    raise ValueError(f"VERIFY_BACKEND must be auto, pure or ext, got {_MODE!r}")
-if _MODE == "ext" and _speedups is None:
-    raise ImportError("VERIFY_BACKEND=ext but the compiled kernel is not built")
 
 # Domain limits of the compiled kernel: modulus and parameter magnitudes
 # must keep every product inside 64x64 -> 128 bit arithmetic.
@@ -34,9 +24,7 @@ _MAX_K = 1 << 31
 
 def backend_name() -> str:
     """Which kernel actually runs for in-range calls: 'ext' or 'pure'."""
-    if _MODE != "pure" and _speedups is not None:
-        return "ext"
-    return "pure"
+    return "pure" if _speedups is None else "ext"
 
 
 def _fits_compiled(upper, lower, zn, zd, k_stop, p, e) -> bool:
@@ -49,10 +37,6 @@ def _fits_compiled(upper, lower, zn, zd, k_stop, p, e) -> bool:
 
 
 def series_window_mod(upper, lower, zn, zd, k_start, k_stop, p, e) -> int:
-    if (
-        _MODE != "pure"
-        and _speedups is not None
-        and _fits_compiled(upper, lower, zn, zd, k_stop, p, e)
-    ):
+    if _speedups is not None and _fits_compiled(upper, lower, zn, zd, k_stop, p, e):
         return _speedups.series_window_mod(upper, lower, zn, zd, k_start, k_stop, p, e)
     return _kernel_py.series_window_mod(upper, lower, zn, zd, k_start, k_stop, p, e)

@@ -9,7 +9,9 @@ Exit codes: 0 all instances passed (or none ran; error records do not
 fail a run), 1 at least one failing instance, in any suite kind, 2 usage
 error (bad flag, budget or fault-injection variable, unwritable ``--out``),
 3 internal inconsistency: the two engines disagreed, or a theorem or
-identity suite hit a `NegativeValuation`.
+identity suite hit a `NegativeValuation`.  On exit 3 the run stops at that
+instance; json-lines output still ends with its summary record, which then
+also carries ``"status": "internal-error"`` and the ``"error"`` message.
 """
 
 from __future__ import annotations
@@ -323,6 +325,7 @@ def run(cfg: RunConfig) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
     tally = _Tally()
+    internal_error = None
     t0 = time.perf_counter()
     try:
         if cfg.workers > 1 and len(items) > 1:
@@ -335,9 +338,7 @@ def run(cfg: RunConfig) -> int:
                 _emit_one(_work(item), cfg, out, writer, tally)
     except InternalError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
-        if close_out:
-            out.close()
-        return 3
+        internal_error = str(ex)
     elapsed = time.perf_counter() - t0
     total = tally.total("instances")
     failed = tally.total("failed")
@@ -354,8 +355,10 @@ def run(cfg: RunConfig) -> int:
                 "elapsed_s": round(elapsed, 3),
             }
         }
+        if internal_error is not None:
+            summary["summary"].update(status="internal-error", error=internal_error)
         print(json.dumps(summary, separators=(",", ":")), file=out)
-    elif cfg.format == "human":
+    elif cfg.format == "human" and internal_error is None:
         print(
             f"ran {total} instances: {tally.total('passed')} passed, "
             f"{failed} failed, {tally.total('errors')} errors "
@@ -364,6 +367,8 @@ def run(cfg: RunConfig) -> int:
         )
     if close_out:
         out.close()
+    if internal_error is not None:
+        return 3
     return 1 if failed else 0
 
 

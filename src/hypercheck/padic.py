@@ -1,10 +1,10 @@
-"""Arithmetic substrate: residues mod p^e and valuation-tracked scaled units.
+"""Arithmetic substrate: prime-power moduli and residues mod p^e.
 
-Everything downstream works either with `Residue` (canonical value in
-[0, p^e)) or with `ScaledUnit` (u * p^v with u a unit mod p^e), which keeps
-p-divisible quantities exact until the final reduction.  Rationals enter
-only through `residue_from_rational` / `ScaledUnit.from_rational`, which
-reject denominators divisible by p.
+Everything downstream works with `Residue` (canonical value in [0, p^e)).
+Code that must keep p-divisible quantities exact carries them as plain
+integer pairs (v, u) meaning u * p^v, splitting off the p-power with
+`split_p_power` and reducing once at the end.  Rationals enter only through
+`residue_from_rational`, which rejects denominators divisible by p.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NegativeValuation, NonUnit, NonUnitDenominator
+from .errors import NonUnit, NonUnitDenominator
 
 #: Hard cap on the exponent e of a modulus p^e.  Desk-scale sweeps need
 #: e = 2 or 3; the mod-p^3 conjectures need 3 + v_p(n^2 S(n)) which reaches
@@ -97,12 +97,6 @@ class PrimePower:
             raise ValueError(f"need 1 <= e <= {MAX_EXPONENT}, got e={self.e}")
         object.__setattr__(self, "modulus", self.p**self.e)
 
-    def shrink(self, e: int) -> "PrimePower":
-        """Same prime, smaller exponent."""
-        if e > self.e:
-            raise ValueError(f"cannot grow {self} to e={e}")
-        return PrimePower(self.p, e)
-
 
 @dataclass(frozen=True)
 class Residue:
@@ -165,10 +159,6 @@ class Residue:
             raise NonUnit(f"{self.value} is not a unit mod {self.ctx.p}^{self.ctx.e}")
         return Residue(pow(self.value, -1, self.ctx.modulus), self.ctx)
 
-    def reduce(self, e: int) -> "Residue":
-        """Project to the weaker modulus p^e."""
-        return Residue(self.value, self.ctx.shrink(e))
-
 
 def residue_from_rational(q: PadicInput, ctx: PrimePower) -> Residue:
     """Reduce a p-integral rational mod p^e."""
@@ -179,84 +169,3 @@ def residue_from_rational(q: PadicInput, ctx: PrimePower) -> Residue:
         )
     m = ctx.modulus
     return Residue(q.numerator % m * pow(q.denominator % m, -1, m), ctx)
-
-
-@dataclass(frozen=True)
-class ScaledUnit:
-    """u * p^v with u a unit mod p^e; valuation None encodes exact zero.
-
-    Keeping the p-power split out of the unit means products, quotients and
-    factorial-style accumulations never lose low digits to a p-divisible
-    factor; reduction to a Residue happens once, at the end.
-    """
-
-    valuation: int | None
-    unit: Residue | None
-    ctx: PrimePower
-
-    def __post_init__(self):
-        if self.valuation is None:
-            if self.unit is not None:
-                raise ValueError("exact zero carries no unit")
-            return
-        if self.valuation < 0:
-            raise NegativeValuation(f"valuation {self.valuation} < 0")
-        if self.unit is None or self.unit.ctx != self.ctx:
-            raise ValueError("unit context mismatch")
-        if self.unit.value % self.ctx.p == 0:
-            raise NonUnit(f"unit part {self.unit.value} divisible by {self.ctx.p}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.valuation is None
-
-    @classmethod
-    def zero(cls, ctx: PrimePower) -> "ScaledUnit":
-        return cls(None, None, ctx)
-
-    @classmethod
-    def one(cls, ctx: PrimePower) -> "ScaledUnit":
-        return cls(0, Residue(1, ctx), ctx)
-
-    @classmethod
-    def from_integer(cls, n: int, ctx: PrimePower) -> "ScaledUnit":
-        if n == 0:
-            return cls.zero(ctx)
-        v, u = split_p_power(n, ctx.p)
-        return cls(v, Residue(u, ctx), ctx)
-
-    @classmethod
-    def from_rational(cls, q: PadicInput, ctx: PrimePower) -> "ScaledUnit":
-        q = as_fraction(q)
-        if q == 0:
-            return cls.zero(ctx)
-        vn, un = split_p_power(q.numerator, ctx.p)
-        vd, ud = split_p_power(q.denominator, ctx.p)
-        if vn - vd < 0:
-            raise NegativeValuation(f"{q} has valuation {vn - vd} < 0")
-        u = Residue(un, ctx) * Residue(ud, ctx).inverse()
-        return cls(vn - vd, u, ctx)
-
-    def __mul__(self, other: "ScaledUnit") -> "ScaledUnit":
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        if self.is_zero or other.is_zero:
-            return ScaledUnit.zero(self.ctx)
-        return ScaledUnit(self.valuation + other.valuation, self.unit * other.unit, self.ctx)
-
-    def __truediv__(self, other: "ScaledUnit") -> "ScaledUnit":
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        if other.is_zero:
-            raise ZeroDivisionError("division by exact zero")
-        if self.is_zero:
-            return ScaledUnit.zero(self.ctx)
-        v = self.valuation - other.valuation
-        if v < 0:
-            raise NegativeValuation(f"quotient valuation {v} < 0")
-        return ScaledUnit(v, self.unit * other.unit.inverse(), self.ctx)
-
-    def to_residue(self) -> Residue:
-        if self.is_zero or self.valuation >= self.ctx.e:
-            return Residue(0, self.ctx)
-        return Residue(self.unit.value * self.ctx.p**self.valuation, self.ctx)

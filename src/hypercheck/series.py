@@ -19,7 +19,7 @@ from math import comb
 
 from . import _kernel
 from .errors import NonUnitDenominator, PoleInLowerParameter
-from .padic import PadicInput, PrimePower, Residue, ScaledUnit, as_fraction
+from .padic import PadicInput, PrimePower, Residue, as_fraction, split_p_power
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,24 @@ def truncated_series_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
     return window_sum_mod(spec, 0, spec.terms, ctx)
 
 
-# --- factorials and binomials as scaled units ------------------------------
+# --- factorials with the p-power split off ---------------------------------
 
-_FACT: dict[PrimePower, list[ScaledUnit]] = {}
-
-
-def factorial_scaled(n: int, ctx: PrimePower) -> ScaledUnit:
-    """n! as a scaled unit (p-power split off, unit reduced mod p^e)."""
-    cache = _FACT.setdefault(ctx, [ScaledUnit.one(ctx)])
-    while len(cache) <= n:
-        k = len(cache)
-        cache.append(cache[-1] * ScaledUnit.from_integer(k, ctx))
-    return cache[n]
+# Per (p, p^e): entry n is n! = p^v * u as the integers (v, u mod p^e), so a
+# p-divisible factor costs no precision.
+_FACTORIALS: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
 
-def binomial_scaled(n: int, k: int, ctx: PrimePower) -> ScaledUnit:
-    """C(n, k) as a scaled unit, for 0 <= k <= n."""
-    if not 0 <= k <= n:
-        return ScaledUnit.zero(ctx)
-    return factorial_scaled(n, ctx) / (factorial_scaled(k, ctx) * factorial_scaled(n - k, ctx))
+def _factorials(n: int, p: int, m: int) -> list[tuple[int, int]]:
+    """The factorial table for p and m = p^e, extended to hold n!."""
+    table = _FACTORIALS.get((p, m))
+    if table is None:
+        table = _FACTORIALS[p, m] = [(0, 1)]
+    v, u = table[-1]
+    for k in range(len(table), n + 1):
+        vk, uk = split_p_power(k, p)
+        v, u = v + vk, u * uk % m
+        table.append((v, u))
+    return table
 
 
 # --- the four quadratic-character families ---------------------------------
@@ -172,19 +171,30 @@ class QuarticFamily:
     base: int
     character_arg: int
 
-    def term_exact(self, n: int) -> Fraction:
-        num = 1
+    def binomial_product(self, n: int) -> int:
+        """The product of the binomials C(c*n, d*n)."""
+        out = 1
         for c, d in self.binomials:
-            num *= comb(c * n, d * n)
-        return Fraction(num, self.base**n)
+            out *= comb(c * n, d * n)
+        return out
 
-    def term_scaled(self, n: int, ctx: PrimePower) -> ScaledUnit:
-        out = ScaledUnit.one(ctx)
+    def term_exact(self, n: int) -> Fraction:
+        return Fraction(self.binomial_product(n), self.base**n)
+
+    def term_scaled(self, n: int, ctx: PrimePower) -> Residue:
+        """The term at index n mod p^e, from the factorial table."""
+        p, m = ctx.p, ctx.modulus
+        fact = _factorials(max(c for c, _ in self.binomials) * n, p, m)
+        v, num, den = 0, 1, 1
         for c, d in self.binomials:
-            out = out * binomial_scaled(c * n, d * n, ctx)
+            (vt, ut), (vb, ub), (vr, ur) = fact[c * n], fact[d * n], fact[(c - d) * n]
+            v += vt - vb - vr
+            num = num * ut % m
+            den = den * ub * ur % m
+        if v >= ctx.e:
+            return Residue(0, ctx)
         # bases are 2^a 3^b, units for every admissible p >= 5
-        inv_pow = Residue(self.base, ctx).inverse() ** n
-        return out * ScaledUnit(0, inv_pow, ctx)
+        return Residue(num * pow(den * pow(self.base, n, m), -1, m) * p**v, ctx)
 
 
 QUARTICS: tuple[QuarticFamily, ...] = (
@@ -195,9 +205,3 @@ QUARTICS: tuple[QuarticFamily, ...] = (
 )
 
 QUARTIC_BY_X: dict[Fraction, QuarticFamily] = {f.x: f for f in QUARTICS}
-
-
-def partial_sum_block(family: QuarticFamily, r: int, ctx: PrimePower) -> Residue:
-    """Block sum of the family's 2F1 terms over r*p <= k < (r+1)*p."""
-    spec = two_f_one(family.x, (r + 1) * ctx.p)
-    return window_sum_mod(spec, r * ctx.p, (r + 1) * ctx.p, ctx)

@@ -389,7 +389,7 @@ def check_lemma4(params, sweep, dual):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     m = k + r * p
     lhs, label = dual(
-        lambda: fam.term_scaled(m, ctx).to_residue(),
+        lambda: fam.term_scaled(m, ctx),
         lambda: residue_from_rational(fam.term_exact(m), ctx),
     )
     # right side: exact rationals throughout, reduced once
@@ -411,23 +411,16 @@ def check_lemma4_binom(params, sweep, dual):
     for c, _ in fam.binomials:
         _need_binomial(c * n, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs = Residue(_binomial_product(fam, n), ctx)
+    lhs = Residue(fam.binomial_product(n), ctx)
     # closed-form harmonic combination: T_k(x) - 2 H_k
     combo = -2 * special.harmonic_exact(k)
     for coeff, stride in identities._PARTFRAC_RHS[x]:
         combo += coeff * special.harmonic_exact(stride * k)
     rhs = residue_from_rational(
-        _binomial_product(fam, r) * _binomial_product(fam, k) * (1 + r * p * combo),
+        fam.binomial_product(r) * fam.binomial_product(k) * (1 + r * p * combo),
         ctx,
     )
     return _congruence_report(lhs, rhs, "exact")
-
-
-def _binomial_product(fam, n: int) -> int:
-    out = 1
-    for c, d in fam.binomials:
-        out *= comb(c * n, d * n)
-    return out
 
 
 def gen_lemma5(sweep):
@@ -442,7 +435,7 @@ def check_lemma5(params, sweep, dual):
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 1)
     lhs, label = dual(
-        lambda: fam.term_scaled(k, ctx).to_residue(),
+        lambda: fam.term_scaled(k, ctx),
         lambda: residue_from_rational(fam.term_exact(k), ctx),
     )
     m = special.floor_px(x, p)
@@ -592,7 +585,7 @@ def check_chain_block(params, sweep, dual):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     spec = series.two_f_one(x, (r + 1) * p)
     lhs, label = dual(
-        lambda: series.partial_sum_block(fam, r, ctx),
+        lambda: series.window_sum_mod(spec, r * p, (r + 1) * p, ctx),
         lambda: residue_from_rational(
             series.window_sum_exact(spec, r * p, (r + 1) * p), ctx
         ),
@@ -706,7 +699,7 @@ def _conj_exact_scaled(fam, p, n, eps) -> Fraction:
     diff = series.truncated_series_exact(
         series.two_f_one(fam.x, n * p)
     ) - eps * series.truncated_series_exact(series.two_f_one(fam.x, n))
-    pref = Fraction(fam.base**n, n * n * _binomial_product(fam, n))
+    pref = Fraction(fam.base**n, n * n * fam.binomial_product(n))
     return pref * diff
 
 
@@ -742,7 +735,7 @@ def check_conjecture(params, sweep, dual):
     _need_series(n * p, sweep)
     for c, _ in fam.binomials:
         _need_binomial(c * n, sweep)
-    w, unit = split_p_power(n * n * _binomial_product(fam, n), p)
+    w, unit = split_p_power(n * n * fam.binomial_product(n), p)
     if e_t + w > padic.MAX_EXPONENT:
         raise BudgetExceeded(
             f"needs working precision p^{e_t + w}, cap is p^{padic.MAX_EXPONENT}"
@@ -1145,9 +1138,10 @@ def run_instance(
     This is the only code that knows the engine: the check gets a `Dual`
     bound to it.  The first value a check asks ``dual`` for is the
     instance's primary value (its left side); when ``fault_suite`` names
-    this suite (the ``VERIFY_FAULT_INJECT`` self-test) the modular route's
-    primary value is off by one, so ``both`` raises `InternalError` and
-    ``modular`` reports a failure.
+    this suite (the ``VERIFY_FAULT_INJECT`` self-test) the primary value of
+    the route the engine reports (exact under ``exact``, modular otherwise)
+    is off by one, so ``both`` raises `InternalError` and ``modular`` and
+    ``exact`` report a failure.
     """
     suite = REGISTRY[suite_id]
     if sweep is None:
@@ -1157,18 +1151,19 @@ def run_instance(
     def dual(modular_fn, exact_fn):
         nonlocal fault
         if engine == "exact":
-            return exact_fn(), "exact"
-        mv = modular_fn()
+            value, label = exact_fn(), "exact"
+        else:
+            value, label = modular_fn(), "modular"
         if fault:
-            mv, fault = Residue(mv.value + 1, mv.ctx), False
+            value, fault = Residue(value.value + 1, value.ctx), False
         if engine == "both":
             ev = exact_fn()
-            if mv.value != ev.value:
+            if value.value != ev.value:
                 raise InternalError(
-                    f"engine disagreement in {suite_id} {params}: modular {mv.value} "
-                    f"vs exact {ev.value} mod {mv.ctx.p}^{mv.ctx.e}"
+                    f"engine disagreement in {suite_id} {params}: modular {value.value} "
+                    f"vs exact {ev.value} mod {value.ctx.p}^{value.ctx.e}"
                 )
-        return mv, "modular"
+        return value, label
 
     t0 = time.perf_counter()
     try:

@@ -154,10 +154,20 @@ def test_fault_injection_exit_three(capsys, monkeypatch):
 
 def test_fault_injection_modular_only_fails_normally(capsys, monkeypatch):
     monkeypatch.setenv("VERIFY_FAULT_INJECT", "thm1")
-    code, out, err = run_main(
-        capsys, "thm1", "--p-min", "5", "--p-max", "5", "--engine", "modular"
-    )
-    assert code == 1
+    for engine in ("modular", "exact"):
+        code, out, err = run_main(capsys, "thm1", "--p-max", "7", "--engine", engine)
+        assert code == 1
+        assert out.count("FAIL thm1") == 8 and "PASS" not in out
+
+
+def test_internal_error_ends_json_lines_with_a_summary(capsys, monkeypatch):
+    monkeypatch.setenv("VERIFY_FAULT_INJECT", "thm1")
+    code, out, err = run_main(capsys, "thm1", "--p-max", "7", "--format", "json-lines")
+    assert code == 3
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert summary["status"] == "internal-error"
+    assert "disagreement" in summary["error"] and "elapsed_s" in summary
+    assert summary["instances"] == 0
 
 
 def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):

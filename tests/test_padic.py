@@ -1,16 +1,15 @@
-"""Prime-power contexts, residues, and scaled units."""
+"""Prime-power contexts and residues."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck.errors import NegativeValuation, NonUnit, NonUnitDenominator
+from hypercheck.errors import NonUnit, NonUnitDenominator
 from hypercheck.padic import (
     MAX_EXPONENT,
     PrimePower,
     Residue,
-    ScaledUnit,
     is_prime,
     p_valuation,
     residue_from_rational,
@@ -70,13 +69,6 @@ def test_context_validation():
     assert PrimePower(7, 3).modulus == 343
 
 
-def test_context_shrink():
-    ctx = PrimePower(11, 4)
-    assert ctx.shrink(2) == PrimePower(11, 2)
-    with pytest.raises(ValueError):
-        ctx.shrink(5)
-
-
 @given(ctxs, st.integers(), st.integers())
 def test_residue_ring_ops_match_integers(ctx, a, b):
     m = ctx.modulus
@@ -107,12 +99,6 @@ def test_residue_context_mismatch():
         Residue(1, PrimePower(5, 2)) + Residue(1, PrimePower(5, 3))
 
 
-def test_residue_reduce():
-    r = Residue(118, PrimePower(5, 3))
-    assert r.reduce(1).value == 3
-    assert r.reduce(3) == r
-
-
 def test_residue_from_rational_values():
     ctx = PrimePower(5, 2)
     assert residue_from_rational(Fraction(1, 4), ctx).value == 19
@@ -132,79 +118,3 @@ def test_residue_from_rational_solves_congruence(ctx, num, den):
         return
     r = residue_from_rational(Fraction(num, den), ctx)
     assert (r.value * den - num) % ctx.modulus == 0
-
-
-rationals = st.fractions(
-    min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=60
-)
-
-
-@given(ctxs, rationals)
-def test_scaled_unit_from_rational(ctx, q):
-    p = ctx.p
-    if q == 0:
-        s = ScaledUnit.from_rational(q, ctx)
-        assert s.is_zero
-        return
-    vq = p_valuation(q.numerator, p) - p_valuation(q.denominator, p)
-    if vq < 0:
-        with pytest.raises(NegativeValuation):
-            ScaledUnit.from_rational(q, ctx)
-        return
-    s = ScaledUnit.from_rational(q, ctx)
-    assert s.valuation == vq
-    # unit digit solves the congruence for the p-free part
-    lowered = q / p**vq
-    assert (s.unit.value * lowered.denominator - lowered.numerator) % ctx.modulus == 0
-
-
-@given(ctxs, rationals, rationals)
-def test_scaled_unit_mul_div_match_rationals(ctx, a, b):
-    p, e = ctx.p, ctx.e
-    for q in (a, b):
-        if q != 0 and p_valuation(q.numerator, p) - p_valuation(q.denominator, p) < 0:
-            return
-    sa = ScaledUnit.from_rational(a, ctx)
-    sb = ScaledUnit.from_rational(b, ctx)
-    prod = sa * sb
-    expect = a * b
-    if expect == 0:
-        assert prod.is_zero
-    else:
-        # products are exact in valuation; units compare at e digits
-        assert prod.valuation == p_valuation(expect.numerator, p) - p_valuation(
-            expect.denominator, p
-        )
-    if b != 0:
-        q = a / b
-        vq = (
-            p_valuation(q.numerator, p) - p_valuation(q.denominator, p)
-            if q != 0
-            else None
-        )
-        if q == 0:
-            assert (sa / sb).is_zero
-        elif vq < 0:
-            with pytest.raises(NegativeValuation):
-                sa / sb
-        else:
-            assert (sa / sb).valuation == vq
-
-
-def test_scaled_unit_zero_semantics():
-    ctx = PrimePower(7, 2)
-    z = ScaledUnit.zero(ctx)
-    one = ScaledUnit.one(ctx)
-    assert z.is_zero and (z * one).is_zero
-    with pytest.raises(ZeroDivisionError):
-        one / z
-    assert z.to_residue().value == 0
-
-
-def test_scaled_unit_to_residue():
-    ctx = PrimePower(5, 3)
-    s = ScaledUnit.from_integer(50, ctx)
-    assert s.valuation == 2
-    assert s.to_residue().value == 50
-    deep = ScaledUnit.from_integer(5**4 * 3, ctx)
-    assert deep.to_residue().value == 0  # valuation beyond the window

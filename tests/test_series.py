@@ -1,7 +1,7 @@
-"""Series evaluation: exact engine, modular engine, scaled binomials, families."""
+"""Series evaluation: exact engine, modular engine, factorial table, families."""
 
+import math
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +12,6 @@ from hypercheck.padic import PrimePower, Residue, residue_from_rational
 from hypercheck.series import (
     QUARTIC_BY_X,
     QUARTICS,
-    binomial_scaled,
-    factorial_scaled,
     pochhammer_exact,
     series_spec,
     truncated_series_exact,
@@ -149,30 +147,12 @@ def legendre_valuation(n: int, p: int) -> int:
 
 
 @given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=400))
-def test_factorial_scaled_valuation_and_unit(p, n):
-    ctx = PrimePower(p, 3)
-    s = factorial_scaled(n, ctx)
-    assert s.valuation == legendre_valuation(n, p)
-    # unit digit: n! / p^v mod p^3
-    import math
-
-    v, rest = s.valuation, math.factorial(n)
-    rest //= p**v
-    assert s.unit.value == rest % ctx.modulus
-
-
-@given(
-    st.sampled_from(PRIMES),
-    st.integers(min_value=0, max_value=300),
-    st.integers(min_value=-5, max_value=320),
-)
-def test_binomial_scaled_matches_comb(p, n, k):
-    ctx = PrimePower(p, 2)
-    s = binomial_scaled(n, k, ctx)
-    if 0 <= k <= n:
-        assert s.to_residue().value == comb(n, k) % ctx.modulus
-    else:
-        assert s.is_zero
+def test_factorial_table_valuation_and_unit(p, n):
+    m = p**3
+    v, u = series._factorials(n, p, m)[n]
+    assert v == legendre_valuation(n, p)
+    # unit digits: n! / p^v mod p^3
+    assert u == math.factorial(n) // p**v % m
 
 
 def test_quartic_families_table():
@@ -205,8 +185,7 @@ def test_family_term_equals_series_term(fam, n):
 )
 def test_family_term_scaled_matches_exact(fam, p, n, e):
     ctx = PrimePower(p, e)
-    got = fam.term_scaled(n, ctx).to_residue()
-    assert got == residue_from_rational(fam.term_exact(n), ctx)
+    assert fam.term_scaled(n, ctx) == residue_from_rational(fam.term_exact(n), ctx)
 
 
 @given(
@@ -214,10 +193,10 @@ def test_family_term_scaled_matches_exact(fam, p, n, e):
     st.sampled_from((5, 7, 11, 13)),
     st.integers(min_value=0, max_value=4),
 )
-def test_partial_sum_block_matches_exact_window(fam, p, r):
+def test_block_window_sum_matches_exact_window(fam, p, r):
     ctx = PrimePower(p, 2)
     spec = two_f_one(fam.x, (r + 1) * p)
-    got = series.partial_sum_block(fam, r, ctx)
+    got = window_sum_mod(spec, r * p, (r + 1) * p, ctx)
     assert got == residue_from_rational(
         window_sum_exact(spec, r * p, (r + 1) * p), ctx
     )

@@ -275,27 +275,6 @@ def test_mod_exp_override():
     assert rep.modulus == "7"
 
 
-def _run_backend_probe(backend: str) -> subprocess.CompletedProcess:
-    code = (
-        "import hypercheck\n"
-        "print(hypercheck.backend_name())\n"
-    )
-    import os
-
-    env = dict(os.environ, VERIFY_BACKEND=backend)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_backend_selection_env():
-    assert _run_backend_probe("pure").stdout.strip() == "pure"
-    r = _run_backend_probe("auto")
-    assert r.stdout.strip() in ("ext", "pure")
-    bad = _run_backend_probe("bogus")
-    assert bad.returncode != 0
-
-
 def test_dispatcher_falls_back_for_wide_moduli():
     # 2^61 - 1 is prime; at e = 2 the modulus no longer fits the compiled
     # kernel's word size and the dispatcher must pick the big-int path
