@@ -2,8 +2,8 @@
 
 The compiled kernel (``_speedups``, Cython) is preferred when it was built
 and the call fits its 64-bit domain; otherwise the pure-Python kernel runs.
-Both kernels implement the identical algorithm and are cross-checked in
-the test suite.
+Both kernels give identical results and are cross-checked in the test
+suite.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ instance in human, json-lines, or csv form.
 Exit codes: 0 all instances passed (or none ran; error records do not
 fail a run), 1 at least one failing instance, in any suite kind, 2 usage
 error (bad flag, budget or fault-injection variable, unwritable ``--out``),
-3 internal inconsistency: the two engines disagreed, or a theorem or
-identity suite hit a `NegativeValuation`.  On exit 3 the run stops at that
+3 internal inconsistency: the two engines disagreed, a theorem or identity
+suite hit a `NegativeValuation`, or a check raised an unexpected exception
+(`run_instance` turns it into `InternalError`).  On exit 3 the run stops at that
 instance; json-lines output still ends with its summary record, which then
 also carries ``"status": "internal-error"`` and the ``"error"`` message.
 """

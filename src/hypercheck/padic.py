@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NonUnit, NonUnitDenominator
 
@@ -26,6 +27,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PadicInput = int | Fraction
 
 
+@lru_cache(maxsize=1024)  # every PrimePower of a sweep asks about the same few p
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:

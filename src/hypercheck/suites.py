@@ -1133,7 +1133,8 @@ def run_instance(
     sweep: Sweep | None = None,
     fault_suite: str | None = None,
 ) -> Report:
-    """Run one instance under `engine`; domain errors become error reports, bugs raise.
+    """Run one instance under `engine`; domain errors become error reports, bugs
+    raise `InternalError`.
 
     This is the only code that knows the engine: the check gets a `Dual`
     bound to it.  The first value a check asks ``dual`` for is the
@@ -1174,6 +1175,10 @@ def run_instance(
         rep = _error_report(ex)
     except VerifyError as ex:
         rep = _error_report(ex)
+    except InternalError:
+        raise
+    except Exception as ex:  # a bug in a check or kernel: exit 3, not a traceback
+        raise InternalError(f"{suite_id} {params}: {type(ex).__name__}: {ex}") from ex
     rep.suite, rep.params = suite_id, _ser_params(params)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hypercheck
-from hypercheck import cli
+from hypercheck import cli, series
 from hypercheck.errors import UsageError
 
 
@@ -168,6 +168,24 @@ def test_internal_error_ends_json_lines_with_a_summary(capsys, monkeypatch):
     assert summary["status"] == "internal-error"
     assert "disagreement" in summary["error"] and "elapsed_s" in summary
     assert summary["instances"] == 0
+
+
+def test_unexpected_exception_exits_three_with_a_summary(tmp_path, capsys, monkeypatch):
+    def broken(spec, ctx):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(series, "truncated_series_mod", broken)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_main(
+        capsys, "thm1", "--p-max", "7", "--engine", "modular",
+        "--format", "json-lines", "--workers", "1", "--out", str(out),
+    )
+    assert code == 3
+    assert "RuntimeError: kernel bug" in err and "Traceback" not in err
+    summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+    assert summary["status"] == "internal-error"
+    assert summary["error"].startswith("thm1 {")
+    assert summary["error"].endswith("RuntimeError: kernel bug")
 
 
 def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):

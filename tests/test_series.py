@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck import series
-from hypercheck.errors import NonUnitDenominator, PoleInLowerParameter
+from hypercheck import _kernel_py, series
+from hypercheck.errors import NegativeValuation, NonUnitDenominator, PoleInLowerParameter
 from hypercheck.padic import PrimePower, Residue, residue_from_rational
 from hypercheck.series import (
     QUARTIC_BY_X,
@@ -135,6 +135,81 @@ def test_non_unit_series_parameters_rejected():
         truncated_series_mod(series_spec((1,), (1,), Fraction(1, 5), 7), ctx)
     with pytest.raises(NonUnitDenominator):
         truncated_series_mod(series_spec((1,), (1,), Fraction(5, 2), 7), ctx)
+
+
+@st.composite
+def kernel_windows(draw):
+    """Kernel arguments in its domain: every denominator and zn prime to p."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    unit = st.integers(min_value=1, max_value=12).filter(lambda d: d % p)
+    param = st.tuples(st.integers(min_value=-3 * p, max_value=3 * p), unit)
+    k_stop = draw(
+        st.one_of(
+            st.sampled_from((p, p * p, p**3)),
+            st.integers(min_value=0, max_value=4 * p),
+        )
+    )
+    return (
+        tuple(draw(st.lists(param, max_size=3))),
+        tuple(draw(st.lists(param, max_size=2))),
+        draw(st.integers(min_value=-40, max_value=40).filter(lambda n: n % p)),
+        draw(unit),
+        draw(st.integers(min_value=0, max_value=k_stop)),
+        k_stop,
+        p,
+        draw(st.integers(min_value=1, max_value=6)),
+    )
+
+
+def first_term_not_p_integral(spec, k_stop, p):
+    """Index of the first term k < k_stop with p in its denominator, or None.
+
+    Walks the exact term ratio like `window_sum_exact`: a zero upper factor
+    ends the walk, and a pole raises before the term past it exists.
+    """
+    term = Fraction(1)
+    for k in range(k_stop):
+        if term.denominator % p == 0:
+            return k
+        if k + 1 >= k_stop:
+            break
+        step = spec.z
+        for a in spec.upper:
+            step *= a + k
+        if step == 0:
+            break
+        step /= k + 1
+        for b in spec.lower:
+            if b + k == 0:
+                raise PoleInLowerParameter(f"lower parameter {b} hits a pole at k={k}")
+            step /= b + k
+        term *= step
+    return None
+
+
+@given(kernel_windows())
+def test_pure_kernel_matches_exact_oracle(window):
+    upper, lower, zn, zd, k_start, k_stop, p, e = window
+    spec = series_spec(
+        [Fraction(*a) for a in upper], [Fraction(*b) for b in lower], Fraction(zn, zd), 0
+    )
+    try:
+        bad = first_term_not_p_integral(spec, k_stop, p)
+    except PoleInLowerParameter:
+        with pytest.raises(PoleInLowerParameter):
+            window_sum_exact(spec, 0, k_stop)
+        with pytest.raises(PoleInLowerParameter):
+            _kernel_py.series_window_mod(*window)
+        return
+    if bad is not None:
+        # the walk stops at the first term with p in its denominator, even
+        # when window_sum_exact would run on into a pole further along
+        with pytest.raises(NegativeValuation, match=f"term {bad} "):
+            _kernel_py.series_window_mod(*window)
+        return
+    ctx = PrimePower(p, e)
+    got = _kernel_py.series_window_mod(*window)
+    assert got == residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx).value
 
 
 def legendre_valuation(n: int, p: int) -> int:
