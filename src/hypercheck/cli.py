@@ -37,7 +37,6 @@ from .suites import (
     Budgets,
     Report,
     Sweep,
-    instances_for,
     primes_in,
     run_instance,
 )
@@ -311,11 +310,11 @@ def run(cfg: RunConfig) -> int:
         mod_exp=cfg.mod_exp,
         budgets=cfg.budgets,
     )
-    items = [
+    items = (
         (sid, params, cfg.engine, sweep, cfg.fault)
         for sid in cfg.suites
-        for params in instances_for(sid, sweep)
-    ]
+        for params in REGISTRY[sid].gen(sweep)
+    )
     try:
         out = open(cfg.out, "w") if cfg.out else sys.stdout
     except OSError as ex:
@@ -329,9 +328,14 @@ def run(cfg: RunConfig) -> int:
     internal_error = None
     t0 = time.perf_counter()
     try:
-        if cfg.workers > 1 and len(items) > 1:
-            chunk = max(1, len(items) // (cfg.workers * 8))
-            with Pool(cfg.workers) as pool:
+        workers = 1
+        if cfg.workers > 1:
+            # Pool.imap reads its input ahead anyway, so the pool gets a list
+            items = list(items)
+            workers = min(cfg.workers, len(items))
+        if workers > 1:
+            chunk = max(1, len(items) // (workers * 8))
+            with Pool(workers) as pool:
                 for rep in pool.imap(_work, items, chunksize=chunk):
                     _emit_one(rep, cfg, out, writer, tally)
         else:

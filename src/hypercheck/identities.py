@@ -8,6 +8,15 @@ of the binomial-ratio function, and the negated-upper-index binomial
 symmetry.  Everything is evaluated with `fractions.Fraction`; a failing
 case carries both sides as reduced fractions.
 
+This module is also the one home of the exact sequences that the theorem
+suites share with these identities: the partial-fraction weight
+T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) (`partial_fraction_weights`), its
+harmonic closed form (`partial_fraction_closed_form`) and the series terms
+t_k(x) (`series_terms`).  `suites` calls them instead of computing its own
+copies, and the proof-chain suites that restate an identity here report
+that identity's case.  The signed binomial (-1)^k C(n,k) C(n+k,k) that
+both sides sum comes from `special.signed_binomial`.
+
 One sum is checked in two forms on purpose: the alternating sum against
 shifted harmonic numbers is implemented both exactly as commonly printed
 (inner index starting at 1) and with the k=0 term included.  The printed
@@ -24,15 +33,13 @@ from math import comb, factorial
 
 from .errors import PoleInParameter
 from .padic import as_fraction
-from .special import harmonic_exact
+from .special import harmonic_exact, signed_binomial
 
 
 @dataclass(frozen=True)
 class IdentityCase:
     """One exact comparison; passed is derived, never stored."""
 
-    id: str
-    params: dict
     lhs: Fraction
     rhs: Fraction
 
@@ -41,23 +48,20 @@ class IdentityCase:
         return self.lhs == self.rhs
 
 
-def _signed(n: int, k: int) -> int:
-    """(-1)^k C(n,k) C(n+k,k)."""
-    s = comb(n, k) * comb(n + k, k)
-    return -s if k % 2 else s
-
-
 def alternating_binomial_sum(n: int) -> IdentityCase:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) equals (-1)^n."""
-    lhs = Fraction(sum(_signed(n, k) for k in range(n + 1)))
-    return IdentityCase("identity-alt", {"n": n}, lhs, Fraction((-1) ** n))
+    lhs = Fraction(sum(signed_binomial(n, k) for k in range(n + 1)))
+    return IdentityCase(lhs, Fraction((-1) ** n))
 
 
 def harmonic_weighted_sum(n: int) -> IdentityCase:
     """Sum over 1 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_k equals 2(-1)^n H_n."""
-    lhs = sum((_signed(n, k) * harmonic_exact(k) for k in range(1, n + 1)), Fraction(0))
+    lhs = sum(
+        (signed_binomial(n, k) * harmonic_exact(k) for k in range(1, n + 1)),
+        Fraction(0),
+    )
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase("identity-harmonic", {"n": n}, lhs, rhs)
+    return IdentityCase(lhs, rhs)
 
 
 def tail_harmonic_sum(n: int) -> IdentityCase:
@@ -70,9 +74,9 @@ def tail_harmonic_sum(n: int) -> IdentityCase:
     inner = Fraction(0)
     for k in range(1, n + 1):
         inner += Fraction(1, n + k)
-        lhs += _signed(n, k) * inner
+        lhs += signed_binomial(n, k) * inner
     rhs = Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase("identity-tail", {"n": n}, lhs, rhs)
+    return IdentityCase(lhs, rhs)
 
 
 def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
@@ -83,19 +87,21 @@ def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
     differ by exactly H_n); the full variant below includes k=0 and holds.
     """
     lhs = sum(
-        (_signed(n, k) * harmonic_exact(n + k) for k in range(1, n + 1)), Fraction(0)
+        (signed_binomial(n, k) * harmonic_exact(n + k) for k in range(1, n + 1)),
+        Fraction(0),
     )
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase("identity-shifted-printed", {"n": n}, lhs, rhs)
+    return IdentityCase(lhs, rhs)
 
 
 def shifted_harmonic_sum(n: int) -> IdentityCase:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_{n+k} equals 2(-1)^n H_n."""
     lhs = sum(
-        (_signed(n, k) * harmonic_exact(n + k) for k in range(n + 1)), Fraction(0)
+        (signed_binomial(n, k) * harmonic_exact(n + k) for k in range(n + 1)),
+        Fraction(0),
     )
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase("identity-shifted", {"n": n}, lhs, rhs)
+    return IdentityCase(lhs, rhs)
 
 
 def harmonic_difference_chain(n: int) -> IdentityCase:
@@ -106,11 +112,11 @@ def harmonic_difference_chain(n: int) -> IdentityCase:
     """
     hn = harmonic_exact(n)
     lhs = sum(
-        (_signed(n, k) * (harmonic_exact(n + k) - hn) for k in range(n + 1)),
+        (signed_binomial(n, k) * (harmonic_exact(n + k) - hn) for k in range(n + 1)),
         Fraction(0),
     )
     rhs = Fraction(-1) ** n * hn
-    return IdentityCase("identity-chain", {"n": n}, lhs, rhs)
+    return IdentityCase(lhs, rhs)
 
 
 # --- partial-fraction decompositions ---------------------------------------
@@ -125,18 +131,36 @@ _PARTFRAC_RHS: dict[Fraction, tuple[tuple[int, int], ...]] = {
 }
 
 
-def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
-    """sum_{j<k}(1/(j+x) + 1/(j+1-x)) vs its harmonic-number closed form."""
+# x -> [T_0(x), T_1(x), ...], extended on demand
+_PF: dict[Fraction, list[Fraction]] = {}
+
+
+def partial_fraction_weights(x: Fraction, upto: int) -> list[Fraction]:
+    """Prefix cache of T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) for k <= upto.
+
+    Raises `PoleInParameter` when x+i or 1-x+i is 0 for some i < upto; the
+    entries below the pole stay cached and correct.
+    """
+    pref = _PF.setdefault(x, [Fraction(0)])
+    while len(pref) <= upto:
+        i = len(pref) - 1
+        if x + i == 0 or 1 - x + i == 0:
+            raise PoleInParameter(f"x={x} puts a pole at i={i}")
+        pref.append(pref[-1] + Fraction(1) / (x + i) + Fraction(1) / (1 - x + i))
+    return pref
+
+
+def partial_fraction_closed_form(k: int, x: Fraction) -> Fraction:
+    """T_k(x) as the combination sum c H_{d k} on record for the four quartic x."""
     if x not in _PARTFRAC_RHS:
         raise ValueError(f"no closed form on record for x={x}")
-    lhs = sum(
-        (Fraction(1, 1) / (j + x) + Fraction(1, 1) / (j + 1 - x) for j in range(k)),
-        Fraction(0),
-    )
-    rhs = sum(
-        (c * harmonic_exact(d * k) for c, d in _PARTFRAC_RHS[x]), Fraction(0)
-    )
-    return IdentityCase("identity-partfrac", {"k": k, "x": str(x)}, lhs, rhs)
+    return sum((c * harmonic_exact(d * k) for c, d in _PARTFRAC_RHS[x]), Fraction(0))
+
+
+def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
+    """T_k(x) = sum_{j<k}(1/(j+x) + 1/(j+1-x)) vs its harmonic-number closed form."""
+    rhs = partial_fraction_closed_form(k, x)
+    return IdentityCase(partial_fraction_weights(x, k)[k], rhs)
 
 
 # --- convolution form of the harmonic-weighted term ------------------------
@@ -144,7 +168,7 @@ def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
 _TERMS: dict[Fraction, list[Fraction]] = {}
 
 
-def _series_terms(x: Fraction, upto: int) -> list[Fraction]:
+def series_terms(x: Fraction, upto: int) -> list[Fraction]:
     """Prefix cache of t_i = (x)_i (1-x)_i / (i!)^2."""
     terms = _TERMS.setdefault(x, [Fraction(1)])
     while len(terms) <= upto:
@@ -154,18 +178,11 @@ def _series_terms(x: Fraction, upto: int) -> list[Fraction]:
 
 
 def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:
-    """t_k * sum_i (1/(x+i) + 1/(1-x+i)) vs sum_i t_i/(k-i), both over i < k."""
-    for i in range(k):
-        if x + i == 0 or 1 - x + i == 0:
-            raise PoleInParameter(f"x={x} puts a pole at i={i}")
-    terms = _series_terms(x, k)
-    weight = sum(
-        (Fraction(1, 1) / (x + i) + Fraction(1, 1) / (1 - x + i) for i in range(k)),
-        Fraction(0),
-    )
-    lhs = terms[k] * weight
+    """t_k T_k(x) vs sum_{i<k} t_i/(k-i)."""
+    weight = partial_fraction_weights(x, k)[k]
+    terms = series_terms(x, k)
     rhs = sum((terms[i] / (k - i) for i in range(k)), Fraction(0))
-    return IdentityCase("identity-convolution", {"k": k, "x": str(x)}, lhs, rhs)
+    return IdentityCase(terms[k] * weight, rhs)
 
 
 # --- Taylor coefficients of the binomial-ratio function --------------------
@@ -202,10 +219,7 @@ def taylor_coefficient_check(k: int, r: int) -> list[IdentityCase]:
     c = comb(2 * k, k)
     rhs0 = Fraction(c)
     rhs1 = r * c * (2 * harmonic_exact(2 * k) - 2 * harmonic_exact(k))
-    return [
-        IdentityCase("identity-taylor", {"k": k, "r": r, "order": 0}, f0, rhs0),
-        IdentityCase("identity-taylor", {"k": k, "r": r, "order": 1}, f1, rhs1),
-    ]
+    return [IdentityCase(f0, rhs0), IdentityCase(f1, rhs1)]
 
 
 # --- negated-upper-index binomial symmetry ---------------------------------
@@ -242,6 +256,4 @@ def _negation_values(b: int, k: int):
 def negation_symmetry(b: int, k: int) -> IdentityCase:
     """C(-b,k) C(-b+k,k) = C(b-1,k) C(b-1+k,k) for integer b >= 1."""
     nb, nbk, pb, pbk = _negation_values(b, k)
-    return IdentityCase(
-        "identity-negation", {"b": b, "k": k}, nb * nbk, pb * pbk
-    )
+    return IdentityCase(nb * nbk, pb * pbk)

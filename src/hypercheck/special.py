@@ -1,5 +1,6 @@
 """Right-hand-side quantities: Fermat quotients, Legendre symbols, harmonic
-numbers, Euler and Bernoulli numbers/polynomials, and the Apery sequence.
+numbers, Euler and Bernoulli numbers/polynomials, the Apery sequence, and
+the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
 against the other.  All sequence caches are append-only module state.
@@ -136,6 +137,15 @@ def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
     for k in range(m + 1):
         total += Fraction(comb(m, k) * euler_number_exact(k), 2**k) * half ** (m - k)
     return residue_from_rational(total, ctx)
+
+
+# --- signed binomials ------------------------------------------------------
+
+
+def signed_binomial(n: int, k: int) -> int:
+    """(-1)^k C(n,k) C(n+k,k), the summand of the alternating binomial sums."""
+    s = comb(n, k) * comb(n + k, k)
+    return -s if k % 2 else s
 
 
 # --- Apery numbers ---------------------------------------------------------

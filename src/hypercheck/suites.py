@@ -82,9 +82,12 @@ class Budgets:
             if raw is None:
                 return default
             try:
-                return int(raw)
+                value = int(raw)
             except ValueError:
                 raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+            if value < 0:
+                raise UsageError(f"{name} must be >= 0, got {raw!r}")
+            return value
 
         return cls(
             binomial_max=get("VERIFY_BUDGET_BINOMIAL", cls.binomial_max),
@@ -154,8 +157,16 @@ def _exact_report(lhs, rhs) -> Report:
     )
 
 
-def _identity_report(case: identities.IdentityCase) -> Report:
-    return _exact_report(case.lhs, case.rhs)
+def _identity_check(fn, *keys):
+    """A check that reports the `identities.IdentityCase` ``fn`` builds from
+    the instance's params named by ``keys``, in that order.
+    """
+
+    def check(params, sweep, dual):
+        case = fn(*(params[key] for key in keys))
+        return _exact_report(case.lhs, case.rhs)
+
+    return check
 
 
 # --- shared evaluation helpers ---------------------------------------------
@@ -192,18 +203,6 @@ def _series(
 
 def _sign_residue(s: int, ctx: PrimePower) -> Residue:
     return Residue(1 if s == 1 else -1, ctx)
-
-
-# partial-fraction weight prefix: T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i))
-_PF: dict[Fraction, list[Fraction]] = {}
-
-
-def _pf_weight(x: Fraction, upto: int) -> list[Fraction]:
-    pref = _PF.setdefault(x, [Fraction(0)])
-    while len(pref) <= upto:
-        i = len(pref) - 1
-        pref.append(pref[-1] + 1 / (x + i) + 1 / (1 - x + i))
-    return pref
 
 
 # --- domains ---------------------------------------------------------------
@@ -393,7 +392,7 @@ def check_lemma4(params, sweep, dual):
         lambda: residue_from_rational(fam.term_exact(m), ctx),
     )
     # right side: exact rationals throughout, reduced once
-    weight = _pf_weight(x, k)[k]
+    weight = identities.partial_fraction_weights(x, k)[k]
     corr = (
         1
         + 2 * r * p * special.harmonic_exact(special.floor_px(x, p))
@@ -412,10 +411,9 @@ def check_lemma4_binom(params, sweep, dual):
         _need_binomial(c * n, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(fam.binomial_product(n), ctx)
-    # closed-form harmonic combination: T_k(x) - 2 H_k
-    combo = -2 * special.harmonic_exact(k)
-    for coeff, stride in identities._PARTFRAC_RHS[x]:
-        combo += coeff * special.harmonic_exact(stride * k)
+    # T_k(x) - 2 H_k, with T_k(x) in its harmonic closed form
+    combo = identities.partial_fraction_closed_form(k, x)
+    combo -= 2 * special.harmonic_exact(k)
     rhs = residue_from_rational(
         fam.binomial_product(r) * fam.binomial_product(k) * (1 + r * p * combo),
         ctx,
@@ -438,9 +436,8 @@ def check_lemma5(params, sweep, dual):
         lambda: fam.term_scaled(k, ctx),
         lambda: residue_from_rational(fam.term_exact(k), ctx),
     )
-    m = special.floor_px(x, p)
-    signed = comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1)
-    return _congruence_report(lhs, Residue(signed, ctx), label)
+    rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
+    return _congruence_report(lhs, rhs, label)
 
 
 def check_lemma5_poch(params, sweep, dual):
@@ -552,23 +549,10 @@ def check_chain_backward(params, sweep, dual):
     return _congruence_report(lhs, rhs, "exact")
 
 
-def check_chain_binom(params, sweep, dual):
-    p, m = params["p"], params["m"]
-    lhs = sum(
-        comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1) for k in range(p)
-    )
-    return _exact_report(Fraction(lhs), Fraction((-1) ** m))
-
-
-def check_chain_forward(params, sweep, dual):
-    p, m = params["p"], params["m"]
-    lhs = Fraction(0)
-    inner = Fraction(0)
-    for k in range(1, p):
-        inner += Fraction(1, m + k)
-        lhs += comb(m, k) * comb(m + k, k) * (-1 if k % 2 else 1) * inner
-    rhs = Fraction(-1) ** m * special.harmonic_exact(m)
-    return _exact_report(lhs, rhs)
+# For m < p, C(m, k) = 0 when m < k < p, so the sums truncated at p are the
+# identity-alt and identity-tail sums at n = m.
+check_chain_binom = _identity_check(identities.alternating_binomial_sum, "m")
+check_chain_forward = _identity_check(identities.tail_harmonic_sum, "m")
 
 
 def gen_chain_block(sweep):
@@ -598,8 +582,8 @@ def check_chain_block(params, sweep, dual):
 def check_chain_convolution(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 1)
-    terms = identities._series_terms(x, p - 1)
-    weights = _pf_weight(x, p - 1)
+    terms = identities.series_terms(x, p - 1)
+    weights = identities.partial_fraction_weights(x, p - 1)
     lhs = residue_from_rational(
         sum((terms[k] * weights[k] for k in range(p)), Fraction(0)), ctx
     )
@@ -623,7 +607,7 @@ def check_chain_weighted(params, sweep, dual):
     hm = special.harmonic_exact(m)
     if form == "series":
         ctx = PrimePower(p, sweep.mod_exp or 1)
-        terms = identities._series_terms(x, p - 1)
+        terms = identities.series_terms(x, p - 1)
         total = sum(
             (terms[k] * (2 * hm - special.harmonic_exact(k)) for k in range(p)),
             Fraction(0),
@@ -633,10 +617,7 @@ def check_chain_weighted(params, sweep, dual):
         )
     total = sum(
         (
-            comb(m, k)
-            * comb(m + k, k)
-            * (-1 if k % 2 else 1)
-            * (2 * hm - special.harmonic_exact(k))
+            special.signed_binomial(m, k) * (2 * hm - special.harmonic_exact(k))
             for k in range(p)
         ),
         Fraction(0),
@@ -788,27 +769,10 @@ def _identity_gen_n(start: int):
     return gen
 
 
-def _identity_check(fn):
-    def check(params, sweep, dual):
-        return _identity_report(fn(params["n"]))
-
-    return check
-
-
 def gen_identity_kx(sweep):
     for k in range(sweep.budgets.identity_max + 1):
         for f in QUARTICS:
             yield {"k": k, "x": f.x}
-
-
-def check_identity_partfrac(params, sweep, dual):
-    case = identities.partial_fraction_sum(params["k"], params["x"])
-    return _identity_report(case)
-
-
-def check_identity_convolution(params, sweep, dual):
-    case = identities.term_convolution_identity(params["x"], params["k"])
-    return _identity_report(case)
 
 
 def gen_identity_taylor(sweep):
@@ -822,7 +786,7 @@ def check_identity_taylor(params, sweep, dual):
     case = identities.taylor_coefficient_check(params["k"], params["r"])[
         params["order"]
     ]
-    return _identity_report(case)
+    return _exact_report(case.lhs, case.rhs)
 
 
 def gen_identity_negation(sweep):
@@ -830,11 +794,6 @@ def gen_identity_negation(sweep):
     for b in range(1, cap + 1):
         for k in range(cap + 1):
             yield {"b": b, "k": k}
-
-
-def check_identity_negation(params, sweep, dual):
-    case = identities.negation_symmetry(params["b"], params["k"])
-    return _identity_report(case)
 
 
 # --- registry --------------------------------------------------------------
@@ -1002,49 +961,49 @@ _SUITES = [
         "identity",
         "alternating binomial sum equals (-1)^n, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.alternating_binomial_sum),
+        _identity_check(identities.alternating_binomial_sum, "n"),
     ),
     Suite(
         "identity-harmonic",
         "identity",
         "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.harmonic_weighted_sum),
+        _identity_check(identities.harmonic_weighted_sum, "n"),
     ),
     Suite(
         "identity-tail",
         "identity",
         "tail-harmonic alternating sum equals (-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.tail_harmonic_sum),
+        _identity_check(identities.tail_harmonic_sum, "n"),
     ),
     Suite(
         "identity-shifted",
         "identity",
         "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum),
+        _identity_check(identities.shifted_harmonic_sum, "n"),
     ),
     Suite(
         "identity-chain",
         "identity",
         "harmonic-difference form linking the alternating-sum identities, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.harmonic_difference_chain),
+        _identity_check(identities.harmonic_difference_chain, "n"),
     ),
     Suite(
         "identity-partfrac",
         "identity",
         "partial-fraction harmonic decompositions of the four families, exactly",
         gen_identity_kx,
-        check_identity_partfrac,
+        _identity_check(identities.partial_fraction_sum, "k", "x"),
     ),
     Suite(
         "identity-convolution",
         "identity",
         "harmonic-weighted term equals the convolution of earlier terms, exactly",
         gen_identity_kx,
-        check_identity_convolution,
+        _identity_check(identities.term_convolution_identity, "x", "k"),
     ),
     Suite(
         "identity-taylor",
@@ -1058,7 +1017,7 @@ _SUITES = [
         "identity",
         "negated-upper-index binomial product symmetry, exactly",
         gen_identity_negation,
-        check_identity_negation,
+        _identity_check(identities.negation_symmetry, "b", "k"),
     ),
     Suite(
         "conj-1/2",
@@ -1100,7 +1059,7 @@ _SUITES = [
         "exploratory",
         "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)",
         _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum_printed),
+        _identity_check(identities.shifted_harmonic_sum_printed, "n"),
     ),
 ]
 

@@ -1,11 +1,13 @@
 """CLI parsing, output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +205,7 @@ def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):
         (["corollary", "--r", "1,-2"], {}),
         (["thm1"], {"VERIFY_BUDGET_SERIES": "abc"}),
         (["thm1", "--out", "{tmp}/missing/x"], {}),
+        (["identity-alt"], {"VERIFY_BUDGET_IDENTITY": "-3"}),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, argv, env):
@@ -258,7 +261,7 @@ def _strip_elapsed(stream: str) -> list[str]:
         rec.pop("elapsed_ms", None)
         if "summary" in rec:
             rec["summary"].pop("elapsed_s", None)
-        out.append(json.dumps(rec, sort_keys=True))
+        out.append(json.dumps(rec, separators=(",", ":")))
     return out
 
 
@@ -270,3 +273,69 @@ def test_worker_count_does_not_change_output(capsys):
     code2, out2, _ = run_main(capsys, *argv, "--workers", "4")
     assert code1 == code2 == 0
     assert _strip_elapsed(out1) == _strip_elapsed(out2)
+
+
+# SHA-256 of the `verify all --p-max 31` json-lines stream at
+# VERIFY_BUDGET_IDENTITY=40, elapsed fields stripped, recorded before the
+# identity suites and the chain suites shared their exact sequences; a
+# refactor that changes any record or the summary changes the digest
+ALL_P31_DIGESTS = {
+    "modular": "b08be9560bc460802079c9be9ae443b4647c794b6a04e57229d60e71643d04a1",
+    "exact": "08682d7b42888494cf8ab9b330ae24ab40e706154e4cef64b3fd0ce6d9d9058c",
+    "both": "0806bffcc8e5ac443ca8fae97ad259954f8bf567f9329780b293509b912daf03",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ALL_P31_DIGESTS))
+def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
+    code, out, _ = run_main(
+        capsys, "all", "--p-max", "31", "--engine", engine, "--format", "json-lines"
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 9694
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ALL_P31_DIGESTS[engine]
+
+
+def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):
+    # identity-negation has identity_max^2 instances; a prebuilt item list
+    # of 40,200 tuples peaks near 11 MB, a lazy walk well under 1 MB
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "200")
+    argv = ["identity-negation", "--format", "json-lines", "--out", str(tmp_path / "o")]
+    cfg = cli.parse_args(argv)
+    tracemalloc.start()
+    try:
+        code = cli.run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20, peak
+
+
+def test_pool_never_outnumbers_instances(capsys, monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records its size and runs the work in this process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    # thm1 has four instances at p = 5 and eight up to p = 7
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "5", "--workers", "64")
+    assert code == 0 and out.count("PASS") == 4
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "3")
+    assert code == 0 and out.count("PASS") == 8
+    assert sizes == [4, 3]

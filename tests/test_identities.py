@@ -11,6 +11,11 @@ from hypercheck.errors import PoleInParameter
 from hypercheck.special import harmonic_exact
 
 XS = tuple(identities._PARTFRAC_RHS)
+# the quartic x, two other rationals, and integers with a pole:
+# x + i = 0 at i = 0 and i = 3, 1 - x + i = 0 at i = 0 and i = 4
+PREFIX_XS = XS + (
+    Fraction(2, 5), Fraction(-7, 3), Fraction(0), Fraction(-3), Fraction(1), Fraction(5),
+)
 
 
 @given(st.integers(min_value=0, max_value=120))
@@ -151,11 +156,33 @@ def test_negation_symmetry_is_the_binomial_reflection():
     assert case.lhs == lhs
 
 
-@given(st.sampled_from(XS), st.integers(min_value=0, max_value=60))
+@given(st.sampled_from(PREFIX_XS), st.integers(min_value=0, max_value=60))
 def test_series_term_prefix_cache(x, k):
-    terms = identities._series_terms(x, k)
+    terms = identities.series_terms(x, k)
     assert len(terms) >= k + 1
     want = Fraction(1)
     for i in range(k):
         want *= (x + i) * (1 - x + i) / (i + 1) ** 2
     assert terms[k] == want
+
+
+def _weight_direct(x, k):
+    """T_k(x) summed term by term: the reference for the cached prefix."""
+    return sum(
+        (Fraction(1) / (x + i) + Fraction(1) / (1 - x + i) for i in range(k)),
+        Fraction(0),
+    )
+
+
+@given(st.sampled_from(PREFIX_XS), st.integers(min_value=0, max_value=60))
+def test_partial_fraction_weights_match_direct_sum(x, k):
+    poles = [i for i in range(k) if x + i == 0 or 1 - x + i == 0]
+    if not poles:
+        assert identities.partial_fraction_weights(x, k)[k] == _weight_direct(x, k)
+        return
+    with pytest.raises(PoleInParameter):
+        identities.partial_fraction_weights(x, k)
+    # the entries below the first pole survive the failed extension
+    below = poles[0]
+    weights = identities.partial_fraction_weights(x, below)
+    assert weights[: below + 1] == [_weight_direct(x, j) for j in range(below + 1)]
