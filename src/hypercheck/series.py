@@ -7,8 +7,10 @@ A `SeriesSpec` is the sum over 0 <= k < terms of
 
 so ``two_f_one(x, n)`` (upper x, 1-x; lower 1; z = 1) gives the truncated
 2F1 values the congruence suites are about.  The modular engine walks the
-term recurrence with valuation-tracked units (see ``_kernel``); the exact
-engine accumulates one big fraction and is the independent oracle.
+term recurrence with valuation-tracked units, once per series and p^e,
+resuming from checkpoints at the stops already asked for (see
+``_kernel``); the exact engine accumulates one big fraction per window
+and is the independent oracle.
 """
 
 from __future__ import annotations

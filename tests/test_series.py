@@ -4,9 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hypercheck import _kernel_py, series
+from hypercheck import _kernel, series
 from hypercheck.errors import NegativeValuation, NonUnitDenominator, PoleInLowerParameter
 from hypercheck.padic import PrimePower, Residue, residue_from_rational
 from hypercheck.series import (
@@ -187,8 +187,22 @@ def first_term_not_p_integral(spec, k_stop, p):
     return None
 
 
-@given(kernel_windows())
-def test_pure_kernel_matches_exact_oracle(window):
+def kernel_outcome(window):
+    """The kernel's value for a window, or the type and message it raised."""
+    try:
+        return _kernel.series_window_mod(*window)
+    except (NegativeValuation, PoleInLowerParameter) as ex:
+        return type(ex), str(ex)
+
+
+def fresh_outcome(window):
+    """`kernel_outcome` on an emptied walker table; the real table is untouched."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_WALKERS", {})
+        return kernel_outcome(window)
+
+
+def assert_matches_exact_oracle(window, got):
     upper, lower, zn, zd, k_start, k_stop, p, e = window
     spec = series_spec(
         [Fraction(*a) for a in upper], [Fraction(*b) for b in lower], Fraction(zn, zd), 0
@@ -198,18 +212,70 @@ def test_pure_kernel_matches_exact_oracle(window):
     except PoleInLowerParameter:
         with pytest.raises(PoleInLowerParameter):
             window_sum_exact(spec, 0, k_stop)
-        with pytest.raises(PoleInLowerParameter):
-            _kernel_py.series_window_mod(*window)
+        assert got[0] is PoleInLowerParameter
         return
     if bad is not None:
         # the walk stops at the first term with p in its denominator, even
         # when window_sum_exact would run on into a pole further along
-        with pytest.raises(NegativeValuation, match=f"term {bad} "):
-            _kernel_py.series_window_mod(*window)
+        assert got[0] is NegativeValuation and got[1].startswith(f"term {bad} "), got
         return
     ctx = PrimePower(p, e)
-    got = _kernel_py.series_window_mod(*window)
     assert got == residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx).value
+
+
+@given(kernel_windows())
+def test_pure_kernel_matches_exact_oracle(window):
+    assert_matches_exact_oracle(window, fresh_outcome(window))
+
+
+@st.composite
+def window_sequences(draw, series_count=1):
+    """2-8 windows on up to ``series_count`` series, stops in any order."""
+    series_args = []
+    for _ in range(series_count):
+        upper, lower, zn, zd, _, _, p, e = draw(kernel_windows())
+        series_args.append((upper, lower, zn, zd, p, e))
+    out = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        upper, lower, zn, zd, p, e = draw(st.sampled_from(series_args))
+        k_stop = draw(
+            st.one_of(st.sampled_from((p, p * p)), st.integers(min_value=0, max_value=4 * p))
+        )
+        k_start = draw(st.integers(min_value=0, max_value=k_stop))
+        out.append((upper, lower, zn, zd, k_start, k_stop, p, e))
+    return out
+
+
+HALF = ((1, 2), (1, 2))  # the 2F1 at x = 1/2
+DEAD = ((-3, 1), (1, 2))  # upper -3 kills every term past k = 3
+
+
+@settings(max_examples=300)
+@given(window_sequences())
+@example([(HALF, ((1, 1),), 1, 1, 14, 21, 7, 3), (HALF, ((1, 1),), 1, 1, 7, 14, 7, 3)])
+@example([(DEAD, ((1, 1),), 1, 1, 2, 40, 7, 3), (DEAD, ((1, 1),), 1, 1, 1, 3, 7, 3)])
+@example(  # a pole at k = 2: term 3 cannot be built, stop 3 still can
+    [(HALF, ((-2, 1),), 1, 1, 1, 10, 7, 2), (HALF, ((-2, 1),), 1, 1, 1, 3, 7, 2)]
+)
+@example([((), (), 1, 1, 3, 12, 5, 2), ((), (), 1, 1, 2, 5, 5, 2)])  # 1/5! at term 5
+def test_walker_requests_match_fresh_walks_and_oracle(windows):
+    _kernel._WALKERS.clear()
+    for window in windows:
+        got = kernel_outcome(window)
+        assert got == fresh_outcome(window)
+        assert_matches_exact_oracle(window, got)
+
+
+@given(window_sequences(series_count=3))
+def test_evicted_walkers_restart_cleanly(windows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "WALKER_LIMIT", 2)
+        mp.setattr(_kernel, "_WALKERS", {})
+        for window in windows:
+            got = kernel_outcome(window)
+            assert got == fresh_outcome(window)
+            assert_matches_exact_oracle(window, got)
+            assert len(_kernel._WALKERS) <= 2
 
 
 def legendre_valuation(n: int, p: int) -> int:
