@@ -12,9 +12,10 @@ This module is also the one home of the exact sequences that the theorem
 suites share with these identities: the partial-fraction weight
 T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) (`partial_fraction_weights`), its
 harmonic closed form (`partial_fraction_closed_form`) and the series terms
-t_k(x) (`series_terms`).  `suites` calls them instead of computing its own
-copies, and the proof-chain suites that restate an identity here report
-that identity's case.  The signed binomial (-1)^k C(n,k) C(n+k,k) that
+t_k(x) (`series_terms`), whose numerators (x)_k (1-x)_k `lemma5-poch`
+reads from `rising_products`.  `suites` calls them instead of computing
+its own copies, and the proof-chain suites that restate an identity here
+report that identity's case.  The signed binomial (-1)^k C(n,k) C(n+k,k) that
 both sides sum comes from `special.signed_binomial`.
 
 One sum is checked in two forms on purpose: the alternating sum against
@@ -175,6 +176,18 @@ def series_terms(x: Fraction, upto: int) -> list[Fraction]:
         i = len(terms) - 1
         terms.append(terms[-1] * (x + i) * (1 - x + i) / (i + 1) ** 2)
     return terms
+
+
+_RISING: dict[Fraction, list[Fraction]] = {}
+
+
+def rising_products(x: Fraction, upto: int) -> list[Fraction]:
+    """Prefix cache of (x)_i (1-x)_i, the numerator of t_i."""
+    prods = _RISING.setdefault(x, [Fraction(1)])
+    while len(prods) <= upto:
+        i = len(prods) - 1
+        prods.append(prods[-1] * (x + i) * (1 - x + i))
+    return prods
 
 
 def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:

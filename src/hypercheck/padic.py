@@ -53,13 +53,30 @@ def is_prime(n: int) -> bool:
 
 
 def split_p_power(n: int, p: int) -> tuple[int, int]:
-    """Write n != 0 as unit * p^v; returns (v, unit)."""
+    """Write n != 0 as unit * p^v; returns (v, unit).
+
+    Divides by p, p^2, p^4, ... while they divide n, then by the same
+    powers in reverse, so v costs O(log v) divisions of n, not v of them.
+    """
     if n == 0:
         raise ValueError("0 has no finite valuation")
+    if n % p:
+        return 0, n
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []
+    pk = p
+    while True:
+        q, r = divmod(n, pk)
+        if r:
+            break
+        n, v = q, v + (1 << len(powers))
+        powers.append(pk)
+        pk *= pk
+    # now v_p(n) < 2^len(powers): take its binary digits from the top
+    for j in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[j])
+        if not r:
+            n, v = q, v + (1 << j)
     return v, n
 
 

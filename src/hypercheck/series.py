@@ -9,8 +9,9 @@ so ``two_f_one(x, n)`` (upper x, 1-x; lower 1; z = 1) gives the truncated
 2F1 values the congruence suites are about.  The modular engine walks the
 term recurrence with valuation-tracked units, once per series and p^e,
 resuming from checkpoints at the stops already asked for (see
-``_kernel``); the exact engine accumulates one big fraction per window
-and is the independent oracle.
+``_kernel``).  The exact engine is the independent oracle: it evaluates a
+window as exact integers by binary splitting over the term ratio and
+reduces the result once mod p^e (`window_residue_exact`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from math import comb
 
 from . import _kernel
 from .errors import NonUnitDenominator, PoleInLowerParameter
-from .padic import PadicInput, PrimePower, Residue, as_fraction, split_p_power
+from .padic import (
+    PadicInput,
+    PrimePower,
+    Residue,
+    as_fraction,
+    residue_from_rational,
+    split_p_power,
+)
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,11 @@ def pochhammer_exact(a: PadicInput, k: int) -> Fraction:
 def window_sum_exact(spec: SeriesSpec, k_start: int, k_stop: int) -> Fraction:
     """Sum of terms k_start <= k < k_stop as one exact rational.
 
-    The running term and the accumulator share a common denominator that
-    only ever gets multiplied, so no per-step normalization happens; the
-    single Fraction reduction is at the end.
+    `window_residue_exact` hands it the sums that are not p-integral, so
+    that their error names the reduced fraction.  The running term and the
+    accumulator share a common denominator that only ever gets multiplied,
+    so no per-step normalization happens; the single Fraction reduction is
+    at the end.
     """
     if k_stop <= k_start:
         return Fraction(0)
@@ -106,6 +116,110 @@ def window_sum_exact(spec: SeriesSpec, k_start: int, k_stop: int) -> Fraction:
 
 def truncated_series_exact(spec: SeriesSpec) -> Fraction:
     return window_sum_exact(spec, 0, spec.terms)
+
+
+# Below this many ratio factors, `_split` folds them sequentially.
+_LEAF = 16
+
+
+def _ratio_factors(spec: SeriesSpec, stop: int) -> tuple[list[int], list[int]]:
+    """Integer numerators and denominators of t_{k+1} / t_k for 0 <= k < stop."""
+    ks = range(stop)
+    c = spec.z.numerator
+    for b in spec.lower:
+        c *= b.denominator
+    nums = [c] * stop
+    for a in spec.upper:
+        an, ad = a.numerator, a.denominator
+        nums = [x * (an + k * ad) for x, k in zip(nums, ks)]
+    c = spec.z.denominator
+    for a in spec.upper:
+        c *= a.denominator
+    dens = [c * (k + 1) for k in ks]
+    for b in spec.lower:
+        bn, bd = b.numerator, b.denominator
+        dens = [x * (bn + k * bd) for x, k in zip(dens, ks)]
+    return nums, dens
+
+
+def _split(
+    nums: list[int], dens: list[int], lo: int, hi: int, need_p: bool = True
+) -> tuple[int | None, int, int]:
+    """Binary splitting over the ratio factors lo <= i < hi.
+
+    Returns (P, Q, T): P and Q are the products of the numerators and of
+    the denominators, and T / Q is the sum over lo < j <= hi of
+    prod_{lo <= i < j} nums[i] / dens[i], so 1 + T / Q sums the terms
+    from lo to hi relative to term lo.  Two halves merge as
+    (P1 P2, Q1 Q2, T1 Q2 + P1 T2), so no right half needs its P, and
+    without ``need_p`` the largest products are skipped and P is None.
+    """
+    if hi - lo <= _LEAF:
+        p, q, t = 1, 1, 0
+        for i in range(lo, hi):
+            t = t * dens[i] + p * nums[i]
+            p *= nums[i]
+            q *= dens[i]
+        return p, q, t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(nums, dens, lo, mid)
+    p2, q2, t2 = _split(nums, dens, mid, hi, need_p)
+    return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _first_root(params: tuple[Fraction, ...], limit: int) -> tuple[int, int] | None:
+    """The least (k, i) with params[i] + k == 0 and k < limit, or None."""
+    roots = [
+        (-a.numerator, i)
+        for i, a in enumerate(params)
+        if a.denominator == 1 and 0 <= -a.numerator < limit
+    ]
+    return min(roots, default=None)
+
+
+def window_residue_exact(
+    spec: SeriesSpec, k_start: int, k_stop: int, ctx: PrimePower
+) -> Residue:
+    """Sum of terms k_start <= k < k_stop, evaluated exactly, reduced mod p^e.
+
+    The terms below ``stop`` exist, where ``stop`` is k_stop or one past the
+    first step with a zero upper factor, whichever comes first.  With the
+    ratio factors of the steps below stop - 1, the sum is
+    P0 (Q1 + T1) / (Q0 Q1): P0 / Q0 is term k_start, and (Q1, T1) come
+    from binary splitting over the window, both by `_split` (Haible and
+    Papanikolaou, "Fast multiprecision evaluation of series of rational
+    numbers", ANTS-III, 1998).  The p-power of Q0 Q1 is split off once,
+    the numerator is taken mod p^(v+e) once, and the p-free part of the
+    denominator is inverted once.
+
+    Agrees with ``residue_from_rational(window_sum_exact(...))`` in value,
+    raised type and message: a pole at step k raises only if the step is
+    taken (k + 1 < stop), and a sum that is not p-integral is handed to
+    that route, which names the reduced fraction.
+    """
+    if k_stop <= k_start:
+        return Residue(0, ctx)
+    dead = _first_root(spec.upper, k_stop)
+    stop = k_stop if dead is None else dead[0] + 1
+    pole = _first_root(spec.lower, stop - 1)
+    if pole is not None:
+        k, i = pole
+        raise PoleInLowerParameter(f"lower parameter {spec.lower[i]} hits a pole at k={k}")
+    if stop <= k_start:
+        return Residue(0, ctx)
+    nums, dens = _ratio_factors(spec, stop - 1)
+    p0, q0, _ = _split(nums, dens, 0, k_start)
+    _, q1, t1 = _split(nums, dens, k_start, stop - 1, need_p=False)
+    p, m = ctx.p, ctx.modulus
+    v0, u0 = split_p_power(q0, p)
+    v1, u1 = split_p_power(q1, p)
+    pv = p ** (v0 + v1)
+    wide = pv * m
+    num = p0 % wide * ((q1 + t1) % wide) % wide
+    if num % pv:
+        return residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
+    # the sum is (num / p^v) / (u0 u1) with a unit denominator
+    return residue_from_rational(Fraction(num // pv, u0 * u1 % m), ctx)
 
 
 # --- modular engine --------------------------------------------------------

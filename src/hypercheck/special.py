@@ -118,25 +118,34 @@ def bernoulli_exact(m: int) -> Fraction:
 
 
 def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
-    """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator."""
-    x = require_p_integral(arg, ctx.p)
-    total = Fraction(0)
+    """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator.
+
+    Summed term by term mod p^e as sum_k C(m,k) B_k arg^(m-k), with each
+    B_k reduced once; every term is p-integral once B_k is.
+    """
+    mod = ctx.modulus
+    x = residue_from_rational(require_p_integral(arg, ctx.p), ctx).value
+    total = 0
     for k in range(m + 1):
         b = bernoulli_exact(k)
         if b.denominator % ctx.p == 0:
             raise PDivisibleDenominator(f"B_{k} has {ctx.p} in its denominator")
-        total += comb(m, k) * b * x ** (m - k)
-    return residue_from_rational(total, ctx)
+        total += comb(m, k) * b.numerator * pow(b.denominator, -1, mod) * pow(x, m - k, mod)
+    return Residue(total, ctx)
 
 
 def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
-    """E_m(arg) mod p^e via the expansion around 1/2 (denominators are 2-powers)."""
+    """E_m(arg) mod p^e via the expansion around 1/2 (denominators are 2-powers).
+
+    Summed term by term mod p^e as sum_k C(m,k) (E_k / 2^k) (arg - 1/2)^(m-k).
+    """
+    mod = ctx.modulus
     x = require_p_integral(arg, ctx.p)
-    half = x - Fraction(1, 2)
-    total = Fraction(0)
+    half = residue_from_rational(x - Fraction(1, 2), ctx).value
+    total = 0
     for k in range(m + 1):
-        total += Fraction(comb(m, k) * euler_number_exact(k), 2**k) * half ** (m - k)
-    return residue_from_rational(total, ctx)
+        total += comb(m, k) * euler_number_exact(k) * pow(2, -k, mod) * pow(half, m - k, mod)
+    return Residue(total, ctx)
 
 
 # --- signed binomials ------------------------------------------------------

@@ -8,7 +8,7 @@ computes both sides and returns them as a `Report`.
 `run_instance` is the only code that knows the engine.  It hands each
 check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
 a modular route (valuation-tracked term recurrence) and an exact route
-(big-rational evaluation reduced at the end).  ``dual`` runs the modular
+(exact evaluation reduced once at the end).  ``dual`` runs the modular
 route under ``modular``, the exact one under ``exact``, and both under
 ``both``, where any disagreement raises `InternalError`; it returns the
 value with the label of the route that produced it (``"modular"`` under
@@ -31,6 +31,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 from . import identities, padic, series, special
@@ -197,7 +198,7 @@ def _series(
     """A truncated series mod p^e by the engine's route(s)."""
     return dual(
         lambda: series.truncated_series_mod(spec, ctx),
-        lambda: residue_from_rational(series.truncated_series_exact(spec), ctx),
+        lambda: series.window_residue_exact(spec, 0, spec.terms, ctx),
     )
 
 
@@ -449,10 +450,7 @@ def check_lemma5_poch(params, sweep, dual):
     for i in range(k):
         acc = acc * (m + 1 + i) % ctx.modulus * (-m + i) % ctx.modulus
     lhs = Residue(acc, ctx)
-    rhs = residue_from_rational(
-        series.pochhammer_exact(x, k) * series.pochhammer_exact(1 - as_fraction(x), k),
-        ctx,
-    )
+    rhs = residue_from_rational(identities.rising_products(x, k)[k], ctx)
     return _congruence_report(lhs, rhs, "modular")
 
 
@@ -570,9 +568,7 @@ def check_chain_block(params, sweep, dual):
     spec = series.two_f_one(x, (r + 1) * p)
     lhs, label = dual(
         lambda: series.window_sum_mod(spec, r * p, (r + 1) * p, ctx),
-        lambda: residue_from_rational(
-            series.window_sum_exact(spec, r * p, (r + 1) * p), ctx
-        ),
+        lambda: series.window_residue_exact(spec, r * p, (r + 1) * p, ctx),
     )
     base, _ = _series(dual, series.two_f_one(x, p), ctx)
     rhs = residue_from_rational(fam.term_exact(r), ctx) * base
@@ -661,6 +657,7 @@ _CONJ_RHS: dict[Fraction, tuple[str, Fraction]] = {
 }
 
 
+@cache  # one value per (x, p, e), shared by every n
 def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
     p, e = ctx.p, ctx.e
     if e <= 2:
@@ -724,22 +721,28 @@ def check_conjecture(params, sweep, dual):
     ctx = PrimePower(p, e_t)
     eps = special.legendre(fam.character_arg, p)
 
-    def modular() -> Residue:
+    def scaled(series_mod, need: int) -> Residue:
+        """base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e, from both
+        sums mod p^(e+w); raises unless p^need divides the difference."""
         ctxw = PrimePower(p, e_t + w)
-        f_np = series.truncated_series_mod(series.two_f_one(x, n * p), ctxw)
-        f_n = series.truncated_series_mod(series.two_f_one(x, n), ctxw)
+        f_np = series_mod(series.two_f_one(x, n * p), ctxw)
+        f_n = series_mod(series.two_f_one(x, n), ctxw)
         diff = (f_np.value - eps * f_n.value) % ctxw.modulus
-        if diff % p ** max(2, w):
-            # the exact route raises the same error on a p in the denominator
+        if diff % p**need:
             raise NonUnitDenominator("scaled difference is not a p-adic integer")
         m = ctx.modulus
         return Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
 
+    def exact_sum(spec, ctxw) -> Residue:
+        return series.window_residue_exact(spec, 0, spec.terms, ctxw)
+
     rhs = _conj_rhs(x, ctx)
     try:
+        # the exact route raises exactly when the scaled difference has p in
+        # its denominator (v_p(diff) < w); the modular one also when v_p < 2
         lhs, label = dual(
-            modular,
-            lambda: residue_from_rational(_conj_exact_scaled(fam, p, n, eps), ctx),
+            lambda: scaled(series.truncated_series_mod, max(2, w)),
+            lambda: scaled(exact_sum, w),
         )
     except NonUnitDenominator:
         return Report(

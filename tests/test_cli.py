@@ -298,6 +298,26 @@ def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
     assert digest == ALL_P31_DIGESTS[engine]
 
 
+# SHA-256 of the `verify conj --p-max 61` json-lines stream, elapsed fields
+# stripped, recorded before the conjecture suites' exact route moved to the
+# binary-splitting oracle; the suites above never run the conjectures
+CONJ_P61_DIGESTS = {
+    "exact": "b69c1c4795114d0321e7831fd25ee7be17285e1612f6adcfd1adcc00884e8f02",
+    "both": "e4328122f63d6ae6ad68e816be6e0f018d0b1840a3e79014979410755279dace",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(CONJ_P61_DIGESTS))
+def test_conjecture_stream_matches_pinned_digest(capsys, engine):
+    code, out, _ = run_main(
+        capsys, "conj", "--p-max", "61", "--engine", engine, "--format", "json-lines"
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 193
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CONJ_P61_DIGESTS[engine]
+
+
 def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):
     # identity-negation has identity_max^2 instances; a prebuilt item list
     # of 40,200 tuples peaks near 11 MB, a lazy walk well under 1 MB

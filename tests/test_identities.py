@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck import identities
+from hypercheck import identities, series
 from hypercheck.errors import PoleInParameter
 from hypercheck.special import harmonic_exact
 
@@ -186,3 +186,12 @@ def test_partial_fraction_weights_match_direct_sum(x, k):
     below = poles[0]
     weights = identities.partial_fraction_weights(x, below)
     assert weights[: below + 1] == [_weight_direct(x, j) for j in range(below + 1)]
+
+
+@given(
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)]),
+    st.integers(min_value=0, max_value=120),
+)
+def test_rising_products_match_pochhammer(x, k):
+    want = series.pochhammer_exact(x, k) * series.pochhammer_exact(1 - x, k)
+    assert identities.rising_products(x, k)[k] == want

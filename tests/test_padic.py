@@ -57,6 +57,23 @@ def test_split_p_power_roundtrip(n, p):
     assert p_valuation(n, p) == v
 
 
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(min_value=0, max_value=300),
+    st.one_of(
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=10**40, max_value=10**90),
+    ),
+    st.booleans(),
+)
+def test_split_p_power_large_powers(p, k, u, negative):
+    if u % p == 0:
+        u += 1
+    if negative:
+        u = -u
+    assert split_p_power(u * p**k, p) == (k, u)
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         PrimePower(4, 2)

@@ -17,6 +17,7 @@ from hypercheck.series import (
     truncated_series_exact,
     truncated_series_mod,
     two_f_one,
+    window_residue_exact,
     window_sum_exact,
     window_sum_mod,
 )
@@ -135,6 +136,68 @@ def test_non_unit_series_parameters_rejected():
         truncated_series_mod(series_spec((1,), (1,), Fraction(1, 5), 7), ctx)
     with pytest.raises(NonUnitDenominator):
         truncated_series_mod(series_spec((1,), (1,), Fraction(5, 2), 7), ctx)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Windows for the exact oracle: 1-3 uppers and 0-2 lowers, integer
+    parameters (zero uppers and poles) and p-divisible denominators
+    (sums that are not p-integral), z != 1, any k_start and e in 1..6."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    den = st.sampled_from((1, 1, 2, 3, 4, 6, p))
+    param = st.builds(Fraction, st.integers(min_value=-2 * p, max_value=2 * p), den)
+    z = st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from((1, 2, 3, p))
+    ).filter(lambda q: q != 1)
+    k_stop = draw(
+        st.one_of(st.sampled_from((p, 2 * p, p * p)), st.integers(min_value=0, max_value=4 * p))
+    )
+    spec = series_spec(
+        draw(st.lists(param, min_size=1, max_size=3)),
+        draw(st.lists(param, max_size=2)),
+        draw(z),
+        k_stop,
+    )
+    k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
+    return spec, k_start, k_stop, PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
+
+
+def oracle_outcome(fn):
+    """The value ``fn`` returns, or the type and message it raised."""
+    try:
+        return fn().value
+    except (NonUnitDenominator, PoleInLowerParameter) as ex:
+        return type(ex), str(ex)
+
+
+@settings(max_examples=400)
+@given(oracle_cases())
+# a zero upper before a pole, at the same step, and after it
+@example((series_spec((-2, Fraction(1, 2)), (-4,), -3, 20), 1, 20, PrimePower(7, 3)))
+@example((series_spec((Fraction(1, 3), -3), (-3,), Fraction(2, 5), 20), 2, 20, PrimePower(7, 6)))
+@example((series_spec((-5, Fraction(1, 2)), (-2,), 2, 20), 1, 20, PrimePower(7, 2)))
+# the pole step k = 4 is taken only when k_stop > 5
+@example((series_spec((Fraction(1, 2),), (-4,), 3, 5), 2, 5, PrimePower(7, 2)))
+@example((series_spec((Fraction(1, 2),), (-4,), 3, 6), 2, 6, PrimePower(7, 2)))
+# not p-integral: (1/2)_3 puts 5 in the denominator of term 3
+@example((series_spec((1, 1), (Fraction(1, 2),), 3, 6), 1, 6, PrimePower(5, 3)))
+def test_binary_splitting_oracle_matches_fraction_route(case):
+    spec, k_start, k_stop, ctx = case
+    want = oracle_outcome(
+        lambda: residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
+    )
+    assert oracle_outcome(lambda: window_residue_exact(spec, k_start, k_stop, ctx)) == want
+
+
+def test_binary_splitting_oracle_on_long_windows():
+    # the p^2-term sums and the blocks [r p, (r+1) p) the suites ask for
+    for fam in QUARTICS:
+        for p, r, e in ((31, 0, 2), (31, 3, 3), (97, 0, 2)):
+            spec = two_f_one(fam.x, p * p)
+            for lo, hi in ((0, p * p), (r * p, (r + 1) * p)):
+                ctx = PrimePower(p, e)
+                want = residue_from_rational(window_sum_exact(spec, lo, hi), ctx)
+                assert window_residue_exact(spec, lo, hi, ctx) == want
 
 
 @st.composite

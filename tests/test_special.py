@@ -175,6 +175,23 @@ def test_bernoulli_polynomial_denominator_guard():
     # B_4 = -1/30 has 5 in its denominator: unusable mod powers of 5
     with pytest.raises(PDivisibleDenominator):
         special.bernoulli_polynomial_mod(4, Fraction(1, 3), PrimePower(5, 1))
+    # the first such B_k in increasing k is the one named
+    with pytest.raises(PDivisibleDenominator, match=r"^B_4 has 5 in its denominator$"):
+        special.bernoulli_polynomial_mod(12, Fraction(1, 3), PrimePower(5, 2))
+
+
+def test_conjecture_polynomials_match_fraction_sums():
+    # B_{p-2}(1/3) and E_{p-3}(1/4) are summed term by term mod p^e; pin
+    # them to the plain Fraction sums on every prime the conjectures use
+    for p in (q for q in range(5, 200) if all(q % d for d in range(2, q))):
+        bern = _bernoulli_poly_exact(p - 2, Fraction(1, 3))
+        euler = _euler_poly_exact(p - 3, Fraction(1, 4))
+        for e in range(1, 5):
+            ctx = PrimePower(p, e)
+            got = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), ctx)
+            assert got == residue_from_rational(bern, ctx), (p, e)
+            got = special.euler_polynomial_mod(p - 3, Fraction(1, 4), ctx)
+            assert got == residue_from_rational(euler, ctx), (p, e)
 
 
 @given(
