@@ -5,8 +5,9 @@ alternating binomial/harmonic sums, the partial-fraction harmonic
 decompositions of the four quadratic-character families, the convolution
 form of the harmonic-weighted term, the first-order Taylor coefficients
 of the binomial-ratio function, and the negated-upper-index binomial
-symmetry.  Everything is evaluated with `fractions.Fraction`; a failing
-case carries both sides as reduced fractions.
+symmetry.  Both sides are exact `fractions.Fraction`s.  The alternating
+sums share one accumulator, `_alternating`; the negation binomials are
+integers, each step a checked exact division.
 
 This module is also the one home of the exact sequences that the theorem
 suites share with these identities: the partial-fraction weight
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm
 
-from .errors import PoleInParameter
+from .errors import InternalError, PoleInParameter
 from .padic import as_fraction
 from .special import harmonic_exact, signed_binomial
 
@@ -49,18 +51,26 @@ class IdentityCase:
         return self.lhs == self.rhs
 
 
+def _alternating(n: int, weights: list, start: int = 0) -> Fraction:
+    """Sum over start <= k <= n of (-1)^k C(n,k)C(n+k,k) w_k for weights
+    w_start, ..., w_n: one integer over the lcm of their denominators.
+    """
+    den = lcm(*(w.denominator for w in weights))
+    total = sum(
+        signed_binomial(n, k) * (w.numerator * (den // w.denominator))
+        for k, w in enumerate(weights, start)
+    )
+    return Fraction(total, den)
+
+
 def alternating_binomial_sum(n: int) -> IdentityCase:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) equals (-1)^n."""
-    lhs = Fraction(sum(signed_binomial(n, k) for k in range(n + 1)))
-    return IdentityCase(lhs, Fraction((-1) ** n))
+    return IdentityCase(_alternating(n, [1] * (n + 1)), Fraction((-1) ** n))
 
 
 def harmonic_weighted_sum(n: int) -> IdentityCase:
     """Sum over 1 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_k equals 2(-1)^n H_n."""
-    lhs = sum(
-        (signed_binomial(n, k) * harmonic_exact(k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
+    lhs = _alternating(n, [harmonic_exact(k) for k in range(1, n + 1)], start=1)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
     return IdentityCase(lhs, rhs)
 
@@ -68,16 +78,12 @@ def harmonic_weighted_sum(n: int) -> IdentityCase:
 def tail_harmonic_sum(n: int) -> IdentityCase:
     """Sum of (-1)^k C(n,k)C(n+k,k) * (1/(n+1) + ... + 1/(n+k)) equals (-1)^n H_n.
 
-    The inner sum is accumulated term by term, independently of the
+    The inner sums are accumulated term by term, independently of the
     harmonic-difference route used in `harmonic_difference_chain`.
     """
-    lhs = Fraction(0)
-    inner = Fraction(0)
-    for k in range(1, n + 1):
-        inner += Fraction(1, n + k)
-        lhs += signed_binomial(n, k) * inner
+    inner = list(accumulate(Fraction(1, n + k) for k in range(1, n + 1)))
     rhs = Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase(lhs, rhs)
+    return IdentityCase(_alternating(n, inner, start=1), rhs)
 
 
 def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
@@ -87,20 +93,14 @@ def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
     H_n.  In that form the equality fails for every n >= 1 (the two sides
     differ by exactly H_n); the full variant below includes k=0 and holds.
     """
-    lhs = sum(
-        (signed_binomial(n, k) * harmonic_exact(n + k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
+    lhs = _alternating(n, [harmonic_exact(n + k) for k in range(1, n + 1)], start=1)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
     return IdentityCase(lhs, rhs)
 
 
 def shifted_harmonic_sum(n: int) -> IdentityCase:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_{n+k} equals 2(-1)^n H_n."""
-    lhs = sum(
-        (signed_binomial(n, k) * harmonic_exact(n + k) for k in range(n + 1)),
-        Fraction(0),
-    )
+    lhs = _alternating(n, [harmonic_exact(n + k) for k in range(n + 1)])
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
     return IdentityCase(lhs, rhs)
 
@@ -112,12 +112,8 @@ def harmonic_difference_chain(n: int) -> IdentityCase:
     identities to the tail form, checked as an identity of its own.
     """
     hn = harmonic_exact(n)
-    lhs = sum(
-        (signed_binomial(n, k) * (harmonic_exact(n + k) - hn) for k in range(n + 1)),
-        Fraction(0),
-    )
-    rhs = Fraction(-1) ** n * hn
-    return IdentityCase(lhs, rhs)
+    lhs = _alternating(n, [harmonic_exact(n + k) - hn for k in range(n + 1)])
+    return IdentityCase(lhs, Fraction(-1) ** n * hn)
 
 
 # --- partial-fraction decompositions ---------------------------------------
@@ -247,21 +243,29 @@ def generalized_binomial(x: Fraction | int, k: int) -> Fraction:
     return num / factorial(k)
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers, raising `InternalError` when b does not divide a."""
+    q, r = divmod(a, b)
+    if r:
+        raise InternalError(f"{a} / {b} leaves remainder {r}")
+    return q
+
+
 # per-b cache of the latest (k, C(-b,k), C(-b+k,k), C(b-1,k), C(b-1+k,k))
-_NEG: dict[int, tuple[int, Fraction, Fraction, Fraction, Fraction]] = {}
+_NEG: dict[int, tuple[int, int, int, int, int]] = {}
 
 
 def _negation_values(b: int, k: int):
     state = _NEG.get(b)
     if state is None or state[0] > k:
-        state = (0, Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+        state = (0, 1, 1, 1, 1)
     j, nb, nbk, pb, pbk = state
     while j < k:
         j += 1
-        nb = nb * (-b - j + 1) / j  # C(-b, j)
-        nbk = nbk * (-b + j) / j  # C(-b+j, j)
-        pb = pb * (b - j) / j  # C(b-1, j)
-        pbk = pbk * (b - 1 + j) / j  # C(b-1+j, j)
+        nb = _exact_div(nb * (-b - j + 1), j)  # C(-b, j)
+        nbk = _exact_div(nbk * (-b + j), j)  # C(-b+j, j)
+        pb = _exact_div(pb * (b - j), j)  # C(b-1, j)
+        pbk = _exact_div(pbk * (b - 1 + j), j)  # C(b-1+j, j)
     _NEG[b] = (j, nb, nbk, pb, pbk)
     return nb, nbk, pb, pbk
 
@@ -269,4 +273,4 @@ def _negation_values(b: int, k: int):
 def negation_symmetry(b: int, k: int) -> IdentityCase:
     """C(-b,k) C(-b+k,k) = C(b-1,k) C(b-1+k,k) for integer b >= 1."""
     nb, nbk, pb, pbk = _negation_values(b, k)
-    return IdentityCase(nb * nbk, pb * pbk)
+    return IdentityCase(Fraction(nb * nbk), Fraction(pb * pbk))

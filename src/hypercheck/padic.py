@@ -80,11 +80,6 @@ def split_p_power(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def p_valuation(n: int, p: int) -> int:
-    """v_p(n) for n != 0."""
-    return split_p_power(n, p)[0]
-
-
 def as_fraction(x: PadicInput) -> Fraction:
     if isinstance(x, Fraction):
         return x

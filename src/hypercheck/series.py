@@ -251,8 +251,9 @@ def truncated_series_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
 
 # --- factorials with the p-power split off ---------------------------------
 
-# Per (p, p^e): entry n is n! = p^v * u as the integers (v, u mod p^e), so a
-# p-divisible factor costs no precision.
+# The table of the latest (p, p^e) only, since lemma4 and lemma5 finish one
+# prime before the next: entry n is n! = p^v * u as the integers
+# (v, u mod p^e), so a p-divisible factor costs no precision.
 _FACTORIALS: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
 
@@ -260,6 +261,7 @@ def _factorials(n: int, p: int, m: int) -> list[tuple[int, int]]:
     """The factorial table for p and m = p^e, extended to hold n!."""
     table = _FACTORIALS.get((p, m))
     if table is None:
+        _FACTORIALS.clear()
         table = _FACTORIALS[p, m] = [(0, 1)]
     v, u = table[-1]
     for k in range(len(table), n + 1):

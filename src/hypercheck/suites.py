@@ -482,17 +482,17 @@ def check_chain_reflect(params, sweep, dual):
     return _congruence_report(lhs, rhs, label)
 
 
-def _reflected_jet_sums(m: int, terms: int):
+def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fraction]:
     """First-order expansion of the reflected alternating binomial sum.
 
-    Returns exact rationals (A, B) with sum_k (-1)^k jet_k = A + B*t, where
-    jet_k carries prod_{i<=k}(m+1-i+t)(m+i+t)/(k!)^2 to first order in t.
-    The zeroth-order part recovers the plain binomial sum; the first-order
-    part stays meaningful where a single factor vanishes (large k), which
-    is exactly where the naive reciprocal-sum form breaks down.
+    Returns exact rationals (A, B_back, B_fwd) with sum_k (-1)^k jet_k =
+    A + (B_back + B_fwd)*t, where jet_k carries prod_{i<=k}(m+1-i+t)(m+i+t)/(k!)^2
+    to first order in t; B_back comes from the backward factors (m+1-i+t),
+    B_fwd from the forward ones.  The first-order part stays meaningful where
+    a single factor vanishes (large k), where the naive reciprocal-sum form
+    breaks down.  Each part is one integer over ((terms-1)!)^2, S <- S*k^2 + c_k.
     """
-    a_tot = Fraction(0)
-    b_tot = Fraction(0)
+    a = b_back = b_fwd = 0
     p0, p1, d0, d1 = 1, 0, 1, 0
     kf2 = 1
     sign = 1
@@ -501,11 +501,14 @@ def _reflected_jet_sums(m: int, terms: int):
             c, d = m + 1 - k, m + k
             p0, p1 = p0 * c, p1 * c + p0
             d0, d1 = d0 * d, d1 * d + d0
-            kf2 *= k * k
+            k2 = k * k
+            a, b_back, b_fwd = a * k2, b_back * k2, b_fwd * k2
+            kf2 *= k2
             sign = -sign
-        a_tot += Fraction(sign * (p0 * d0), kf2)
-        b_tot += Fraction(sign * (p1 * d0 + p0 * d1), kf2)
-    return a_tot, b_tot
+        a += sign * p0 * d0
+        b_back += sign * p1 * d0
+        b_fwd += sign * p0 * d1
+    return Fraction(a, kf2), Fraction(b_back, kf2), Fraction(b_fwd, kf2)
 
 
 def check_chain_jet(params, sweep, dual):
@@ -515,8 +518,8 @@ def check_chain_jet(params, sweep, dual):
     lhs, label = _series(dual, series.series_spec((-q, 1 + q), (1,), 1, p), ctx)
     m = special.least_residue(x, p)
     delta = (q - m) / p
-    a_tot, b_tot = _reflected_jet_sums(m, p)
-    rhs = residue_from_rational(a_tot + delta * p * b_tot, ctx)
+    a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
+    rhs = residue_from_rational(a_tot + delta * p * (b_back + b_fwd), ctx)
     return _congruence_report(lhs, rhs, label)
 
 
@@ -529,20 +532,8 @@ def gen_chain_m(sweep):
 def check_chain_backward(params, sweep, dual):
     p, m = params["p"], params["m"]
     ctx = PrimePower(p, sweep.mod_exp or 1)
-    # backward-offset first-order piece, via the jet route
-    b_tot = Fraction(0)
-    p0, p1, d0 = 1, 0, 1
-    kf2 = 1
-    sign = 1
-    for k in range(p):
-        if k:
-            c, d = m + 1 - k, m + k
-            p0, p1 = p0 * c, p1 * c + p0
-            d0 = d0 * d
-            kf2 *= k * k
-            sign = -sign
-        b_tot += Fraction(sign * p1 * d0, kf2)
-    lhs = residue_from_rational(b_tot, ctx)
+    # the backward-offset first-order piece of the jet
+    lhs = residue_from_rational(_reflected_jet_sums(m, p)[1], ctx)
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
     return _congruence_report(lhs, rhs, "exact")
 
@@ -611,12 +602,11 @@ def check_chain_weighted(params, sweep, dual):
         return _congruence_report(
             residue_from_rational(total, ctx), Residue(0, ctx), "exact"
         )
-    total = sum(
-        (
-            special.signed_binomial(m, k) * (2 * hm - special.harmonic_exact(k))
-            for k in range(p)
-        ),
-        Fraction(0),
+    # m < p, so the binomial form stops at k = m: it is 2 H_m times the
+    # identity-alt sum minus the identity-harmonic sum, both at n = m
+    total = (
+        2 * hm * identities.alternating_binomial_sum(m).lhs
+        - identities.harmonic_weighted_sum(m).lhs
     )
     return _exact_report(total, Fraction(0))
 

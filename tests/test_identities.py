@@ -4,11 +4,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercheck import identities, series
-from hypercheck.errors import PoleInParameter
-from hypercheck.special import harmonic_exact
+from hypercheck.errors import InternalError, PoleInParameter
+from hypercheck.special import harmonic_exact, signed_binomial
 
 XS = tuple(identities._PARTFRAC_RHS)
 # the quartic x, two other rationals, and integers with a pole:
@@ -55,6 +55,27 @@ def test_harmonic_difference_chain(n):
     case = identities.harmonic_difference_chain(n)
     assert case.passed
     assert case.rhs == Fraction(-1) ** n * harmonic_exact(n)
+
+
+@st.composite
+def alternating_args(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    start = draw(st.sampled_from((0, 1)))
+    size = n + 1 - start
+    weights = draw(
+        st.lists(st.fractions(max_denominator=1000), min_size=size, max_size=size)
+    )
+    return n, weights, start
+
+
+@given(alternating_args())
+@example((0, [], 1))  # the empty sum
+def test_alternating_matches_direct_sum(args):
+    n, weights, start = args
+    direct = sum(
+        (signed_binomial(n, k) * w for k, w in enumerate(weights, start)), Fraction(0)
+    )
+    assert identities._alternating(n, weights, start) == direct
 
 
 def test_small_sum_values_frozen():
@@ -154,6 +175,14 @@ def test_negation_symmetry_is_the_binomial_reflection():
     assert lhs == rhs
     case = identities.negation_symmetry(b, k)
     assert case.lhs == lhs
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert identities._exact_div(-12, 4) == -3
+    with pytest.raises(InternalError):
+        identities._exact_div(7, 2)
+    with pytest.raises(InternalError):
+        identities._exact_div(-7, 2)
 
 
 @given(st.sampled_from(PREFIX_XS), st.integers(min_value=0, max_value=60))

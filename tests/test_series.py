@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypercheck import _kernel, series
 from hypercheck.errors import NegativeValuation, NonUnitDenominator, PoleInLowerParameter
-from hypercheck.padic import PrimePower, Residue, residue_from_rational
+from hypercheck.padic import PrimePower, Residue, is_prime, residue_from_rational
 from hypercheck.series import (
     QUARTIC_BY_X,
     QUARTICS,
@@ -390,6 +390,15 @@ def test_family_term_equals_series_term(fam, n):
 def test_family_term_scaled_matches_exact(fam, p, n, e):
     ctx = PrimePower(p, e)
     assert fam.term_scaled(n, ctx) == residue_from_rational(fam.term_exact(n), ctx)
+
+
+def test_factorial_table_keeps_only_the_latest_prime():
+    fam = QUARTIC_BY_X[Fraction(1, 6)]
+    for p in filter(is_prime, range(5, 98)):
+        ctx = PrimePower(p, 2)
+        for n in range(p):
+            fam.term_scaled(n, ctx)
+        assert list(series._FACTORIALS) == [(p, p * p)]
 
 
 @given(

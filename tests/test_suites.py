@@ -155,6 +155,51 @@ def test_representative_params_come_from_generators():
         assert params in instances_for(sid, sweep), sid
 
 
+def _jet_sums_per_step(m, terms):
+    """chain-jet's former walk: (A, B) as per-step `Fraction` sums."""
+    a_tot = Fraction(0)
+    b_tot = Fraction(0)
+    p0, p1, d0, d1 = 1, 0, 1, 0
+    kf2 = 1
+    sign = 1
+    for k in range(terms):
+        if k:
+            c, d = m + 1 - k, m + k
+            p0, p1 = p0 * c, p1 * c + p0
+            d0, d1 = d0 * d, d1 * d + d0
+            kf2 *= k * k
+            sign = -sign
+        a_tot += Fraction(sign * (p0 * d0), kf2)
+        b_tot += Fraction(sign * (p1 * d0 + p0 * d1), kf2)
+    return a_tot, b_tot
+
+
+def _backward_sum_per_step(m, p):
+    """chain-backward's former walk of its backward first-order piece."""
+    b_tot = Fraction(0)
+    p0, p1, d0 = 1, 0, 1
+    kf2 = 1
+    sign = 1
+    for k in range(p):
+        if k:
+            c, d = m + 1 - k, m + k
+            p0, p1 = p0 * c, p1 * c + p0
+            d0 = d0 * d
+            kf2 *= k * k
+            sign = -sign
+        b_tot += Fraction(sign * p1 * d0, kf2)
+    return b_tot
+
+
+def test_jet_sums_match_the_per_step_walks():
+    for p in primes_in(5, 61):
+        for m in range(p):
+            a, b_back, b_fwd = suites._reflected_jet_sums(m, p)
+            a_ref, b_ref = _jet_sums_per_step(m, p)
+            back_ref = _backward_sum_per_step(m, p)
+            assert (a, b_back, b_fwd) == (a_ref, back_ref, b_ref - back_ref), (p, m)
+
+
 def test_exploratory_suites_do_fail():
     rep = run_instance("rv-x", {"p": 5, "n": 2, "x": F(1, 7)}, engine="both")
     assert not rep.passed and rep.error is None
