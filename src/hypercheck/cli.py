@@ -227,8 +227,12 @@ def _json_record(rep: Report) -> dict:
     return rec
 
 
+# one compact encoder for every json-lines record, summary and csv params cell
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit_json(rep: Report, out) -> None:
-    print(json.dumps(_json_record(rep), separators=(",", ":")), file=out)
+    print(_JSON.encode(_json_record(rep)), file=out)
 
 
 _CSV_COLUMNS = (
@@ -250,7 +254,7 @@ def _emit_csv(rep: Report, writer) -> None:
     writer.writerow(
         [
             rep.suite,
-            json.dumps(rep.params, separators=(",", ":")),
+            _JSON.encode(rep.params),
             rep.lhs,
             rep.rhs,
             rep.modulus,
@@ -362,7 +366,7 @@ def run(cfg: RunConfig) -> int:
         }
         if internal_error is not None:
             summary["summary"].update(status="internal-error", error=internal_error)
-        print(json.dumps(summary, separators=(",", ":")), file=out)
+        print(_JSON.encode(summary), file=out)
     elif cfg.format == "human" and internal_error is None:
         print(
             f"ran {total} instances: {tally.total('passed')} passed, "

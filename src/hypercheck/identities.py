@@ -5,9 +5,13 @@ alternating binomial/harmonic sums, the partial-fraction harmonic
 decompositions of the four quadratic-character families, the convolution
 form of the harmonic-weighted term, the first-order Taylor coefficients
 of the binomial-ratio function, and the negated-upper-index binomial
-symmetry.  Both sides are exact `fractions.Fraction`s.  The alternating
-sums share one accumulator, `_alternating`; the negation binomials are
-integers, each step a checked exact division.
+symmetry.  Each side is exact: a `fractions.Fraction`, or an `int` for the
+negation symmetry.  The hot sums run over integers and build one
+`Fraction` at the end: the alternating sums share one accumulator,
+`_alternating`, which walks the signed-binomial row by its ratio; the
+convolution's right side is one Horner sum over a common denominator
+(`_convolution_sum`); the negation binomials are integers.  Every integer
+step that must divide exactly is a checked exact division (`_exact_div`).
 
 This module is also the one home of the exact sequences that the theorem
 suites share with these identities: the partial-fraction weight
@@ -43,23 +47,35 @@ from .special import harmonic_exact, signed_binomial
 class IdentityCase:
     """One exact comparison; passed is derived, never stored."""
 
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Fraction | int
+    rhs: Fraction | int
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers, raising `InternalError` when b does not divide a."""
+    q, r = divmod(a, b)
+    if r:
+        raise InternalError(f"{a} / {b} leaves remainder {r}")
+    return q
+
+
 def _alternating(n: int, weights: list, start: int = 0) -> Fraction:
     """Sum over start <= k <= n of (-1)^k C(n,k)C(n+k,k) w_k for weights
     w_start, ..., w_n: one integer over the lcm of their denominators.
+
+    The signed binomial walks its row from k = start by the ratio
+    -(n-k)(n+k+1)/(k+1)^2, one checked exact division per step.
     """
     den = lcm(*(w.denominator for w in weights))
-    total = sum(
-        signed_binomial(n, k) * (w.numerator * (den // w.denominator))
-        for k, w in enumerate(weights, start)
-    )
+    c = signed_binomial(n, start)
+    total = 0
+    for k, w in enumerate(weights, start):
+        total += c * (w.numerator * (den // w.denominator))
+        c = _exact_div(-c * (n - k) * (n + k + 1), (k + 1) ** 2)
     return Fraction(total, den)
 
 
@@ -186,12 +202,33 @@ def rising_products(x: Fraction, upto: int) -> list[Fraction]:
     return prods
 
 
+def _convolution_sum(x: Fraction, k: int) -> Fraction:
+    """sum_{i<k} t_i/(k-i) as one integer over b^(2(k-1)) ((k-1)!)^2 lcm(1..k).
+
+    With x = a/b, t_i = R_i / (b^(2i) (i!)^2) for the integer rising products
+    R_i = prod_{j<i} (a+jb)(b-a+jb); Horner's rule S <- S (b i)^2 +
+    R_i lcm(1..k)/(k-i) gives each summand its missing factors.
+    """
+    if k == 0:
+        return Fraction(0)
+    a, b = x.numerator, x.denominator
+    span = lcm(*range(1, k + 1))
+    total, rising = 0, 1
+    for i in range(k):
+        total = total * (b * i) ** 2 + rising * (span // (k - i))
+        rising *= (a + i * b) * (b - a + i * b)
+    return Fraction(total, b ** (2 * (k - 1)) * factorial(k - 1) ** 2 * span)
+
+
 def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:
-    """t_k T_k(x) vs sum_{i<k} t_i/(k-i)."""
+    """t_k T_k(x) vs sum_{i<k} t_i/(k-i).
+
+    The left side reads the cached `series_terms` and
+    `partial_fraction_weights` (which raises `PoleInParameter` first); the
+    right side is `_convolution_sum`, over integers.
+    """
     weight = partial_fraction_weights(x, k)[k]
-    terms = series_terms(x, k)
-    rhs = sum((terms[i] / (k - i) for i in range(k)), Fraction(0))
-    return IdentityCase(terms[k] * weight, rhs)
+    return IdentityCase(series_terms(x, k)[k] * weight, _convolution_sum(x, k))
 
 
 # --- Taylor coefficients of the binomial-ratio function --------------------
@@ -243,14 +280,6 @@ def generalized_binomial(x: Fraction | int, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def _exact_div(a: int, b: int) -> int:
-    """a / b for integers, raising `InternalError` when b does not divide a."""
-    q, r = divmod(a, b)
-    if r:
-        raise InternalError(f"{a} / {b} leaves remainder {r}")
-    return q
-
-
 # per-b cache of the latest (k, C(-b,k), C(-b+k,k), C(b-1,k), C(b-1+k,k))
 _NEG: dict[int, tuple[int, int, int, int, int]] = {}
 
@@ -273,4 +302,4 @@ def _negation_values(b: int, k: int):
 def negation_symmetry(b: int, k: int) -> IdentityCase:
     """C(-b,k) C(-b+k,k) = C(b-1,k) C(b-1+k,k) for integer b >= 1."""
     nb, nbk, pb, pbk = _negation_values(b, k)
-    return IdentityCase(Fraction(nb * nbk), Fraction(pb * pbk))
+    return IdentityCase(nb * nbk, pb * pbk)

@@ -383,6 +383,48 @@ def gen_lemma4(sweep):
                     yield {"p": p, "r": r, "k": k, "x": x}
 
 
+# Residue rows of the lemma4 and lemma4-binom right sides, for the latest
+# (p, p^e) only, since both suites finish one prime before the next:
+# (p, p^e) -> x -> (term, weight, binom, closed, h), where entry k < p of
+# each row is the residue of term_exact(k), p (T_k - 2 H_k),
+# binomial_product(k) and p (closed form - 2 H_k), and h is 2p H_floor(px).
+# For the four quartic x and p >= 5 every factor is p-integral: base^k is a
+# unit, H_k and H_floor(px) have indices below p, and i < k < p puts at
+# most one p in each denominator of T_k and of the H_{dk} in its closed
+# form.  So reducing factor by factor equals reducing the exact product.
+_LEMMA4_ROWS: dict[tuple[int, int], dict[Fraction, tuple]] = {}
+
+
+def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
+    p, m = ctx.p, ctx.modulus
+    by_x = _LEMMA4_ROWS.get((p, m))
+    if by_x is None:
+        _LEMMA4_ROWS.clear()
+        by_x = _LEMMA4_ROWS[p, m] = {}
+    rows = by_x.get(x)
+    if rows is None:
+        fam = QUARTIC_BY_X[x]
+        weights = identities.partial_fraction_weights(x, p - 1)
+
+        def reduce(q):
+            return residue_from_rational(q, ctx).value
+
+        binom = [fam.binomial_product(k) % m for k in range(p)]
+        inv_base = pow(fam.base, -1, m)
+        two_h = [2 * special.harmonic_exact(k) for k in range(p)]
+        rows = by_x[x] = (
+            [b * pow(inv_base, k, m) % m for k, b in enumerate(binom)],
+            [reduce(p * (weights[k] - two_h[k])) for k in range(p)],
+            binom,
+            [
+                reduce(p * (identities.partial_fraction_closed_form(k, x) - two_h[k]))
+                for k in range(p)
+            ],
+            reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
+        )
+    return rows
+
+
 def check_lemma4(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
@@ -392,15 +434,10 @@ def check_lemma4(params, sweep, dual):
         lambda: fam.term_scaled(m, ctx),
         lambda: residue_from_rational(fam.term_exact(m), ctx),
     )
-    # right side: exact rationals throughout, reduced once
-    weight = identities.partial_fraction_weights(x, k)[k]
-    corr = (
-        1
-        + 2 * r * p * special.harmonic_exact(special.floor_px(x, p))
-        - 2 * r * p * special.harmonic_exact(k)
-        + r * p * weight
-    )
-    rhs = residue_from_rational(fam.term_exact(r) * fam.term_exact(k) * corr, ctx)
+    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
+    term, weight, _, _, h = _lemma4_rows(x, ctx)
+    t_r = residue_from_rational(fam.term_exact(r), ctx)
+    rhs = t_r * term[k] * (1 + r * (h + weight[k]))
     return _congruence_report(lhs, rhs, label)
 
 
@@ -412,13 +449,10 @@ def check_lemma4_binom(params, sweep, dual):
         _need_binomial(c * n, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(fam.binomial_product(n), ctx)
-    # T_k(x) - 2 H_k, with T_k(x) in its harmonic closed form
-    combo = identities.partial_fraction_closed_form(k, x)
-    combo -= 2 * special.harmonic_exact(k)
-    rhs = residue_from_rational(
-        fam.binomial_product(r) * fam.binomial_product(k) * (1 + r * p * combo),
-        ctx,
-    )
+    # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
+    # closed form, from the rows
+    _, _, binom, closed, _ = _lemma4_rows(x, ctx)
+    rhs = Residue(fam.binomial_product(r) * binom[k] * (1 + r * closed[k]), ctx)
     return _congruence_report(lhs, rhs, "exact")
 
 

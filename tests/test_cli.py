@@ -318,6 +318,21 @@ def test_conjecture_stream_matches_pinned_digest(capsys, engine):
     assert digest == CONJ_P61_DIGESTS[engine]
 
 
+# SHA-256 of the `verify identities` json-lines stream at the default index
+# cap of 300, elapsed fields stripped, recorded before the alternating sums
+# walked the signed-binomial row and the convolution became one integer sum
+IDENTITIES_DIGEST = "95a827b412dd27704a9f428bb9ad45f1360dc68aae44d4156f6d081f356947fa"
+
+
+def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
+    monkeypatch.delenv("VERIFY_BUDGET_IDENTITY", raising=False)
+    code, out, _ = run_main(capsys, "identities", "--format", "json-lines")
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 96017
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == IDENTITIES_DIGEST
+
+
 def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):
     # identity-negation has identity_max^2 instances; a prebuilt item list
     # of 40,200 tuples peaks near 11 MB, a lazy walk well under 1 MB

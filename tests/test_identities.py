@@ -78,6 +78,22 @@ def test_alternating_matches_direct_sum(args):
     assert identities._alternating(n, weights, start) == direct
 
 
+def test_alternating_walks_the_signed_binomial_row():
+    # a unit weight vector picks out one summand of the walked row
+    for n in range(61):
+        for j in range(n + 1):
+            unit = [0] * (n + 1)
+            unit[j] = 1
+            assert identities._alternating(n, unit) == signed_binomial(n, j), (n, j)
+
+
+@pytest.mark.parametrize("j", (0, 1, 150, 300))
+def test_alternating_row_at_index_300(j):
+    unit = [0] * 301
+    unit[j] = 1
+    assert identities._alternating(300, unit) == signed_binomial(300, j)
+
+
 def test_small_sum_values_frozen():
     assert identities.alternating_binomial_sum(3).lhs == -1
     assert identities.harmonic_weighted_sum(2).lhs == 3
@@ -115,6 +131,35 @@ def test_partial_fraction_closed_forms_spot():
 def test_term_convolution_identity(x, k):
     case = identities.term_convolution_identity(x, k)
     assert case.passed
+
+
+def _convolution_direct(x, k):
+    """sum_{i<k} t_i/(k-i) summed as Fractions: the reference for the
+    integer Horner sum."""
+    terms = identities.series_terms(x, k)
+    return sum((terms[i] / (k - i) for i in range(k)), Fraction(0))
+
+
+@pytest.mark.parametrize("x", XS)
+def test_convolution_sum_matches_fraction_sum_for_quartic_x(x):
+    for k in range(301):
+        assert identities._convolution_sum(x, k) == _convolution_direct(x, k)
+
+
+@given(
+    st.fractions(max_denominator=12, min_value=Fraction(-6), max_value=Fraction(6)),
+    st.integers(min_value=0, max_value=60),
+)
+@example(Fraction(-2), 5)
+@example(Fraction(3), 5)
+@example(Fraction(1), 1)
+def test_convolution_sum_matches_fraction_sum(x, k):
+    if any(x + i == 0 or 1 - x + i == 0 for i in range(k)):
+        with pytest.raises(PoleInParameter):
+            identities.term_convolution_identity(x, k)
+        return
+    assert identities._convolution_sum(x, k) == _convolution_direct(x, k)
+    assert identities.term_convolution_identity(x, k).passed
 
 
 def test_term_convolution_rejects_poles():

@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck import suites
+from hypercheck import identities, suites
 from hypercheck.errors import InternalError
+from hypercheck.padic import PrimePower, Residue, residue_from_rational
+from hypercheck.series import QUARTICS
+from hypercheck.special import floor_px, harmonic_exact
 from hypercheck.suites import (
     ALIASES,
     CONJECTURE_SUITES,
@@ -198,6 +201,50 @@ def test_jet_sums_match_the_per_step_walks():
             a_ref, b_ref = _jet_sums_per_step(m, p)
             back_ref = _backward_sum_per_step(m, p)
             assert (a, b_back, b_fwd) == (a_ref, back_ref, b_ref - back_ref), (p, m)
+
+
+def _lemma4_rhs_per_instance(fam, p, r, k):
+    """The lemma4 and lemma4-binom right sides as the exact rationals that
+    each instance used to build and reduce once."""
+    x = fam.x
+    weight = identities.partial_fraction_weights(x, k)[k]
+    corr = (
+        1
+        + 2 * r * p * harmonic_exact(floor_px(x, p))
+        - 2 * r * p * harmonic_exact(k)
+        + r * p * weight
+    )
+    combo = identities.partial_fraction_closed_form(k, x) - 2 * harmonic_exact(k)
+    return (
+        fam.term_exact(r) * fam.term_exact(k) * corr,
+        fam.binomial_product(r) * fam.binomial_product(k) * (1 + r * p * combo),
+    )
+
+
+def test_lemma4_rows_match_the_per_instance_rationals():
+    # the left side is stubbed out: only the right side is under test
+    def dual(modular_fn, exact_fn):
+        return Residue(0, PrimePower(5, 1)), "modular"
+
+    for p in primes_in(5, 101):
+        refs = {
+            (fam.x, r, k): _lemma4_rhs_per_instance(fam, p, r, k)
+            for fam in QUARTICS
+            for r in (0, 1, 2, 5)
+            for k in range(p)
+        }
+        # one e at a time, as a sweep runs, so each row is built once
+        for e in (1, 2, 3):
+            sweep = Sweep(primes=(p,), mod_exp=e)
+            ctx = PrimePower(p, e)
+            for (x, r, k), ref in refs.items():
+                params = {"p": p, "r": r, "k": k, "x": x}
+                got = (
+                    suites.check_lemma4(params, sweep, dual).rhs,
+                    suites.check_lemma4_binom(params, sweep, dual).rhs,
+                )
+                want = tuple(str(residue_from_rational(q, ctx).value) for q in ref)
+                assert got == want, (p, x, k, r, e)
 
 
 def test_exploratory_suites_do_fail():
