@@ -1,14 +1,18 @@
-"""The modular series kernel: resumable walks of a term recurrence mod p^e.
+"""The modular series kernel: resumable walks of F(x; N) mod p^e.
 
 `series_window_mod` is the single hot loop of the whole checker: it sums a
-window of terms of a truncated hypergeometric series mod p^e.  Parameters
-are passed pre-validated as integer pairs so the kernel does no rational
-arithmetic:
+window ``k_start <= k < k_stop`` of the terms of
 
-* ``upper`` / ``lower``: sequences of ``(num, den)`` with den > 0 and
-  den coprime to p (the parameter a contributes a factor a + k).
-* ``zn, zd``: numerator/denominator of the p-coprime argument z.
-* The window is ``k_start <= k < k_stop``; term 0 is 1.
+    F(x; N) = sum_{k<N} (x)_k (1-x)_k / (k!)^2
+
+mod p^e, the one series the paper studies.  x = xn / xd is passed as a
+reduced integer pair with xd > 0 prime to p, so the kernel does no
+rational arithmetic.  Term 0 is 1 and each step multiplies by
+
+    t_{k+1} / t_k = (xn + k xd)(xd - xn + k xd) / (xd (k+1))^2.
+
+`k_stop` must stay the sixth positional argument: perfbench's tracer
+counts ``args[5]`` as the terms a call asks for.
 
 Term k is carried as ``p^v * num / den`` with ``num``, ``den`` mod m = p^e
 and ``den`` a unit: p-powers are stripped from every factor into ``v``, so
@@ -18,8 +22,15 @@ multiplies ``num`` by the numerator step and both ``acc`` and ``den`` by
 the denominator step, and the only inversion is ``den^-1`` at the end of
 a walk (Montgomery's simultaneous-inversion trick, Math. Comp. 48 (1987)).
 
-The suites ask for the same series (same parameters, p and e) many times,
-with different stops: the length-p, n*p and p^r sums and the blocks
+Every term is a p-adic integer: t_k(x) = C(x+k-1, k) C(k-x, k), and a
+binomial C(Y, k) maps Z_p into Z_p.  So v never goes negative, and a walk
+that finds it negative raises `InternalError`.  A walk ends early only on
+a zero factor, which happens only for an integer x (at step -x for x <= 0
+and at step x - 1 for x >= 1): term j = step + 1 and every later term
+vanish, so the sum stays at prefix(j) for every stop past j.
+
+The suites ask for the same series (same x, p and e) many times, with
+different stops: the length-p, n*p and p^r sums and the blocks
 [r*p, (r+1)*p).  So each series has one `_Walker`, and a window [a, b) is
 prefix(b) - prefix(a) mod p^e.  The walker keeps a checkpoint
 ``(k, v, num, acc)`` at every stop k it was asked for, with ``den``
@@ -27,14 +38,6 @@ divided out when it is stored: term k is ``p^v * num`` and the sum of the
 terms below k is ``acc``, both mod p^e.  A prefix resumes from the nearest
 checkpoint at or below its stop, so stops may come in any order, every
 term is built once per series, and a stop asked for again costs no step.
-
-Failures: a zero upper factor kills term j and every later one, so the sum
-stays at prefix(j) for every stop past j.  A zero lower factor (a pole) or
-a term with p in its denominator (negative valuation) means term j cannot
-be built; a stop at or before j still gets its prefix, and any stop past j
-raises a fresh exception of the same type and message, every time.  A step
-checks the dead upper first, then the pole, then the valuation, so the
-first of them decides j.
 
 The walkers live in a table bounded by `WALKER_LIMIT` and evicted least
 recently used first.  Sweeps such as ``sun`` build thousands of series
@@ -49,11 +52,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import itemgetter
 
-from .errors import NegativeValuation, PoleInLowerParameter
+from .errors import InternalError
 
 WALKER_LIMIT = 384
 
-# (upper, lower, zn, zd, p, e) -> walker, least recently used first
+# (xn, xd, p, e) -> walker, least recently used first
 _WALKERS: dict[tuple, _Walker] = {}
 
 
@@ -63,69 +66,51 @@ def backend_name() -> str:
 
 
 class _Walker:
-    """Checkpointed prefix sums of one series mod p^e."""
+    """Checkpointed prefix sums of F(xn/xd; N) mod p^e."""
 
-    __slots__ = ("upper", "lower", "p", "e", "m", "ns0", "ds0", "checkpoints", "end")
+    __slots__ = ("xn", "xd", "p", "e", "m", "checkpoints", "dead")
 
-    def __init__(self, upper, lower, zn: int, zd: int, p: int, e: int):
-        self.upper, self.lower, self.p, self.e = upper, lower, p, e
-        self.m = m = p**e
-        ns0 = zn  # numerator step without the upper factors: zn * prod(lower dens)
-        for _, d in lower:
-            ns0 *= d
-        ds0 = zd  # denominator step without (k+1) and the lower factors
-        for _, d in upper:
-            ds0 *= d
-        self.ns0, self.ds0 = ns0 % m, ds0 % m
+    def __init__(self, xn: int, xd: int, p: int, e: int):
+        self.xn, self.xd, self.p, self.e = xn, xd, p, e
+        self.m = p**e
         self.checkpoints = [(0, 0, 1, 0)]  # (k, v, num, acc), sorted by k
-        # (j, prefix(j), exception or None) once term j is dead or unbuildable
-        self.end = None
+        self.dead = None  # (j, prefix(j)) once term j is zero
 
     def prefix(self, stop: int) -> int:
         """The sum of the terms below ``stop`` mod p^e."""
-        if self.end is not None and stop >= self.end[0]:
-            return self._past_end(stop)
+        if self.dead is not None and stop >= self.dead[0]:
+            return self.dead[1]
         i = bisect_right(self.checkpoints, stop, key=itemgetter(0)) - 1
         k, v, num, acc = self.checkpoints[i]
         if k == stop:
             return acc
-        m = self.m
+        p, e, m, xn, xd = self.p, self.e, self.m, self.xn, self.xd
+        yn = xd - xn  # 1 - x = yn / xd
+        ds0 = xd * xd
         den = 1
-        p, e, ns0, ds0, upper, lower = self.p, self.e, self.ns0, self.ds0, self.upper, self.lower
         powers = [p**j for j in range(e)]
         while True:
             if v < e:
                 acc = (acc + num * powers[v]) % m
-            # step to term k+1: multiply by p^(nv - v) * ns / ds
+            # step to term k+1: multiply by p^(nv - v) * f g / (ds0 h^2)
+            f, g, h = xn + k * xd, yn + k * xd, k + 1
+            if f == 0 or g == 0:
+                self.dead = (k + 1, acc * pow(den, -1, m) % m)
+                return self.dead[1]
             nv = v
-            ns = ns0
-            for an, ad in upper:
-                f = an + k * ad
-                if f == 0:
-                    return self._end_at(k + 1, acc, den, None, stop)
-                while f % p == 0:
-                    f //= p
-                    nv += 1
-                ns *= f
-            f = k + 1
             while f % p == 0:
                 f //= p
-                nv -= 1
-            ds = ds0 * f
-            for bn, bd in lower:
-                f = bn + k * bd
-                if f == 0:
-                    message = f"lower parameter {bn}/{bd} hits a pole at k={k}"
-                    return self._end_at(k + 1, acc, den, (PoleInLowerParameter, message), stop)
-                while f % p == 0:
-                    f //= p
-                    nv -= 1
-                ds *= f
+                nv += 1
+            while g % p == 0:
+                g //= p
+                nv += 1
+            while h % p == 0:
+                h //= p
+                nv -= 2
             if nv < 0:
-                message = f"term {k + 1} has negative p-adic valuation"
-                return self._end_at(k + 1, acc, den, (NegativeValuation, message), stop)
-            ds %= m
-            num = num * ns % m
+                raise InternalError(f"term {k + 1} of F({xn}/{xd}) is not {p}-integral")
+            ds = ds0 * h * h % m
+            num = num * f * g % m
             acc = acc * ds % m
             den = den * ds % m
             v = nv
@@ -136,33 +121,20 @@ class _Walker:
                 self.checkpoints.insert(i + 1, (k, v, num * inverse % m, acc))
                 return acc
 
-    def _end_at(self, j: int, acc: int, den: int, failure, stop: int) -> int:
-        """Record that term j is dead (no failure) or cannot be built."""
-        m = self.m
-        self.end = (j, acc * pow(den, -1, m) % m, failure)
-        return self._past_end(stop)
 
-    def _past_end(self, stop: int) -> int:
-        j, value, failure = self.end
-        if failure is not None and stop > j:
-            kind, message = failure
-            raise kind(message)
-        return value
-
-
-def _walker(upper, lower, zn: int, zd: int, p: int, e: int) -> _Walker:
-    key = (upper, lower, zn, zd, p, e)
+def _walker(xn: int, xd: int, p: int, e: int) -> _Walker:
+    key = (xn, xd, p, e)
     walker = _WALKERS.pop(key, None)
     if walker is None:
-        walker = _Walker(upper, lower, zn, zd, p, e)
+        walker = _Walker(xn, xd, p, e)
         if len(_WALKERS) >= WALKER_LIMIT:
             del _WALKERS[next(iter(_WALKERS))]
     _WALKERS[key] = walker
     return walker
 
 
-def series_window_mod(upper, lower, zn, zd, k_start, k_stop, p, e) -> int:
-    """The sum of terms ``k_start <= k < k_stop`` mod p^e."""
-    walker = _walker(upper, lower, zn, zd, p, e)
+def series_window_mod(xn, xd, p, e, k_start, k_stop) -> int:
+    """The sum of terms ``k_start <= k < k_stop`` of F(xn/xd; N) mod p^e."""
+    walker = _walker(xn, xd, p, e)
     high = walker.prefix(k_stop)
     return (high - walker.prefix(min(k_start, k_stop))) % walker.m

@@ -2,8 +2,11 @@
 
 Every condition the checker can hit on purpose gets its own class so
 suites and the CLI can tell an engine bug (`InternalError`) from a
-domain error (bad denominator, pole, budget) from an honest congruence
-failure (which is a report, never an exception).
+domain error (bad denominator, identity pole, budget) from an honest
+congruence failure (which is a report, never an exception).  The series
+F(x; N) has no domain error of its own beyond a denominator divisible by
+p: for any other x every term is p-integral and no factor is a pole, so a
+series sum outside Z_p is an `InternalError`.
 """
 
 
@@ -19,10 +22,6 @@ class NonUnitDenominator(VerifyError):
     """A rational input has a denominator divisible by p."""
 
 
-class NegativeValuation(VerifyError):
-    """A value fell outside Z_p (negative p-adic valuation)."""
-
-
 class IndexTooLarge(VerifyError):
     """A modular harmonic index reached p, where 1/p does not exist."""
 
@@ -31,11 +30,7 @@ class PDivisibleDenominator(VerifyError):
     """A Bernoulli number needed mod p has p in its denominator."""
 
 
-class PoleInLowerParameter(VerifyError):
-    """A lower series parameter hit a non-positive integer inside the window."""
-
-
-class PoleInParameter(PoleInLowerParameter):
+class PoleInParameter(VerifyError):
     """A rational-function identity was evaluated at a pole."""
 
 

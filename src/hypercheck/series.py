@@ -1,17 +1,26 @@
-"""Truncated hypergeometric sums: exact and modular engines, plus the four
+"""The truncated series F(x; N) in exact and modular engines, plus the four
 quadratic-character families and their central-binomial reformulation.
 
-A `SeriesSpec` is the sum over 0 <= k < terms of
+The paper studies one series,
 
-    prod (a_i)_k / (prod (b_j)_k * k!) * z^k
+    F(x; N) = sum_{k<N} t_k(x),   t_k(x) = (x)_k (1-x)_k / (k!)^2,
 
-so ``two_f_one(x, n)`` (upper x, 1-x; lower 1; z = 1) gives the truncated
-2F1 values the congruence suites are about.  The modular engine walks the
-term recurrence with valuation-tracked units, once per series and p^e,
-resuming from checkpoints at the stops already asked for (see
-``_kernel``).  The exact engine is the independent oracle: it evaluates a
-window as exact integers by binary splitting over the term ratio and
-reduces the result once mod p^e (`window_residue_exact`).
+and a `SeriesSpec` is the pair (x, N); ``two_f_one(x, N)`` builds it.
+Every suite sums F(a; N) with a = x or a = -x, for x with a denominator
+prime to p.  For such x every term is a p-adic integer, because
+t_k(x) = C(x+k-1, k) C(k-x, k) and a binomial C(Y, k) maps Z_p into Z_p;
+so every window sum is p-integral, and both engines treat a sum that is
+not as an engine fault (`InternalError`), not as a domain error.  The
+term ratio (x+k)(1-x+k) / (k+1)^2 has no pole, and a zero factor, which
+happens only when x is an integer, ends the sum: every later term is 0.
+
+The modular engine walks the term recurrence with valuation-tracked
+units, once per series and p^e, resuming from checkpoints at the stops
+already asked for (see ``_kernel``).  The exact engine is the independent
+oracle: it evaluates a window as exact integers by binary splitting over
+the term ratio and reduces the result once mod p^e
+(`window_residue_exact`).  `window_sum_exact` sums a window term by term
+as one exact rational, for the tests and the conjecture oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from . import _kernel
-from .errors import NonUnitDenominator, PoleInLowerParameter
+from .errors import InternalError, NonUnitDenominator
 from .padic import (
     PadicInput,
     PrimePower,
@@ -34,11 +43,9 @@ from .padic import (
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Upper/lower parameters, argument, and number of terms (k! implicit)."""
+    """F(x; terms): the sum of t_k(x) over 0 <= k < terms."""
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    z: Fraction
+    x: Fraction
     terms: int
 
     def __post_init__(self):
@@ -46,20 +53,9 @@ class SeriesSpec:
             raise ValueError("terms must be >= 0")
 
 
-def series_spec(upper, lower, z, terms: int) -> SeriesSpec:
-    """Build a SeriesSpec from any mix of ints and Fractions."""
-    return SeriesSpec(
-        tuple(as_fraction(a) for a in upper),
-        tuple(as_fraction(b) for b in lower),
-        as_fraction(z),
-        terms,
-    )
-
-
 def two_f_one(x: PadicInput, terms: int) -> SeriesSpec:
-    """The truncated 2F1(x, 1-x; 1; 1) sum with ``terms`` terms."""
-    q = as_fraction(x)
-    return series_spec((q, 1 - q), (1,), 1, terms)
+    """F(x; terms), the truncated 2F1(x, 1-x; 1; 1) sum."""
+    return SeriesSpec(as_fraction(x), terms)
 
 
 def pochhammer_exact(a: PadicInput, k: int) -> Fraction:
@@ -71,20 +67,25 @@ def pochhammer_exact(a: PadicInput, k: int) -> Fraction:
     return out
 
 
+def _check_x(spec: SeriesSpec, p: int) -> None:
+    if spec.x.denominator % p == 0:
+        raise NonUnitDenominator(f"series parameter {spec.x} has denominator divisible by {p}")
+
+
 # --- exact engine ----------------------------------------------------------
 
 
 def window_sum_exact(spec: SeriesSpec, k_start: int, k_stop: int) -> Fraction:
     """Sum of terms k_start <= k < k_stop as one exact rational.
 
-    `window_residue_exact` hands it the sums that are not p-integral, so
-    that their error names the reduced fraction.  The running term and the
-    accumulator share a common denominator that only ever gets multiplied,
-    so no per-step normalization happens; the single Fraction reduction is
-    at the end.
+    The running term and the accumulator share a common denominator that
+    only ever gets multiplied, so no per-step normalization happens; the
+    single Fraction reduction is at the end.
     """
     if k_stop <= k_start:
         return Fraction(0)
+    xn, xd = spec.x.numerator, spec.x.denominator
+    yn = xd - xn  # 1 - x = yn / xd
     acc = 0  # acc / den
     term = 1  # term / den
     den = 1
@@ -93,21 +94,10 @@ def window_sum_exact(spec: SeriesSpec, k_start: int, k_stop: int) -> Fraction:
             acc += term
         if k + 1 >= k_stop:
             break
-        num_step = 1
-        for a in spec.upper:
-            num_step *= a.numerator + k * a.denominator
+        num_step = (xn + k * xd) * (yn + k * xd)
         if num_step == 0:
             break  # later terms are all exactly zero
-        num_step *= spec.z.numerator
-        den_step = (k + 1) * spec.z.denominator
-        for a in spec.upper:
-            den_step *= a.denominator
-        for b in spec.lower:
-            f = b.numerator + k * b.denominator
-            if f == 0:
-                raise PoleInLowerParameter(f"lower parameter {b} hits a pole at k={k}")
-            den_step *= f
-            num_step *= b.denominator
+        den_step = (xd * (k + 1)) ** 2
         term *= num_step
         acc *= den_step
         den *= den_step
@@ -122,24 +112,12 @@ def truncated_series_exact(spec: SeriesSpec) -> Fraction:
 _LEAF = 16
 
 
-def _ratio_factors(spec: SeriesSpec, stop: int) -> tuple[list[int], list[int]]:
+def _ratio_factors(x: Fraction, stop: int) -> tuple[list[int], list[int]]:
     """Integer numerators and denominators of t_{k+1} / t_k for 0 <= k < stop."""
+    xn, xd = x.numerator, x.denominator
+    yn = xd - xn
     ks = range(stop)
-    c = spec.z.numerator
-    for b in spec.lower:
-        c *= b.denominator
-    nums = [c] * stop
-    for a in spec.upper:
-        an, ad = a.numerator, a.denominator
-        nums = [x * (an + k * ad) for x, k in zip(nums, ks)]
-    c = spec.z.denominator
-    for a in spec.upper:
-        c *= a.denominator
-    dens = [c * (k + 1) for k in ks]
-    for b in spec.lower:
-        bn, bd = b.numerator, b.denominator
-        dens = [x * (bn + k * bd) for x, k in zip(dens, ks)]
-    return nums, dens
+    return [(xn + k * xd) * (yn + k * xd) for k in ks], [(xd * (k + 1)) ** 2 for k in ks]
 
 
 def _split(
@@ -167,49 +145,27 @@ def _split(
     return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _first_root(params: tuple[Fraction, ...], limit: int) -> tuple[int, int] | None:
-    """The least (k, i) with params[i] + k == 0 and k < limit, or None."""
-    roots = [
-        (-a.numerator, i)
-        for i, a in enumerate(params)
-        if a.denominator == 1 and 0 <= -a.numerator < limit
-    ]
-    return min(roots, default=None)
-
-
 def window_residue_exact(
     spec: SeriesSpec, k_start: int, k_stop: int, ctx: PrimePower
 ) -> Residue:
     """Sum of terms k_start <= k < k_stop, evaluated exactly, reduced mod p^e.
 
-    The terms below ``stop`` exist, where ``stop`` is k_stop or one past the
-    first step with a zero upper factor, whichever comes first.  With the
-    ratio factors of the steps below stop - 1, the sum is
+    With the ratio factors of the steps below k_stop - 1, the sum is
     P0 (Q1 + T1) / (Q0 Q1): P0 / Q0 is term k_start, and (Q1, T1) come
     from binary splitting over the window, both by `_split` (Haible and
     Papanikolaou, "Fast multiprecision evaluation of series of rational
-    numbers", ANTS-III, 1998).  The p-power of Q0 Q1 is split off once,
-    the numerator is taken mod p^(v+e) once, and the p-free part of the
-    denominator is inverted once.
-
-    Agrees with ``residue_from_rational(window_sum_exact(...))`` in value,
-    raised type and message: a pole at step k raises only if the step is
-    taken (k + 1 < stop), and a sum that is not p-integral is handed to
-    that route, which names the reduced fraction.
+    numbers", ANTS-III, 1998).  The p-power of Q0 Q1 is split off once, the
+    numerator is taken mod p^(v+e) once, and the p-free part of the
+    denominator is inverted once.  For an integer x a zero factor zeroes
+    every later product exactly, so the window needs no early end.  Agrees
+    with ``residue_from_rational(window_sum_exact(...))``.
     """
+    _check_x(spec, ctx.p)
     if k_stop <= k_start:
         return Residue(0, ctx)
-    dead = _first_root(spec.upper, k_stop)
-    stop = k_stop if dead is None else dead[0] + 1
-    pole = _first_root(spec.lower, stop - 1)
-    if pole is not None:
-        k, i = pole
-        raise PoleInLowerParameter(f"lower parameter {spec.lower[i]} hits a pole at k={k}")
-    if stop <= k_start:
-        return Residue(0, ctx)
-    nums, dens = _ratio_factors(spec, stop - 1)
+    nums, dens = _ratio_factors(spec.x, k_stop - 1)
     p0, q0, _ = _split(nums, dens, 0, k_start)
-    _, q1, t1 = _split(nums, dens, k_start, stop - 1, need_p=False)
+    _, q1, t1 = _split(nums, dens, k_start, k_stop - 1, need_p=False)
     p, m = ctx.p, ctx.modulus
     v0, u0 = split_p_power(q0, p)
     v1, u1 = split_p_power(q1, p)
@@ -217,7 +173,7 @@ def window_residue_exact(
     wide = pv * m
     num = p0 % wide * ((q1 + t1) % wide) % wide
     if num % pv:
-        return residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
+        raise InternalError(f"F({spec.x}) over [{k_start}, {k_stop}) is not {p}-integral")
     # the sum is (num / p^v) / (u0 u1) with a unit denominator
     return residue_from_rational(Fraction(num // pv, u0 * u1 % m), ctx)
 
@@ -225,24 +181,11 @@ def window_residue_exact(
 # --- modular engine --------------------------------------------------------
 
 
-def _int_pairs(spec: SeriesSpec, p: int):
-    for a in (*spec.upper, *spec.lower, spec.z):
-        if a.denominator % p == 0:
-            raise NonUnitDenominator(f"series parameter {a} has denominator divisible by {p}")
-    if spec.z.numerator % p == 0:
-        raise NonUnitDenominator(f"series argument {spec.z} is not a unit mod {p}")
-    upper = tuple((a.numerator, a.denominator) for a in spec.upper)
-    lower = tuple((b.numerator, b.denominator) for b in spec.lower)
-    return upper, lower
-
-
 def window_sum_mod(spec: SeriesSpec, k_start: int, k_stop: int, ctx: PrimePower) -> Residue:
     """Sum of terms k_start <= k < k_stop reduced mod p^e."""
-    upper, lower = _int_pairs(spec, ctx.p)
-    value = _kernel.series_window_mod(
-        upper, lower, spec.z.numerator, spec.z.denominator, k_start, k_stop, ctx.p, ctx.e
-    )
-    return Residue(value, ctx)
+    _check_x(spec, ctx.p)
+    xn, xd = spec.x.numerator, spec.x.denominator
+    return Residue(_kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop), ctx)
 
 
 def truncated_series_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:

@@ -20,8 +20,9 @@ checker bug, but it is reported like any other failure (a FAIL record,
 exit 1); ``identity`` suites are exact equalities; ``conjecture`` suites
 report neutrally and attach an exact-oracle recomputation to any failure;
 ``exploratory`` suites sweep beyond proved territory and are expected to
-surface counterexamples.  Exit 3 comes only from an engine disagreement
-or from a `NegativeValuation` in a theorem or identity suite.
+surface counterexamples.  Exit 3 comes only from an engine disagreement,
+an `InternalError` raised by an engine self-check (such as a series sum
+that is not p-integral) or an unexpected exception in a check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from . import identities, padic, series, special
 from .errors import (
     BudgetExceeded,
     InternalError,
-    NegativeValuation,
     NonUnitDenominator,
     UsageError,
     VerifyError,
@@ -385,44 +385,58 @@ def gen_lemma4(sweep):
 
 # Residue rows of the lemma4 and lemma4-binom right sides, for the latest
 # (p, p^e) only, since both suites finish one prime before the next:
-# (p, p^e) -> x -> (term, weight, binom, closed, h), where entry k < p of
-# each row is the residue of term_exact(k), p (T_k - 2 H_k),
-# binomial_product(k) and p (closed form - 2 H_k), and h is 2p H_floor(px).
-# For the four quartic x and p >= 5 every factor is p-integral: base^k is a
-# unit, H_k and H_floor(px) have indices below p, and i < k < p puts at
-# most one p in each denominator of T_k and of the H_{dk} in its closed
-# form.  So reducing factor by factor equals reducing the exact product.
-_LEMMA4_ROWS: dict[tuple[int, int], dict[Fraction, tuple]] = {}
+# (p, p^e) -> (builder, x) -> rows.  Each suite builds only the rows it
+# reads, where entry k < p of a row is the residue of term_exact(k),
+# p (T_k - 2 H_k), binomial_product(k) or p (closed form - 2 H_k), and h
+# is 2p H_floor(px).  For the four quartic x and p >= 5 every factor is
+# p-integral: base^k is a unit, H_k and H_floor(px) have indices below p,
+# and i < k < p puts at most one p in each denominator of T_k and of the
+# H_{dk} in its closed form.  So reducing factor by factor equals reducing
+# the exact product.
+_LEMMA4_ROWS: dict[tuple[int, int], dict[tuple, tuple]] = {}
+
+
+def _latest_rows(build, x: Fraction, ctx: PrimePower) -> tuple:
+    """``build(x, ctx)``, kept while (p, p^e) stays the same."""
+    by_key = _LEMMA4_ROWS.get((ctx.p, ctx.modulus))
+    if by_key is None:
+        _LEMMA4_ROWS.clear()
+        by_key = _LEMMA4_ROWS[ctx.p, ctx.modulus] = {}
+    rows = by_key.get((build, x))
+    if rows is None:
+        rows = by_key[build, x] = build(x, ctx)
+    return rows
 
 
 def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
+    """(term, weight, h) for lemma4."""
     p, m = ctx.p, ctx.modulus
-    by_x = _LEMMA4_ROWS.get((p, m))
-    if by_x is None:
-        _LEMMA4_ROWS.clear()
-        by_x = _LEMMA4_ROWS[p, m] = {}
-    rows = by_x.get(x)
-    if rows is None:
-        fam = QUARTIC_BY_X[x]
-        weights = identities.partial_fraction_weights(x, p - 1)
+    fam = QUARTIC_BY_X[x]
+    weights = identities.partial_fraction_weights(x, p - 1)
+    inv_base = pow(fam.base, -1, m)
 
-        def reduce(q):
-            return residue_from_rational(q, ctx).value
+    def reduce(q):
+        return residue_from_rational(q, ctx).value
 
-        binom = [fam.binomial_product(k) % m for k in range(p)]
-        inv_base = pow(fam.base, -1, m)
-        two_h = [2 * special.harmonic_exact(k) for k in range(p)]
-        rows = by_x[x] = (
-            [b * pow(inv_base, k, m) % m for k, b in enumerate(binom)],
-            [reduce(p * (weights[k] - two_h[k])) for k in range(p)],
-            binom,
-            [
-                reduce(p * (identities.partial_fraction_closed_form(k, x) - two_h[k]))
-                for k in range(p)
-            ],
-            reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
-        )
-    return rows
+    return (
+        [fam.binomial_product(k) * pow(inv_base, k, m) % m for k in range(p)],
+        [reduce(p * (weights[k] - 2 * special.harmonic_exact(k))) for k in range(p)],
+        reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
+    )
+
+
+def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> tuple:
+    """(binom, closed) for lemma4-binom."""
+    p, m = ctx.p, ctx.modulus
+    fam = QUARTIC_BY_X[x]
+    closed = (
+        identities.partial_fraction_closed_form(k, x) - 2 * special.harmonic_exact(k)
+        for k in range(p)
+    )
+    return (
+        [fam.binomial_product(k) % m for k in range(p)],
+        [residue_from_rational(p * q, ctx).value for q in closed],
+    )
 
 
 def check_lemma4(params, sweep, dual):
@@ -435,7 +449,7 @@ def check_lemma4(params, sweep, dual):
         lambda: residue_from_rational(fam.term_exact(m), ctx),
     )
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
-    term, weight, _, _, h = _lemma4_rows(x, ctx)
+    term, weight, h = _latest_rows(_lemma4_rows, x, ctx)
     t_r = residue_from_rational(fam.term_exact(r), ctx)
     rhs = t_r * term[k] * (1 + r * (h + weight[k]))
     return _congruence_report(lhs, rhs, label)
@@ -451,7 +465,7 @@ def check_lemma4_binom(params, sweep, dual):
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
     # closed form, from the rows
-    _, _, binom, closed, _ = _lemma4_rows(x, ctx)
+    binom, closed = _latest_rows(_lemma4_binom_rows, x, ctx)
     rhs = Residue(fam.binomial_product(r) * binom[k] * (1 + r * closed[k]), ctx)
     return _congruence_report(lhs, rhs, "exact")
 
@@ -511,7 +525,7 @@ def check_chain_reflect(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.series_spec((-q, 1 + q), (1,), 1, p), ctx)
+    lhs, label = _series(dual, series.two_f_one(-q, p), ctx)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -549,7 +563,7 @@ def check_chain_jet(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.series_spec((-q, 1 + q), (1,), 1, p), ctx)
+    lhs, label = _series(dual, series.two_f_one(-q, p), ctx)
     m = special.least_residue(x, p)
     delta = (q - m) / p
     a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
@@ -1155,10 +1169,6 @@ def run_instance(
     t0 = time.perf_counter()
     try:
         rep = suite.check(params, sweep, dual)
-    except NegativeValuation as ex:
-        if suite.kind in ("theorem", "identity"):
-            raise InternalError(f"{suite_id} {params}: {ex}") from ex
-        rep = _error_report(ex)
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

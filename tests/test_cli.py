@@ -333,6 +333,43 @@ def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
     assert digest == IDENTITIES_DIGEST
 
 
+# SHA-256 of the `verify rv-x --p-max 31` json-lines stream, elapsed fields
+# stripped, recorded before the series layer was specialized to F(x; N):
+# general x and the n*p sums, with genuine counterexamples (exit 1)
+RV_X_P31_DIGESTS = {
+    "modular": "970121a2cb622f70de69c98557705747c99c98be58303f5a641ea86133a6c2a7",
+    "exact": "611cdf70d999f7f02853e340036f0fd272f7d520d734913015843d23cf2bca60",
+    "both": "13efe4360c52b9a3c43d94d19affdfb44420d985335878bd5e9470f77b60839f",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(RV_X_P31_DIGESTS))
+def test_rv_x_stream_matches_pinned_digest(capsys, engine):
+    code, out, _ = run_main(
+        capsys, "rv-x", "--p-max", "31", "--engine", engine, "--format", "json-lines"
+    )
+    lines = _strip_elapsed(out)
+    assert code == 1 and len(lines) == 349
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RV_X_P31_DIGESTS[engine]
+
+
+# The same for the series kernel at p^6, on the p^r sums and the blocks
+# [r p, (r+1) p), recorded at the same point
+E6_P31_DIGEST = "6413f6539aac68afe1581686cd87135c772d82de3b9204ac60b3ea3f091b7f4c"
+
+
+def test_mod_exp_six_stream_matches_pinned_digest(capsys):
+    code, out, _ = run_main(
+        capsys, "thm1", "rv", "chain-block", "chain-product", "--p-max", "31",
+        "--mod-exp", "6", "--r", "0,1,2,3", "--format", "json-lines",
+    )
+    lines = _strip_elapsed(out)
+    assert code == 1 and len(lines) == 397
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == E6_P31_DIGEST
+
+
 def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):
     # identity-negation has identity_max^2 instances; a prebuilt item list
     # of 40,200 tuples peaks near 11 MB, a lazy walk well under 1 MB

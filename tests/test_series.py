@@ -1,5 +1,6 @@
 """Series evaluation: exact engine, modular engine, factorial table, families."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -7,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercheck import _kernel, series
-from hypercheck.errors import NegativeValuation, NonUnitDenominator, PoleInLowerParameter
+from hypercheck.errors import InternalError, NonUnitDenominator
 from hypercheck.padic import PrimePower, Residue, is_prime, residue_from_rational
 from hypercheck.series import (
     QUARTIC_BY_X,
     QUARTICS,
     pochhammer_exact,
-    series_spec,
     truncated_series_exact,
     truncated_series_mod,
     two_f_one,
@@ -25,19 +25,22 @@ from hypercheck.series import (
 PRIMES = (5, 7, 11, 13, 31, 97)
 
 
-def brute_series(upper, lower, z, terms) -> Fraction:
-    """Oracle: term-by-term rational sum straight from the definition."""
-    total = Fraction(0)
-    for k in range(terms):
-        t = Fraction(z) ** k
-        for a in upper:
-            t *= pochhammer_exact(a, k)
-        for b in lower:
-            pk = pochhammer_exact(b, k)
-            t /= pk
-        t /= Fraction(1) * pochhammer_exact(1, k)  # the implicit k!
-        total += t
-    return total
+def brute_term(x, k) -> Fraction:
+    """t_k(x) = (x)_k (1-x)_k / (k!)^2, straight from the definition."""
+    return pochhammer_exact(x, k) * pochhammer_exact(1 - x, k) / pochhammer_exact(1, k) ** 2
+
+
+def brute_series(x, terms) -> Fraction:
+    """Oracle: F(x; terms) term by term."""
+    return sum((brute_term(x, k) for k in range(terms)), Fraction(0))
+
+
+def generalized_binomial(y: Fraction, k: int) -> Fraction:
+    """C(y, k) = y (y-1) ... (y-k+1) / k! for rational y."""
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (y - i) / (i + 1)
+    return out
 
 
 @given(st.integers(min_value=0, max_value=30), st.fractions(max_denominator=8))
@@ -59,14 +62,33 @@ def test_spot_value_length_five():
     assert residue_from_rational(total, PrimePower(5, 2)).value == 1
 
 
+@st.composite
+def p_integral_xs(draw):
+    """(p, x) with x = a/b, b <= 12 prime to p and |a| <= 3p."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    b = draw(st.integers(min_value=1, max_value=12).filter(lambda d: d % p))
+    return p, Fraction(draw(st.integers(min_value=-3 * p, max_value=3 * p)), b)
+
+
+@settings(max_examples=300)
+@given(p_integral_xs(), st.data())
+def test_every_term_is_p_integral(px, data):
+    # t_k(x) = C(x+k-1, k) C(k-x, k), and C(Y, k) maps Z_p into Z_p: this is
+    # why neither engine has a negative-valuation or non-integral-sum path
+    p, x = px
+    k = data.draw(st.integers(min_value=0, max_value=5 * p - 1))
+    upper = generalized_binomial(x + k - 1, k)
+    lower = generalized_binomial(k - x, k)
+    assert upper * lower == brute_term(x, k)
+    assert upper.denominator % p and lower.denominator % p
+
+
 @given(
-    st.fractions(max_denominator=9, min_value=Fraction(-4), max_value=4),
     st.fractions(max_denominator=9, min_value=Fraction(-4), max_value=4),
     st.integers(min_value=0, max_value=25),
 )
-def test_exact_engine_matches_brute_force(a, b, terms):
-    spec = series_spec((a, b), (1,), 1, terms)
-    assert truncated_series_exact(spec) == brute_series((a, b), (Fraction(1),), 1, terms)
+def test_exact_engine_matches_brute_force(x, terms):
+    assert truncated_series_exact(two_f_one(x, terms)) == brute_series(x, terms)
 
 
 @given(
@@ -77,7 +99,7 @@ def test_exact_engine_matches_brute_force(a, b, terms):
 )
 def test_window_sums_concatenate(a, cut1, cut2, tail):
     lo, mid, hi = sorted((cut1, cut2, cut1 + tail))
-    spec = series_spec((a, 1 - a), (1,), 1, hi)
+    spec = two_f_one(a, hi)
     assert window_sum_exact(spec, 0, lo) + window_sum_exact(
         spec, lo, mid
     ) + window_sum_exact(spec, mid, hi) == truncated_series_exact(spec)
@@ -88,105 +110,78 @@ def test_window_sums_concatenate(a, cut1, cut2, tail):
     st.sampled_from(PRIMES),
     st.integers(min_value=1, max_value=4),
     st.fractions(max_denominator=9, min_value=Fraction(-4), max_value=4),
-    st.fractions(max_denominator=9, min_value=Fraction(-4), max_value=4),
     st.integers(min_value=0, max_value=120),
 )
-def test_modular_engine_matches_exact_reduction(p, e, a, b, terms):
-    if a.denominator % p == 0 or b.denominator % p == 0:
+def test_modular_engine_matches_exact_reduction(p, e, x, terms):
+    if x.denominator % p == 0:
         return
     ctx = PrimePower(p, e)
-    spec = series_spec((a, b), (1,), 1, terms)
-    exact = truncated_series_exact(spec)
-    got = truncated_series_mod(spec, ctx)
-    if exact.denominator % p:
-        assert got == residue_from_rational(exact, ctx)
-    # a p in the denominator can only come from a pole-free cancellation
-    # pattern that the scaled window engine resolves; covered by suite runs
+    spec = two_f_one(x, terms)
+    assert truncated_series_mod(spec, ctx) == residue_from_rational(
+        truncated_series_exact(spec), ctx
+    )
 
 
 def test_dead_break_on_negative_integer_upper():
-    # upper parameter -3 kills every term past k = 3
-    spec = series_spec((-3, Fraction(1, 2)), (1,), 1, 50)
-    short = series_spec((-3, Fraction(1, 2)), (1,), 1, 4)
-    assert truncated_series_exact(spec) == truncated_series_exact(short)
+    # x = -3 kills every term past k = 3, and so does 1 - x = -3 at x = 4
     ctx = PrimePower(7, 2)
-    assert truncated_series_mod(spec, ctx) == truncated_series_mod(short, ctx)
-
-
-def test_pole_in_lower_parameter_raises():
-    spec = series_spec((Fraction(1, 2), Fraction(1, 3)), (-2,), 1, 10)
-    with pytest.raises(PoleInLowerParameter):
-        truncated_series_exact(spec)
-    with pytest.raises(PoleInLowerParameter):
-        truncated_series_mod(spec, PrimePower(7, 2))
-
-
-def test_lower_pole_not_reached_is_fine():
-    spec = series_spec((Fraction(1, 2), Fraction(1, 3)), (-12,), 1, 5)
-    assert truncated_series_exact(spec) == brute_series(
-        (Fraction(1, 2), Fraction(1, 3)), (Fraction(-12),), 1, 5
-    )
+    for x in (-3, 4):
+        spec, short = two_f_one(x, 50), two_f_one(x, 4)
+        assert truncated_series_exact(spec) == truncated_series_exact(short) != 0
+        assert truncated_series_mod(spec, ctx) == truncated_series_mod(short, ctx)
+        assert window_residue_exact(spec, 0, 50, ctx) == truncated_series_mod(short, ctx)
+        assert window_residue_exact(spec, 4, 50, ctx) == Residue(0, ctx)
 
 
 def test_non_unit_series_parameters_rejected():
     ctx = PrimePower(5, 2)
-    with pytest.raises(NonUnitDenominator):
-        truncated_series_mod(two_f_one(Fraction(1, 5), 7), ctx)
-    with pytest.raises(NonUnitDenominator):
-        truncated_series_mod(series_spec((1,), (1,), Fraction(1, 5), 7), ctx)
-    with pytest.raises(NonUnitDenominator):
-        truncated_series_mod(series_spec((1,), (1,), Fraction(5, 2), 7), ctx)
+    for x in (Fraction(1, 5), Fraction(-2, 15)):
+        with pytest.raises(NonUnitDenominator, match=f"series parameter {x} has"):
+            truncated_series_mod(two_f_one(x, 7), ctx)
+        with pytest.raises(NonUnitDenominator, match=f"series parameter {x} has"):
+            window_residue_exact(two_f_one(x, 7), 0, 7, ctx)
+
+
+def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
+    # unreachable unless the ratio factors are wrong: every term is p-integral
+    ratio_factors = series._ratio_factors
+
+    def one_p_too_many(x, stop):
+        nums, dens = ratio_factors(x, stop)
+        return nums, [5 * d for d in dens]
+
+    monkeypatch.setattr(series, "_ratio_factors", one_p_too_many)
+    with pytest.raises(InternalError, match="is not 5-integral"):
+        window_residue_exact(two_f_one(Fraction(1, 2), 3), 0, 3, PrimePower(5, 2))
 
 
 @st.composite
 def oracle_cases(draw):
-    """Windows for the exact oracle: 1-3 uppers and 0-2 lowers, integer
-    parameters (zero uppers and poles) and p-divisible denominators
-    (sums that are not p-integral), z != 1, any k_start and e in 1..6."""
+    """Windows of F(x; N) for the exact oracle: integer x (dead terms)
+    among p-integral x, k_stop at p, 2p, p^2 or up to 4p, any k_start and
+    e in 1..6."""
     p = draw(st.sampled_from((5, 7, 11, 13)))
-    den = st.sampled_from((1, 1, 2, 3, 4, 6, p))
-    param = st.builds(Fraction, st.integers(min_value=-2 * p, max_value=2 * p), den)
-    z = st.builds(
-        Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from((1, 2, 3, p))
-    ).filter(lambda q: q != 1)
+    den = draw(st.sampled_from((1, 1, 2, 3, 4, 6)))
+    x = Fraction(draw(st.integers(min_value=-2 * p, max_value=2 * p)), den)
     k_stop = draw(
         st.one_of(st.sampled_from((p, 2 * p, p * p)), st.integers(min_value=0, max_value=4 * p))
     )
-    spec = series_spec(
-        draw(st.lists(param, min_size=1, max_size=3)),
-        draw(st.lists(param, max_size=2)),
-        draw(z),
-        k_stop,
-    )
     k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
-    return spec, k_start, k_stop, PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
-
-
-def oracle_outcome(fn):
-    """The value ``fn`` returns, or the type and message it raised."""
-    try:
-        return fn().value
-    except (NonUnitDenominator, PoleInLowerParameter) as ex:
-        return type(ex), str(ex)
+    ctx = PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
+    return two_f_one(x, k_stop), k_start, k_stop, ctx
 
 
 @settings(max_examples=400)
 @given(oracle_cases())
-# a zero upper before a pole, at the same step, and after it
-@example((series_spec((-2, Fraction(1, 2)), (-4,), -3, 20), 1, 20, PrimePower(7, 3)))
-@example((series_spec((Fraction(1, 3), -3), (-3,), Fraction(2, 5), 20), 2, 20, PrimePower(7, 6)))
-@example((series_spec((-5, Fraction(1, 2)), (-2,), 2, 20), 1, 20, PrimePower(7, 2)))
-# the pole step k = 4 is taken only when k_stop > 5
-@example((series_spec((Fraction(1, 2),), (-4,), 3, 5), 2, 5, PrimePower(7, 2)))
-@example((series_spec((Fraction(1, 2),), (-4,), 3, 6), 2, 6, PrimePower(7, 2)))
-# not p-integral: (1/2)_3 puts 5 in the denominator of term 3
-@example((series_spec((1, 1), (Fraction(1, 2),), 3, 6), 1, 6, PrimePower(5, 3)))
+# a zero factor before the window, inside it and at its last step
+@example((two_f_one(-2, 20), 4, 20, PrimePower(7, 3)))
+@example((two_f_one(4, 20), 2, 20, PrimePower(7, 6)))
+@example((two_f_one(-5, 6), 1, 6, PrimePower(7, 2)))
+@example((two_f_one(0, 5), 0, 5, PrimePower(5, 2)))
 def test_binary_splitting_oracle_matches_fraction_route(case):
     spec, k_start, k_stop, ctx = case
-    want = oracle_outcome(
-        lambda: residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
-    )
-    assert oracle_outcome(lambda: window_residue_exact(spec, k_start, k_stop, ctx)) == want
+    want = residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
+    assert window_residue_exact(spec, k_start, k_stop, ctx) == want
 
 
 def test_binary_splitting_oracle_on_long_windows():
@@ -200,12 +195,20 @@ def test_binary_splitting_oracle_on_long_windows():
                 assert window_residue_exact(spec, lo, hi, ctx) == want
 
 
+def test_kernel_takes_k_stop_sixth():
+    # perfbench's tracer counts the sixth positional argument as kernel.terms
+    params = list(inspect.signature(_kernel.series_window_mod).parameters)
+    assert params[5] == "k_stop"
+
+
 @st.composite
 def kernel_windows(draw):
-    """Kernel arguments in its domain: every denominator and zn prime to p."""
+    """Kernel arguments (xn, xd, p, e, k_start, k_stop) in its domain: x =
+    xn/xd reduced with xd <= 12 prime to p and |xn| <= 3p, so integer x
+    kill terms."""
     p = draw(st.sampled_from((5, 7, 11, 13)))
-    unit = st.integers(min_value=1, max_value=12).filter(lambda d: d % p)
-    param = st.tuples(st.integers(min_value=-3 * p, max_value=3 * p), unit)
+    xd = draw(st.integers(min_value=1, max_value=12).filter(lambda d: d % p))
+    x = Fraction(draw(st.integers(min_value=-3 * p, max_value=3 * p)), xd)
     k_stop = draw(
         st.one_of(
             st.sampled_from((p, p * p, p**3)),
@@ -213,82 +216,32 @@ def kernel_windows(draw):
         )
     )
     return (
-        tuple(draw(st.lists(param, max_size=3))),
-        tuple(draw(st.lists(param, max_size=2))),
-        draw(st.integers(min_value=-40, max_value=40).filter(lambda n: n % p)),
-        draw(unit),
-        draw(st.integers(min_value=0, max_value=k_stop)),
-        k_stop,
+        x.numerator,
+        x.denominator,
         p,
         draw(st.integers(min_value=1, max_value=6)),
+        draw(st.integers(min_value=0, max_value=k_stop)),
+        k_stop,
     )
 
 
-def first_term_not_p_integral(spec, k_stop, p):
-    """Index of the first term k < k_stop with p in its denominator, or None.
-
-    Walks the exact term ratio like `window_sum_exact`: a zero upper factor
-    ends the walk, and a pole raises before the term past it exists.
-    """
-    term = Fraction(1)
-    for k in range(k_stop):
-        if term.denominator % p == 0:
-            return k
-        if k + 1 >= k_stop:
-            break
-        step = spec.z
-        for a in spec.upper:
-            step *= a + k
-        if step == 0:
-            break
-        step /= k + 1
-        for b in spec.lower:
-            if b + k == 0:
-                raise PoleInLowerParameter(f"lower parameter {b} hits a pole at k={k}")
-            step /= b + k
-        term *= step
-    return None
-
-
-def kernel_outcome(window):
-    """The kernel's value for a window, or the type and message it raised."""
-    try:
-        return _kernel.series_window_mod(*window)
-    except (NegativeValuation, PoleInLowerParameter) as ex:
-        return type(ex), str(ex)
-
-
-def fresh_outcome(window):
-    """`kernel_outcome` on an emptied walker table; the real table is untouched."""
+def fresh_window(window):
+    """The kernel's value on an emptied walker table; the real table is untouched."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_WALKERS", {})
-        return kernel_outcome(window)
+        return _kernel.series_window_mod(*window)
 
 
 def assert_matches_exact_oracle(window, got):
-    upper, lower, zn, zd, k_start, k_stop, p, e = window
-    spec = series_spec(
-        [Fraction(*a) for a in upper], [Fraction(*b) for b in lower], Fraction(zn, zd), 0
-    )
-    try:
-        bad = first_term_not_p_integral(spec, k_stop, p)
-    except PoleInLowerParameter:
-        with pytest.raises(PoleInLowerParameter):
-            window_sum_exact(spec, 0, k_stop)
-        assert got[0] is PoleInLowerParameter
-        return
-    if bad is not None:
-        # the walk stops at the first term with p in its denominator, even
-        # when window_sum_exact would run on into a pole further along
-        assert got[0] is NegativeValuation and got[1].startswith(f"term {bad} "), got
-        return
+    xn, xd, p, e, k_start, k_stop = window
+    spec = two_f_one(Fraction(xn, xd), k_stop)
     ctx = PrimePower(p, e)
     assert got == residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx).value
 
 
 @given(kernel_windows())
 def test_pure_kernel_matches_exact_oracle(window):
-    assert_matches_exact_oracle(window, fresh_outcome(window))
+    assert_matches_exact_oracle(window, fresh_window(window))
 
 
 @st.composite
@@ -296,36 +249,33 @@ def window_sequences(draw, series_count=1):
     """2-8 windows on up to ``series_count`` series, stops in any order."""
     series_args = []
     for _ in range(series_count):
-        upper, lower, zn, zd, _, _, p, e = draw(kernel_windows())
-        series_args.append((upper, lower, zn, zd, p, e))
+        xn, xd, p, e, _, _ = draw(kernel_windows())
+        series_args.append((xn, xd, p, e))
     out = []
     for _ in range(draw(st.integers(min_value=2, max_value=8))):
-        upper, lower, zn, zd, p, e = draw(st.sampled_from(series_args))
+        xn, xd, p, e = draw(st.sampled_from(series_args))
         k_stop = draw(
             st.one_of(st.sampled_from((p, p * p)), st.integers(min_value=0, max_value=4 * p))
         )
         k_start = draw(st.integers(min_value=0, max_value=k_stop))
-        out.append((upper, lower, zn, zd, k_start, k_stop, p, e))
+        out.append((xn, xd, p, e, k_start, k_stop))
     return out
 
 
-HALF = ((1, 2), (1, 2))  # the 2F1 at x = 1/2
-DEAD = ((-3, 1), (1, 2))  # upper -3 kills every term past k = 3
+HALF = (1, 2)  # F(1/2; N)
+DEAD = (-3, 1)  # x = -3 kills every term past k = 3
 
 
 @settings(max_examples=300)
 @given(window_sequences())
-@example([(HALF, ((1, 1),), 1, 1, 14, 21, 7, 3), (HALF, ((1, 1),), 1, 1, 7, 14, 7, 3)])
-@example([(DEAD, ((1, 1),), 1, 1, 2, 40, 7, 3), (DEAD, ((1, 1),), 1, 1, 1, 3, 7, 3)])
-@example(  # a pole at k = 2: term 3 cannot be built, stop 3 still can
-    [(HALF, ((-2, 1),), 1, 1, 1, 10, 7, 2), (HALF, ((-2, 1),), 1, 1, 1, 3, 7, 2)]
-)
-@example([((), (), 1, 1, 3, 12, 5, 2), ((), (), 1, 1, 2, 5, 5, 2)])  # 1/5! at term 5
+@example([(*HALF, 7, 3, 14, 21), (*HALF, 7, 3, 7, 14)])
+@example([(*DEAD, 7, 3, 2, 40), (*DEAD, 7, 3, 1, 3)])
+@example([(4, 1, 5, 2, 1, 12), (4, 1, 5, 2, 0, 4), (4, 1, 5, 2, 2, 3)])  # 1 - x = -3
 def test_walker_requests_match_fresh_walks_and_oracle(windows):
     _kernel._WALKERS.clear()
     for window in windows:
-        got = kernel_outcome(window)
-        assert got == fresh_outcome(window)
+        got = _kernel.series_window_mod(*window)
+        assert got == fresh_window(window)
         assert_matches_exact_oracle(window, got)
 
 
@@ -335,8 +285,8 @@ def test_evicted_walkers_restart_cleanly(windows):
         mp.setattr(_kernel, "WALKER_LIMIT", 2)
         mp.setattr(_kernel, "_WALKERS", {})
         for window in windows:
-            got = kernel_outcome(window)
-            assert got == fresh_outcome(window)
+            got = _kernel.series_window_mod(*window)
+            assert got == fresh_window(window)
             assert_matches_exact_oracle(window, got)
             assert len(_kernel._WALKERS) <= 2
 
@@ -373,12 +323,7 @@ def test_quartic_families_table():
 @given(st.sampled_from(QUARTICS), st.integers(min_value=0, max_value=40))
 def test_family_term_equals_series_term(fam, n):
     # binomial-product over base^n is the same rational as the n-th series term
-    expect = (
-        pochhammer_exact(fam.x, n)
-        * pochhammer_exact(1 - fam.x, n)
-        / pochhammer_exact(1, n) ** 2
-    )
-    assert fam.term_exact(n) == expect
+    assert fam.term_exact(n) == brute_term(fam.x, n)
 
 
 @given(
