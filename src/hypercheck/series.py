@@ -58,15 +58,6 @@ def two_f_one(x: PadicInput, terms: int) -> SeriesSpec:
     return SeriesSpec(as_fraction(x), terms)
 
 
-def pochhammer_exact(a: PadicInput, k: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+k-1)."""
-    q = as_fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= q + i
-    return out
-
-
 def _check_x(spec: SeriesSpec, p: int) -> None:
     if spec.x.denominator % p == 0:
         raise NonUnitDenominator(f"series parameter {spec.x} has denominator divisible by {p}")

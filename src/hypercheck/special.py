@@ -3,7 +3,10 @@ numbers, Euler and Bernoulli numbers/polynomials, the Apery sequence, and
 the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
-against the other.  All sequence caches are append-only module state.
+against the other.  The sequence caches are module state.  The harmonic
+caches grow by appending; the Euler and Bernoulli tables are built from the
+secant and tangent numbers on first use and rebuilt, to at least twice
+their length, when an index lies past their end.
 """
 
 from __future__ import annotations
@@ -64,8 +67,14 @@ _H_EXACT: list[Fraction] = [Fraction(0)]
 _H_MOD: dict[PrimePower, list[int]] = {}
 
 
+def _require_index(name: str, m: int) -> None:
+    if m < 0:
+        raise ValueError(f"{name}_{m}: index must be >= 0")
+
+
 def harmonic_exact(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n as an exact rational."""
+    _require_index("H", n)
     while len(_H_EXACT) <= n:
         k = len(_H_EXACT)
         _H_EXACT.append(_H_EXACT[-1] + Fraction(1, k))
@@ -74,6 +83,7 @@ def harmonic_exact(n: int) -> Fraction:
 
 def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
     """H_n mod p^e by modular inversion; only indices below p are units."""
+    _require_index("H", n)
     if n >= ctx.p:
         raise IndexTooLarge(f"H_{n} mod {ctx.p}^{ctx.e}: index must stay below p")
     cache = _H_MOD.setdefault(ctx, [0])
@@ -85,20 +95,56 @@ def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
 
 
 # --- Euler and Bernoulli numbers ------------------------------------------
+#
+# Both tables come from the in-place integer recurrences of Brent and Harvey,
+# "Fast computation of Bernoulli, Tangent and Secant numbers" (2011): the
+# secant numbers S_n give E_2n = (-1)^n S_n, and the tangent numbers T_n give
+# B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).  Those loops cannot extend a
+# finished table by one index, so a table too short for E_m or B_m is
+# rebuilt to at least twice its length; a sweep over rising indices then
+# rebuilds it O(log m) times.
+
+
+def _secant_numbers(n: int) -> list[int]:
+    """S_0..S_n, where sec x = sum_k S_k x^(2k) / (2k)!."""
+    s = [1] * (n + 1)
+    for k in range(1, n + 1):
+        s[k] = k * s[k - 1]
+    for k in range(1, n + 1):
+        for j in range(k + 1, n + 1):
+            s[j] = (j - k) * s[j - 1] + (j - k + 1) * s[j]
+    return s
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_0..T_n with T_0 = 0, where tan x = sum_k T_k x^(2k-1) / (2k-1)!."""
+    t = [0] + [1] * n
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
 
 _EULER: list[int] = [1]  # E_0, E_1, ... (odd entries are 0)
 
 
+def _euler_table(m: int) -> list[int]:
+    """The Euler table through at least E_m."""
+    _require_index("E", m)
+    if len(_EULER) <= m:
+        size = max(m + 1, 2 * len(_EULER))
+        secants = _secant_numbers((size - 1) // 2)
+        table = [0] * size
+        table[::2] = [-s if n % 2 else s for n, s in enumerate(secants)]
+        _EULER[:] = table
+    return _EULER
+
+
 def euler_number_exact(m: int) -> int:
     """Euler number E_m (integer; E_m = 0 for odd m)."""
-    while len(_EULER) <= m:
-        j = len(_EULER)
-        if j % 2:
-            _EULER.append(0)
-        else:
-            s = sum(comb(j, 2 * k) * _EULER[2 * k] for k in range(j // 2))
-            _EULER.append(-s)
-    return _EULER[m]
+    return _euler_table(m)[m]
 
 
 def euler_number_mod(m: int, ctx: PrimePower) -> Residue:
@@ -108,43 +154,68 @@ def euler_number_mod(m: int, ctx: PrimePower) -> Residue:
 _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
+def _bernoulli_table(m: int) -> list[Fraction]:
+    """The Bernoulli table through at least B_m."""
+    _require_index("B", m)
+    if len(_BERNOULLI) <= m:
+        size = max(m + 1, 2 * len(_BERNOULLI))
+        table = [Fraction(0)] * size
+        table[0], table[1] = Fraction(1), Fraction(-1, 2)
+        four = 1  # 4^n
+        for n, t in enumerate(_tangent_numbers((size - 1) // 2)[1:], 1):
+            four *= 4
+            table[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t, four * (four - 1))
+        _BERNOULLI[:] = table
+    return _BERNOULLI
+
+
 def bernoulli_exact(m: int) -> Fraction:
     """Bernoulli number B_m with the B_1 = -1/2 convention."""
-    while len(_BERNOULLI) <= m:
-        j = len(_BERNOULLI)
-        s = sum(comb(j + 1, k) * _BERNOULLI[k] for k in range(j))
-        _BERNOULLI.append(-s / (j + 1))
-    return _BERNOULLI[m]
+    return _bernoulli_table(m)[m]
 
 
 def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
     """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator.
 
-    Summed term by term mod p^e as sum_k C(m,k) B_k arg^(m-k), with each
-    B_k reduced once; every term is p-integral once B_k is.
+    Summed mod p^e as sum_k C(m,k) B_k arg^(m-k), from k = m down so that
+    C(m,k) and arg^(m-k) are running values; each nonzero B_k is reduced
+    once, and every term is p-integral once B_k is.
     """
-    mod = ctx.modulus
-    x = residue_from_rational(require_p_integral(arg, ctx.p), ctx).value
-    total = 0
+    p, mod = ctx.p, ctx.modulus
+    x = residue_from_rational(require_p_integral(arg, p), ctx).value
+    table = _bernoulli_table(m)
     for k in range(m + 1):
-        b = bernoulli_exact(k)
-        if b.denominator % ctx.p == 0:
-            raise PDivisibleDenominator(f"B_{k} has {ctx.p} in its denominator")
-        total += comb(m, k) * b.numerator * pow(b.denominator, -1, mod) * pow(x, m - k, mod)
+        if table[k].denominator % p == 0:
+            raise PDivisibleDenominator(f"B_{k} has {p} in its denominator")
+    total, binom, power = 0, 1, 1  # C(m,k) and x^(m-k) at k = m
+    for k in range(m, -1, -1):
+        b = table[k]
+        if b:
+            total += binom * b.numerator * pow(b.denominator, -1, mod) * power
+        binom = binom * k // (m - k + 1)
+        power = power * x % mod
     return Residue(total, ctx)
 
 
 def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
     """E_m(arg) mod p^e via the expansion around 1/2 (denominators are 2-powers).
 
-    Summed term by term mod p^e as sum_k C(m,k) (E_k / 2^k) (arg - 1/2)^(m-k).
+    Summed mod p^e as sum_k C(m,k) (E_k / 2^k) (arg - 1/2)^(m-k), from
+    k = m down so that C(m,k), (arg - 1/2)^(m-k) and 2^-k are running
+    values; the zero E_k of odd k are skipped.
     """
     mod = ctx.modulus
     x = require_p_integral(arg, ctx.p)
     half = residue_from_rational(x - Fraction(1, 2), ctx).value
-    total = 0
-    for k in range(m + 1):
-        total += comb(m, k) * euler_number_exact(k) * pow(2, -k, mod) * pow(half, m - k, mod)
+    table = _euler_table(m)
+    # C(m,k), half^(m-k) and 2^-k at k = m
+    total, binom, power, scale = 0, 1, 1, pow(2, -m, mod)
+    for k in range(m, -1, -1):
+        if table[k]:
+            total += binom * table[k] * scale * power
+        binom = binom * k // (m - k + 1)
+        power = power * half % mod
+        scale = scale * 2 % mod
     return Residue(total, ctx)
 
 

@@ -318,6 +318,22 @@ def test_conjecture_stream_matches_pinned_digest(capsys, engine):
     assert digest == CONJ_P61_DIGESTS[engine]
 
 
+# The same for `verify conj --p-max 499 --engine both`, recorded before the
+# Euler and Bernoulli tables were built from secant and tangent numbers;
+# it reads table indices up to 497 and every rebuild of a table on the way
+CONJ_P499_DIGEST = "7f46af6710802b9cd911d6cabd640e1cff01f933ef9d5199c64558668061ff12"
+
+
+def test_conjecture_stream_to_p499_matches_pinned_digest(capsys):
+    code, out, _ = run_main(
+        capsys, "conj", "--p-max", "499", "--engine", "both", "--format", "json-lines"
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 1117
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CONJ_P499_DIGEST
+
+
 # SHA-256 of the `verify identities` json-lines stream at the default index
 # cap of 300, elapsed fields stripped, recorded before the alternating sums
 # walked the signed-binomial row and the convolution became one integer sum

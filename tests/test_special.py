@@ -1,6 +1,7 @@
 """Fermat quotients, harmonic numbers, Euler/Bernoulli values, Apery numbers."""
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -11,6 +12,29 @@ from hypercheck.errors import IndexTooLarge, NonUnit, PDivisibleDenominator
 from hypercheck.padic import PrimePower, Residue, residue_from_rational
 
 PRIMES = (5, 7, 11, 13, 31, 97)
+REFERENCE_MAX = 600
+
+
+@cache
+def reference_bernoulli() -> list[Fraction]:
+    """B_0..B_600 by the textbook recurrence sum_{k<=j} C(j+1,k) B_k = 0."""
+    table = [Fraction(1), Fraction(-1, 2)]
+    for j in range(2, REFERENCE_MAX + 1):
+        s = sum(comb(j + 1, k) * table[k] for k in range(j))
+        table.append(-s / (j + 1))
+    return table
+
+
+@cache
+def reference_euler() -> list[int]:
+    """E_0..E_600 by the recurrence sum_k C(j, 2k) E_2k = 0 for even j >= 2."""
+    table = [1]
+    for j in range(1, REFERENCE_MAX + 1):
+        if j % 2:
+            table.append(0)
+        else:
+            table.append(-sum(comb(j, 2 * k) * table[2 * k] for k in range(j // 2)))
+    return table
 
 
 @given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=10**6))
@@ -107,6 +131,28 @@ def test_harmonic_symmetry_mod_p():
             assert special.harmonic_mod(p - 1 - k, ctx) == special.harmonic_mod(k, ctx)
 
 
+def test_negative_indices_are_rejected():
+    # build every table past index 6 first: a negative index used to read
+    # the last cached entry (B_-1 was 1/42 once B_6 was built)
+    ctx = PrimePower(7, 1)
+    special.bernoulli_exact(6)
+    special.euler_number_exact(6)
+    special.harmonic_exact(5)
+    special.harmonic_mod(5, ctx)
+    calls = [
+        lambda: special.bernoulli_exact(-1),
+        lambda: special.euler_number_exact(-2),
+        lambda: special.euler_number_mod(-2, ctx),
+        lambda: special.harmonic_exact(-1),
+        lambda: special.harmonic_mod(-1, ctx),
+        lambda: special.bernoulli_polynomial_mod(-1, Fraction(1, 3), ctx),
+        lambda: special.euler_polynomial_mod(-1, Fraction(1, 4), ctx),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"index must be >= 0$"):
+            call()
+
+
 def test_euler_numbers_frozen():
     want = {0: 1, 1: 0, 2: -1, 3: 0, 4: 5, 6: -61, 8: 1385, 10: -50521, 12: 2702765}
     for m, em in want.items():
@@ -143,18 +189,38 @@ def test_bernoulli_frozen():
     assert special.bernoulli_exact(9) == 0
 
 
+@pytest.mark.parametrize(
+    "order",
+    [
+        range(REFERENCE_MAX + 1),  # rising one by one, as a prime sweep asks
+        [REFERENCE_MAX, *range(REFERENCE_MAX)],  # one jump to the top
+        range(REFERENCE_MAX, -1, -1),  # falling
+    ],
+    ids=["rising", "jump", "falling"],
+)
+def test_tables_match_reference_recurrences(monkeypatch, order):
+    # every index to 600, odd ones and B_1 = -1/2 included, in any request
+    # order; start from the import-time tables, whatever earlier tests built
+    monkeypatch.setattr(special, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(special, "_EULER", [1])
+    bern, euler = reference_bernoulli(), reference_euler()
+    for m in order:
+        assert special.bernoulli_exact(m) == bern[m], m
+        assert special.euler_number_exact(m) == euler[m], m
+    assert special._BERNOULLI[: REFERENCE_MAX + 1] == bern
+    assert special._EULER[: REFERENCE_MAX + 1] == euler
+
+
 def _bernoulli_poly_exact(m: int, x: Fraction) -> Fraction:
-    return sum(
-        comb(m, k) * special.bernoulli_exact(k) * x ** (m - k) for k in range(m + 1)
-    )
+    bern = reference_bernoulli()
+    return sum(comb(m, k) * bern[k] * x ** (m - k) for k in range(m + 1))
 
 
 def _euler_poly_exact(m: int, x: Fraction) -> Fraction:
     # E_m(x) expanded around 1/2 with the integer Euler numbers as derivatives
+    euler = reference_euler()
     return sum(
-        comb(m, k)
-        * Fraction(special.euler_number_exact(k), 2**k)
-        * (x - Fraction(1, 2)) ** (m - k)
+        comb(m, k) * Fraction(euler[k], 2**k) * (x - Fraction(1, 2)) ** (m - k)
         for k in range(m + 1)
     )
 
@@ -178,15 +244,26 @@ def test_bernoulli_polynomial_denominator_guard():
     # the first such B_k in increasing k is the one named
     with pytest.raises(PDivisibleDenominator, match=r"^B_4 has 5 in its denominator$"):
         special.bernoulli_polynomial_mod(12, Fraction(1, 3), PrimePower(5, 2))
+    # B_6 = 1/42 is the first with 7, and B_12 = -691/2730 the first with 13,
+    # however far past them the sum runs
+    for m in (6, 7, 40):
+        with pytest.raises(PDivisibleDenominator, match=r"^B_6 has 7 in its denominator$"):
+            special.bernoulli_polynomial_mod(m, Fraction(1, 3), PrimePower(7, 3))
+    with pytest.raises(PDivisibleDenominator, match=r"^B_12 has 13 in its denominator$"):
+        special.bernoulli_polynomial_mod(300, Fraction(1, 3), PrimePower(13, 1))
+    # below p - 1 every B_k is p-integral
+    special.bernoulli_polynomial_mod(5, Fraction(1, 3), PrimePower(7, 3))
 
 
 def test_conjecture_polynomials_match_fraction_sums():
-    # B_{p-2}(1/3) and E_{p-3}(1/4) are summed term by term mod p^e; pin
-    # them to the plain Fraction sums on every prime the conjectures use
-    for p in (q for q in range(5, 200) if all(q % d for d in range(2, q))):
+    # B_{p-2}(1/3) and E_{p-3}(1/4) are summed term by term mod p^e with
+    # running binomials and powers; pin them to the plain Fraction sums on
+    # every prime to 499 at e = 1, and below 200 for the e up to 4 that
+    # --mod-exp 6 reaches (a wrong running value can hide at small m)
+    for p in (q for q in range(5, 500) if all(q % d for d in range(2, q))):
         bern = _bernoulli_poly_exact(p - 2, Fraction(1, 3))
         euler = _euler_poly_exact(p - 3, Fraction(1, 4))
-        for e in range(1, 5):
+        for e in range(1, 5 if p < 200 else 2):
             ctx = PrimePower(p, e)
             got = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), ctx)
             assert got == residue_from_rational(bern, ctx), (p, e)
