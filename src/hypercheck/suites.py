@@ -712,9 +712,9 @@ def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
 
 
 def _conj_exact_scaled(fam, p, n, eps) -> Fraction:
-    diff = series.truncated_series_exact(
+    diff = series.series_fraction(
         series.two_f_one(fam.x, n * p)
-    ) - eps * series.truncated_series_exact(series.two_f_one(fam.x, n))
+    ) - eps * series.series_fraction(series.two_f_one(fam.x, n))
     pref = Fraction(fam.base**n, n * n * fam.binomial_product(n))
     return pref * diff
 

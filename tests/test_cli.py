@@ -334,6 +334,22 @@ def test_conjecture_stream_to_p499_matches_pinned_digest(capsys):
     assert digest == CONJ_P499_DIGEST
 
 
+# SHA-256 of the default sweep's json-lines stream (theorem suites,
+# 5 <= p <= 97) under `--engine exact`, elapsed fields stripped, recorded
+# before the exact oracle read its windows from one prefix table per x: the
+# only digest whose exact route goes past p = 31, through the p^2 sums and
+# one x shared by every prime
+DEFAULT_EXACT_DIGEST = "979c55e79ff2e606a9a48775bd32d2fa5347feb684883d25a1d028c569685863"
+
+
+def test_default_sweep_exact_stream_matches_pinned_digest(capsys):
+    code, out, _ = run_main(capsys, "--engine", "exact", "--format", "json-lines")
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 43690
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DEFAULT_EXACT_DIGEST
+
+
 # SHA-256 of the `verify identities` json-lines stream at the default index
 # cap of 300, elapsed fields stripped, recorded before the alternating sums
 # walked the signed-binomial row and the convolution became one integer sum
@@ -417,6 +433,23 @@ def test_series_walker_table_stays_bounded(tmp_path, monkeypatch):
     assert code == 0
     assert len(_kernel._WALKERS) == _kernel.WALKER_LIMIT
     assert peak < 3 * 2**19, peak
+
+
+def test_exact_prefix_table_stays_bounded(tmp_path, monkeypatch):
+    # sun asks for 210 x at every prime to 199: the run peaks near 0.07 MB
+    # with the bounded prefix table and near 0.25 MB without the bounds
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    argv = ["sun", "--p-max", "199", "--engine", "exact", "--out", str(tmp_path / "o")]
+    cfg = cli.parse_args(argv)
+    tracemalloc.start()
+    try:
+        code = cli.run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(series._PREFIXES) == series.SERIES_LIMIT
+    assert peak < 2**17, peak
 
 
 def test_pool_never_outnumbers_instances(capsys, monkeypatch):

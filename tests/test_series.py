@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,10 @@ from hypercheck.padic import PrimePower, Residue, is_prime, residue_from_rationa
 from hypercheck.series import (
     QUARTIC_BY_X,
     QUARTICS,
-    truncated_series_exact,
+    series_fraction,
     truncated_series_mod,
     two_f_one,
     window_residue_exact,
-    window_sum_exact,
     window_sum_mod,
 )
 
@@ -41,6 +41,40 @@ def brute_term(x, k) -> Fraction:
 def brute_series(x, terms) -> Fraction:
     """Oracle: F(x; terms) term by term."""
     return sum((brute_term(x, k) for k in range(terms)), Fraction(0))
+
+
+def window_sum_exact(spec, k_start: int, k_stop: int) -> Fraction:
+    """Sum of terms k_start <= k < k_stop as one exact rational, walking the
+    term ratio one step at a time: the sequential reference for the
+    binary-splitting oracle.
+
+    The running term and the accumulator share a common denominator that
+    only ever gets multiplied, so the single Fraction reduction is at the end.
+    """
+    if k_stop <= k_start:
+        return Fraction(0)
+    xn, xd = spec.x.numerator, spec.x.denominator
+    yn = xd - xn  # 1 - x = yn / xd
+    acc = 0  # acc / den
+    term = 1  # term / den
+    den = 1
+    for k in range(k_stop):
+        if k >= k_start:
+            acc += term
+        if k + 1 >= k_stop:
+            break
+        num_step = (xn + k * xd) * (yn + k * xd)
+        if num_step == 0:
+            break  # later terms are all exactly zero
+        den_step = (xd * (k + 1)) ** 2
+        term *= num_step
+        acc *= den_step
+        den *= den_step
+    return Fraction(acc, den)
+
+
+def truncated_series_exact(spec) -> Fraction:
+    return window_sum_exact(spec, 0, spec.terms)
 
 
 def generalized_binomial(y: Fraction, k: int) -> Fraction:
@@ -153,13 +187,16 @@ def test_non_unit_series_parameters_rejected():
 
 
 def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
-    # unreachable unless the ratio factors are wrong: every term is p-integral
+    # unreachable unless the ratio factors are wrong: every term is
+    # p-integral; the empty table makes the oracle split the bad factors
+    # instead of answering from a checkpoint built earlier
     ratio_factors = series._ratio_factors
 
-    def one_p_too_many(x, stop):
-        nums, dens = ratio_factors(x, stop)
+    def one_p_too_many(x, start, stop):
+        nums, dens = ratio_factors(x, start, stop)
         return nums, [5 * d for d in dens]
 
+    monkeypatch.setattr(series, "_PREFIXES", {})
     monkeypatch.setattr(series, "_ratio_factors", one_p_too_many)
     with pytest.raises(InternalError, match="is not 5-integral"):
         window_residue_exact(two_f_one(Fraction(1, 2), 3), 0, 3, PrimePower(5, 2))
@@ -203,6 +240,138 @@ def test_binary_splitting_oracle_on_long_windows():
                 ctx = PrimePower(p, e)
                 want = residue_from_rational(window_sum_exact(spec, lo, hi), ctx)
                 assert window_residue_exact(spec, lo, hi, ctx) == want
+
+
+def assert_oracle_matches_reference(spec, k_start, k_stop, ctx):
+    want = residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
+    assert window_residue_exact(spec, k_start, k_stop, ctx) == want
+
+
+def quartic_windows(x: Fraction) -> list:
+    """The windows the suites ask of one x: F(x; p), F(x; n p), F(x; p^2),
+    the blocks [r p, (r+1) p) and F(x; n), at several primes and exponents."""
+    out = []
+    for p in (5, 7, 11, 13):
+        for e in (1, 3):
+            ctx = PrimePower(p, e)
+            spec = two_f_one(x, p * p)
+            out += [(spec, 0, stop, ctx) for stop in (1, 2, 3, p, 2 * p, 3 * p, p * p)]
+            out += [(spec, r * p, (r + 1) * p, ctx) for r in (1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+def test_prefix_table_serves_any_request_order(monkeypatch, order):
+    # stops of one x shared across primes and exponents: every request
+    # resumes from whatever checkpoints the earlier ones left
+    windows = quartic_windows(Fraction(1, 3))
+    if order == "rising":
+        windows.sort(key=lambda w: (w[2], w[1]))
+    elif order == "falling":
+        windows.sort(key=lambda w: (w[2], w[1]), reverse=True)
+    else:
+        random.Random(12).shuffle(windows)
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    for window in windows:
+        assert_oracle_matches_reference(*window)
+        assert len(series._PREFIXES.get(Fraction(1, 3), ())) <= series.CHECKPOINT_LIMIT
+
+
+def test_rising_stops_move_one_checkpoint_forward(monkeypatch):
+    # each resume replaces its base, so a series that climbs holds a single
+    # checkpoint however far it climbs
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    ctx = PrimePower(5, 3)
+    spec = two_f_one(Fraction(1, 2), 200)
+    for stop in range(10, 201, 10):
+        assert_oracle_matches_reference(spec, 0, stop, ctx)
+        assert list(series._PREFIXES[Fraction(1, 2)]) == [stop - 1]
+
+
+def test_prefix_table_evicts_series_and_checkpoints(monkeypatch):
+    # more series than SERIES_LIMIT, each asked for more falling stops than
+    # CHECKPOINT_LIMIT (a falling stop has no checkpoint below it to move
+    # forward, so each adds one), twice over: both levels evict and rebuild
+    monkeypatch.setattr(series, "_PREFIXES", {})
+    ctx = PrimePower(7, 4)
+    xs = [Fraction(i, 4) for i in range(1, series.SERIES_LIMIT + 3)]
+    stops = range(3 + 4 * (series.CHECKPOINT_LIMIT + 2), 2, -4)
+    for _ in range(2):
+        for x in xs:
+            spec = two_f_one(x, stops[0])
+            for stop in stops:
+                assert_oracle_matches_reference(spec, 0, stop, ctx)
+                assert_oracle_matches_reference(spec, stop - 3, stop, ctx)
+            assert len(series._PREFIXES[x]) == series.CHECKPOINT_LIMIT
+            assert len(series._PREFIXES) <= series.SERIES_LIMIT
+    assert len(series._PREFIXES) == series.SERIES_LIMIT
+
+
+@st.composite
+def table_requests(draw):
+    """2-12 windows of F(x; N) on up to three x, integer x (dead terms)
+    among them, at p in 5..13 and e in 1..6, with stop 0, k_start > 0 and
+    empty windows in the mix."""
+    xs = draw(
+        st.lists(
+            st.builds(
+                Fraction,
+                st.integers(min_value=-12, max_value=12),
+                st.sampled_from((1, 1, 2, 3, 4, 6)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    out = []
+    for _ in range(draw(st.integers(min_value=2, max_value=12))):
+        p = draw(st.sampled_from((5, 7, 11, 13)))
+        k_stop = draw(
+            st.one_of(
+                st.sampled_from((0, p, 2 * p, p * p)), st.integers(min_value=0, max_value=4 * p)
+            )
+        )
+        k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
+        ctx = PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
+        out.append((two_f_one(draw(st.sampled_from(xs)), k_stop), k_start, k_stop, ctx))
+    return out
+
+
+@settings(max_examples=200)
+@given(table_requests(), st.sampled_from(((8, 6), (2, 2), (1, 1))))
+# dead terms: a zero factor before a checkpoint, and checkpoints on both
+# sides of it, so later merges must keep the sum
+@example(
+    [
+        (two_f_one(-3, 2), 0, 2, PrimePower(5, 2)),
+        (two_f_one(-3, 30), 0, 30, PrimePower(5, 2)),
+        (two_f_one(-3, 30), 2, 30, PrimePower(7, 3)),
+        (two_f_one(-3, 60), 31, 60, PrimePower(7, 3)),
+        (two_f_one(4, 60), 0, 60, PrimePower(11, 6)),
+    ],
+    (8, 6),
+)
+@example([(two_f_one(Fraction(1, 2), 0), 0, 0, PrimePower(5, 1))] * 2, (1, 1))
+def test_prefix_table_matches_sequential_reference(requests, limits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_PREFIXES", {})
+        mp.setattr(series, "SERIES_LIMIT", limits[0])
+        mp.setattr(series, "CHECKPOINT_LIMIT", limits[1])
+        for window in requests:
+            assert_oracle_matches_reference(*window)
+            assert len(series._PREFIXES) <= limits[0]
+            assert all(len(cps) <= limits[1] for cps in series._PREFIXES.values())
+
+
+@given(
+    st.fractions(max_denominator=9, min_value=Fraction(-4), max_value=4),
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=5),
+)
+def test_series_fraction_matches_sequential_sum(x, stops):
+    # the conjecture oracle's exact F(x; N), F(x; 0) = 0 included
+    for stop in stops:
+        spec = two_f_one(x, stop)
+        assert series_fraction(spec) == truncated_series_exact(spec)
 
 
 def test_kernel_takes_k_stop_sixth():
