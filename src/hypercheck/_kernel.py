@@ -39,25 +39,28 @@ terms below k is ``acc``, both mod p^e.  A prefix resumes from the nearest
 checkpoint at or below its stop, so stops may come in any order, every
 term is built once per series, and a stop asked for again costs no step.
 
-The walkers live in a table bounded by `WALKER_LIMIT` and evicted least
-recently used first.  Sweeps such as ``sun`` build thousands of series
-that are each asked for once; unbounded, their checkpoints would hold
-memory for the whole run.  The bound covers the series one suite shares
-with the next ones at the same primes (372 on the thm1/rv/chain-block
-sweep to p = 499).
+`_walker` is the walker table: an `lru_cache` on `_Walker` keyed by
+(xn, xd, p, e) and bounded by `WALKER_LIMIT`.  Sweeps such as ``sun``
+build thousands of series that are each asked for once; unbounded, their
+checkpoints would hold memory for the whole run.  The bound covers the
+series one suite shares with the next ones at the same primes (372 on the
+thm1/rv/chain-block sweep to p = 499).  Past it the bound is a cliff:
+that sweep has four quartic series per prime, 388 at p = 523, and once
+they outnumber the table each one is evicted just before the next suite
+asks for it again.  In process (two runs each, a shared two-core Xeon)
+the sweep took 0.32 s of CPU at ``--p-max 499``, 0.34-0.36 s at 521,
+0.69-0.71 s at 523 and 0.34-0.38 s at 523 with an unbounded table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InternalError
 
 WALKER_LIMIT = 384
-
-# (xn, xd, p, e) -> walker, least recently used first
-_WALKERS: dict[tuple, _Walker] = {}
 
 
 def backend_name() -> str:
@@ -122,15 +125,7 @@ class _Walker:
                 return acc
 
 
-def _walker(xn: int, xd: int, p: int, e: int) -> _Walker:
-    key = (xn, xd, p, e)
-    walker = _WALKERS.pop(key, None)
-    if walker is None:
-        walker = _Walker(xn, xd, p, e)
-        if len(_WALKERS) >= WALKER_LIMIT:
-            del _WALKERS[next(iter(_WALKERS))]
-    _WALKERS[key] = walker
-    return walker
+_walker = lru_cache(maxsize=WALKER_LIMIT)(_Walker)
 
 
 def series_window_mod(xn, xd, p, e, k_start, k_stop) -> int:

@@ -7,10 +7,11 @@ instance in human, json-lines, or csv form.
 
 Exit codes: 0 all instances passed (or none ran; error records do not
 fail a run), 1 at least one failing instance, in any suite kind, 2 usage
-error (bad flag, budget or fault-injection variable, unwritable ``--out``),
-3 internal inconsistency: the two engines disagreed, an engine self-check
-raised `InternalError`, or a check raised an unexpected exception
-(`run_instance` turns it into `InternalError`).  On exit 3 the run stops at
+error (bad flag, budget or fault-injection variable, an ``--out`` or stdout
+that cannot be written, such as a full disk or a closed pipe), 3 internal
+inconsistency: the two engines disagreed, an engine self-check raised
+`InternalError`, or a check raised an unexpected exception (`run_instance`
+turns it into `InternalError`).  On exit 3 the run stops at
 that instance; json-lines output still ends with its summary record, which
 then also carries ``"status": "internal-error"`` and the ``"error"`` message.
 """
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
@@ -319,11 +321,40 @@ def run(cfg: RunConfig) -> int:
         for sid in cfg.suites
         for params in REGISTRY[sid].gen(sweep)
     )
+    workers = 1
+    if cfg.workers > 1:
+        # Pool.imap reads its input ahead anyway, so the pool gets a list
+        items = list(items)
+        workers = min(cfg.workers, len(items))
     try:
         out = open(cfg.out, "w") if cfg.out else sys.stdout
     except OSError as ex:
         raise UsageError(f"cannot write --out {cfg.out!r}: {ex.strerror}") from ex
-    close_out = cfg.out is not None
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            reports = map(_work, items)
+        else:
+            reports = pool.imap(_work, items, chunksize=max(1, len(items) // (workers * 8)))
+        # only the stream raises OSError in here: run_instance turns every
+        # exception of a check into a record or an InternalError
+        try:
+            with out if cfg.out else nullcontext():
+                code = _report(cfg, reports, out)
+                out.flush()
+        except OSError as ex:
+            if not cfg.out:
+                # stdout is flushed once more at exit, where a failure
+                # would print an "Exception ignored" message
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, out.fileno())
+                os.close(devnull)
+            target = f"--out {cfg.out!r}" if cfg.out else "stdout"
+            raise UsageError(f"cannot write {target}: {ex.strerror or ex}") from ex
+    return code
+
+
+def _report(cfg: RunConfig, reports, out) -> int:
+    """Write one record per report and the summary to ``out``; the exit code."""
     writer = None
     if cfg.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -332,19 +363,8 @@ def run(cfg: RunConfig) -> int:
     internal_error = None
     t0 = time.perf_counter()
     try:
-        workers = 1
-        if cfg.workers > 1:
-            # Pool.imap reads its input ahead anyway, so the pool gets a list
-            items = list(items)
-            workers = min(cfg.workers, len(items))
-        if workers > 1:
-            chunk = max(1, len(items) // (workers * 8))
-            with Pool(workers) as pool:
-                for rep in pool.imap(_work, items, chunksize=chunk):
-                    _emit_one(rep, cfg, out, writer, tally)
-        else:
-            for item in items:
-                _emit_one(_work(item), cfg, out, writer, tally)
+        for rep in reports:
+            _emit_one(rep, cfg, out, writer, tally)
     except InternalError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         internal_error = str(ex)
@@ -374,8 +394,6 @@ def run(cfg: RunConfig) -> int:
             f"in {elapsed:.1f}s (verify {__version__})",
             file=out,
         )
-    if close_out:
-        out.close()
     if internal_error is not None:
         return 3
     return 1 if failed else 0

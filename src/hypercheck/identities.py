@@ -39,7 +39,6 @@ from itertools import accumulate
 from math import comb, factorial, lcm
 
 from .errors import InternalError, PoleInParameter
-from .padic import as_fraction
 from .special import harmonic_exact, signed_binomial
 
 
@@ -269,16 +268,6 @@ def taylor_coefficient_check(k: int, r: int) -> list[IdentityCase]:
 
 
 # --- negated-upper-index binomial symmetry ---------------------------------
-
-
-def generalized_binomial(x: Fraction | int, k: int) -> Fraction:
-    """C(x, k) = x(x-1)...(x-k+1)/k! for arbitrary rational x."""
-    q = as_fraction(x)
-    num = Fraction(1)
-    for i in range(k):
-        num *= q - i
-    return num / factorial(k)
-
 
 # per-b cache of the latest (k, C(-b,k), C(-b+k,k), C(b-1,k), C(b-1+k,k))
 _NEG: dict[int, tuple[int, int, int, int, int]] = {}

@@ -22,12 +22,13 @@ S(b) - S(a) mod p^e, where S(j) is the exact prefix sum of the terms below
 j from binary splitting over the term ratio, reduced once mod p^e
 (`window_residue_exact`).  The ratio factors do not depend on p, so
 F(x; p), F(x; n p) and F(x; p^2) at every prime are prefixes of one
-integer sequence per x.  `_PREFIXES` holds checkpoints of it keyed by x
-only, and a prefix resumes from the nearest checkpoint at or below its
-stop, splitting only the missing factors.  The table holds big integers,
-so it keeps at most `SERIES_LIMIT` series of at most `CHECKPOINT_LIMIT`
-checkpoints each, least recently used evicted first at both levels, and a
-resume moves its base checkpoint forward instead of adding one.
+integer sequence per x.  `_checkpoints(x)` holds checkpoints of it keyed
+by x only, and a prefix resumes from the nearest checkpoint at or below
+its stop, splitting only the missing factors.  The table holds big
+integers, so it keeps at most `SERIES_LIMIT` series (an `lru_cache`) of at
+most `CHECKPOINT_LIMIT` checkpoints each, least recently used evicted
+first at both levels, and a resume moves its base checkpoint forward
+instead of adding one.
 `series_fraction` reads F(x; N) from the same table as one exact rational,
 for the conjecture oracle's failure text.
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import _kernel
@@ -77,7 +79,7 @@ def _check_x(spec: SeriesSpec, p: int) -> None:
 # Below this many ratio factors, `_split` folds them sequentially.
 _LEAF = 16
 
-# x -> {j: (P, Q, T)}, both levels least recently used first.  A resume
+# Both levels of the prefix table evict least recently used first.  A resume
 # moves its base checkpoint forward to the new stop, so a sweep that climbs
 # with p keeps about one checkpoint per kind of stop: five per x on conj
 # (stops 2, 3, p, 2p and 3p), and at most 15 in any series on the default
@@ -91,7 +93,12 @@ _LEAF = 16
 # split from k = 0; four re-split 94,000 factors instead of 12,000.
 SERIES_LIMIT = 8
 CHECKPOINT_LIMIT = 6
-_PREFIXES: dict[Fraction, dict[int, tuple[int, int, int]]] = {}
+
+
+@lru_cache(maxsize=SERIES_LIMIT)
+def _checkpoints(x: Fraction) -> dict[int, tuple[int, int, int]]:
+    """The checkpoints {j: (P, Q, T)} of F(x; N), least recently used first."""
+    return {}
 
 
 def _ratio_factors(x: Fraction, start: int, stop: int) -> tuple[list[int], list[int]]:
@@ -135,12 +142,7 @@ def _prefix_sum(x: Fraction, stop: int) -> tuple[int, int]:
     """
     if stop <= 1:
         return stop, 1
-    checkpoints = _PREFIXES.pop(x, None)
-    if checkpoints is None:
-        checkpoints = {}
-        if len(_PREFIXES) >= SERIES_LIMIT:
-            del _PREFIXES[next(iter(_PREFIXES))]
-    _PREFIXES[x] = checkpoints
+    checkpoints = _checkpoints(x)
     j = stop - 1
     k = max((i for i in checkpoints if i <= j), default=0)
     p, q, t = checkpoints.pop(k, (1, 1, 0))
@@ -212,15 +214,14 @@ def truncated_series_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
 # The table of the latest (p, p^e) only, since lemma4 and lemma5 finish one
 # prime before the next: entry n is n! = p^v * u as the integers
 # (v, u mod p^e), so a p-divisible factor costs no precision.
-_FACTORIALS: dict[tuple[int, int], list[tuple[int, int]]] = {}
+@lru_cache(maxsize=1)
+def _factorial_table(p: int, m: int) -> list[tuple[int, int]]:
+    return [(0, 1)]
 
 
 def _factorials(n: int, p: int, m: int) -> list[tuple[int, int]]:
     """The factorial table for p and m = p^e, extended to hold n!."""
-    table = _FACTORIALS.get((p, m))
-    if table is None:
-        _FACTORIALS.clear()
-        table = _FACTORIALS[p, m] = [(0, 1)]
+    table = _factorial_table(p, m)
     v, u = table[-1]
     for k in range(len(table), n + 1):
         vk, uk = split_p_power(k, p)

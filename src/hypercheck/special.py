@@ -4,14 +4,16 @@ the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
 against the other.  The sequence caches are module state.  The harmonic
-caches grow by appending; the Euler and Bernoulli tables are built from the
-secant and tangent numbers on first use and rebuilt, to at least twice
-their length, when an index lies past their end.
+caches grow by appending, the modular one for the latest p^e only; the
+Euler and Bernoulli tables are built from the secant and tangent numbers
+on first use and rebuilt, to at least twice their length, when an index
+lies past their end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import IndexTooLarge, NonUnit, PDivisibleDenominator
@@ -64,7 +66,6 @@ def floor_px(x: PadicInput, p: int) -> int:
 # --- harmonic numbers ------------------------------------------------------
 
 _H_EXACT: list[Fraction] = [Fraction(0)]
-_H_MOD: dict[PrimePower, list[int]] = {}
 
 
 def _require_index(name: str, m: int) -> None:
@@ -81,12 +82,18 @@ def harmonic_exact(n: int) -> Fraction:
     return _H_EXACT[n]
 
 
+@lru_cache(maxsize=1)  # suites finish one prime before the next
+def _harmonic_row(ctx: PrimePower) -> list[int]:
+    """H_0, H_1, ... mod p^e, extended in place by `harmonic_mod`."""
+    return [0]
+
+
 def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
     """H_n mod p^e by modular inversion; only indices below p are units."""
     _require_index("H", n)
     if n >= ctx.p:
         raise IndexTooLarge(f"H_{n} mod {ctx.p}^{ctx.e}: index must stay below p")
-    cache = _H_MOD.setdefault(ctx, [0])
+    cache = _harmonic_row(ctx)
     m = ctx.modulus
     while len(cache) <= n:
         k = len(cache)

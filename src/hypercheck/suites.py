@@ -32,7 +32,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb, gcd
 
 from . import identities, padic, series, special
@@ -383,31 +383,16 @@ def gen_lemma4(sweep):
                     yield {"p": p, "r": r, "k": k, "x": x}
 
 
-# Residue rows of the lemma4 and lemma4-binom right sides, for the latest
-# (p, p^e) only, since both suites finish one prime before the next:
-# (p, p^e) -> (builder, x) -> rows.  Each suite builds only the rows it
-# reads, where entry k < p of a row is the residue of term_exact(k),
-# p (T_k - 2 H_k), binomial_product(k) or p (closed form - 2 H_k), and h
-# is 2p H_floor(px).  For the four quartic x and p >= 5 every factor is
-# p-integral: base^k is a unit, H_k and H_floor(px) have indices below p,
-# and i < k < p puts at most one p in each denominator of T_k and of the
-# H_{dk} in its closed form.  So reducing factor by factor equals reducing
-# the exact product.
-_LEMMA4_ROWS: dict[tuple[int, int], dict[tuple, tuple]] = {}
-
-
-def _latest_rows(build, x: Fraction, ctx: PrimePower) -> tuple:
-    """``build(x, ctx)``, kept while (p, p^e) stays the same."""
-    by_key = _LEMMA4_ROWS.get((ctx.p, ctx.modulus))
-    if by_key is None:
-        _LEMMA4_ROWS.clear()
-        by_key = _LEMMA4_ROWS[ctx.p, ctx.modulus] = {}
-    rows = by_key.get((build, x))
-    if rows is None:
-        rows = by_key[build, x] = build(x, ctx)
-    return rows
-
-
+# Residue rows of the lemma4 and lemma4-binom right sides, one per quartic
+# x at the latest p^e, since both suites finish one prime before the next.
+# Each suite builds only the rows it reads, where entry k < p of a row is
+# the residue of term_exact(k), p (T_k - 2 H_k), binomial_product(k) or
+# p (closed form - 2 H_k), and h is 2p H_floor(px).  For the four quartic x
+# and p >= 5 every factor is p-integral: base^k is a unit, H_k and
+# H_floor(px) have indices below p, and i < k < p puts at most one p in
+# each denominator of T_k and of the H_{dk} in its closed form.  So
+# reducing factor by factor equals reducing the exact product.
+@lru_cache(maxsize=len(QUARTICS))
 def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
     """(term, weight, h) for lemma4."""
     p, m = ctx.p, ctx.modulus
@@ -425,6 +410,7 @@ def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
     )
 
 
+@lru_cache(maxsize=len(QUARTICS))
 def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> tuple:
     """(binom, closed) for lemma4-binom."""
     p, m = ctx.p, ctx.modulus
@@ -449,7 +435,7 @@ def check_lemma4(params, sweep, dual):
         lambda: residue_from_rational(fam.term_exact(m), ctx),
     )
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
-    term, weight, h = _latest_rows(_lemma4_rows, x, ctx)
+    term, weight, h = _lemma4_rows(x, ctx)
     t_r = residue_from_rational(fam.term_exact(r), ctx)
     rhs = t_r * term[k] * (1 + r * (h + weight[k]))
     return _congruence_report(lhs, rhs, label)
@@ -465,7 +451,7 @@ def check_lemma4_binom(params, sweep, dual):
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
     # closed form, from the rows
-    binom, closed = _latest_rows(_lemma4_binom_rows, x, ctx)
+    binom, closed = _lemma4_binom_rows(x, ctx)
     rhs = Residue(fam.binomial_product(r) * binom[k] * (1 + r * closed[k]), ctx)
     return _congruence_report(lhs, rhs, "exact")
 
@@ -695,7 +681,7 @@ _CONJ_RHS: dict[Fraction, tuple[str, Fraction]] = {
 }
 
 
-@cache  # one value per (x, p, e), shared by every n
+@lru_cache(maxsize=1)  # the latest (x, p, e), shared by every n at that prime
 def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
     p, e = ctx.p, ctx.e
     if e <= 2:

@@ -206,21 +206,63 @@ def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):
         (["thm1"], {"VERIFY_BUDGET_SERIES": "abc"}),
         (["thm1", "--out", "{tmp}/missing/x"], {}),
         (["identity-alt"], {"VERIFY_BUDGET_IDENTITY": "-3"}),
+        # the stream fails at the last flush
+        (["thm1", "--out", "/dev/full"], {}),
+        (["thm1", "--out", "/dev/full", "--format", "json-lines"], {}),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, argv, env):
-    src = Path(hypercheck.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypercheck.cli", "--p-max", "7"]
-        + [arg.format(tmp=tmp_path) for arg in argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src), **env},
-        timeout=120,
+    proc = run_cli(
+        ["--p-max", "7"] + [arg.format(tmp=tmp_path) for arg in argv],
+        env,
+        stdout=subprocess.PIPE,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "usage error" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_one_usage_error(proc.stderr)
+
+
+def run_cli(argv: list[str], env: dict, stdout) -> subprocess.CompletedProcess:
+    """``verify argv`` in a fresh interpreter, stderr captured as text.
+
+    stdout is block-buffered as in a shell: with PYTHONUNBUFFERED set, a
+    failed write would leave nothing for the flush at exit to fail on.
+    Development mode reports a file that fails to close when it is
+    collected, which the default mode ignores.
+    """
+    src = Path(hypercheck.__file__).resolve().parents[1]
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "hypercheck.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**base, "PYTHONPATH": str(src), **env},
+        timeout=120,
+    )
+
+
+def assert_one_usage_error(stderr: str) -> None:
+    # no traceback, and no "Exception ignored" from a flush at exit
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), stderr
+
+
+@pytest.mark.parametrize("p_max", ["7", "499"])
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+def test_unwritable_stdout_exits_two_without_traceback(target, p_max):
+    # a pipe whose reader is gone, as in `verify | head -1`, or a full disk;
+    # thm1 to 7 fails at the last flush, and to 499 (15 KB) in mid-stream
+    if target == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w")
+    else:
+        stdout = open(target, "w")
+    with stdout:
+        proc = run_cli(["thm1", "--p-max", p_max], {}, stdout=stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert_one_usage_error(proc.stderr)
+    assert "cannot write stdout" in proc.stderr
 
 
 def test_out_file(tmp_path, capsys):
@@ -418,10 +460,10 @@ def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):
     assert peak < 2 * 2**20, peak
 
 
-def test_series_walker_table_stays_bounded(tmp_path, monkeypatch):
+def test_series_walker_table_stays_bounded(tmp_path):
     # sun asks once for each of 4,702 series: the run peaks near 0.55 MB
     # with the bounded walker table and near 3.6 MB without the bound
-    monkeypatch.setattr(_kernel, "_WALKERS", {})
+    _kernel._walker.cache_clear()
     argv = ["sun", "--p-max", "199", "--engine", "modular", "--out", str(tmp_path / "o")]
     cfg = cli.parse_args(argv)
     tracemalloc.start()
@@ -431,14 +473,14 @@ def test_series_walker_table_stays_bounded(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(_kernel._WALKERS) == _kernel.WALKER_LIMIT
+    assert _kernel._walker.cache_info().currsize == _kernel.WALKER_LIMIT
     assert peak < 3 * 2**19, peak
 
 
-def test_exact_prefix_table_stays_bounded(tmp_path, monkeypatch):
+def test_exact_prefix_table_stays_bounded(tmp_path):
     # sun asks for 210 x at every prime to 199: the run peaks near 0.07 MB
     # with the bounded prefix table and near 0.25 MB without the bounds
-    monkeypatch.setattr(series, "_PREFIXES", {})
+    series._checkpoints.cache_clear()
     argv = ["sun", "--p-max", "199", "--engine", "exact", "--out", str(tmp_path / "o")]
     cfg = cli.parse_args(argv)
     tracemalloc.start()
@@ -448,7 +490,7 @@ def test_exact_prefix_table_stays_bounded(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(series._PREFIXES) == series.SERIES_LIMIT
+    assert series._checkpoints.cache_info().currsize == series.SERIES_LIMIT
     assert peak < 2**17, peak
 
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -196,7 +197,7 @@ def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
         nums, dens = ratio_factors(x, start, stop)
         return nums, [5 * d for d in dens]
 
-    monkeypatch.setattr(series, "_PREFIXES", {})
+    fresh_prefix_table(monkeypatch)
     monkeypatch.setattr(series, "_ratio_factors", one_p_too_many)
     with pytest.raises(InternalError, match="is not 5-integral"):
         window_residue_exact(two_f_one(Fraction(1, 2), 3), 0, 3, PrimePower(5, 2))
@@ -242,6 +243,19 @@ def test_binary_splitting_oracle_on_long_windows():
                 assert window_residue_exact(spec, lo, hi, ctx) == want
 
 
+def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[dict]:
+    """Point the oracle at an empty prefix table of ``series_limit`` series;
+    returns every checkpoint dict the table makes, evicted ones included."""
+    made, build = [], series._checkpoints.__wrapped__
+
+    def checkpoints(x):
+        made.append(build(x))
+        return made[-1]
+
+    mp.setattr(series, "_checkpoints", lru_cache(maxsize=series_limit)(checkpoints))
+    return made
+
+
 def assert_oracle_matches_reference(spec, k_start, k_stop, ctx):
     want = residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
     assert window_residue_exact(spec, k_start, k_stop, ctx) == want
@@ -271,28 +285,30 @@ def test_prefix_table_serves_any_request_order(monkeypatch, order):
         windows.sort(key=lambda w: (w[2], w[1]), reverse=True)
     else:
         random.Random(12).shuffle(windows)
-    monkeypatch.setattr(series, "_PREFIXES", {})
+    made = fresh_prefix_table(monkeypatch)
     for window in windows:
         assert_oracle_matches_reference(*window)
-        assert len(series._PREFIXES.get(Fraction(1, 3), ())) <= series.CHECKPOINT_LIMIT
+        assert all(len(cps) <= series.CHECKPOINT_LIMIT for cps in made)
+    assert len(made) == 1
 
 
 def test_rising_stops_move_one_checkpoint_forward(monkeypatch):
     # each resume replaces its base, so a series that climbs holds a single
     # checkpoint however far it climbs
-    monkeypatch.setattr(series, "_PREFIXES", {})
+    made = fresh_prefix_table(monkeypatch)
     ctx = PrimePower(5, 3)
     spec = two_f_one(Fraction(1, 2), 200)
     for stop in range(10, 201, 10):
         assert_oracle_matches_reference(spec, 0, stop, ctx)
-        assert list(series._PREFIXES[Fraction(1, 2)]) == [stop - 1]
+        assert len(made) == 1 and list(made[0]) == [stop - 1]
 
 
 def test_prefix_table_evicts_series_and_checkpoints(monkeypatch):
     # more series than SERIES_LIMIT, each asked for more falling stops than
     # CHECKPOINT_LIMIT (a falling stop has no checkpoint below it to move
-    # forward, so each adds one), twice over: both levels evict and rebuild
-    monkeypatch.setattr(series, "_PREFIXES", {})
+    # forward, so each adds one), twice over: both levels evict, and every
+    # series of the second pass restarts from an empty dict
+    made = fresh_prefix_table(monkeypatch)
     ctx = PrimePower(7, 4)
     xs = [Fraction(i, 4) for i in range(1, series.SERIES_LIMIT + 3)]
     stops = range(3 + 4 * (series.CHECKPOINT_LIMIT + 2), 2, -4)
@@ -302,9 +318,10 @@ def test_prefix_table_evicts_series_and_checkpoints(monkeypatch):
             for stop in stops:
                 assert_oracle_matches_reference(spec, 0, stop, ctx)
                 assert_oracle_matches_reference(spec, stop - 3, stop, ctx)
-            assert len(series._PREFIXES[x]) == series.CHECKPOINT_LIMIT
-            assert len(series._PREFIXES) <= series.SERIES_LIMIT
-    assert len(series._PREFIXES) == series.SERIES_LIMIT
+            assert len(made[-1]) == series.CHECKPOINT_LIMIT
+            assert series._checkpoints.cache_info().currsize <= series.SERIES_LIMIT
+    assert len(made) == 2 * len(xs)
+    assert series._checkpoints.cache_info().currsize == series.SERIES_LIMIT
 
 
 @st.composite
@@ -354,13 +371,12 @@ def table_requests(draw):
 @example([(two_f_one(Fraction(1, 2), 0), 0, 0, PrimePower(5, 1))] * 2, (1, 1))
 def test_prefix_table_matches_sequential_reference(requests, limits):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_PREFIXES", {})
-        mp.setattr(series, "SERIES_LIMIT", limits[0])
+        made = fresh_prefix_table(mp, limits[0])
         mp.setattr(series, "CHECKPOINT_LIMIT", limits[1])
         for window in requests:
             assert_oracle_matches_reference(*window)
-            assert len(series._PREFIXES) <= limits[0]
-            assert all(len(cps) <= limits[1] for cps in series._PREFIXES.values())
+            assert series._checkpoints.cache_info().currsize <= limits[0]
+            assert all(len(cps) <= limits[1] for cps in made)
 
 
 @given(
@@ -407,7 +423,7 @@ def kernel_windows(draw):
 def fresh_window(window):
     """The kernel's value on an emptied walker table; the real table is untouched."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "_WALKERS", {})
+        mp.setattr(_kernel, "_walker", lru_cache(maxsize=_kernel.WALKER_LIMIT)(_kernel._Walker))
         return _kernel.series_window_mod(*window)
 
 
@@ -451,7 +467,7 @@ DEAD = (-3, 1)  # x = -3 kills every term past k = 3
 @example([(*DEAD, 7, 3, 2, 40), (*DEAD, 7, 3, 1, 3)])
 @example([(4, 1, 5, 2, 1, 12), (4, 1, 5, 2, 0, 4), (4, 1, 5, 2, 2, 3)])  # 1 - x = -3
 def test_walker_requests_match_fresh_walks_and_oracle(windows):
-    _kernel._WALKERS.clear()
+    _kernel._walker.cache_clear()
     for window in windows:
         got = _kernel.series_window_mod(*window)
         assert got == fresh_window(window)
@@ -461,13 +477,12 @@ def test_walker_requests_match_fresh_walks_and_oracle(windows):
 @given(window_sequences(series_count=3))
 def test_evicted_walkers_restart_cleanly(windows):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "WALKER_LIMIT", 2)
-        mp.setattr(_kernel, "_WALKERS", {})
+        mp.setattr(_kernel, "_walker", lru_cache(maxsize=2)(_kernel._Walker))
         for window in windows:
             got = _kernel.series_window_mod(*window)
             assert got == fresh_window(window)
             assert_matches_exact_oracle(window, got)
-            assert len(_kernel._WALKERS) <= 2
+            assert _kernel._walker.cache_info().currsize <= 2
 
 
 def legendre_valuation(n: int, p: int) -> int:
@@ -522,7 +537,11 @@ def test_factorial_table_keeps_only_the_latest_prime():
         ctx = PrimePower(p, 2)
         for n in range(p):
             fam.term_scaled(n, ctx)
-        assert list(series._FACTORIALS) == [(p, p * p)]
+        # one table, and it is this prime's: asking for it again is a hit
+        info = series._factorial_table.cache_info()
+        series._factorial_table(p, p * p)
+        assert info.currsize == 1
+        assert series._factorial_table.cache_info().hits == info.hits + 1
 
 
 @given(
