@@ -5,6 +5,13 @@ registry, enumerates instances over the requested prime/parameter sweep,
 runs them (optionally across worker processes), and emits one line per
 instance in human, json-lines, or csv form.
 
+`parse_args` is the only code that reads argv and the ``VERIFY_*``
+environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
+it returns one `RunConfig` holding the run's `Sweep`.  `run` writes every
+byte of a run, the ``--list`` table included, to the one stream it opens
+(``--out`` or stdout), so a stream that cannot be written is exit 2 there
+too.
+
 Exit codes: 0 all instances passed (or none ran; error records do not
 fail a run), 1 at least one failing instance, in any suite kind, 2 usage
 error (bad flag, budget or fault-injection variable, an ``--out`` or stdout
@@ -25,8 +32,9 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from . import __version__
@@ -47,19 +55,15 @@ from .suites import (
 @dataclass
 class RunConfig:
     suites: list[str]
+    sweep: Sweep
     p_min: int = 5
     p_max: int = 97
-    n_values: tuple[int, ...] = (1, 2, 3)
-    r_values: tuple[int, ...] = (0, 1, 2)
-    x_values: tuple | None = None
-    mod_exp: int | None = None
     engine: str = "both"
     format: str = "human"
     workers: int = 1
     out: str | None = None
     list_suites: bool = False
     fault: str | None = None
-    budgets: Budgets = field(default_factory=Budgets)
 
 
 def expand_selection(tokens: list[str]) -> list[str]:
@@ -107,6 +111,19 @@ def _parse_x_list(raw: str) -> tuple:
         except (ValueError, ZeroDivisionError) as ex:
             raise UsageError(f"bad x value {tok!r}") from ex
     return tuple(out)
+
+
+def _env_budget(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"{name} must be >= 0, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,21 +183,29 @@ def parse_args(argv=None) -> RunConfig:
             f"VERIFY_FAULT_INJECT={fault!r} names no suite; valid suites: "
             + ", ".join(REGISTRY)
         )
-    return RunConfig(
-        suites=suites,
-        p_min=ns.p_min,
-        p_max=ns.p_max,
+    sweep = Sweep(
+        primes=primes_in(ns.p_min, ns.p_max),
         n_values=_parse_int_list("--n", ns.n),
         r_values=_parse_int_list("--r", ns.r),
         x_values=None if ns.x is None else _parse_x_list(ns.x),
         mod_exp=ns.mod_exp,
+        budgets=Budgets(
+            binomial_max=_env_budget("VERIFY_BUDGET_BINOMIAL", Budgets.binomial_max),
+            series_max=_env_budget("VERIFY_BUDGET_SERIES", Budgets.series_max),
+            identity_max=_env_budget("VERIFY_BUDGET_IDENTITY", Budgets.identity_max),
+        ),
+    )
+    return RunConfig(
+        suites=suites,
+        sweep=sweep,
+        p_min=ns.p_min,
+        p_max=ns.p_max,
         engine=ns.engine,
         format=ns.format,
         workers=ns.workers,
         out=ns.out,
         list_suites=ns.list_suites,
         fault=fault,
-        budgets=Budgets.from_env(),
     )
 
 
@@ -270,6 +295,10 @@ def _emit_csv(rep: Report, writer) -> None:
     )
 
 
+# one record writer per format, picked once per run; csv's writes to a csv.writer
+_EMITTERS = {"human": _emit_human, "json-lines": _emit_json, "csv": _emit_csv}
+
+
 class _Tally:
     """Per-suite pass/fail/error counts."""
 
@@ -295,76 +324,82 @@ class _Tally:
 def _config_echo(cfg: RunConfig) -> dict:
     # the run's mathematical domain; worker count and output routing are
     # deliberately omitted so identical sweeps emit identical summaries
+    sweep = cfg.sweep
     return {
         "suites": cfg.suites,
         "p_min": cfg.p_min,
         "p_max": cfg.p_max,
-        "n": list(cfg.n_values),
-        "r": list(cfg.r_values),
-        "x": None if cfg.x_values is None else [str(x) for x in cfg.x_values],
-        "mod_exp": cfg.mod_exp,
+        "n": list(sweep.n_values),
+        "r": list(sweep.r_values),
+        "x": None if sweep.x_values is None else [str(x) for x in sweep.x_values],
+        "mod_exp": sweep.mod_exp,
         "engine": cfg.engine,
     }
 
 
 def run(cfg: RunConfig) -> int:
-    sweep = Sweep(
-        primes=primes_in(cfg.p_min, cfg.p_max),
-        n_values=cfg.n_values,
-        r_values=cfg.r_values,
-        x_values=cfg.x_values,
-        mod_exp=cfg.mod_exp,
-        budgets=cfg.budgets,
-    )
+    """List the suites or run the sweep; the exit code."""
+    if cfg.list_suites:
+        return _write(cfg, _list_suites)
     items = (
-        (sid, params, cfg.engine, sweep, cfg.fault)
+        (sid, params, cfg.engine, cfg.sweep, cfg.fault)
         for sid in cfg.suites
-        for params in REGISTRY[sid].gen(sweep)
+        for params in REGISTRY[sid].gen(cfg.sweep)
     )
     workers = 1
     if cfg.workers > 1:
         # Pool.imap reads its input ahead anyway, so the pool gets a list
         items = list(items)
         workers = min(cfg.workers, len(items))
-    try:
-        out = open(cfg.out, "w") if cfg.out else sys.stdout
-    except OSError as ex:
-        raise UsageError(f"cannot write --out {cfg.out!r}: {ex.strerror}") from ex
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
             reports = map(_work, items)
         else:
             reports = pool.imap(_work, items, chunksize=max(1, len(items) // (workers * 8)))
-        # only the stream raises OSError in here: run_instance turns every
-        # exception of a check into a record or an InternalError
-        try:
-            with out if cfg.out else nullcontext():
-                code = _report(cfg, reports, out)
-                out.flush()
-        except OSError as ex:
-            if not cfg.out:
-                # stdout is flushed once more at exit, where a failure
-                # would print an "Exception ignored" message
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, out.fileno())
-                os.close(devnull)
-            target = f"--out {cfg.out!r}" if cfg.out else "stdout"
-            raise UsageError(f"cannot write {target}: {ex.strerror or ex}") from ex
+        return _write(cfg, partial(_report, cfg, reports))
+
+
+def _write(cfg: RunConfig, emit) -> int:
+    """Open the run's stream, ``--out`` or stdout, and return ``emit(stream)``.
+
+    A stream that cannot be opened or written is a `UsageError`.
+    """
+    try:
+        out = open(cfg.out, "w") if cfg.out else sys.stdout
+    except OSError as ex:
+        raise UsageError(f"cannot write --out {cfg.out!r}: {ex.strerror}") from ex
+    # only the stream raises OSError in here: run_instance turns every
+    # exception of a check into a record or an InternalError
+    try:
+        with out if cfg.out else nullcontext():
+            code = emit(out)
+            out.flush()
+    except OSError as ex:
+        if not cfg.out:
+            # stdout is flushed once more at exit, where a failure
+            # would print an "Exception ignored" message
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        target = f"--out {cfg.out!r}" if cfg.out else "stdout"
+        raise UsageError(f"cannot write {target}: {ex.strerror or ex}") from ex
     return code
 
 
 def _report(cfg: RunConfig, reports, out) -> int:
     """Write one record per report and the summary to ``out``; the exit code."""
-    writer = None
+    sink = out
     if cfg.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        sink = csv.writer(out, lineterminator="\n")
+        sink.writerow(_CSV_COLUMNS)
+    emit = _EMITTERS[cfg.format]
     tally = _Tally()
     internal_error = None
     t0 = time.perf_counter()
     try:
         for rep in reports:
-            _emit_one(rep, cfg, out, writer, tally)
+            tally.add(rep)
+            emit(rep, sink)
     except InternalError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         internal_error = str(ex)
@@ -399,31 +434,18 @@ def _report(cfg: RunConfig, reports, out) -> int:
     return 1 if failed else 0
 
 
-def _emit_one(rep: Report, cfg: RunConfig, out, writer, tally: _Tally) -> None:
-    tally.add(rep)
-    if cfg.format == "human":
-        _emit_human(rep, out)
-    elif cfg.format == "json-lines":
-        _emit_json(rep, out)
-    else:
-        _emit_csv(rep, writer)
-
-
-def _list_suites(out) -> None:
+def _list_suites(out) -> int:
     width = max(len(s) for s in REGISTRY)
     for suite in REGISTRY.values():
         print(f"{suite.id:<{width}}  {suite.kind:<11}  {suite.description}", file=out)
     print(file=out)
     print("aliases: " + ", ".join(ALIASES), file=out)
+    return 0
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv)
-        if cfg.list_suites:
-            _list_suites(sys.stdout)
-            return 0
-        return run(cfg)
+        return run(parse_args(argv))
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ that is not p-integral) or an unexpected exception in a check.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -40,7 +39,6 @@ from .errors import (
     BudgetExceeded,
     InternalError,
     NonUnitDenominator,
-    UsageError,
     VerifyError,
 )
 from .padic import (
@@ -54,15 +52,8 @@ from .series import QUARTIC_BY_X, QUARTICS
 
 
 def primes_in(lo: int, hi: int) -> tuple[int, ...]:
-    """Primes in [lo, hi] by plain sieve (desk scale)."""
-    if hi < 2:
-        return ()
-    mark = bytearray([1]) * (hi + 1)
-    mark[0:2] = b"\x00\x00"
-    for i in range(2, int(hi**0.5) + 1):
-        if mark[i]:
-            mark[i * i :: i] = b"\x00" * len(mark[i * i :: i])
-    return tuple(i for i in range(max(lo, 2), hi + 1) if mark[i])
+    """Primes in [lo, hi]."""
+    return tuple(filter(padic.is_prime, range(max(lo, 2), hi + 1)))
 
 
 # --- run configuration shared by suites and CLI ----------------------------
@@ -70,31 +61,11 @@ def primes_in(lo: int, hi: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Size caps; env vars VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY} override."""
+    """Size caps; `cli.parse_args` reads VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}."""
 
     binomial_max: int = 5000
     series_max: int = 100_000
     identity_max: int = 300
-
-    @classmethod
-    def from_env(cls) -> "Budgets":
-        def get(name, default):
-            raw = os.environ.get(name)
-            if raw is None:
-                return default
-            try:
-                value = int(raw)
-            except ValueError:
-                raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-            if value < 0:
-                raise UsageError(f"{name} must be >= 0, got {raw!r}")
-            return value
-
-        return cls(
-            binomial_max=get("VERIFY_BUDGET_BINOMIAL", cls.binomial_max),
-            series_max=get("VERIFY_BUDGET_SERIES", cls.series_max),
-            identity_max=get("VERIFY_BUDGET_IDENTITY", cls.identity_max),
-        )
 
 
 @dataclass(frozen=True)
@@ -107,10 +78,6 @@ class Sweep:
     x_values: tuple[Fraction | int, ...] | None = None
     mod_exp: int | None = None
     budgets: Budgets = field(default_factory=Budgets)
-
-
-def default_sweep() -> Sweep:
-    return Sweep(primes=primes_in(5, 97), budgets=Budgets.from_env())
 
 
 @dataclass
@@ -658,8 +625,7 @@ def check_chain_product(params, sweep, dual):
 def gen_gessel(sweep):
     for p in sweep.primes:
         for n in sweep.n_values:
-            if n >= 0:
-                yield {"p": p, "n": n}
+            yield {"p": p, "n": n}
 
 
 def check_gessel(params, sweep, dual):
@@ -1108,10 +1074,6 @@ ALIASES: dict[str, tuple[str, ...]] = {
 }
 
 
-def instances_for(suite_id: str, sweep: Sweep) -> list[dict]:
-    return list(REGISTRY[suite_id].gen(sweep))
-
-
 def run_instance(
     suite_id: str,
     params: dict,
@@ -1128,11 +1090,12 @@ def run_instance(
     this suite (the ``VERIFY_FAULT_INJECT`` self-test) the primary value of
     the route the engine reports (exact under ``exact``, modular otherwise)
     is off by one, so ``both`` raises `InternalError` and ``modular`` and
-    ``exact`` report a failure.
+    ``exact`` report a failure.  Without a ``sweep`` the check gets the
+    primes 5..97 and the default `Budgets`, whatever the environment says.
     """
     suite = REGISTRY[suite_id]
     if sweep is None:
-        sweep = default_sweep()
+        sweep = Sweep(primes_in(5, 97))
     fault = fault_suite == suite_id
 
     def dual(modular_fn, exact_fn):

@@ -19,9 +19,9 @@ from conftest import ACCEPTANCE_LINES
 from hypercheck import cli
 from hypercheck.errors import InternalError
 from hypercheck.suites import (
+    REGISTRY,
     Budgets,
     Sweep,
-    instances_for,
     primes_in,
     run_instance,
 )
@@ -40,7 +40,7 @@ def _sweep_suite(sid, sweep, engine="modular"):
     """Run every instance; returns (#instances, #failures, #errors, reports)."""
     reports = [
         run_instance(sid, params, engine=engine, sweep=sweep)
-        for params in instances_for(sid, sweep)
+        for params in REGISTRY[sid].gen(sweep)
     ]
     fails = sum(1 for r in reports if r.error is None and not r.passed)
     errs = sum(1 for r in reports if r.error is not None)
@@ -219,7 +219,7 @@ def test_criterion_10_engine_equivalence_sampling():
         "thm1", "sun", "rv", "corollary", "lemma4", "lemma5",
         "chain-reflect", "chain-jet", "chain-block", "chain-product",
     ):
-        pool.extend((sid, params) for params in instances_for(sid, sweep))
+        pool.extend((sid, params) for params in REGISTRY[sid].gen(sweep))
     sample = rng.sample(pool, 500)
     disagreements = bad = 0
     for sid, params in sample:

@@ -9,7 +9,7 @@ import hypercheck
 from hypercheck import special, suites
 from hypercheck.padic import PrimePower
 from hypercheck.series import QUARTICS
-from hypercheck.suites import Sweep, instances_for, primes_in, run_instance
+from hypercheck.suites import REGISTRY, Sweep, primes_in, run_instance
 
 
 def functools_caches() -> dict[str, object]:
@@ -56,7 +56,7 @@ def assert_holds_only(table, keys: list[tuple]) -> None:
 
 def run_prime(suite_id: str, p: int) -> None:
     sweep = Sweep(primes=(p,))
-    for params in instances_for(suite_id, sweep):
+    for params in REGISTRY[suite_id].gen(sweep):
         assert run_instance(suite_id, params, "both", sweep).passed
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hypercheck
-from hypercheck import _kernel, cli, series
+from hypercheck import _kernel, cli, series, suites
 from hypercheck.errors import UsageError
 
 
@@ -36,8 +36,8 @@ def test_parse_args_full_flags():
     )
     assert cfg.suites == ["rv"]
     assert (cfg.p_min, cfg.p_max) == (5, 97)
-    assert cfg.n_values == (1, 2, 3)
-    assert cfg.x_values == (
+    assert cfg.sweep.n_values == (1, 2, 3)
+    assert cfg.sweep.x_values == (
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6),
     )
     assert cfg.engine == "both"
@@ -59,7 +59,7 @@ def test_parse_args_aliases_dedupe():
 
 def test_parse_args_integer_lifts_in_x():
     cfg = cli.parse_args(["sun", "--x", "0,3,2/5"])
-    assert cfg.x_values == (0, 3, Fraction(2, 5))
+    assert cfg.sweep.x_values == (0, 3, Fraction(2, 5))
 
 
 def test_usage_errors():
@@ -247,11 +247,16 @@ def assert_one_usage_error(stderr: str) -> None:
     assert len(lines) == 1 and lines[0].startswith("usage error: "), stderr
 
 
-@pytest.mark.parametrize("p_max", ["7", "499"])
+@pytest.mark.parametrize(
+    "argv",
+    [["thm1", "--p-max", "7"], ["thm1", "--p-max", "499"], ["--list"]],
+    ids=["7", "499", "list"],
+)
 @pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
-def test_unwritable_stdout_exits_two_without_traceback(target, p_max):
+def test_unwritable_stdout_exits_two_without_traceback(target, argv):
     # a pipe whose reader is gone, as in `verify | head -1`, or a full disk;
-    # thm1 to 7 fails at the last flush, and to 499 (15 KB) in mid-stream
+    # thm1 to 7 and the suite table fail at the last flush, and thm1 to 499
+    # (15 KB) in mid-stream
     if target == "closed-pipe":
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -259,7 +264,7 @@ def test_unwritable_stdout_exits_two_without_traceback(target, p_max):
     else:
         stdout = open(target, "w")
     with stdout:
-        proc = run_cli(["thm1", "--p-max", p_max], {}, stdout=stdout)
+        proc = run_cli(argv, {}, stdout=stdout)
     assert proc.returncode == 2, proc.stderr
     assert_one_usage_error(proc.stderr)
     assert "cannot write stdout" in proc.stderr
@@ -283,6 +288,14 @@ def test_list_suites(capsys):
     assert "thm1" in out and "conj-1/6" in out and "aliases:" in out
 
 
+def test_list_follows_out(tmp_path, capsys):
+    _, table, _ = run_main(capsys, "--list")
+    path = tmp_path / "suites.txt"
+    code, out, err = run_main(capsys, "--list", "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert path.read_text() == table
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("VERIFY_BUDGET_SERIES", "6")
     code, out, err = run_main(
@@ -294,6 +307,37 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0  # errors are not failures
     assert records[-1]["summary"]["errors"] == 4
     assert all("BudgetExceeded" in r["error"] for r in records[:-1])
+
+
+def test_budget_env_is_read_by_the_cli_only(capsys, monkeypatch):
+    # run_instance without a sweep keeps the default budgets, while verify
+    # still reads VERIFY_BUDGET_SERIES
+    monkeypatch.setenv("VERIFY_BUDGET_SERIES", "6")
+    rep = suites.run_instance("rv", {"p": 7, "n": 1, "x": Fraction(1, 2)})
+    assert rep.error is None and rep.passed
+    code, out, _ = run_main(
+        capsys,
+        "rv", "--p-min", "7", "--p-max", "7", "--n", "1", "--format", "json-lines",
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["errors"] == 4
+
+
+def test_run_looks_up_run_instance_at_each_call(capsys, monkeypatch):
+    # the benchmark's setup probe rebinds cli.run_instance to stop a run at
+    # its first instance with a plain Exception; a run_instance bound early
+    # (a partial, a default argument) would run the whole sweep instead, and
+    # a catch-all handler in cli.run would swallow the probe
+    class Probe(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Probe
+
+    monkeypatch.setattr(cli, "run_instance", stop)
+    with pytest.raises(Probe):
+        cli.main(["thm1", "--p-max", "7"])
+    assert capsys.readouterr().out == ""
 
 
 def _strip_elapsed(stream: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from hypercheck.suites import (
     THEOREM_SUITES,
     Budgets,
     Sweep,
-    instances_for,
     primes_in,
     run_instance,
 )
@@ -45,6 +45,21 @@ def test_primes_in_against_known_list():
     assert primes_in(97, 97) == (97,)
 
 
+def test_primes_in_memory_does_not_grow_with_hi():
+    # a sieve to 5 * 10^7 peaks near 95 MB for these 11 primes
+    tracemalloc.start()
+    try:
+        primes = primes_in(49_999_800, 50_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert primes == (
+        49999801, 49999819, 49999843, 49999847, 49999853, 49999877,
+        49999883, 49999897, 49999903, 49999921, 49999991,
+    )
+    assert peak < 2**20, peak
+
+
 def test_registry_shape():
     assert len(REGISTRY) == len(set(REGISTRY))
     for suite in REGISTRY.values():
@@ -61,7 +76,7 @@ def test_registry_shape():
 def test_generators_are_deterministic():
     sw = small_sweep()
     for sid in REGISTRY:
-        assert instances_for(sid, sw) == instances_for(sid, sw)
+        assert list(REGISTRY[sid].gen(sw)) == list(REGISTRY[sid].gen(sw))
 
 
 # frozen worked examples, one per headline suite
@@ -155,7 +170,7 @@ def test_representative_instance_passes(sid):
 def test_representative_params_come_from_generators():
     sweep = Sweep(primes=primes_in(5, 13), budgets=Budgets(identity_max=12))
     for sid, params in REPRESENTATIVE.items():
-        assert params in instances_for(sid, sweep), sid
+        assert params in list(REGISTRY[sid].gen(sweep)), sid
 
 
 def _jet_sums_per_step(m, terms):
@@ -267,7 +282,7 @@ def test_engines_agree_on_random_instances():
     sw = small_sweep()
     for sid in ("thm1", "sun", "rv", "corollary", "lemma4", "lemma5",
                 "chain-reflect", "chain-jet", "chain-block", "chain-product"):
-        for params in instances_for(sid, sw):
+        for params in REGISTRY[sid].gen(sw):
             rep = run_instance(sid, params, engine="both", sweep=sw)
             assert rep.error is None and rep.passed
 
@@ -338,7 +353,7 @@ def test_report_params_serialized():
 
 def test_sun_domain_contains_lifts_and_small_rationals():
     sw = Sweep(primes=(5,))
-    xs = [inst["x"] for inst in instances_for("sun", sw)]
+    xs = [inst["x"] for inst in REGISTRY["sun"].gen(sw)]
     assert xs[:5] == [0, 1, 2, 3, 4]
     assert F(1, 2) in xs and F(5, 6) in xs
     # denominators divisible by p are excluded
@@ -347,14 +362,14 @@ def test_sun_domain_contains_lifts_and_small_rationals():
 
 def test_x_filter_restricts_families():
     sw = Sweep(primes=(7,), x_values=(F(1, 2), F(1, 6)))
-    assert [i["x"] for i in instances_for("thm1", sw)] == [F(1, 2), F(1, 6)]
+    assert [i["x"] for i in REGISTRY["thm1"].gen(sw)] == [F(1, 2), F(1, 6)]
     sw = Sweep(primes=(7,), x_values=(F(1, 5),))
-    assert instances_for("thm1", sw) == []
+    assert list(REGISTRY["thm1"].gen(sw)) == []
 
 
 def test_rv_general_domain_avoids_family_orbit():
     sw = Sweep(primes=(7,), n_values=(1,))
-    xs = {inst["x"] for inst in instances_for("rv-x", sw)}
+    xs = {inst["x"] for inst in REGISTRY["rv-x"].gen(sw)}
     for fam_x in (F(1, 2), F(1, 3), F(1, 4), F(1, 6)):
         assert fam_x not in xs and 1 - fam_x not in xs
     assert F(2, 5) in xs
