@@ -5,7 +5,8 @@ The paper studies one series,
 
     F(x; N) = sum_{k<N} t_k(x),   t_k(x) = (x)_k (1-x)_k / (k!)^2,
 
-and a `SeriesSpec` is the pair (x, N); ``two_f_one(x, N)`` builds it.
+and both engines, `window_sum_mod` and `window_residue_exact`, take x (an
+int or a `Fraction`) and a window k_start <= k < k_stop of its terms.
 Every suite sums F(a; N) with a = x or a = -x, for x with a denominator
 prime to p.  For such x every term is a p-adic integer, because
 t_k(x) = C(x+k-1, k) C(k-x, k) and a binomial C(Y, k) maps Z_p into Z_p;
@@ -52,26 +53,13 @@ from .padic import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """F(x; terms): the sum of t_k(x) over 0 <= k < terms."""
-
-    x: Fraction
-    terms: int
-
-    def __post_init__(self):
-        if self.terms < 0:
-            raise ValueError("terms must be >= 0")
-
-
-def two_f_one(x: PadicInput, terms: int) -> SeriesSpec:
-    """F(x; terms), the truncated 2F1(x, 1-x; 1; 1) sum."""
-    return SeriesSpec(as_fraction(x), terms)
-
-
-def _check_x(spec: SeriesSpec, p: int) -> None:
-    if spec.x.denominator % p == 0:
-        raise NonUnitDenominator(f"series parameter {spec.x} has denominator divisible by {p}")
+def _check_x(x: PadicInput, p: int) -> Fraction:
+    """x as a `Fraction`, so that 3 and Fraction(3) share one prefix table;
+    raises unless its denominator is prime to p."""
+    x = as_fraction(x)
+    if x.denominator % p == 0:
+        raise NonUnitDenominator(f"series parameter {x} has denominator divisible by {p}")
+    return x
 
 
 # --- exact engine ----------------------------------------------------------
@@ -169,13 +157,13 @@ def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     return residue_from_rational(Fraction(num // pv, unit % m), ctx)
 
 
-def series_fraction(spec: SeriesSpec) -> Fraction:
-    """F(x; terms) as one exact rational, read from the prefix table."""
-    return Fraction(*_prefix_sum(spec.x, spec.terms))
+def series_fraction(x: PadicInput, stop: int) -> Fraction:
+    """F(x; stop) as one exact rational, read from the prefix table."""
+    return Fraction(*_prefix_sum(as_fraction(x), stop))
 
 
 def window_residue_exact(
-    spec: SeriesSpec, k_start: int, k_stop: int, ctx: PrimePower
+    x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower
 ) -> Residue:
     """Sum of terms k_start <= k < k_stop, evaluated exactly, reduced mod p^e.
 
@@ -188,25 +176,21 @@ def window_residue_exact(
     every prefix is.  The lower prefix is read first, so the upper one
     extends it.
     """
-    _check_x(spec, ctx.p)
+    x = _check_x(x, ctx.p)
     if k_stop <= k_start:
         return Residue(0, ctx)
-    low = _prefix_residue(spec.x, k_start, ctx) if k_start else 0
-    return _prefix_residue(spec.x, k_stop, ctx) - low
+    low = _prefix_residue(x, k_start, ctx) if k_start else 0
+    return _prefix_residue(x, k_stop, ctx) - low
 
 
 # --- modular engine --------------------------------------------------------
 
 
-def window_sum_mod(spec: SeriesSpec, k_start: int, k_stop: int, ctx: PrimePower) -> Residue:
+def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) -> Residue:
     """Sum of terms k_start <= k < k_stop reduced mod p^e."""
-    _check_x(spec, ctx.p)
-    xn, xd = spec.x.numerator, spec.x.denominator
+    x = _check_x(x, ctx.p)
+    xn, xd = x.numerator, x.denominator
     return Residue(_kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop), ctx)
-
-
-def truncated_series_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    return window_sum_mod(spec, 0, spec.terms, ctx)
 
 
 # --- factorials with the p-power split off ---------------------------------

@@ -237,11 +237,7 @@ def signed_binomial(n: int, k: int) -> int:
 
 # --- Apery numbers ---------------------------------------------------------
 
-_APERY: dict[int, int] = {}
-
 
 def apery_number(n: int) -> int:
     """Sum over k of C(n,k)^2 C(n+k,k)^2 (the Apery numbers 1, 5, 73, ...)."""
-    if n not in _APERY:
-        _APERY[n] = sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
-    return _APERY[n]
+    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))

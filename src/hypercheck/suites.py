@@ -42,13 +42,14 @@ from .errors import (
     VerifyError,
 )
 from .padic import (
+    PadicInput,
     PrimePower,
     Residue,
     as_fraction,
     residue_from_rational,
     split_p_power,
 )
-from .series import QUARTIC_BY_X, QUARTICS
+from .series import QUARTIC_BY_X, QUARTICS, QuarticFamily
 
 
 def primes_in(lo: int, hi: int) -> tuple[int, ...]:
@@ -154,18 +155,27 @@ def _need_binomial(arg: int, sweep: Sweep):
         )
 
 
+def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
+    """The binomial cap for every C(c n, d n) in ``fam``'s term at index n."""
+    for c, _ in fam.binomials:
+        _need_binomial(c * n, sweep)
+
+
 #: ``dual(modular_fn, exact_fn) -> (value, engine label)``; `run_instance`
-#: binds it to the run's engine and hands it to every check.
+#: binds it to the run's engine and hands it to every check.  Series windows
+#: reach it through `_series`; the quartic terms of lemma4 and lemma5, and
+#: conj's scaled difference (handed either engine function), call it directly.
 Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], tuple[Residue, str]]
 
 
 def _series(
-    dual: Dual, spec: series.SeriesSpec, ctx: PrimePower
+    dual: Dual, x: PadicInput, stop: int, ctx: PrimePower, start: int = 0
 ) -> tuple[Residue, str]:
-    """A truncated series mod p^e by the engine's route(s)."""
+    """The terms start <= k < stop of F(x; stop) mod p^e by the engine's
+    route(s); the one way a check reaches a series engine."""
     return dual(
-        lambda: series.truncated_series_mod(spec, ctx),
-        lambda: series.window_residue_exact(spec, 0, spec.terms, ctx),
+        lambda: series.window_sum_mod(x, start, stop, ctx),
+        lambda: series.window_residue_exact(x, start, stop, ctx),
     )
 
 
@@ -227,7 +237,7 @@ def gen_thm1(sweep):
 def check_thm1(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(x, p), ctx)
+    lhs, label = _series(dual, x, p, ctx)
     rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -241,7 +251,7 @@ def gen_sun(sweep):
 def check_sun(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(x, p), ctx)
+    lhs, label = _series(dual, x, p, ctx)
     rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -257,8 +267,8 @@ def check_rv(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(x, n * p), ctx)
-    base, _ = _series(dual, series.two_f_one(x, n), ctx)
+    lhs, label = _series(dual, x, n * p, ctx)
+    base, _ = _series(dual, x, n, ctx)
     rhs = base * special.sign_of_least_residue(x, p)
     return _congruence_report(lhs, rhs, label)
 
@@ -283,7 +293,7 @@ def check_corollary_px(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     _need_series(p**r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(x, p**r), ctx)
+    lhs, label = _series(dual, x, p**r, ctx)
     sgn = special.sign_of_least_residue(x, p)
     rhs = _sign_residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
     return _congruence_report(lhs, rhs, label)
@@ -397,6 +407,7 @@ def check_lemma4(params, sweep, dual):
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
     m = k + r * p
+    _need_family(fam, m, sweep)
     lhs, label = dual(
         lambda: fam.term_scaled(m, ctx),
         lambda: residue_from_rational(fam.term_exact(m), ctx),
@@ -412,8 +423,7 @@ def check_lemma4_binom(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     n = k + r * p
-    for c, _ in fam.binomials:
-        _need_binomial(c * n, sweep)
+    _need_family(fam, n, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
@@ -476,9 +486,8 @@ def check_babbage(params, sweep, dual):
 
 def check_chain_reflect(params, sweep, dual):
     p, x = params["p"], params["x"]
-    q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(-q, p), ctx)
+    lhs, label = _series(dual, -x, p, ctx)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -516,7 +525,7 @@ def check_chain_jet(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(-q, p), ctx)
+    lhs, label = _series(dual, -q, p, ctx)
     m = special.least_residue(x, p)
     delta = (q - m) / p
     a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
@@ -556,13 +565,10 @@ def check_chain_block(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     fam = QUARTIC_BY_X[x]
     _need_series((r + 1) * p, sweep)
+    _need_family(fam, r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    spec = series.two_f_one(x, (r + 1) * p)
-    lhs, label = dual(
-        lambda: series.window_sum_mod(spec, r * p, (r + 1) * p, ctx),
-        lambda: series.window_residue_exact(spec, r * p, (r + 1) * p, ctx),
-    )
-    base, _ = _series(dual, series.two_f_one(x, p), ctx)
+    lhs, label = _series(dual, x, (r + 1) * p, ctx, start=r * p)
+    base, _ = _series(dual, x, p, ctx)
     rhs = residue_from_rational(fam.term_exact(r), ctx) * base
     return _congruence_report(lhs, rhs, label)
 
@@ -616,9 +622,9 @@ def check_chain_product(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, series.two_f_one(x, n * p), ctx)
-    fp, _ = _series(dual, series.two_f_one(x, p), ctx)
-    fn, _ = _series(dual, series.two_f_one(x, n), ctx)
+    lhs, label = _series(dual, x, n * p, ctx)
+    fp, _ = _series(dual, x, p, ctx)
+    fn, _ = _series(dual, x, n, ctx)
     return _congruence_report(lhs, fp * fn, label)
 
 
@@ -664,9 +670,8 @@ def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
 
 
 def _conj_exact_scaled(fam, p, n, eps) -> Fraction:
-    diff = series.series_fraction(
-        series.two_f_one(fam.x, n * p)
-    ) - eps * series.series_fraction(series.two_f_one(fam.x, n))
+    x = fam.x
+    diff = series.series_fraction(x, n * p) - eps * series.series_fraction(x, n)
     pref = Fraction(fam.base**n, n * n * fam.binomial_product(n))
     return pref * diff
 
@@ -701,8 +706,7 @@ def check_conjecture(params, sweep, dual):
     fam = QUARTIC_BY_X[x]
     e_t = sweep.mod_exp or 3
     _need_series(n * p, sweep)
-    for c, _ in fam.binomials:
-        _need_binomial(c * n, sweep)
+    _need_family(fam, n, sweep)
     w, unit = split_p_power(n * n * fam.binomial_product(n), p)
     if e_t + w > padic.MAX_EXPONENT:
         raise BudgetExceeded(
@@ -715,24 +719,21 @@ def check_conjecture(params, sweep, dual):
         """base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e, from both
         sums mod p^(e+w); raises unless p^need divides the difference."""
         ctxw = PrimePower(p, e_t + w)
-        f_np = series_mod(series.two_f_one(x, n * p), ctxw)
-        f_n = series_mod(series.two_f_one(x, n), ctxw)
+        f_np = series_mod(x, 0, n * p, ctxw)
+        f_n = series_mod(x, 0, n, ctxw)
         diff = (f_np.value - eps * f_n.value) % ctxw.modulus
         if diff % p**need:
             raise NonUnitDenominator("scaled difference is not a p-adic integer")
         m = ctx.modulus
         return Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
 
-    def exact_sum(spec, ctxw) -> Residue:
-        return series.window_residue_exact(spec, 0, spec.terms, ctxw)
-
     rhs = _conj_rhs(x, ctx)
     try:
         # the exact route raises exactly when the scaled difference has p in
         # its denominator (v_p(diff) < w); the modular one also when v_p < 2
         lhs, label = dual(
-            lambda: scaled(series.truncated_series_mod, max(2, w)),
-            lambda: scaled(exact_sum, w),
+            lambda: scaled(series.window_sum_mod, max(2, w)),
+            lambda: scaled(series.window_residue_exact, w),
         )
     except NonUnitDenominator:
         return Report(

@@ -173,10 +173,10 @@ def test_internal_error_ends_json_lines_with_a_summary(capsys, monkeypatch):
 
 
 def test_unexpected_exception_exits_three_with_a_summary(tmp_path, capsys, monkeypatch):
-    def broken(spec, ctx):
+    def broken(x, k_start, k_stop, ctx):
         raise RuntimeError("kernel bug")
 
-    monkeypatch.setattr(series, "truncated_series_mod", broken)
+    monkeypatch.setattr(series, "window_sum_mod", broken)
     out = tmp_path / "out.jsonl"
     code, _, err = run_main(
         capsys, "thm1", "--p-max", "7", "--engine", "modular",
@@ -323,6 +323,44 @@ def test_budget_env_is_read_by_the_cli_only(capsys, monkeypatch):
     assert json.loads(out.splitlines()[-1])["summary"]["errors"] == 4
 
 
+@pytest.mark.parametrize(
+    "budget, argv", [("5000", ("--p-max", "5", "--r", "2000")), ("60", ("--p-max", "11"))]
+)
+def test_lemma4_keeps_the_binomial_cap_of_lemma4_binom(capsys, monkeypatch, budget, argv):
+    # both suites form C(c m, d m) at m = k + r p, so they hit the cap at
+    # the same params with the same text; at r = 2000 every top is past it
+    monkeypatch.setenv("VERIFY_BUDGET_BINOMIAL", budget)
+    code, out, _ = run_main(
+        capsys, "lemma4", "lemma4-binom", *argv, "--format", "json-lines"
+    )
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    errors = {}
+    for rec in records:
+        errors.setdefault(json.dumps(rec["params"]), {})[rec["suite"]] = rec.get("error")
+    assert code == 0 and len(records) == 2 * len(errors)
+    assert all(e["lemma4"] == e["lemma4-binom"] for e in errors.values())
+    capped = [e["lemma4"] for e in errors.values() if e["lemma4"]]
+    assert capped and all(e.startswith("BudgetExceeded: binomial argument") for e in capped)
+    if budget == "5000":
+        assert len(capped) == len(errors) == 20
+
+
+def test_chain_block_keeps_the_binomial_cap(capsys):
+    # the right side reads C(6r, 3r) at x = 1/6, past the cap of 5000 at r = 1000
+    code, out, _ = run_main(
+        capsys, "chain-block", "--p-max", "5", "--r", "1000", "--format", "json-lines"
+    )
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    errors = {rec["params"]["x"]: rec.get("error") for rec in records}
+    assert code == 0
+    assert errors == {
+        "1/2": None,
+        "1/3": None,
+        "1/4": None,
+        "1/6": "BudgetExceeded: binomial argument 6000 exceeds cap 5000",
+    }
+
+
 def test_run_looks_up_run_instance_at_each_call(capsys, monkeypatch):
     # the benchmark's setup probe rebinds cli.run_instance to stop a run at
     # its first instance with a plain Exception; a run_instance bound early
@@ -418,6 +456,24 @@ def test_conjecture_stream_to_p499_matches_pinned_digest(capsys):
     assert code == 0 and len(lines) == 1117
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CONJ_P499_DIGEST
+
+
+# The same for `verify thm1 rv chain-block --engine modular --p-max 499`,
+# recorded before every check reached the series engines through one
+# (x, k_start, k_stop) signature: the modular windows, chain-block's blocks
+# [r p, (r+1) p) among them, past p = 97
+MODULAR_P499_DIGEST = "9e7e3aaa7942e1cff84f6340a22c769534f7970c42a20439b029450b93f85a0b"
+
+
+def test_modular_stream_to_p499_matches_pinned_digest(capsys):
+    code, out, _ = run_main(
+        capsys, "thm1", "rv", "chain-block", "--engine", "modular",
+        "--p-max", "499", "--format", "json-lines",
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 2605
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MODULAR_P499_DIGEST
 
 
 # SHA-256 of the default sweep's json-lines stream (theorem suites,

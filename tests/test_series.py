@@ -16,8 +16,6 @@ from hypercheck.series import (
     QUARTIC_BY_X,
     QUARTICS,
     series_fraction,
-    truncated_series_mod,
-    two_f_one,
     window_residue_exact,
     window_sum_mod,
 )
@@ -44,7 +42,7 @@ def brute_series(x, terms) -> Fraction:
     return sum((brute_term(x, k) for k in range(terms)), Fraction(0))
 
 
-def window_sum_exact(spec, k_start: int, k_stop: int) -> Fraction:
+def window_sum_exact(x, k_start: int, k_stop: int) -> Fraction:
     """Sum of terms k_start <= k < k_stop as one exact rational, walking the
     term ratio one step at a time: the sequential reference for the
     binary-splitting oracle.
@@ -54,7 +52,8 @@ def window_sum_exact(spec, k_start: int, k_stop: int) -> Fraction:
     """
     if k_stop <= k_start:
         return Fraction(0)
-    xn, xd = spec.x.numerator, spec.x.denominator
+    x = Fraction(x)
+    xn, xd = x.numerator, x.denominator
     yn = xd - xn  # 1 - x = yn / xd
     acc = 0  # acc / den
     term = 1  # term / den
@@ -74,8 +73,8 @@ def window_sum_exact(spec, k_start: int, k_stop: int) -> Fraction:
     return Fraction(acc, den)
 
 
-def truncated_series_exact(spec) -> Fraction:
-    return window_sum_exact(spec, 0, spec.terms)
+def truncated_series_exact(x, terms: int) -> Fraction:
+    return window_sum_exact(x, 0, terms)
 
 
 def generalized_binomial(y: Fraction, k: int) -> Fraction:
@@ -98,8 +97,7 @@ def test_pochhammer_matches_product(k, a):
 
 def test_spot_value_length_five():
     # 1 + 1/4 + 9/64 + 25/256 + 1225/16384, the length-5 sum at x = 1/2
-    spec = two_f_one(Fraction(1, 2), 5)
-    total = truncated_series_exact(spec)
+    total = truncated_series_exact(Fraction(1, 2), 5)
     assert total == 1 + Fraction(1, 4) + Fraction(9, 64) + Fraction(25, 256) + Fraction(
         1225, 16384
     )
@@ -133,7 +131,7 @@ def test_every_term_is_p_integral(px, data):
     st.integers(min_value=0, max_value=25),
 )
 def test_exact_engine_matches_brute_force(x, terms):
-    assert truncated_series_exact(two_f_one(x, terms)) == brute_series(x, terms)
+    assert truncated_series_exact(x, terms) == brute_series(x, terms)
 
 
 @given(
@@ -144,10 +142,9 @@ def test_exact_engine_matches_brute_force(x, terms):
 )
 def test_window_sums_concatenate(a, cut1, cut2, tail):
     lo, mid, hi = sorted((cut1, cut2, cut1 + tail))
-    spec = two_f_one(a, hi)
-    assert window_sum_exact(spec, 0, lo) + window_sum_exact(
-        spec, lo, mid
-    ) + window_sum_exact(spec, mid, hi) == truncated_series_exact(spec)
+    assert window_sum_exact(a, 0, lo) + window_sum_exact(a, lo, mid) + window_sum_exact(
+        a, mid, hi
+    ) == truncated_series_exact(a, hi)
 
 
 @settings(max_examples=300)
@@ -161,9 +158,8 @@ def test_modular_engine_matches_exact_reduction(p, e, x, terms):
     if x.denominator % p == 0:
         return
     ctx = PrimePower(p, e)
-    spec = two_f_one(x, terms)
-    assert truncated_series_mod(spec, ctx) == residue_from_rational(
-        truncated_series_exact(spec), ctx
+    assert window_sum_mod(x, 0, terms, ctx) == residue_from_rational(
+        truncated_series_exact(x, terms), ctx
     )
 
 
@@ -171,20 +167,19 @@ def test_dead_break_on_negative_integer_upper():
     # x = -3 kills every term past k = 3, and so does 1 - x = -3 at x = 4
     ctx = PrimePower(7, 2)
     for x in (-3, 4):
-        spec, short = two_f_one(x, 50), two_f_one(x, 4)
-        assert truncated_series_exact(spec) == truncated_series_exact(short) != 0
-        assert truncated_series_mod(spec, ctx) == truncated_series_mod(short, ctx)
-        assert window_residue_exact(spec, 0, 50, ctx) == truncated_series_mod(short, ctx)
-        assert window_residue_exact(spec, 4, 50, ctx) == Residue(0, ctx)
+        assert truncated_series_exact(x, 50) == truncated_series_exact(x, 4) != 0
+        assert window_sum_mod(x, 0, 50, ctx) == window_sum_mod(x, 0, 4, ctx)
+        assert window_residue_exact(x, 0, 50, ctx) == window_sum_mod(x, 0, 4, ctx)
+        assert window_residue_exact(x, 4, 50, ctx) == Residue(0, ctx)
 
 
 def test_non_unit_series_parameters_rejected():
     ctx = PrimePower(5, 2)
     for x in (Fraction(1, 5), Fraction(-2, 15)):
         with pytest.raises(NonUnitDenominator, match=f"series parameter {x} has"):
-            truncated_series_mod(two_f_one(x, 7), ctx)
+            window_sum_mod(x, 0, 7, ctx)
         with pytest.raises(NonUnitDenominator, match=f"series parameter {x} has"):
-            window_residue_exact(two_f_one(x, 7), 0, 7, ctx)
+            window_residue_exact(x, 0, 7, ctx)
 
 
 def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
@@ -200,7 +195,7 @@ def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
     fresh_prefix_table(monkeypatch)
     monkeypatch.setattr(series, "_ratio_factors", one_p_too_many)
     with pytest.raises(InternalError, match="is not 5-integral"):
-        window_residue_exact(two_f_one(Fraction(1, 2), 3), 0, 3, PrimePower(5, 2))
+        window_residue_exact(Fraction(1, 2), 0, 3, PrimePower(5, 2))
 
 
 @st.composite
@@ -216,31 +211,30 @@ def oracle_cases(draw):
     )
     k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
     ctx = PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
-    return two_f_one(x, k_stop), k_start, k_stop, ctx
+    return x, k_start, k_stop, ctx
 
 
 @settings(max_examples=400)
 @given(oracle_cases())
 # a zero factor before the window, inside it and at its last step
-@example((two_f_one(-2, 20), 4, 20, PrimePower(7, 3)))
-@example((two_f_one(4, 20), 2, 20, PrimePower(7, 6)))
-@example((two_f_one(-5, 6), 1, 6, PrimePower(7, 2)))
-@example((two_f_one(0, 5), 0, 5, PrimePower(5, 2)))
+@example((-2, 4, 20, PrimePower(7, 3)))
+@example((4, 2, 20, PrimePower(7, 6)))
+@example((-5, 1, 6, PrimePower(7, 2)))
+@example((0, 0, 5, PrimePower(5, 2)))
 def test_binary_splitting_oracle_matches_fraction_route(case):
-    spec, k_start, k_stop, ctx = case
-    want = residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
-    assert window_residue_exact(spec, k_start, k_stop, ctx) == want
+    x, k_start, k_stop, ctx = case
+    want = residue_from_rational(window_sum_exact(x, k_start, k_stop), ctx)
+    assert window_residue_exact(x, k_start, k_stop, ctx) == want
 
 
 def test_binary_splitting_oracle_on_long_windows():
     # the p^2-term sums and the blocks [r p, (r+1) p) the suites ask for
     for fam in QUARTICS:
         for p, r, e in ((31, 0, 2), (31, 3, 3), (97, 0, 2)):
-            spec = two_f_one(fam.x, p * p)
             for lo, hi in ((0, p * p), (r * p, (r + 1) * p)):
                 ctx = PrimePower(p, e)
-                want = residue_from_rational(window_sum_exact(spec, lo, hi), ctx)
-                assert window_residue_exact(spec, lo, hi, ctx) == want
+                want = residue_from_rational(window_sum_exact(fam.x, lo, hi), ctx)
+                assert window_residue_exact(fam.x, lo, hi, ctx) == want
 
 
 def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[dict]:
@@ -256,9 +250,9 @@ def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[dict]:
     return made
 
 
-def assert_oracle_matches_reference(spec, k_start, k_stop, ctx):
-    want = residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx)
-    assert window_residue_exact(spec, k_start, k_stop, ctx) == want
+def assert_oracle_matches_reference(x, k_start, k_stop, ctx):
+    want = residue_from_rational(window_sum_exact(x, k_start, k_stop), ctx)
+    assert window_residue_exact(x, k_start, k_stop, ctx) == want
 
 
 def quartic_windows(x: Fraction) -> list:
@@ -268,9 +262,8 @@ def quartic_windows(x: Fraction) -> list:
     for p in (5, 7, 11, 13):
         for e in (1, 3):
             ctx = PrimePower(p, e)
-            spec = two_f_one(x, p * p)
-            out += [(spec, 0, stop, ctx) for stop in (1, 2, 3, p, 2 * p, 3 * p, p * p)]
-            out += [(spec, r * p, (r + 1) * p, ctx) for r in (1, 2)]
+            out += [(x, 0, stop, ctx) for stop in (1, 2, 3, p, 2 * p, 3 * p, p * p)]
+            out += [(x, r * p, (r + 1) * p, ctx) for r in (1, 2)]
     return out
 
 
@@ -297,9 +290,8 @@ def test_rising_stops_move_one_checkpoint_forward(monkeypatch):
     # checkpoint however far it climbs
     made = fresh_prefix_table(monkeypatch)
     ctx = PrimePower(5, 3)
-    spec = two_f_one(Fraction(1, 2), 200)
     for stop in range(10, 201, 10):
-        assert_oracle_matches_reference(spec, 0, stop, ctx)
+        assert_oracle_matches_reference(Fraction(1, 2), 0, stop, ctx)
         assert len(made) == 1 and list(made[0]) == [stop - 1]
 
 
@@ -314,10 +306,9 @@ def test_prefix_table_evicts_series_and_checkpoints(monkeypatch):
     stops = range(3 + 4 * (series.CHECKPOINT_LIMIT + 2), 2, -4)
     for _ in range(2):
         for x in xs:
-            spec = two_f_one(x, stops[0])
             for stop in stops:
-                assert_oracle_matches_reference(spec, 0, stop, ctx)
-                assert_oracle_matches_reference(spec, stop - 3, stop, ctx)
+                assert_oracle_matches_reference(x, 0, stop, ctx)
+                assert_oracle_matches_reference(x, stop - 3, stop, ctx)
             assert len(made[-1]) == series.CHECKPOINT_LIMIT
             assert series._checkpoints.cache_info().currsize <= series.SERIES_LIMIT
     assert len(made) == 2 * len(xs)
@@ -350,7 +341,7 @@ def table_requests(draw):
         )
         k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
         ctx = PrimePower(p, draw(st.integers(min_value=1, max_value=6)))
-        out.append((two_f_one(draw(st.sampled_from(xs)), k_stop), k_start, k_stop, ctx))
+        out.append((draw(st.sampled_from(xs)), k_start, k_stop, ctx))
     return out
 
 
@@ -360,15 +351,15 @@ def table_requests(draw):
 # sides of it, so later merges must keep the sum
 @example(
     [
-        (two_f_one(-3, 2), 0, 2, PrimePower(5, 2)),
-        (two_f_one(-3, 30), 0, 30, PrimePower(5, 2)),
-        (two_f_one(-3, 30), 2, 30, PrimePower(7, 3)),
-        (two_f_one(-3, 60), 31, 60, PrimePower(7, 3)),
-        (two_f_one(4, 60), 0, 60, PrimePower(11, 6)),
+        (-3, 0, 2, PrimePower(5, 2)),
+        (-3, 0, 30, PrimePower(5, 2)),
+        (-3, 2, 30, PrimePower(7, 3)),
+        (-3, 31, 60, PrimePower(7, 3)),
+        (4, 0, 60, PrimePower(11, 6)),
     ],
     (8, 6),
 )
-@example([(two_f_one(Fraction(1, 2), 0), 0, 0, PrimePower(5, 1))] * 2, (1, 1))
+@example([(Fraction(1, 2), 0, 0, PrimePower(5, 1))] * 2, (1, 1))
 def test_prefix_table_matches_sequential_reference(requests, limits):
     with pytest.MonkeyPatch.context() as mp:
         made = fresh_prefix_table(mp, limits[0])
@@ -386,8 +377,19 @@ def test_prefix_table_matches_sequential_reference(requests, limits):
 def test_series_fraction_matches_sequential_sum(x, stops):
     # the conjecture oracle's exact F(x; N), F(x; 0) = 0 included
     for stop in stops:
-        spec = two_f_one(x, stop)
-        assert series_fraction(spec) == truncated_series_exact(spec)
+        assert series_fraction(x, stop) == truncated_series_exact(x, stop)
+
+
+def test_int_and_fraction_x_share_one_prefix_table():
+    # the engines turn x into a Fraction: lru_cache alone keys 3 and
+    # Fraction(3) apart, and sun's integer lifts would build a second table
+    series._checkpoints.cache_clear()
+    ctx = PrimePower(7, 3)
+    low = window_residue_exact(3, 0, 10, ctx)
+    high = window_residue_exact(Fraction(3), 0, 20, ctx)
+    assert series._checkpoints.cache_info().currsize == 1
+    assert low == window_sum_mod(3, 0, 10, ctx)
+    assert high == window_sum_mod(Fraction(3), 0, 20, ctx)
 
 
 def test_kernel_takes_k_stop_sixth():
@@ -429,9 +431,8 @@ def fresh_window(window):
 
 def assert_matches_exact_oracle(window, got):
     xn, xd, p, e, k_start, k_stop = window
-    spec = two_f_one(Fraction(xn, xd), k_stop)
-    ctx = PrimePower(p, e)
-    assert got == residue_from_rational(window_sum_exact(spec, k_start, k_stop), ctx).value
+    want = window_sum_exact(Fraction(xn, xd), k_start, k_stop)
+    assert got == residue_from_rational(want, PrimePower(p, e)).value
 
 
 @given(kernel_windows())
@@ -551,8 +552,5 @@ def test_factorial_table_keeps_only_the_latest_prime():
 )
 def test_block_window_sum_matches_exact_window(fam, p, r):
     ctx = PrimePower(p, 2)
-    spec = two_f_one(fam.x, (r + 1) * p)
-    got = window_sum_mod(spec, r * p, (r + 1) * p, ctx)
-    assert got == residue_from_rational(
-        window_sum_exact(spec, r * p, (r + 1) * p), ctx
-    )
+    got = window_sum_mod(fam.x, r * p, (r + 1) * p, ctx)
+    assert got == residue_from_rational(window_sum_exact(fam.x, r * p, (r + 1) * p), ctx)
