@@ -42,24 +42,16 @@ from functools import lru_cache
 from math import comb
 
 from . import _kernel
-from .errors import InternalError, NonUnitDenominator
+from .errors import InternalError
 from .padic import (
     PadicInput,
     PrimePower,
     Residue,
     as_fraction,
+    require_p_integral,
     residue_from_rational,
     split_p_power,
 )
-
-
-def _check_x(x: PadicInput, p: int) -> Fraction:
-    """x as a `Fraction`, so that 3 and Fraction(3) share one prefix table;
-    raises unless its denominator is prime to p."""
-    x = as_fraction(x)
-    if x.denominator % p == 0:
-        raise NonUnitDenominator(f"series parameter {x} has denominator divisible by {p}")
-    return x
 
 
 # --- exact engine ----------------------------------------------------------
@@ -176,7 +168,7 @@ def window_residue_exact(
     every prefix is.  The lower prefix is read first, so the upper one
     extends it.
     """
-    x = _check_x(x, ctx.p)
+    x = require_p_integral(x, ctx.p)  # a Fraction: 3 and Fraction(3) share a table
     if k_stop <= k_start:
         return Residue(0, ctx)
     low = _prefix_residue(x, k_start, ctx) if k_start else 0
@@ -188,7 +180,7 @@ def window_residue_exact(
 
 def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) -> Residue:
     """Sum of terms k_start <= k < k_stop reduced mod p^e."""
-    x = _check_x(x, ctx.p)
+    x = require_p_integral(x, ctx.p)
     xn, xd = x.numerator, x.denominator
     return Residue(_kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop), ctx)
 
@@ -222,9 +214,10 @@ class QuarticFamily:
     """One of the four x with c(c-1) the discriminant of a quadratic field.
 
     ``binomials`` lists (c, d) pairs meaning a factor C(c*n, d*n); the term
-    of the 2F1 sum at index n equals their product divided by base^n, and
-    ``character_arg`` is the integer whose quadratic character gives the
-    closed-form right-hand side.
+    of the 2F1 sum at index n equals their product divided by base^n
+    (`term_scaled` and `term_residue` read it mod p^e by the modular and the
+    exact route), and ``character_arg`` is the integer whose quadratic
+    character gives the closed-form right-hand side.
     """
 
     x: Fraction
@@ -240,7 +233,14 @@ class QuarticFamily:
         return out
 
     def term_exact(self, n: int) -> Fraction:
+        """The term at index n as one rational; the tests' reference."""
         return Fraction(self.binomial_product(n), self.base**n)
+
+    def term_residue(self, n: int, ctx: PrimePower) -> Residue:
+        """The term at index n mod p^e, reduced exactly from the binomial
+        product; the base is 2^a 3^b, a unit for every admissible p >= 5."""
+        m = ctx.modulus
+        return Residue(self.binomial_product(n) % m * pow(self.base, -n, m), ctx)
 
     def term_scaled(self, n: int, ctx: PrimePower) -> Residue:
         """The term at index n mod p^e, from the factorial table."""

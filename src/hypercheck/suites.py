@@ -163,20 +163,32 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
 
 #: ``dual(modular_fn, exact_fn) -> (value, engine label)``; `run_instance`
 #: binds it to the run's engine and hands it to every check.  Series windows
-#: reach it through `_series`; the quartic terms of lemma4 and lemma5, and
-#: conj's scaled difference (handed either engine function), call it directly.
+#: reach it through `_series` and quartic terms through `_term`, each under its
+#: budget cap; only conj's scaled difference (handed either engine function at
+#: its own working precision) calls it directly.
 Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], tuple[Residue, str]]
 
 
 def _series(
-    dual: Dual, x: PadicInput, stop: int, ctx: PrimePower, start: int = 0
+    dual: Dual, x: PadicInput, stop: int, ctx: PrimePower, sweep: Sweep, start: int = 0
 ) -> tuple[Residue, str]:
     """The terms start <= k < stop of F(x; stop) mod p^e by the engine's
-    route(s); the one way a check reaches a series engine."""
+    route(s), under the series cap; the one way a check reaches a series
+    engine."""
+    _need_series(stop, sweep)
     return dual(
         lambda: series.window_sum_mod(x, start, stop, ctx),
         lambda: series.window_residue_exact(x, start, stop, ctx),
     )
+
+
+def _term(
+    dual: Dual, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep
+) -> tuple[Residue, str]:
+    """The term t_n of ``fam``'s series mod p^e by the engine's route(s),
+    under the binomial cap; the one way a check reaches a quartic term."""
+    _need_family(fam, n, sweep)
+    return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
 
 def _sign_residue(s: int, ctx: PrimePower) -> Residue:
@@ -237,7 +249,7 @@ def gen_thm1(sweep):
 def check_thm1(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p, ctx)
+    lhs, label = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -251,7 +263,7 @@ def gen_sun(sweep):
 def check_sun(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p, ctx)
+    lhs, label = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -265,10 +277,9 @@ def gen_rv(sweep):
 
 def check_rv(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
-    _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, n * p, ctx)
-    base, _ = _series(dual, x, n, ctx)
+    lhs, label = _series(dual, x, n * p, ctx, sweep)
+    base, _ = _series(dual, x, n, ctx, sweep)
     rhs = base * special.sign_of_least_residue(x, p)
     return _congruence_report(lhs, rhs, label)
 
@@ -291,9 +302,8 @@ def gen_corollary_px(sweep):
 
 def check_corollary_px(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
-    _need_series(p**r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p**r, ctx)
+    lhs, label = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
     rhs = _sign_residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
     return _congruence_report(lhs, rhs, label)
@@ -363,25 +373,24 @@ def gen_lemma4(sweep):
 # Residue rows of the lemma4 and lemma4-binom right sides, one per quartic
 # x at the latest p^e, since both suites finish one prime before the next.
 # Each suite builds only the rows it reads, where entry k < p of a row is
-# the residue of term_exact(k), p (T_k - 2 H_k), binomial_product(k) or
-# p (closed form - 2 H_k), and h is 2p H_floor(px).  For the four quartic x
-# and p >= 5 every factor is p-integral: base^k is a unit, H_k and
-# H_floor(px) have indices below p, and i < k < p puts at most one p in
-# each denominator of T_k and of the H_{dk} in its closed form.  So
+# the residue of the term t_k (`term_residue`), p (T_k - 2 H_k),
+# binomial_product(k) or p (closed form - 2 H_k), and h is 2p H_floor(px).
+# For the four quartic x and p >= 5 every factor is p-integral: base^k is a
+# unit, H_k and H_floor(px) have indices below p, and i < k < p puts at most
+# one p in each denominator of T_k and of the H_{dk} in its closed form.  So
 # reducing factor by factor equals reducing the exact product.
 @lru_cache(maxsize=len(QUARTICS))
 def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
     """(term, weight, h) for lemma4."""
-    p, m = ctx.p, ctx.modulus
+    p = ctx.p
     fam = QUARTIC_BY_X[x]
     weights = identities.partial_fraction_weights(x, p - 1)
-    inv_base = pow(fam.base, -1, m)
 
     def reduce(q):
         return residue_from_rational(q, ctx).value
 
     return (
-        [fam.binomial_product(k) * pow(inv_base, k, m) % m for k in range(p)],
+        [fam.term_residue(k, ctx).value for k in range(p)],
         [reduce(p * (weights[k] - 2 * special.harmonic_exact(k))) for k in range(p)],
         reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
     )
@@ -406,15 +415,10 @@ def check_lemma4(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    m = k + r * p
-    _need_family(fam, m, sweep)
-    lhs, label = dual(
-        lambda: fam.term_scaled(m, ctx),
-        lambda: residue_from_rational(fam.term_exact(m), ctx),
-    )
+    lhs, label = _term(dual, fam, k + r * p, ctx, sweep)
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
     term, weight, h = _lemma4_rows(x, ctx)
-    t_r = residue_from_rational(fam.term_exact(r), ctx)
+    t_r = fam.term_residue(r, ctx)
     rhs = t_r * term[k] * (1 + r * (h + weight[k]))
     return _congruence_report(lhs, rhs, label)
 
@@ -444,10 +448,7 @@ def check_lemma5(params, sweep, dual):
     p, k, x = params["p"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 1)
-    lhs, label = dual(
-        lambda: fam.term_scaled(k, ctx),
-        lambda: residue_from_rational(fam.term_exact(k), ctx),
-    )
+    lhs, label = _term(dual, fam, k, ctx, sweep)
     rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -487,7 +488,7 @@ def check_babbage(params, sweep, dual):
 def check_chain_reflect(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, -x, p, ctx)
+    lhs, label = _series(dual, -x, p, ctx, sweep)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
     return _congruence_report(lhs, rhs, label)
 
@@ -525,7 +526,7 @@ def check_chain_jet(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, -q, p, ctx)
+    lhs, label = _series(dual, -q, p, ctx, sweep)
     m = special.least_residue(x, p)
     delta = (q - m) / p
     a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
@@ -564,12 +565,11 @@ def gen_chain_block(sweep):
 def check_chain_block(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     fam = QUARTIC_BY_X[x]
-    _need_series((r + 1) * p, sweep)
     _need_family(fam, r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, (r + 1) * p, ctx, start=r * p)
-    base, _ = _series(dual, x, p, ctx)
-    rhs = residue_from_rational(fam.term_exact(r), ctx) * base
+    lhs, label = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
+    base, _ = _series(dual, x, p, ctx, sweep)
+    rhs = fam.term_residue(r, ctx) * base
     return _congruence_report(lhs, rhs, label)
 
 
@@ -620,11 +620,10 @@ def check_chain_weighted(params, sweep, dual):
 
 def check_chain_product(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
-    _need_series(n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, n * p, ctx)
-    fp, _ = _series(dual, x, p, ctx)
-    fn, _ = _series(dual, x, n, ctx)
+    lhs, label = _series(dual, x, n * p, ctx, sweep)
+    fp, _ = _series(dual, x, p, ctx, sweep)
+    fn, _ = _series(dual, x, n, ctx, sweep)
     return _congruence_report(lhs, fp * fn, label)
 
 

@@ -296,17 +296,41 @@ def test_list_follows_out(tmp_path, capsys):
     assert path.read_text() == table
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("VERIFY_BUDGET_SERIES", "6")
-    code, out, err = run_main(
-        capsys,
-        "rv", "--p-min", "7", "--p-max", "7", "--n", "1", "--format", "json-lines",
-    )
-    # every instance needs a length-7 series; all become budget errors
+@pytest.mark.parametrize(
+    "env, budget, argv, instances, errors, text",
+    [
+        # every instance needs a series longer than the cap
+        ("SERIES", "6", ("rv", "--p-min", "7", "--p-max", "7", "--n", "1"), 4, 4,
+         "series truncation 7 exceeds cap 6"),
+        *(
+            ("SERIES", "10", (sid, "--p-min", "13", "--p-max", "13"), count, count,
+             "series truncation 13 exceeds cap 10")
+            for sid, count in
+            (("thm1", 4), ("sun", 24), ("chain-reflect", 24), ("chain-jet", 24))
+        ),
+        # C(c k, d k) tops above 10: k >= 6, 4, 3 and 2 for x = 1/2, 1/3, 1/4, 1/6
+        ("BINOMIAL", "10", ("lemma5", "--p-min", "13", "--p-max", "13"), 52, 37,
+         "binomial argument "),
+    ],
+    ids=["rv", "thm1", "sun", "chain-reflect", "chain-jet", "lemma5"],
+)
+def test_budget_env_override(
+    capsys, monkeypatch, env, budget, argv, instances, errors, text
+):
+    monkeypatch.setenv(f"VERIFY_BUDGET_{env}", budget)
+    code, out, err = run_main(capsys, *argv, "--format", "json-lines")
     records = [json.loads(line) for line in out.strip().splitlines()]
+    summary = records.pop()["summary"]
     assert code == 0  # errors are not failures
-    assert records[-1]["summary"]["errors"] == 4
-    assert all("BudgetExceeded" in r["error"] for r in records[:-1])
+    assert (summary["instances"], summary["errors"], summary["failed"]) == (
+        instances, errors, 0
+    )
+    messages = [r["error"] for r in records if r.get("error")]
+    assert len(messages) == errors
+    assert all(
+        m.startswith(f"BudgetExceeded: {text}") and m.endswith(f" exceeds cap {budget}")
+        for m in messages
+    )
 
 
 def test_budget_env_is_read_by_the_cli_only(capsys, monkeypatch):
