@@ -1,13 +1,15 @@
 """The modular series kernel: resumable walks of F(x; N) mod p^e.
 
-`series_window_mod` is the single hot loop of the whole checker: it sums a
-window ``k_start <= k < k_stop`` of the terms of
+`_Walker.reach` is the single hot loop of the whole checker: it walks the
+terms of
 
     F(x; N) = sum_{k<N} (x)_k (1-x)_k / (k!)^2
 
-mod p^e, the one series the paper studies.  x = xn / xd is passed as a
-reduced integer pair with xd > 0 prime to p, so the kernel does no
-rational arithmetic.  Term 0 is 1 and each step multiplies by
+mod p^e, the one series the paper studies, for `series_window_mod` (the
+sum of a window ``k_start <= k < k_stop``) and `series_term_mod` (one
+term, for lemmas 4 and 5).  x = xn / xd is passed as a reduced integer
+pair with xd > 0 prime to p, so the kernel does no rational arithmetic.
+Term 0 is 1 and each step multiplies by
 
     t_{k+1} / t_k = (xn + k xd)(xd - xn + k xd) / (xd (k+1))^2.
 
@@ -38,6 +40,11 @@ divided out when it is stored: term k is ``p^v * num`` and the sum of the
 terms below k is ``acc``, both mod p^e.  A prefix resumes from the nearest
 checkpoint at or below its stop, so stops may come in any order, every
 term is built once per series, and a stop asked for again costs no step.
+A term read adds no checkpoint: the walker keeps one cursor, the state
+``(k, v, num, acc)`` at the last term read, and every walk starts from
+the higher of the cursor and the nearest checkpoint not past its stop.
+So lemma4's reads of terms k + r*p, rising per series, cost one step
+each and no memory.
 
 `_walker` is the walker table: an `lru_cache` on `_Walker` keyed by
 (xn, xd, p, e) and bounded by `WALKER_LIMIT`.  Sweeps such as ``sun``
@@ -69,37 +76,40 @@ def backend_name() -> str:
 
 
 class _Walker:
-    """Checkpointed prefix sums of F(xn/xd; N) mod p^e."""
+    """Checkpointed prefix sums and a term cursor of F(xn/xd; N) mod p^e."""
 
-    __slots__ = ("xn", "xd", "p", "e", "m", "checkpoints", "dead")
+    __slots__ = ("xn", "xd", "p", "e", "m", "powers", "checkpoints", "cursor", "dead")
 
     def __init__(self, xn: int, xd: int, p: int, e: int):
         self.xn, self.xd, self.p, self.e = xn, xd, p, e
         self.m = p**e
+        self.powers = [p**j for j in range(e)]
         self.checkpoints = [(0, 0, 1, 0)]  # (k, v, num, acc), sorted by k
+        self.cursor = (0, 0, 1, 0)  # the state at the last term read
         self.dead = None  # (j, prefix(j)) once term j is zero
 
-    def prefix(self, stop: int) -> int:
-        """The sum of the terms below ``stop`` mod p^e."""
+    def reach(self, stop: int, term: bool) -> int:
+        """Term ``stop`` if ``term``, else the sum of the terms below it, mod
+        p^e.  A term read moves the cursor; a sum adds a checkpoint."""
         if self.dead is not None and stop >= self.dead[0]:
-            return self.dead[1]
+            return 0 if term else self.dead[1]
         i = bisect_right(self.checkpoints, stop, key=itemgetter(0)) - 1
-        k, v, num, acc = self.checkpoints[i]
-        if k == stop:
-            return acc
-        p, e, m, xn, xd = self.p, self.e, self.m, self.xn, self.xd
+        state = self.checkpoints[i]
+        if state[0] < self.cursor[0] <= stop:
+            state = self.cursor
+        k, v, num, acc = state
+        p, e, m, powers, xn, xd = self.p, self.e, self.m, self.powers, self.xn, self.xd
         yn = xd - xn  # 1 - x = yn / xd
         ds0 = xd * xd
         den = 1
-        powers = [p**j for j in range(e)]
-        while True:
+        while k < stop:
             if v < e:
                 acc = (acc + num * powers[v]) % m
             # step to term k+1: multiply by p^(nv - v) * f g / (ds0 h^2)
             f, g, h = xn + k * xd, yn + k * xd, k + 1
             if f == 0 or g == 0:
                 self.dead = (k + 1, acc * pow(den, -1, m) % m)
-                return self.dead[1]
+                return 0 if term else self.dead[1]
             nv = v
             while f % p == 0:
                 f //= p
@@ -118,11 +128,14 @@ class _Walker:
             den = den * ds % m
             v = nv
             k += 1
-            if k == stop:
-                inverse = pow(den, -1, m)
-                acc = acc * inverse % m
-                self.checkpoints.insert(i + 1, (k, v, num * inverse % m, acc))
-                return acc
+        inverse = pow(den, -1, m)
+        num, acc = num * inverse % m, acc * inverse % m
+        if term:
+            self.cursor = (k, v, num, acc)
+            return num * powers[v] % m if v < e else 0
+        if self.checkpoints[i][0] < stop:
+            self.checkpoints.insert(i + 1, (k, v, num, acc))
+        return acc
 
 
 _walker = lru_cache(maxsize=WALKER_LIMIT)(_Walker)
@@ -131,5 +144,10 @@ _walker = lru_cache(maxsize=WALKER_LIMIT)(_Walker)
 def series_window_mod(xn, xd, p, e, k_start, k_stop) -> int:
     """The sum of terms ``k_start <= k < k_stop`` of F(xn/xd; N) mod p^e."""
     walker = _walker(xn, xd, p, e)
-    high = walker.prefix(k_stop)
-    return (high - walker.prefix(min(k_start, k_stop))) % walker.m
+    high = walker.reach(k_stop, False)
+    return (high - walker.reach(min(k_start, k_stop), False)) % walker.m
+
+
+def series_term_mod(xn, xd, p, e, n) -> int:
+    """Term n of F(xn/xd; N) mod p^e."""
+    return _walker(xn, xd, p, e).reach(n, True)

@@ -337,6 +337,13 @@ def _config_echo(cfg: RunConfig) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(cfg: RunConfig) -> int:
     """List the suites or run the sweep; the exit code."""
     if cfg.list_suites:
@@ -350,7 +357,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.workers > 1:
         # Pool.imap reads its input ahead anyway, so the pool gets a list
         items = list(items)
-        workers = min(cfg.workers, len(items))
+        workers = min(cfg.workers, len(items), _usable_cpus())
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
             reports = map(_work, items)

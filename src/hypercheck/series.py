@@ -17,7 +17,8 @@ happens only when x is an integer, ends the sum: every later term is 0.
 
 The modular engine walks the term recurrence with valuation-tracked
 units, once per series and p^e, resuming from checkpoints at the stops
-already asked for (see ``_kernel``).  The exact engine is the independent
+already asked for (see ``_kernel``), and `QuarticFamily.term_scaled`
+reads quartic terms from the same walk.  The exact engine is the independent
 oracle and has the same design over the integers: a window [a, b) is
 S(b) - S(a) mod p^e, where S(j) is the exact prefix sum of the terms below
 j from binary splitting over the term ratio, reduced once mod p^e
@@ -185,27 +186,6 @@ def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) ->
     return Residue(_kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop), ctx)
 
 
-# --- factorials with the p-power split off ---------------------------------
-
-# The table of the latest (p, p^e) only, since lemma4 and lemma5 finish one
-# prime before the next: entry n is n! = p^v * u as the integers
-# (v, u mod p^e), so a p-divisible factor costs no precision.
-@lru_cache(maxsize=1)
-def _factorial_table(p: int, m: int) -> list[tuple[int, int]]:
-    return [(0, 1)]
-
-
-def _factorials(n: int, p: int, m: int) -> list[tuple[int, int]]:
-    """The factorial table for p and m = p^e, extended to hold n!."""
-    table = _factorial_table(p, m)
-    v, u = table[-1]
-    for k in range(len(table), n + 1):
-        vk, uk = split_p_power(k, p)
-        v, u = v + vk, u * uk % m
-        table.append((v, u))
-    return table
-
-
 # --- the four quadratic-character families ---------------------------------
 
 
@@ -214,9 +194,10 @@ class QuarticFamily:
     """One of the four x with c(c-1) the discriminant of a quadratic field.
 
     ``binomials`` lists (c, d) pairs meaning a factor C(c*n, d*n); the term
-    of the 2F1 sum at index n equals their product divided by base^n
-    (`term_scaled` and `term_residue` read it mod p^e by the modular and the
-    exact route), and ``character_arg`` is the integer whose quadratic
+    of the 2F1 sum at index n equals their product divided by base^n.
+    `term_scaled` reads it mod p^e from the modular walk of the series, and
+    `term_residue` reduces the binomial product exactly, so the two routes
+    share no code.  ``character_arg`` is the integer whose quadratic
     character gives the closed-form right-hand side.
     """
 
@@ -243,19 +224,10 @@ class QuarticFamily:
         return Residue(self.binomial_product(n) % m * pow(self.base, -n, m), ctx)
 
     def term_scaled(self, n: int, ctx: PrimePower) -> Residue:
-        """The term at index n mod p^e, from the factorial table."""
-        p, m = ctx.p, ctx.modulus
-        fact = _factorials(max(c for c, _ in self.binomials) * n, p, m)
-        v, num, den = 0, 1, 1
-        for c, d in self.binomials:
-            (vt, ut), (vb, ub), (vr, ur) = fact[c * n], fact[d * n], fact[(c - d) * n]
-            v += vt - vb - vr
-            num = num * ut % m
-            den = den * ub * ur % m
-        if v >= ctx.e:
-            return Residue(0, ctx)
-        # bases are 2^a 3^b, units for every admissible p >= 5
-        return Residue(num * pow(den * pow(self.base, n, m), -1, m) * p**v, ctx)
+        """The term at index n mod p^e, read from the modular engine's walk
+        of F(x; N) (``_kernel.series_term_mod``)."""
+        xn, xd = self.x.numerator, self.x.denominator
+        return Residue(_kernel.series_term_mod(xn, xd, ctx.p, ctx.e, n), ctx)
 
 
 QUARTICS: tuple[QuarticFamily, ...] = (

@@ -345,6 +345,7 @@ def gen_lemma2(sweep):
 
 def check_lemma2(params, sweep, dual):
     p, d = params["p"], params["d"]
+    _need_series(p, sweep)
     ctx = PrimePower(p, 1)
     lhs = special.harmonic_mod(p // d, ctx)
     ctx2 = PrimePower(p, 2)
@@ -455,6 +456,7 @@ def check_lemma5(params, sweep, dual):
 
 def check_lemma5_poch(params, sweep, dual):
     p, k, x = params["p"], params["k"], params["x"]
+    _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     m = special.floor_px(x, p)
     # integer rising products mod p
@@ -542,6 +544,7 @@ def gen_chain_m(sweep):
 
 def check_chain_backward(params, sweep, dual):
     p, m = params["p"], params["m"]
+    _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     # the backward-offset first-order piece of the jet
     lhs = residue_from_rational(_reflected_jet_sums(m, p)[1], ctx)
@@ -551,8 +554,16 @@ def check_chain_backward(params, sweep, dual):
 
 # For m < p, C(m, k) = 0 when m < k < p, so the sums truncated at p are the
 # identity-alt and identity-tail sums at n = m.
-check_chain_binom = _identity_check(identities.alternating_binomial_sum, "m")
-check_chain_forward = _identity_check(identities.tail_harmonic_sum, "m")
+def check_chain_binom(params, sweep, dual):
+    _need_series(params["p"], sweep)
+    case = identities.alternating_binomial_sum(params["m"])
+    return _exact_report(case.lhs, case.rhs)
+
+
+def check_chain_forward(params, sweep, dual):
+    _need_series(params["p"], sweep)
+    case = identities.tail_harmonic_sum(params["m"])
+    return _exact_report(case.lhs, case.rhs)
 
 
 def gen_chain_block(sweep):
@@ -575,6 +586,7 @@ def check_chain_block(params, sweep, dual):
 
 def check_chain_convolution(params, sweep, dual):
     p, x = params["p"], params["x"]
+    _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     terms = identities.series_terms(x, p - 1)
     weights = identities.partial_fraction_weights(x, p - 1)
@@ -597,6 +609,7 @@ def gen_chain_weighted(sweep):
 
 def check_chain_weighted(params, sweep, dual):
     p, x, form = params["p"], params["x"], params["form"]
+    _need_series(p, sweep)
     m = special.floor_px(x, p)
     hm = special.harmonic_exact(m)
     if form == "series":

@@ -305,14 +305,23 @@ def test_list_follows_out(tmp_path, capsys):
         *(
             ("SERIES", "10", (sid, "--p-min", "13", "--p-max", "13"), count, count,
              "series truncation 13 exceeds cap 10")
-            for sid, count in
-            (("thm1", 4), ("sun", 24), ("chain-reflect", 24), ("chain-jet", 24))
+            for sid, count in (
+                ("thm1", 4), ("sun", 24), ("chain-reflect", 24), ("chain-jet", 24),
+                # O(p) walks that read no series engine
+                ("lemma2", 4), ("lemma5-poch", 52), ("chain-backward", 13),
+                ("chain-binom", 13), ("chain-forward", 13), ("chain-convolution", 4),
+                ("chain-weighted", 8),
+            )
         ),
         # C(c k, d k) tops above 10: k >= 6, 4, 3 and 2 for x = 1/2, 1/3, 1/4, 1/6
         ("BINOMIAL", "10", ("lemma5", "--p-min", "13", "--p-max", "13"), 52, 37,
          "binomial argument "),
     ],
-    ids=["rv", "thm1", "sun", "chain-reflect", "chain-jet", "lemma5"],
+    ids=[
+        "rv", "thm1", "sun", "chain-reflect", "chain-jet", "lemma2", "lemma5-poch",
+        "chain-backward", "chain-binom", "chain-forward", "chain-convolution",
+        "chain-weighted", "lemma5",
+    ],
 )
 def test_budget_env_override(
     capsys, monkeypatch, env, budget, argv, instances, errors, text
@@ -637,9 +646,19 @@ def test_pool_never_outnumbers_instances(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "Pool", FakePool)
+    # six usable CPUs; no real process is started
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     # thm1 has four instances at p = 5 and eight up to p = 7
-    code, out, _ = run_main(capsys, "thm1", "--p-max", "5", "--workers", "64")
-    assert code == 0 and out.count("PASS") == 4
-    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "3")
+    for p_max, workers, passed in (("5", "64", 4), ("7", "3", 8), ("7", "64", 8)):
+        code, out, _ = run_main(capsys, "thm1", "--p-max", p_max, "--workers", workers)
+        assert code == 0 and out.count("PASS") == passed
+    # where the OS cannot say which CPUs a process may use, all of them count
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "64")
     assert code == 0 and out.count("PASS") == 8
-    assert sizes == [4, 3]
+    # one usable CPU runs in this process, without a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "64")
+    assert code == 0 and out.count("PASS") == 8
+    assert sizes == [4, 3, 6, 5]

@@ -1,4 +1,4 @@
-"""Series evaluation: exact engine, modular engine, factorial table, families."""
+"""Series evaluation: exact engine, modular engine and its term reads, families."""
 
 import inspect
 import math
@@ -423,11 +423,11 @@ def kernel_windows(draw):
     )
 
 
-def fresh_window(window):
+def fresh_window(window, read=_kernel.series_window_mod):
     """The kernel's value on an emptied walker table; the real table is untouched."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_walker", lru_cache(maxsize=_kernel.WALKER_LIMIT)(_kernel._Walker))
-        return _kernel.series_window_mod(*window)
+        return read(*window)
 
 
 def assert_matches_exact_oracle(window, got):
@@ -439,6 +439,15 @@ def assert_matches_exact_oracle(window, got):
 @given(kernel_windows())
 def test_pure_kernel_matches_exact_oracle(window):
     assert_matches_exact_oracle(window, fresh_window(window))
+
+
+def assert_term_read_matches_one_term_window(window):
+    """Term k_start, read from the table's walker and from a fresh one,
+    equals the window [k_start, k_start + 1) on a fresh walker."""
+    xn, xd, p, e, k_start, _ = window
+    want = fresh_window((xn, xd, p, e, k_start, k_start + 1))
+    assert _kernel.series_term_mod(xn, xd, p, e, k_start) == want
+    assert fresh_window((xn, xd, p, e, k_start), _kernel.series_term_mod) == want
 
 
 @st.composite
@@ -474,6 +483,7 @@ def test_walker_requests_match_fresh_walks_and_oracle(windows):
         got = _kernel.series_window_mod(*window)
         assert got == fresh_window(window)
         assert_matches_exact_oracle(window, got)
+        assert_term_read_matches_one_term_window(window)
 
 
 @given(window_sequences(series_count=3))
@@ -484,25 +494,8 @@ def test_evicted_walkers_restart_cleanly(windows):
             got = _kernel.series_window_mod(*window)
             assert got == fresh_window(window)
             assert_matches_exact_oracle(window, got)
+            assert_term_read_matches_one_term_window(window)
             assert _kernel._walker.cache_info().currsize <= 2
-
-
-def legendre_valuation(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's formula."""
-    total, q = 0, p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
-
-
-@given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=400))
-def test_factorial_table_valuation_and_unit(p, n):
-    m = p**3
-    v, u = series._factorials(n, p, m)[n]
-    assert v == legendre_valuation(n, p)
-    # unit digits: n! / p^v mod p^3
-    assert u == math.factorial(n) // p**v % m
 
 
 def test_quartic_families_table():
@@ -539,17 +532,18 @@ def test_family_term_scaled_matches_exact(fam, p, n, e):
     assert fam.term_residue(n, ctx) == exact
 
 
-def test_factorial_table_keeps_only_the_latest_prime():
+def test_term_reads_add_no_checkpoint():
+    # lemma4 reads terms k + r p, k < p, of each quartic series: the cursor
+    # follows them, and the checkpoints stay as the window sums left them
     fam = QUARTIC_BY_X[Fraction(1, 6)]
     for p in filter(is_prime, range(5, 98)):
         ctx = PrimePower(p, 2)
-        for n in range(p):
-            fam.term_scaled(n, ctx)
-        # one table, and it is this prime's: asking for it again is a hit
-        info = series._factorial_table.cache_info()
-        series._factorial_table(p, p * p)
-        assert info.currsize == 1
-        assert series._factorial_table.cache_info().hits == info.hits + 1
+        walker = _kernel._walker(1, 6, p, 2)
+        checkpoints = list(walker.checkpoints)
+        for n in range(3 * p):
+            assert fam.term_scaled(n, ctx) == fam.term_residue(n, ctx)
+        assert walker.checkpoints == checkpoints
+        assert walker.cursor[0] == 3 * p - 1
 
 
 @given(
