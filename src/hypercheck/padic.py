@@ -2,8 +2,9 @@
 
 Everything downstream works with `Residue` (canonical value in [0, p^e)).
 Code that must keep p-divisible quantities exact carries them as plain
-integer pairs (v, u) meaning u * p^v, splitting off the p-power with
-`split_p_power` and reducing once at the end.  Rationals enter only through
+integer pairs (v, u) meaning u * p^v and reduces once at the end; v comes
+from a theorem where one gives it (the exact oracle's denominators) and
+from `split_p_power` otherwise.  Rationals enter only through
 `residue_from_rational`, which rejects denominators divisible by p.
 """
 
@@ -53,30 +54,14 @@ def is_prime(n: int) -> bool:
 
 
 def split_p_power(n: int, p: int) -> tuple[int, int]:
-    """Write n != 0 as unit * p^v; returns (v, unit).
-
-    Divides by p, p^2, p^4, ... while they divide n, then by the same
-    powers in reverse, so v costs O(log v) divisions of n, not v of them.
-    """
+    """Write n != 0 as unit * p^v; returns (v, unit), dividing by p v times,
+    which suits the small valuations its callers see."""
     if n == 0:
         raise ValueError("0 has no finite valuation")
-    if n % p:
-        return 0, n
     v = 0
-    powers = []
-    pk = p
-    while True:
-        q, r = divmod(n, pk)
-        if r:
-            break
-        n, v = q, v + (1 << len(powers))
-        powers.append(pk)
-        pk *= pk
-    # now v_p(n) < 2^len(powers): take its binary digits from the top
-    for j in range(len(powers) - 1, -1, -1):
-        q, r = divmod(n, powers[j])
-        if not r:
-            n, v = q, v + (1 << j)
+    while n % p == 0:
+        n //= p
+        v += 1
     return v, n
 
 

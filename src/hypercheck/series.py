@@ -51,7 +51,6 @@ from .padic import (
     as_fraction,
     require_p_integral,
     residue_from_rational,
-    split_p_power,
 )
 
 
@@ -139,15 +138,19 @@ def _prefix_sum(x: Fraction, stop: int) -> tuple[int, int]:
 
 def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     """The sum of the terms below ``stop`` reduced mod p^e, raising
-    `InternalError` unless it is p-integral."""
+    `InternalError` unless it is p-integral over a denominator whose p-power
+    is the one Legendre's formula gives."""
     num, den = _prefix_sum(x, stop)
     p, m = ctx.p, ctx.modulus
-    v, unit = split_p_power(den, p)
-    pv = p**v
-    num %= pv * m
-    if num % pv:
+    v, j = 0, stop - 1
+    while j > 0:
+        j //= p
+        v += j
+    pv = p ** (2 * v)
+    num, den = num % (pv * m), den % (pv * m)
+    if num % pv or den % pv or den // pv % p == 0:
         raise InternalError(f"F({x}; {stop}) is not {p}-integral")
-    return residue_from_rational(Fraction(num // pv, unit % m), ctx)
+    return residue_from_rational(Fraction(num // pv, den // pv), ctx)
 
 
 def series_fraction(x: PadicInput, stop: int) -> Fraction:
@@ -163,11 +166,12 @@ def window_residue_exact(
     The window is S(k_stop) - S(k_start), where S(j) is the exact prefix
     sum 1 + T / Q from binary splitting over the ratio factors (Haible and
     Papanikolaou, "Fast multiprecision evaluation of series of rational
-    numbers", ANTS-III, 1998), reduced once: the p-power of Q is split off,
-    the numerator is taken mod p^(v+e) and checked for p-integrality, and
-    the p-free part of Q is inverted mod p^e.  Every term is p-integral, so
-    every prefix is.  The lower prefix is read first, so the upper one
-    extends it.
+    numbers", ANTS-III, 1998), reduced once: Q is xd^(2(j-1)) ((j-1)!)^2
+    with xd prime to p, so its p-power p^v has v = 2 sum_i floor((j-1)/p^i)
+    (Legendre's formula), both integers are taken mod p^(v+e), the numerator
+    is checked for p-integrality, and the p-free part of Q is inverted mod
+    p^e.  Every term is p-integral, so every prefix is.  The lower prefix
+    is read first, so the upper one extends it.
     """
     x = require_p_integral(x, ctx.p)  # a Fraction: 3 and Fraction(3) share a table
     if k_stop <= k_start:

@@ -184,16 +184,17 @@ def bernoulli_exact(m: int) -> Fraction:
 def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
     """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator.
 
-    Summed mod p^e as sum_k C(m,k) B_k arg^(m-k), from k = m down so that
-    C(m,k) and arg^(m-k) are running values; each nonzero B_k is reduced
-    once, and every term is p-integral once B_k is.
+    By von Staudt-Clausen, p divides the denominator of B_k (k >= 2) iff
+    (p - 1) | k, and p >= 5 clears B_0 and B_1, so the first such B_k is
+    B_(p-1).  Summed mod p^e as sum_k C(m,k) B_k arg^(m-k), from k = m
+    down so that C(m,k) and arg^(m-k) are running values; each nonzero B_k
+    is reduced once, and every term is p-integral once B_k is.
     """
     p, mod = ctx.p, ctx.modulus
     x = residue_from_rational(require_p_integral(arg, p), ctx).value
+    if m >= p - 1:
+        raise PDivisibleDenominator(f"B_{p - 1} has {p} in its denominator")
     table = _bernoulli_table(m)
-    for k in range(m + 1):
-        if table[k].denominator % p == 0:
-            raise PDivisibleDenominator(f"B_{k} has {p} in its denominator")
     total, binom, power = 0, 1, 1  # C(m,k) and x^(m-k) at k = m
     for k in range(m, -1, -1):
         b = table[k]

@@ -15,9 +15,10 @@ value with the label of the route that produced it (``"modular"`` under
 ``both``).  Checks with a single route ignore ``dual`` and label their
 reports themselves.
 
-Kinds: ``theorem`` suites are proved, so a failing instance means a
-checker bug, but it is reported like any other failure (a FAIL record,
-exit 1); ``identity`` suites are exact equalities; ``conjecture`` suites
+Kinds: ``theorem`` suites are proved, so a failing instance at the suite's
+own exponent means a checker bug, but it is reported like any other failure
+(a FAIL record, exit 1), and one above it (``--mod-exp``) is a genuine
+counterexample; ``identity`` suites are exact equalities; ``conjecture`` suites
 report neutrally and attach an exact-oracle recomputation to any failure;
 ``exploratory`` suites sweep beyond proved territory and are expected to
 surface counterexamples.  Exit 3 comes only from an engine disagreement,
@@ -373,41 +374,47 @@ def gen_lemma4(sweep):
 
 # Residue rows of the lemma4 and lemma4-binom right sides, one per quartic
 # x at the latest p^e, since both suites finish one prime before the next.
-# Each suite builds only the rows it reads, where entry k < p of a row is
-# the residue of the term t_k (`term_residue`), p (T_k - 2 H_k),
+# Each suite builds only the rows it reads, where entry k of a row is the
+# residue of the term t_k (`term_residue`), p (T_k - 2 H_k),
 # binomial_product(k) or p (closed form - 2 H_k), and h is 2p H_floor(px).
+# An instance reads entry k < p only once the cap has passed c (k + rp) for
+# its family's C(c n, d n), so k <= binomial_max // max c ends a row.
 # For the four quartic x and p >= 5 every factor is p-integral: base^k is a
 # unit, H_k and H_floor(px) have indices below p, and i < k < p puts at most
 # one p in each denominator of T_k and of the H_{dk} in its closed form.  So
 # reducing factor by factor equals reducing the exact product.
+def _row_length(fam: QuarticFamily, p: int, sweep: Sweep) -> int:
+    return min(p, sweep.budgets.binomial_max // max(c for c, _ in fam.binomials) + 1)
+
+
 @lru_cache(maxsize=len(QUARTICS))
-def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple:
+def _lemma4_rows(x: Fraction, ctx: PrimePower, length: int) -> tuple:
     """(term, weight, h) for lemma4."""
     p = ctx.p
     fam = QUARTIC_BY_X[x]
-    weights = identities.partial_fraction_weights(x, p - 1)
+    weights = identities.partial_fraction_weights(x, length - 1)
 
     def reduce(q):
         return residue_from_rational(q, ctx).value
 
     return (
-        [fam.term_residue(k, ctx).value for k in range(p)],
-        [reduce(p * (weights[k] - 2 * special.harmonic_exact(k))) for k in range(p)],
+        [fam.term_residue(k, ctx).value for k in range(length)],
+        [reduce(p * (weights[k] - 2 * special.harmonic_exact(k))) for k in range(length)],
         reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
     )
 
 
 @lru_cache(maxsize=len(QUARTICS))
-def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> tuple:
+def _lemma4_binom_rows(x: Fraction, ctx: PrimePower, length: int) -> tuple:
     """(binom, closed) for lemma4-binom."""
     p, m = ctx.p, ctx.modulus
     fam = QUARTIC_BY_X[x]
     closed = (
         identities.partial_fraction_closed_form(k, x) - 2 * special.harmonic_exact(k)
-        for k in range(p)
+        for k in range(length)
     )
     return (
-        [fam.binomial_product(k) % m for k in range(p)],
+        [fam.binomial_product(k) % m for k in range(length)],
         [residue_from_rational(p * q, ctx).value for q in closed],
     )
 
@@ -418,7 +425,7 @@ def check_lemma4(params, sweep, dual):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs, label = _term(dual, fam, k + r * p, ctx, sweep)
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
-    term, weight, h = _lemma4_rows(x, ctx)
+    term, weight, h = _lemma4_rows(x, ctx, _row_length(fam, p, sweep))
     t_r = fam.term_residue(r, ctx)
     rhs = t_r * term[k] * (1 + r * (h + weight[k]))
     return _congruence_report(lhs, rhs, label)
@@ -433,7 +440,7 @@ def check_lemma4_binom(params, sweep, dual):
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
     # closed form, from the rows
-    binom, closed = _lemma4_binom_rows(x, ctx)
+    binom, closed = _lemma4_binom_rows(x, ctx, _row_length(fam, p, sweep))
     rhs = Residue(fam.binomial_product(r) * binom[k] * (1 + r * closed[k]), ctx)
     return _congruence_report(lhs, rhs, "exact")
 

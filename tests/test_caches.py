@@ -67,7 +67,7 @@ def test_lemma4_rows_keep_only_the_latest_prime():
     ):
         for p in primes_in(5, 31):
             run_prime(suite_id, p)
-            assert_holds_only(rows, [(fam.x, PrimePower(p, 2)) for fam in QUARTICS])
+            assert_holds_only(rows, [(fam.x, PrimePower(p, 2), p) for fam in QUARTICS])
 
 
 def test_harmonic_rows_keep_only_the_latest_prime():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypercheck import identities, suites
 from hypercheck.errors import InternalError
 from hypercheck.padic import PrimePower, Residue, residue_from_rational
-from hypercheck.series import QUARTICS
+from hypercheck.series import QUARTICS, QuarticFamily
 from hypercheck.special import floor_px, harmonic_exact
 from hypercheck.suites import (
     ALIASES,
@@ -311,6 +311,28 @@ def test_budget_exceeded_becomes_error_report():
     sw = small_sweep(budgets=Budgets(binomial_max=10))
     rep = run_instance("babbage", {"p": 11, "a": 5, "b": 2}, sweep=sw)
     assert rep.error is not None and rep.error.startswith("BudgetExceeded")
+
+
+def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
+    # an instance reads row entry k only once c (k + rp) is under the cap,
+    # so the rows need no binomial past it either
+    seen = []
+    product = QuarticFamily.binomial_product
+
+    def recording(fam, n):
+        seen.append((fam, n))
+        return product(fam, n)
+
+    monkeypatch.setattr(QuarticFamily, "binomial_product", recording)
+    suites._lemma4_rows.cache_clear()
+    suites._lemma4_binom_rows.cache_clear()
+    sweep = Sweep(primes=(101,), budgets=Budgets(binomial_max=10))
+    for suite_id in ("lemma4", "lemma4-binom"):
+        for params in REGISTRY[suite_id].gen(sweep):
+            rep = run_instance(suite_id, params, "both", sweep)
+            assert rep.passed or rep.error.startswith("BudgetExceeded")
+    assert seen
+    assert all(c * n <= 10 for fam, n in seen for c, _ in fam.binomials)
 
 
 def test_conjecture_failure_attaches_exact_oracle():
