@@ -143,7 +143,10 @@ _PARTFRAC_RHS: dict[Fraction, tuple[tuple[int, int], ...]] = {
 }
 
 
-# x -> [T_0(x), T_1(x), ...], extended on demand
+# x -> [T_0(x), T_1(x), ...], extended on demand.  Keyed by the four quartic
+# x; bounded by the budgets that cap k: VERIFY_BUDGET_IDENTITY
+# (identity-partfrac, identity-convolution), VERIFY_BUDGET_BINOMIAL (lemma4's
+# rows) and VERIFY_BUDGET_SERIES (chain-convolution's k < p).
 _PF: dict[Fraction, list[Fraction]] = {}
 
 
@@ -177,6 +180,9 @@ def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
 
 # --- convolution form of the harmonic-weighted term ------------------------
 
+# x -> [t_0(x), t_1(x), ...], extended on demand.  Keyed by the four quartic
+# x; bounded by VERIFY_BUDGET_IDENTITY (identity-convolution) and
+# VERIFY_BUDGET_SERIES (chain-convolution's and chain-weighted's k < p).
 _TERMS: dict[Fraction, list[Fraction]] = {}
 
 
@@ -189,6 +195,8 @@ def series_terms(x: Fraction, upto: int) -> list[Fraction]:
     return terms
 
 
+# x -> [(x)_0 (1-x)_0, (x)_1 (1-x)_1, ...], extended on demand.  Keyed by the
+# four quartic x; bounded by VERIFY_BUDGET_SERIES (lemma5-poch's k < p).
 _RISING: dict[Fraction, list[Fraction]] = {}
 
 
@@ -234,6 +242,8 @@ def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:
 
 # per-r cache of the latest jet (k, P0, P1, Q0, Q1) for
 # f(t) = prod_{i<=2k}(2rt+i) / prod_{i<=k}(rt+i)^2, carried to first order.
+# Keyed by r in {1, 2, 3}; k, and so the jet's size, is bounded by
+# VERIFY_BUDGET_IDENTITY.
 _JETS: dict[int, tuple[int, int, int, int, int]] = {}
 
 
@@ -269,7 +279,8 @@ def taylor_coefficient_check(k: int, r: int) -> list[IdentityCase]:
 
 # --- negated-upper-index binomial symmetry ---------------------------------
 
-# per-b cache of the latest (k, C(-b,k), C(-b+k,k), C(b-1,k), C(b-1+k,k))
+# per-b cache of the latest (k, C(-b,k), C(-b+k,k), C(b-1,k), C(b-1+k,k)).
+# Both b and k are bounded by VERIFY_BUDGET_IDENTITY.
 _NEG: dict[int, tuple[int, int, int, int, int]] = {}
 
 

@@ -37,7 +37,7 @@ for the conjecture oracle's failure text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -203,18 +203,33 @@ class QuarticFamily:
     `term_residue` reduces the binomial product exactly, so the two routes
     share no code.  ``character_arg`` is the integer whose quadratic
     character gives the closed-form right-hand side.
+
+    The suites ask for the same n = k + r p again at every prime and in
+    several suites, so each family keeps one table of its binomial products,
+    keyed by n and filled only at the n asked for.  The table takes no part
+    in the family's equality or hash.
     """
 
     x: Fraction
     binomials: tuple[tuple[int, int], ...]
     base: int
     character_arg: int
+    # n -> binomial_product(n).  Bounded by VERIFY_BUDGET_BINOMIAL: every
+    # caller passes the cap c n <= binomial_max first (`suites._need_family`),
+    # so n <= binomial_max // c: 4.1 MB for all four families at the
+    # default cap of 5,000.
+    _products: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def binomial_product(self, n: int) -> int:
-        """The product of the binomials C(c*n, d*n)."""
-        out = 1
-        for c, d in self.binomials:
-            out *= comb(c * n, d * n)
+        """The product of the binomials C(c*n, d*n), computed once per n."""
+        out = self._products.get(n)
+        if out is None:
+            out = 1
+            for c, d in self.binomials:
+                out *= comb(c * n, d * n)
+            self._products[n] = out
         return out
 
     def term_exact(self, n: int) -> Fraction:

@@ -379,6 +379,10 @@ def gen_lemma4(sweep):
 # binomial_product(k) or p (closed form - 2 H_k), and h is 2p H_floor(px).
 # An instance reads entry k < p only once the cap has passed c (k + rp) for
 # its family's C(c n, d n), so k <= binomial_max // max c ends a row.
+# The rows reduce mod p^e only: the binomial products behind t_k and
+# binomial_product(k), like the left sides' products at n = k + rp, come from
+# the family's one table, shared by every prime and by lemma4, lemma4-binom
+# and lemma5.
 # For the four quartic x and p >= 5 every factor is p-integral: base^k is a
 # unit, H_k and H_floor(px) have indices below p, and i < k < p puts at most
 # one p in each denominator of T_k and of the H_{dk} in its closed form.  So
@@ -560,16 +564,22 @@ def check_chain_backward(params, sweep, dual):
 
 
 # For m < p, C(m, k) = 0 when m < k < p, so the sums truncated at p are the
-# identity-alt and identity-tail sums at n = m.
+# identity-alt and identity-tail sums at n = m.  Every prime reads them again
+# at each m < p, so they are computed once per m: 512 entries hold every
+# m < p <= 499, and a sweep past that misses but stays correct.
+_alternating_case = lru_cache(maxsize=512)(identities.alternating_binomial_sum)
+_tail_case = lru_cache(maxsize=512)(identities.tail_harmonic_sum)
+
+
 def check_chain_binom(params, sweep, dual):
     _need_series(params["p"], sweep)
-    case = identities.alternating_binomial_sum(params["m"])
+    case = _alternating_case(params["m"])
     return _exact_report(case.lhs, case.rhs)
 
 
 def check_chain_forward(params, sweep, dual):
     _need_series(params["p"], sweep)
-    case = identities.tail_harmonic_sum(params["m"])
+    case = _tail_case(params["m"])
     return _exact_report(case.lhs, case.rhs)
 
 
@@ -632,7 +642,7 @@ def check_chain_weighted(params, sweep, dual):
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
     total = (
-        2 * hm * identities.alternating_binomial_sum(m).lhs
+        2 * hm * _alternating_case(m).lhs
         - identities.harmonic_weighted_sum(m).lhs
     )
     return _exact_report(total, Fraction(0))

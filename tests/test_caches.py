@@ -4,12 +4,21 @@ rows keep only the prime a sweep is on."""
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
+from math import comb
 
 import hypercheck
-from hypercheck import special, suites
+from hypercheck import series, special, suites
 from hypercheck.padic import PrimePower
-from hypercheck.series import QUARTICS
-from hypercheck.suites import REGISTRY, Sweep, primes_in, run_instance
+from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
+from hypercheck.suites import (
+    CONJECTURE_SUITES,
+    REGISTRY,
+    Budgets,
+    Sweep,
+    primes_in,
+    run_instance,
+)
 
 
 def functools_caches() -> dict[str, object]:
@@ -39,7 +48,9 @@ def test_every_functools_cache_is_bounded():
         "hypercheck._kernel._walker",
         "hypercheck.series._checkpoints",
         "hypercheck.special._harmonic_row",
+        "hypercheck.suites._alternating_case",
         "hypercheck.suites._conj_rhs",
+        "hypercheck.suites._tail_case",
     } <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -75,3 +86,58 @@ def test_harmonic_rows_keep_only_the_latest_prime():
         for p in primes_in(5, 61):
             run_prime(suite_id, p)
             assert_holds_only(special._harmonic_row, [(PrimePower(p, 1),)])
+
+
+def clear_binomial_tables() -> None:
+    for fam in QUARTICS:
+        fam._products.clear()
+
+
+def test_binomial_tables_stop_at_the_binomial_cap():
+    # every caller passes the cap c n <= binomial_max before it asks for n
+    clear_binomial_tables()
+    sweep = Sweep(primes=(13,), budgets=Budgets(binomial_max=10))
+    for suite_id in ("lemma4", "lemma4-binom", "lemma5", "chain-block", *CONJECTURE_SUITES):
+        for params in REGISTRY[suite_id].gen(sweep):
+            run_instance(suite_id, params, "both", sweep)
+    assert all(fam._products for fam in QUARTICS)
+    for fam in QUARTICS:
+        assert all(c * n <= 10 for n in fam._products for c, _ in fam.binomials)
+
+
+def fill_binomial_tables(binomial_max: int) -> None:
+    for fam in QUARTICS:
+        for n in range(binomial_max // max(c for c, _ in fam.binomials) + 1):
+            fam.binomial_product(n)
+
+
+def test_binomial_tables_at_the_default_cap_stay_small(monkeypatch):
+    # math.comb's temporaries make the fill 20 times slower under tracemalloc,
+    # so the binomials are computed first; each product is a new object
+    cap = Budgets().binomial_max
+    pairs = {
+        (c * n, d * n) for fam in QUARTICS for c, d in fam.binomials for n in range(cap // c + 1)
+    }
+    binomials = {pair: comb(*pair) for pair in pairs}
+    monkeypatch.setattr(series, "comb", lambda top, bottom: binomials[top, bottom])
+    clear_binomial_tables()
+    tracemalloc.start()
+    try:
+        fill_binomial_tables(cap)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1_000_000 < size < 5_000_000
+
+
+def test_binomial_tables_keep_each_family_hash_and_equality():
+    # the table takes no part in a family's identity, so every dict keyed by
+    # a family or by its x finds it however full the table is
+    clear_binomial_tables()
+    hashes = [hash(fam) for fam in QUARTICS]
+    by_family = {fam: fam.x for fam in QUARTICS}
+    fill_binomial_tables(60)
+    assert [hash(fam) for fam in QUARTICS] == hashes
+    for fam in QUARTICS:
+        assert fam == QuarticFamily(fam.x, fam.binomials, fam.base, fam.character_arg)
+        assert by_family[fam] == fam.x and QUARTIC_BY_X[fam.x] is fam

@@ -509,6 +509,39 @@ def test_modular_stream_to_p499_matches_pinned_digest(capsys):
     assert digest == MODULAR_P499_DIGEST
 
 
+# The same for `verify lemma4 lemma4-binom lemma5 --p-max 199 --engine
+# modular`, recorded before each quartic family computed its binomial products
+# once per run: the only digest whose terms reach n = k + r p above 93
+LEMMAS_P199_DIGEST = "e1197479bb77b7c80e5bc7902c3b7ae862096b819ec6d0fb8df1ea7db743becd"
+
+
+def test_lemma_stream_to_p199_matches_pinned_digest(capsys):
+    code, out, _ = run_main(
+        capsys, "lemma4", "lemma4-binom", "lemma5", "--engine", "modular",
+        "--p-max", "199", "--format", "json-lines",
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 118217
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LEMMAS_P199_DIGEST
+
+
+# The same for `verify chain-binom chain-forward chain-weighted --p-max 199`,
+# recorded before their identity sums at n = m were computed once per m
+CHAINS_P199_DIGEST = "ae526f5f7b797b2cb38a6fd633622a157b106c8babc38ab933de4a7514d99ce3"
+
+
+def test_chain_identity_stream_to_p199_matches_pinned_digest(capsys):
+    code, out, _ = run_main(
+        capsys, "chain-binom", "chain-forward", "chain-weighted",
+        "--p-max", "199", "--format", "json-lines",
+    )
+    lines = _strip_elapsed(out)
+    assert code == 0 and len(lines) == 8797
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CHAINS_P199_DIGEST
+
+
 # SHA-256 of the default sweep's json-lines stream (theorem suites,
 # 5 <= p <= 97) under `--engine exact`, elapsed fields stripped, recorded
 # before the exact oracle read its windows from one prefix table per x: the

@@ -1,8 +1,10 @@
 """Series evaluation: exact engine, modular engine and its term reads, families."""
 
+import dataclasses
 import inspect
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercheck import _kernel, series
+from hypercheck.suites import REGISTRY, Sweep, primes_in, run_instance
 from hypercheck.errors import InternalError, NonUnitDenominator
 from hypercheck.padic import PrimePower, Residue, is_prime, residue_from_rational
 from hypercheck.series import (
@@ -530,6 +533,50 @@ def test_family_term_scaled_matches_exact(fam, p, n, e):
     exact = residue_from_rational(fam.term_exact(n), ctx)
     assert fam.term_scaled(n, ctx) == exact
     assert fam.term_residue(n, ctx) == exact
+
+
+@given(
+    st.sampled_from(QUARTICS),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=30),
+)
+def test_binomial_table_answers_any_request_order(fam, ns):
+    fresh = dataclasses.replace(fam)  # an empty table
+    for n in ns:
+        expected = math.prod(math.comb(c * n, d * n) for c, d in fam.binomials)
+        assert fresh.binomial_product(n) == expected
+
+
+def factor_slots(top: int, bottom: int) -> int:
+    """How many factors C(c n, d n) of the four families equal C(top, bottom)
+    at some n: four for C(2, 1), at n = 1 (x = 1/2 has C(2n, n) twice), and
+    five for C(4, 2), where x = 1/4's C(4n, 2n) at n = 1 joins them."""
+    return sum(
+        top % c == 0 and top // c * d == bottom
+        for fam in QUARTICS
+        for c, d in fam.binomials
+    )
+
+
+def test_each_binomial_is_computed_once(monkeypatch):
+    # every prime and each of lemma4, lemma4-binom and lemma5 read the same
+    # n = k + r p: each family computes each of its C(c n, d n) once, so a
+    # pair (top, bottom) repeats only where another factor shares it
+    seen = []
+
+    def counting(top, bottom):
+        seen.append((top, bottom))
+        return math.comb(top, bottom)
+
+    monkeypatch.setattr(series, "comb", counting)
+    for fam in QUARTICS:
+        fam._products.clear()
+    sweep = Sweep(primes=primes_in(5, 31))
+    for suite_id in ("lemma4", "lemma4-binom", "lemma5"):
+        for params in REGISTRY[suite_id].gen(sweep):
+            assert run_instance(suite_id, params, "both", sweep).passed
+    assert seen
+    repeats = {pair: k for pair, k in Counter(seen).items() if k > factor_slots(*pair)}
+    assert repeats == {}
 
 
 def test_term_reads_add_no_checkpoint():
