@@ -17,11 +17,12 @@ This module is also the one home of the exact sequences that the theorem
 suites share with these identities: the partial-fraction weight
 T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) (`partial_fraction_weights`), its
 harmonic closed form (`partial_fraction_closed_form`) and the series terms
-t_k(x) (`series_terms`), whose numerators (x)_k (1-x)_k `lemma5-poch`
-reads from `rising_products`.  `suites` calls them instead of computing
-its own copies, and the proof-chain suites that restate an identity here
-report that identity's case.  The signed binomial (-1)^k C(n,k) C(n+k,k) that
-both sides sum comes from `special.signed_binomial`.
+t_k(x) (`series_terms`), which `lemma5-poch` also reads for the rising
+products (x)_k (1-x)_k = t_k (k!)^2.  `suites` calls them instead of
+computing its own copies, and the proof-chain suites that restate an
+identity here report that identity's case.  The signed binomial
+(-1)^k C(n,k) C(n+k,k) that both sides sum comes from
+`special.signed_binomial`.
 
 One sum is checked in two forms on purpose: the alternating sum against
 shifted harmonic numbers is implemented both exactly as commonly printed
@@ -182,7 +183,8 @@ def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
 
 # x -> [t_0(x), t_1(x), ...], extended on demand.  Keyed by the four quartic
 # x; bounded by VERIFY_BUDGET_IDENTITY (identity-convolution) and
-# VERIFY_BUDGET_SERIES (chain-convolution's and chain-weighted's k < p).
+# VERIFY_BUDGET_SERIES (the k < p of chain-convolution, chain-weighted and
+# lemma5-poch).
 _TERMS: dict[Fraction, list[Fraction]] = {}
 
 
@@ -193,20 +195,6 @@ def series_terms(x: Fraction, upto: int) -> list[Fraction]:
         i = len(terms) - 1
         terms.append(terms[-1] * (x + i) * (1 - x + i) / (i + 1) ** 2)
     return terms
-
-
-# x -> [(x)_0 (1-x)_0, (x)_1 (1-x)_1, ...], extended on demand.  Keyed by the
-# four quartic x; bounded by VERIFY_BUDGET_SERIES (lemma5-poch's k < p).
-_RISING: dict[Fraction, list[Fraction]] = {}
-
-
-def rising_products(x: Fraction, upto: int) -> list[Fraction]:
-    """Prefix cache of (x)_i (1-x)_i, the numerator of t_i."""
-    prods = _RISING.setdefault(x, [Fraction(1)])
-    while len(prods) <= upto:
-        i = len(prods) - 1
-        prods.append(prods[-1] * (x + i) * (1 - x + i))
-    return prods
 
 
 def _convolution_sum(x: Fraction, k: int) -> Fraction:

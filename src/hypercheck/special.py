@@ -67,9 +67,8 @@ def floor_px(x: PadicInput, p: int) -> int:
 
 # H_0, H_1, ..., extended on demand.  Bounded by the budgets that cap its
 # index: the identities read H_n up to n = 6 VERIFY_BUDGET_IDENTITY (the
-# closed form H_{6k} of T_k(1/6)), lemma4-binom's rows up to
+# closed form H_{6k} of T_k(1/6)), the lemma4 and lemma4-binom rows up to
 # VERIFY_BUDGET_BINOMIAL, the chain suites n < p <= VERIFY_BUDGET_SERIES.
-# lemma4's H_floor(px) is the exception: no budget caps its p.
 _H_EXACT: list[Fraction] = [Fraction(0)]
 
 

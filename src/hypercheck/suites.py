@@ -33,15 +33,10 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from . import identities, padic, series, special
-from .errors import (
-    BudgetExceeded,
-    InternalError,
-    NonUnitDenominator,
-    VerifyError,
-)
+from .errors import BudgetExceeded, InternalError, VerifyError
 from .padic import (
     PadicInput,
     PrimePower,
@@ -165,8 +160,7 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
 #: ``dual(modular_fn, exact_fn) -> (value, engine label)``; `run_instance`
 #: binds it to the run's engine and hands it to every check.  Series windows
 #: reach it through `_series` and quartic terms through `_term`, each under its
-#: budget cap; only conj's scaled difference (handed either engine function at
-#: its own working precision) calls it directly.
+#: budget cap; no check calls it directly.
 Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], tuple[Residue, str]]
 
 
@@ -287,7 +281,9 @@ def check_rv(params, sweep, dual):
 
 def gen_rv_general(sweep):
     for p in sweep.primes:
-        for x in _general_xs(p):
+        # given x follow the any-x rule: every x with denominator prime to p
+        xs = _general_xs(p) if sweep.x_values is None else _sun_xs(p, sweep)
+        for x in xs:
             for n in sweep.n_values:
                 yield {"p": p, "n": n, "x": x}
 
@@ -374,53 +370,29 @@ def gen_lemma4(sweep):
 
 # Residue rows of the lemma4 and lemma4-binom right sides, one per quartic
 # x at the latest p^e, since both suites finish one prime before the next.
-# Each suite builds only the rows it reads, where entry k of a row is the
-# residue of the term t_k (`term_residue`), p (T_k - 2 H_k),
-# binomial_product(k) or p (closed form - 2 H_k), and h is 2p H_floor(px).
-# An instance reads entry k < p only once the cap has passed c (k + rp) for
-# its family's C(c n, d n), so k <= binomial_max // max c ends a row.
-# The rows reduce mod p^e only: the binomial products behind t_k and
-# binomial_product(k), like the left sides' products at n = k + rp, come from
-# the family's one table, shared by every prime and by lemma4, lemma4-binom
-# and lemma5.
+# Each row grows in index order to the k an instance asks for, as
+# `special.harmonic_mod` grows its row.  By then the instance has passed the
+# binomial cap at c (k + rp) for its family's C(c n, d n), so no entry goes
+# past the cap.  Entry k of lemma4's row is the residue pair of the term t_k
+# (`term_residue`) and of p (T_k - 2 H_k); lemma4-binom's is the residue of
+# p (closed form - 2 H_k), and it reads binomial_product(k) from the
+# family's one table, as the left sides do at n = k + rp.  h = 2p H_floor(px)
+# comes from the modular harmonic row: floor(px) < p, and p (H mod p^e) is
+# p H mod p^(e+1).
 # For the four quartic x and p >= 5 every factor is p-integral: base^k is a
 # unit, H_k and H_floor(px) have indices below p, and i < k < p puts at most
 # one p in each denominator of T_k and of the H_{dk} in its closed form.  So
 # reducing factor by factor equals reducing the exact product.
-def _row_length(fam: QuarticFamily, p: int, sweep: Sweep) -> int:
-    return min(p, sweep.budgets.binomial_max // max(c for c, _ in fam.binomials) + 1)
+@lru_cache(maxsize=len(QUARTICS))
+def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple[list[tuple[int, int]], int]:
+    """([(term, weight) at k = 0, 1, ...], h) for lemma4."""
+    return [], 2 * ctx.p * special.harmonic_mod(special.floor_px(x, ctx.p), ctx).value
 
 
 @lru_cache(maxsize=len(QUARTICS))
-def _lemma4_rows(x: Fraction, ctx: PrimePower, length: int) -> tuple:
-    """(term, weight, h) for lemma4."""
-    p = ctx.p
-    fam = QUARTIC_BY_X[x]
-    weights = identities.partial_fraction_weights(x, length - 1)
-
-    def reduce(q):
-        return residue_from_rational(q, ctx).value
-
-    return (
-        [fam.term_residue(k, ctx).value for k in range(length)],
-        [reduce(p * (weights[k] - 2 * special.harmonic_exact(k))) for k in range(length)],
-        reduce(2 * p * special.harmonic_exact(special.floor_px(x, p))),
-    )
-
-
-@lru_cache(maxsize=len(QUARTICS))
-def _lemma4_binom_rows(x: Fraction, ctx: PrimePower, length: int) -> tuple:
-    """(binom, closed) for lemma4-binom."""
-    p, m = ctx.p, ctx.modulus
-    fam = QUARTIC_BY_X[x]
-    closed = (
-        identities.partial_fraction_closed_form(k, x) - 2 * special.harmonic_exact(k)
-        for k in range(length)
-    )
-    return (
-        [fam.binomial_product(k) % m for k in range(length)],
-        [residue_from_rational(p * q, ctx).value for q in closed],
-    )
+def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> list[int]:
+    """The closed-form column at k = 0, 1, ... for lemma4-binom."""
+    return []
 
 
 def check_lemma4(params, sweep, dual):
@@ -428,10 +400,14 @@ def check_lemma4(params, sweep, dual):
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs, label = _term(dual, fam, k + r * p, ctx, sweep)
-    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the rows
-    term, weight, h = _lemma4_rows(x, ctx, _row_length(fam, p, sweep))
-    t_r = fam.term_residue(r, ctx)
-    rhs = t_r * term[k] * (1 + r * (h + weight[k]))
+    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the row
+    row, h = _lemma4_rows(x, ctx)
+    for i in range(len(row), k + 1):
+        t_i = fam.term_residue(i, ctx).value
+        w_i = identities.partial_fraction_weights(x, i)[i] - 2 * special.harmonic_exact(i)
+        row.append((t_i, residue_from_rational(p * w_i, ctx).value))
+    term, weight = row[k]
+    rhs = fam.term_residue(r, ctx) * term * (1 + r * (h + weight))
     return _congruence_report(lhs, rhs, label)
 
 
@@ -443,9 +419,13 @@ def check_lemma4_binom(params, sweep, dual):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
-    # closed form, from the rows
-    binom, closed = _lemma4_binom_rows(x, ctx, _row_length(fam, p, sweep))
-    rhs = Residue(fam.binomial_product(r) * binom[k] * (1 + r * closed[k]), ctx)
+    # closed form, from the row
+    closed = _lemma4_binom_rows(x, ctx)
+    for i in range(len(closed), k + 1):
+        q = identities.partial_fraction_closed_form(i, x) - 2 * special.harmonic_exact(i)
+        closed.append(residue_from_rational(p * q, ctx).value)
+    b_k = fam.binomial_product(k) % ctx.modulus
+    rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * closed[k]), ctx)
     return _congruence_report(lhs, rhs, "exact")
 
 
@@ -475,7 +455,8 @@ def check_lemma5_poch(params, sweep, dual):
     for i in range(k):
         acc = acc * (m + 1 + i) % ctx.modulus * (-m + i) % ctx.modulus
     lhs = Residue(acc, ctx)
-    rhs = residue_from_rational(identities.rising_products(x, k)[k], ctx)
+    # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
+    rhs = residue_from_rational(identities.series_terms(x, k)[k], ctx) * factorial(k) ** 2
     return _congruence_report(lhs, rhs, "modular")
 
 
@@ -722,6 +703,8 @@ def _conj_oracle(fam, p, n, eps, ctx: PrimePower) -> str:
 
 def gen_conjecture(x: Fraction):
     def gen(sweep):
+        if x not in _quartic_xs(sweep):
+            return
         for p in sweep.primes:
             for n in sweep.n_values:
                 if n >= 1:
@@ -734,37 +717,24 @@ def check_conjecture(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     fam = QUARTIC_BY_X[x]
     e_t = sweep.mod_exp or 3
-    _need_series(n * p, sweep)
+    _need_series(n * p, sweep)  # the series cap first, before the binomial one
     _need_family(fam, n, sweep)
     w, unit = split_p_power(n * n * fam.binomial_product(n), p)
     if e_t + w > padic.MAX_EXPONENT:
         raise BudgetExceeded(
             f"needs working precision p^{e_t + w}, cap is p^{padic.MAX_EXPONENT}"
         )
-    ctx = PrimePower(p, e_t)
+    ctx, ctxw = PrimePower(p, e_t), PrimePower(p, e_t + w)
     eps = special.legendre(fam.character_arg, p)
-
-    def scaled(series_mod, need: int) -> Residue:
-        """base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e, from both
-        sums mod p^(e+w); raises unless p^need divides the difference."""
-        ctxw = PrimePower(p, e_t + w)
-        f_np = series_mod(x, 0, n * p, ctxw)
-        f_n = series_mod(x, 0, n, ctxw)
-        diff = (f_np.value - eps * f_n.value) % ctxw.modulus
-        if diff % p**need:
-            raise NonUnitDenominator("scaled difference is not a p-adic integer")
-        m = ctx.modulus
-        return Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
-
+    # scaled difference base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e,
+    # from both sums mod p^(e+w).  It is a p-adic integer when p^w divides
+    # the difference, and rv's mod-p^2 theorem (eps is the sign of the quartic
+    # x) puts p^2 in it too, so one rule holds for every engine: p^max(2, w).
+    f_np, label = _series(dual, x, n * p, ctxw, sweep)
+    f_n, _ = _series(dual, x, n, ctxw, sweep)
+    diff = (f_np - f_n * eps).value
     rhs = _conj_rhs(x, ctx)
-    try:
-        # the exact route raises exactly when the scaled difference has p in
-        # its denominator (v_p(diff) < w); the modular one also when v_p < 2
-        lhs, label = dual(
-            lambda: scaled(series.window_sum_mod, max(2, w)),
-            lambda: scaled(series.window_residue_exact, w),
-        )
-    except NonUnitDenominator:
+    if diff % p ** max(2, w):
         return Report(
             lhs="",
             rhs=str(rhs.value),
@@ -775,6 +745,8 @@ def check_conjecture(params, sweep, dual):
             "at the required valuation",
             oracle=_conj_oracle(fam, p, n, eps, ctx),
         )
+    m = ctx.modulus
+    lhs = Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
     rep = _congruence_report(lhs, rhs, label)
     if not rep.passed:
         rep.oracle = _conj_oracle(fam, p, n, eps, ctx)
@@ -794,8 +766,8 @@ def _identity_gen_n(start: int):
 
 def gen_identity_kx(sweep):
     for k in range(sweep.budgets.identity_max + 1):
-        for f in QUARTICS:
-            yield {"k": k, "x": f.x}
+        for x in _quartic_xs(sweep):
+            yield {"k": k, "x": x}
 
 
 def gen_identity_taylor(sweep):

@@ -8,11 +8,13 @@ re-runs everything under ``both``.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import ACCEPTANCE_LINES
 
@@ -263,6 +265,9 @@ def test_criterion_11_spot_value(tmp_path):
 
 
 def test_criterion_12_determinism_across_workers(tmp_path):
+    # the package's src directory, so that a plain checkout runs it too
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
     outs = []
     for workers in (1, 8):
         path = tmp_path / f"sweep-w{workers}.jsonl"
@@ -274,6 +279,7 @@ def test_criterion_12_determinism_across_workers(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
             timeout=600,
         )
         assert proc.returncode == 0, proc.stderr

@@ -78,7 +78,26 @@ def test_lemma4_rows_keep_only_the_latest_prime():
     ):
         for p in primes_in(5, 31):
             run_prime(suite_id, p)
-            assert_holds_only(rows, [(fam.x, PrimePower(p, 2), p) for fam in QUARTICS])
+            assert_holds_only(rows, [(fam.x, PrimePower(p, 2)) for fam in QUARTICS])
+
+
+def test_lemma4_reads_no_exact_harmonic_number_past_k(monkeypatch):
+    # no budget caps lemma4's p, so its H_floor(px) comes from the modular
+    # row: only the row entries up to k read the exact table
+    seen = []
+    harmonic_exact = special.harmonic_exact
+
+    def recording(n):
+        seen.append(n)
+        return harmonic_exact(n)
+
+    monkeypatch.setattr(special, "harmonic_exact", recording)
+    p = 10_007
+    sweep = Sweep(primes=(p,))
+    for fam in QUARTICS:
+        params = {"p": p, "r": 0, "k": 0, "x": fam.x}
+        assert run_instance("lemma4", params, "modular", sweep).passed
+    assert seen and max(seen) <= 0
 
 
 def test_harmonic_rows_keep_only_the_latest_prime():

@@ -162,6 +162,24 @@ def test_fault_injection_modular_only_fails_normally(capsys, monkeypatch):
         assert out.count("FAIL thm1") == 8 and "PASS" not in out
 
 
+def test_fault_injection_on_a_conjecture_perturbs_the_long_series(capsys, monkeypatch):
+    # the fault lands on F(np), whose difference from eps F(n) then has no
+    # p^2 in it: a single engine reports a divisibility violation for every
+    # instance, and both engines disagree
+    monkeypatch.setenv("VERIFY_FAULT_INJECT", "conj-1/2")
+    argv = ("conj-1/2", "--p-max", "7", "--format", "json-lines")
+    for engine in ("modular", "exact"):
+        code, out, _ = run_main(capsys, *argv, "--engine", engine)
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert code == 1 and len(records) == 6
+        assert all(
+            not r["pass"] and r["note"].startswith("divisibility violation")
+            for r in records
+        )
+    code, _, err = run_main(capsys, *argv, "--engine", "both")
+    assert code == 3 and "disagreement" in err
+
+
 def test_internal_error_ends_json_lines_with_a_summary(capsys, monkeypatch):
     monkeypatch.setenv("VERIFY_FAULT_INJECT", "thm1")
     code, out, err = run_main(capsys, "thm1", "--p-max", "7", "--format", "json-lines")
@@ -313,6 +331,8 @@ def test_list_follows_out(tmp_path, capsys):
                 ("chain-weighted", 8),
             )
         ),
+        ("SERIES", "10", ("conj", "--p-min", "13", "--p-max", "13", "--n", "1"), 4, 4,
+         "series truncation 13 exceeds cap 10"),
         # C(c k, d k) tops above 10: k >= 6, 4, 3 and 2 for x = 1/2, 1/3, 1/4, 1/6
         ("BINOMIAL", "10", ("lemma5", "--p-min", "13", "--p-max", "13"), 52, 37,
          "binomial argument "),
@@ -320,7 +340,7 @@ def test_list_follows_out(tmp_path, capsys):
     ids=[
         "rv", "thm1", "sun", "chain-reflect", "chain-jet", "lemma2", "lemma5-poch",
         "chain-backward", "chain-binom", "chain-forward", "chain-convolution",
-        "chain-weighted", "lemma5",
+        "chain-weighted", "conj", "lemma5",
     ],
 )
 def test_budget_env_override(
@@ -339,6 +359,20 @@ def test_budget_env_override(
     assert all(
         m.startswith(f"BudgetExceeded: {text}") and m.endswith(f" exceeds cap {budget}")
         for m in messages
+    )
+
+
+def test_conjecture_reports_the_series_cap_before_the_binomial_cap(capsys, monkeypatch):
+    # p = 13, n = 1 is over both caps: C(2, 1) = 2 > 1 and 13 > 10
+    monkeypatch.setenv("VERIFY_BUDGET_SERIES", "10")
+    monkeypatch.setenv("VERIFY_BUDGET_BINOMIAL", "1")
+    code, out, _ = run_main(
+        capsys, "conj", "--p-min", "13", "--p-max", "13", "--n", "1", "--format", "json-lines"
+    )
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and len(records) == 4
+    assert all(
+        r["error"] == "BudgetExceeded: series truncation 13 exceeds cap 10" for r in records
     )
 
 

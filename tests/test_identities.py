@@ -282,5 +282,6 @@ def _pochhammer(a: Fraction, k: int) -> Fraction:
     st.integers(min_value=0, max_value=120),
 )
 def test_rising_products_match_pochhammer(x, k):
+    # lemma5-poch reads (x)_k (1-x)_k as t_k (k!)^2
     want = _pochhammer(x, k) * _pochhammer(1 - x, k)
-    assert identities.rising_products(x, k)[k] == want
+    assert identities.series_terms(x, k)[k] * factorial(k) ** 2 == want

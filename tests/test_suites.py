@@ -389,6 +389,57 @@ def test_x_filter_restricts_families():
     assert list(REGISTRY["thm1"].gen(sw)) == []
 
 
+def test_x_filter_restricts_rv_x_conjectures_and_identities():
+    # a given x replaces rv-x's general domain when its denominator is prime
+    # to p, and a conj suite or an identity over the quartic x runs only for
+    # the given ones
+    sw = Sweep(primes=(7,), n_values=(1, 2), x_values=(F(1, 7), F(2, 5), 3))
+    assert [(i["p"], i["n"], i["x"]) for i in REGISTRY["rv-x"].gen(sw)] == [
+        (7, 1, F(2, 5)), (7, 2, F(2, 5)), (7, 1, 3), (7, 2, 3),
+    ]
+    sw = Sweep(primes=(5, 7), x_values=(F(1, 2),))
+    ran = {sid: list(REGISTRY[sid].gen(sw)) for sid in CONJECTURE_SUITES}
+    assert ran.pop("conj-1/2") == [
+        {"p": p, "n": n, "x": F(1, 2)} for p in (5, 7) for n in (1, 2, 3)
+    ]
+    assert all(instances == [] for instances in ran.values())
+    sw = Sweep(primes=(), x_values=(F(1, 6),), budgets=Budgets(identity_max=1))
+    for sid in ("identity-partfrac", "identity-convolution"):
+        assert list(REGISTRY[sid].gen(sw)) == [{"k": 0, "x": F(1, 6)}, {"k": 1, "x": F(1, 6)}]
+
+
+def test_every_series_engine_call_goes_through_series(monkeypatch):
+    # `_series` is the one way a check reaches either series engine, so that
+    # every series is capped, cross-checked and fault-injected alike
+    depth, calls, stray = [0], [], []
+    inner = suites._series
+
+    def tracked(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def engine(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            if not depth[0]:
+                stray.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(suites, "_series", tracked)
+    for name in ("window_sum_mod", "window_residue_exact"):
+        monkeypatch.setattr(suites.series, name, engine(getattr(suites.series, name)))
+    sweep = Sweep(primes=(11,))
+    for sid, suite in REGISTRY.items():
+        run_instance(sid, next(iter(suite.gen(sweep))), "both", sweep)
+    assert set(calls) == {"window_sum_mod", "window_residue_exact"}
+    assert stray == []
+
+
 def test_rv_general_domain_avoids_family_orbit():
     sw = Sweep(primes=(7,), n_values=(1,))
     xs = {inst["x"] for inst in REGISTRY["rv-x"].gen(sw)}
