@@ -35,6 +35,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from multiprocessing import Pool
 
 from . import __version__
@@ -209,9 +210,9 @@ def parse_args(argv=None) -> RunConfig:
     )
 
 
-def _work(item):
-    suite_id, params, engine, sweep, fault = item
-    return run_instance(suite_id, params, engine, sweep, fault_suite=fault)
+def _work(job, instance):
+    """The pool's task: run one ``(suite_id, params)`` under ``(engine, sweep, fault)``."""
+    return run_instance(*instance, *job)
 
 
 def _human_params(params: dict) -> str:
@@ -234,32 +235,41 @@ def _emit_human(rep: Report, out) -> None:
         print(f"  oracle: {rep.oracle}", file=out)
 
 
-def _json_record(rep: Report) -> dict:
-    rec = {
-        "suite": rep.suite,
-        "params": rep.params,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "modulus": rep.modulus,
-        "pass": rep.passed,
-        "engine": rep.engine,
-        "elapsed_ms": round(rep.elapsed_ms, 3),
-    }
-    if rep.note is not None:
-        rec["note"] = rep.note
-    if rep.oracle is not None:
-        rec["oracle"] = rep.oracle
-    if rep.error is not None:
-        rec["error"] = rep.error
-    return rec
-
-
-# one compact encoder for every json-lines record, summary and csv params cell
+# the compact encoder of the json-lines summary record
 _JSON = json.JSONEncoder(separators=(",", ":"))
+
+# one params object per key tuple the generators yield, with a %s for each value
+_PARAMS_TEMPLATES: dict[tuple, str] = {}
+
+
+def _params_json(params: dict) -> str:
+    """``params`` as compact JSON: int values as digits, any other value as a string."""
+    keys = tuple(params)
+    template = _PARAMS_TEMPLATES.get(keys)
+    if template is None:
+        template = "{" + ",".join(_quote(k) + ":%s" for k in keys) + "}"
+        _PARAMS_TEMPLATES[keys] = template
+    values = []  # a plain loop: a comprehension's own frame costs more per record
+    for v in params.values():
+        values.append(v if v.__class__ is int else _quote(str(v)))
+    return template % tuple(values)
 
 
 def _emit_json(rep: Report, out) -> None:
-    print(_JSON.encode(_json_record(rep)), file=out)
+    """Write one record as the compact ``json`` encoder would; note, oracle, error if set."""
+    line = (
+        f'{{"suite":{_quote(rep.suite)},"params":{_params_json(rep.params)},'
+        f'"lhs":{_quote(rep.lhs)},"rhs":{_quote(rep.rhs)},'
+        f'"modulus":{_quote(rep.modulus)},"pass":{"true" if rep.passed else "false"},'
+        f'"engine":{_quote(rep.engine)},"elapsed_ms":{round(rep.elapsed_ms, 3)!r}'
+    )
+    if rep.note is not None:
+        line += ',"note":' + _quote(rep.note)
+    if rep.oracle is not None:
+        line += ',"oracle":' + _quote(rep.oracle)
+    if rep.error is not None:
+        line += ',"error":' + _quote(rep.error)
+    out.write(line + "}\n")
 
 
 _CSV_COLUMNS = (
@@ -281,7 +291,7 @@ def _emit_csv(rep: Report, writer) -> None:
     writer.writerow(
         [
             rep.suite,
-            _JSON.encode(rep.params),
+            _params_json(rep.params),
             rep.lhs,
             rep.rhs,
             rep.modulus,
@@ -306,16 +316,13 @@ class _Tally:
         self.by_suite: dict[str, dict[str, int]] = {}
 
     def add(self, rep: Report) -> None:
-        row = self.by_suite.setdefault(
-            rep.suite, {"instances": 0, "passed": 0, "failed": 0, "errors": 0}
-        )
+        row = self.by_suite.get(rep.suite)
+        if row is None:
+            row = self.by_suite[rep.suite] = dict.fromkeys(
+                ("instances", "passed", "failed", "errors"), 0
+            )
         row["instances"] += 1
-        if rep.error is not None:
-            row["errors"] += 1
-        elif rep.passed:
-            row["passed"] += 1
-        else:
-            row["failed"] += 1
+        row["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
 
     def total(self, key: str) -> int:
         return sum(row[key] for row in self.by_suite.values())
@@ -348,21 +355,20 @@ def run(cfg: RunConfig) -> int:
     """List the suites or run the sweep; the exit code."""
     if cfg.list_suites:
         return _write(cfg, _list_suites)
-    items = (
-        (sid, params, cfg.engine, cfg.sweep, cfg.fault)
-        for sid in cfg.suites
-        for params in REGISTRY[sid].gen(cfg.sweep)
-    )
+    job = (cfg.engine, cfg.sweep, cfg.fault)
+    instances = ((sid, params) for sid in cfg.suites for params in REGISTRY[sid].gen(cfg.sweep))
     workers = 1
     if cfg.workers > 1:
         # Pool.imap reads its input ahead anyway, so the pool gets a list
-        items = list(items)
-        workers = min(cfg.workers, len(items), _usable_cpus())
+        instances = list(instances)
+        workers = min(cfg.workers, len(instances), _usable_cpus())
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
-            reports = map(_work, items)
+            # run_instance is looked up at each call: the benchmark's setup probe rebinds it
+            reports = (run_instance(sid, params, *job) for sid, params in instances)
         else:
-            reports = pool.imap(_work, items, chunksize=max(1, len(items) // (workers * 8)))
+            chunksize = max(1, len(instances) // (workers * 8))
+            reports = pool.imap(partial(_work, job), instances, chunksize=chunksize)
         return _write(cfg, partial(_report, cfg, reports))
 
 

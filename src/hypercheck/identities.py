@@ -43,7 +43,7 @@ from .errors import InternalError, PoleInParameter
 from .special import harmonic_exact, signed_binomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCase:
     """One exact comparison; passed is derived, never stored."""
 

@@ -77,12 +77,13 @@ class Sweep:
     budgets: Budgets = field(default_factory=Budgets)
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
-    Checks fill in the values; `run_instance` stamps ``suite``, ``params``
-    and ``elapsed_ms``.
+    Checks fill in the slots lhs, rhs, modulus, passed, engine and any note,
+    oracle or error; `run_instance` stamps ``suite``, ``params`` (ints, and
+    every other value as its string) and ``elapsed_ms``.
     """
 
     lhs: str
@@ -99,7 +100,8 @@ class Report:
 
 
 def _ser_params(params: dict) -> dict:
-    return {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
+    # a class test, not isinstance: Fraction's ABC check costs more per record
+    return {k: (str(v) if v.__class__ is Fraction else v) for k, v in params.items()}
 
 
 def _congruence_report(lhs: Residue, rhs: Residue, label: str) -> Report:
@@ -113,13 +115,8 @@ def _congruence_report(lhs: Residue, rhs: Residue, label: str) -> Report:
 
 
 def _exact_report(lhs, rhs) -> Report:
-    return Report(
-        lhs=str(lhs),
-        rhs=str(rhs),
-        modulus="exact",
-        passed=lhs == rhs,
-        engine="exact",
-    )
+    text, passed = str(lhs), lhs == rhs
+    return Report(text, text if passed else str(rhs), "exact", passed, "exact")
 
 
 def _identity_check(fn, *keys):
@@ -128,7 +125,7 @@ def _identity_check(fn, *keys):
     """
 
     def check(params, sweep, dual):
-        case = fn(*(params[key] for key in keys))
+        case = fn(*map(params.__getitem__, keys))
         return _exact_report(case.lhs, case.rhs)
 
     return check
@@ -1132,11 +1129,4 @@ def run_instance(
 
 
 def _error_report(ex: Exception) -> Report:
-    return Report(
-        lhs="",
-        rhs="",
-        modulus="",
-        passed=False,
-        engine="",
-        error=f"{type(ex).__name__}: {ex}",
-    )
+    return Report("", "", "", False, "", error=f"{type(ex).__name__}: {ex}")

@@ -3,8 +3,10 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -445,6 +447,24 @@ def test_run_looks_up_run_instance_at_each_call(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_benchmark_setup_probe_stops_before_the_first_record(tmp_path):
+    # perfbench's setup_s is a `child.py setup` process, which rebinds
+    # run_instance to stop at the first instance; a serial path that no
+    # longer reaches the rebound name would run, and time, the whole sweep
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "records"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "setup", "--",
+         "identities", "--format", "json-lines", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not out.exists() or out.read_text() == ""
+
+
 def _strip_elapsed(stream: str) -> list[str]:
     out = []
     for line in stream.strip().splitlines():
@@ -487,6 +507,110 @@ def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
     assert code == 0 and len(lines) == 9694
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ALL_P31_DIGESTS[engine]
+
+
+# SHA-256 of the same streams byte for byte, with only the elapsed fields
+# cut out by perfbench's gate pattern, recorded while the records were still
+# written by the json module; the digests above re-encode every record and
+# so cannot see a change in escaping, spacing or float text
+_ELAPSED = re.compile(r',"elapsed_(?:ms|s)":[-+.0-9eE]+')
+ALL_P31_RAW_DIGESTS = {
+    "modular": "a53b2ad94cd2c771ef10db6e9712bd526c90d785f9eae3a3267b7dcc30380179",
+    "exact": "455285b46cf825406abb87343054e7cee214e651c5a0d7462b3a1623107b2d0e",
+    "both": "8fb02a171746b6e02b56daac75edf65894dc5b39ebc7e8f3b8c158870645f1ee",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ALL_P31_RAW_DIGESTS))
+def test_record_bytes_match_pinned_digest(capsys, monkeypatch, engine):
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
+    code, out, _ = run_main(
+        capsys, "all", "--p-max", "31", "--engine", engine, "--format", "json-lines"
+    )
+    raw = _ELAPSED.sub("", out).encode()
+    assert code == 0 and raw.count(b"\n") == 9694
+    assert hashlib.sha256(raw).hexdigest() == ALL_P31_RAW_DIGESTS[engine]
+
+
+def _reference_line(rep: suites.Report) -> str:
+    """The record as the json module writes it, with the params `run_instance`
+    stamps, in the documented key order.
+    """
+    rec = {
+        "suite": rep.suite,
+        "params": suites._ser_params(rep.params),
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "modulus": rep.modulus,
+        "pass": rep.passed,
+        "engine": rep.engine,
+        "elapsed_ms": round(rep.elapsed_ms, 3),
+    }
+    for key in ("note", "oracle", "error"):
+        if getattr(rep, key) is not None:
+            rec[key] = getattr(rep, key)
+    return json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+_AWKWARD_TEXT = 'a "quoted" \\ back\\slash, \x00\x07\t\n\x1f\x7f, caf\u00e9 \u2211 \U0001f600 \u2028'
+_PARAMS_CASES = [
+    {"p": 7, "x": Fraction(1, 2)},
+    {"p": 5, "a": 1, "b": 2, "form": "product"},
+    {"b": -3, "k": 0, "x": Fraction(-7, 3)},
+    {"n": 10**30, "x": "1/2"},
+    {},
+]
+
+
+def test_records_match_the_json_module_byte_for_byte():
+    texts = (None, "", "plain", _AWKWARD_TEXT)
+    elapsed = (0, 0.0, 1e-7, 0.0005, 12345.6789, 1e16)
+    cases = itertools.product(_PARAMS_CASES, texts, texts, texts, elapsed, (True, False))
+    count = 0
+    for params, note, oracle, error, ms, passed in cases:
+        rep = suites.Report(
+            lhs="-12/5", rhs=_AWKWARD_TEXT, modulus="exact", passed=passed,
+            engine="modular", suite="conj-1/2", params=params, elapsed_ms=ms,
+            note=note, oracle=oracle, error=error,
+        )
+        buf = io.StringIO()
+        cli._emit_json(rep, buf)
+        assert buf.getvalue() == _reference_line(rep), rep
+        count += 1
+    assert count == 5 * 4**3 * 6 * 2
+
+
+def test_csv_params_cell_matches_the_json_module():
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for params in _PARAMS_CASES:
+        rep = suites.Report(
+            lhs="1", rhs="1", modulus="25", passed=True, engine="exact",
+            suite="thm1", params=params, note=_AWKWARD_TEXT,
+        )
+        cli._emit_csv(rep, writer)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert [row[1] for row in rows] == [
+        json.dumps(suites._ser_params(params), separators=(",", ":"))
+        for params in _PARAMS_CASES
+    ]
+
+
+@pytest.mark.parametrize("x", [None, "3,1/2"])
+def test_generated_params_are_ints_fractions_or_strings(monkeypatch, x):
+    # the record encoder writes an int value as digits and any other value
+    # as a string, as json does for these three types; a bool (an int
+    # subclass) or a float would come out unlike json's text
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "5")
+    sweep = cli.parse_args(["--p-max", "13"] + ([] if x is None else ["--x", x])).sweep
+    seen = set()
+    for suite in suites.REGISTRY.values():
+        for params in suite.gen(sweep):
+            assert all(key.isidentifier() for key in params), (suite.id, params)
+            types = {type(v) for v in params.values()}
+            assert types <= {int, Fraction, str}, (suite.id, params)
+            seen |= types
+    assert seen == {int, Fraction, str}
 
 
 # SHA-256 of the `verify conj --p-max 61` json-lines stream, elapsed fields
