@@ -7,10 +7,11 @@ instance in human, json-lines, or csv form.
 
 `parse_args` is the only code that reads argv and the ``VERIFY_*``
 environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
-it returns one `RunConfig` holding the run's `Sweep`.  `run` writes every
-byte of a run, the ``--list`` table included, to the one stream it opens
-(``--out`` or stdout), so a stream that cannot be written is exit 2 there
-too.
+it returns argparse's namespace with the expanded ``suites``, the run's
+`Sweep` as ``sweep`` and the ``VERIFY_FAULT_INJECT`` suite as ``fault`` set
+on it.  `run` writes every byte of a run, the ``--list`` table included, to
+the one stream it opens (``--out`` or stdout), so a stream that cannot be
+written is exit 2 there too.
 
 Exit codes: 0 all instances passed (or none ran; error records do not
 fail a run), 1 at least one failing instance, in any suite kind, 2 usage
@@ -32,7 +33,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -51,20 +51,6 @@ from .suites import (
     primes_in,
     run_instance,
 )
-
-
-@dataclass
-class RunConfig:
-    suites: list[str]
-    sweep: Sweep
-    p_min: int = 5
-    p_max: int = 97
-    engine: str = "both"
-    format: str = "human"
-    workers: int = 1
-    out: str | None = None
-    list_suites: bool = False
-    fault: str | None = None
 
 
 def expand_selection(tokens: list[str]) -> list[str]:
@@ -165,49 +151,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    suites = expand_selection(ns.suites)
-    if ns.p_min < 5:
+def parse_args(argv=None) -> argparse.Namespace:
+    cfg = build_parser().parse_args(argv)
+    cfg.suites = expand_selection(cfg.suites)
+    if cfg.p_min < 5:
         raise UsageError("primes below 5 are outside the domain; use --p-min >= 5")
-    if ns.p_max < 5:
+    if cfg.p_max < 5:
         raise UsageError("--p-max must be at least 5")
-    if ns.p_max < ns.p_min:
+    if cfg.p_max < cfg.p_min:
         raise UsageError("--p-max must not be below --p-min")
-    if ns.workers < 1:
+    if cfg.workers < 1:
         raise UsageError("--workers must be at least 1")
-    if ns.mod_exp is not None and not 1 <= ns.mod_exp <= MAX_EXPONENT:
+    if cfg.mod_exp is not None and not 1 <= cfg.mod_exp <= MAX_EXPONENT:
         raise UsageError(f"--mod-exp must be between 1 and {MAX_EXPONENT}")
-    fault = os.environ.get("VERIFY_FAULT_INJECT") or None
-    if fault is not None and fault not in REGISTRY:
+    cfg.fault = os.environ.get("VERIFY_FAULT_INJECT") or None
+    if cfg.fault is not None and cfg.fault not in REGISTRY:
         raise UsageError(
-            f"VERIFY_FAULT_INJECT={fault!r} names no suite; valid suites: "
+            f"VERIFY_FAULT_INJECT={cfg.fault!r} names no suite; valid suites: "
             + ", ".join(REGISTRY)
         )
-    sweep = Sweep(
-        primes=primes_in(ns.p_min, ns.p_max),
-        n_values=_parse_int_list("--n", ns.n),
-        r_values=_parse_int_list("--r", ns.r),
-        x_values=None if ns.x is None else _parse_x_list(ns.x),
-        mod_exp=ns.mod_exp,
+    cfg.sweep = Sweep(
+        primes=primes_in(cfg.p_min, cfg.p_max),
+        n_values=_parse_int_list("--n", cfg.n),
+        r_values=_parse_int_list("--r", cfg.r),
+        x_values=None if cfg.x is None else _parse_x_list(cfg.x),
+        mod_exp=cfg.mod_exp,
         budgets=Budgets(
             binomial_max=_env_budget("VERIFY_BUDGET_BINOMIAL", Budgets.binomial_max),
             series_max=_env_budget("VERIFY_BUDGET_SERIES", Budgets.series_max),
             identity_max=_env_budget("VERIFY_BUDGET_IDENTITY", Budgets.identity_max),
         ),
     )
-    return RunConfig(
-        suites=suites,
-        sweep=sweep,
-        p_min=ns.p_min,
-        p_max=ns.p_max,
-        engine=ns.engine,
-        format=ns.format,
-        workers=ns.workers,
-        out=ns.out,
-        list_suites=ns.list_suites,
-        fault=fault,
-    )
+    return cfg
 
 
 def _work(job, instance):
@@ -328,7 +303,7 @@ class _Tally:
         return sum(row[key] for row in self.by_suite.values())
 
 
-def _config_echo(cfg: RunConfig) -> dict:
+def _config_echo(cfg: argparse.Namespace) -> dict:
     # the run's mathematical domain; worker count and output routing are
     # deliberately omitted so identical sweeps emit identical summaries
     sweep = cfg.sweep
@@ -351,7 +326,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """List the suites or run the sweep; the exit code."""
     if cfg.list_suites:
         return _write(cfg, _list_suites)
@@ -372,7 +347,7 @@ def run(cfg: RunConfig) -> int:
         return _write(cfg, partial(_report, cfg, reports))
 
 
-def _write(cfg: RunConfig, emit) -> int:
+def _write(cfg: argparse.Namespace, emit) -> int:
     """Open the run's stream, ``--out`` or stdout, and return ``emit(stream)``.
 
     A stream that cannot be opened or written is a `UsageError`.
@@ -399,7 +374,7 @@ def _write(cfg: RunConfig, emit) -> int:
     return code
 
 
-def _report(cfg: RunConfig, reports, out) -> int:
+def _report(cfg: argparse.Namespace, reports, out) -> int:
     """Write one record per report and the summary to ``out``; the exit code."""
     sink = out
     if cfg.format == "csv":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonUnit, NonUnitDenominator
+from .errors import NonUnitDenominator
 
 #: Hard cap on the exponent e of a modulus p^e.  Desk-scale sweeps need
 #: e = 2 or 3; the mod-p^3 conjectures need 3 + v_p(n^2 S(n)) which reaches
@@ -130,12 +130,6 @@ class Residue:
             return v
         return Residue(self.value - v, self.ctx)
 
-    def __rsub__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return v
-        return Residue(v - self.value, self.ctx)
-
     def __mul__(self, other):
         v = self._lift(other)
         if v is NotImplemented:
@@ -146,17 +140,6 @@ class Residue:
 
     def __neg__(self):
         return Residue(-self.value, self.ctx)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Residue(pow(self.value, k, self.ctx.modulus), self.ctx)
-
-    def inverse(self) -> "Residue":
-        """Multiplicative inverse; the residue must be a unit."""
-        if self.value % self.ctx.p == 0:
-            raise NonUnit(f"{self.value} is not a unit mod {self.ctx.p}^{self.ctx.e}")
-        return Residue(pow(self.value, -1, self.ctx.modulus), self.ctx)
 
 
 def residue_from_rational(q: PadicInput, ctx: PrimePower) -> Residue:

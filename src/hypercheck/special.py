@@ -27,11 +27,8 @@ from .padic import (
 )
 
 
-def fermat_quotient(a: int, ctx: PrimePower) -> Residue:
-    """(a^(p-1) - 1)/p mod p; needs an e >= 2 context to see the digit."""
-    p = ctx.p
-    if ctx.e < 2:
-        raise ValueError("fermat_quotient needs a context with e >= 2")
+def fermat_quotient(a: int, p: int) -> Residue:
+    """(a^(p-1) - 1)/p mod p."""
     if a % p == 0:
         raise NonUnit(f"{a} is divisible by {p}")
     q = (pow(a, p - 1, p * p) - 1) // p

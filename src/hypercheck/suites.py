@@ -11,9 +11,10 @@ a modular route (valuation-tracked term recurrence) and an exact route
 (exact evaluation reduced once at the end).  ``dual`` runs the modular
 route under ``modular``, the exact one under ``exact``, and both under
 ``both``, where any disagreement raises `InternalError`; it returns the
-value with the label of the route that produced it (``"modular"`` under
-``both``).  Checks with a single route ignore ``dual`` and label their
-reports themselves.
+value alone.  `run_instance` labels every record of a check that asked
+``dual`` with the route it reports (``"exact"`` under ``exact``,
+``"modular"`` otherwise).  Checks with a single route ignore ``dual`` and
+label their reports themselves.
 
 Kinds: ``theorem`` suites are proved, so a failing instance at the suite's
 own exponent means a checker bug, but it is reported like any other failure
@@ -82,8 +83,9 @@ class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
     Checks fill in the slots lhs, rhs, modulus, passed, engine and any note,
-    oracle or error; `run_instance` stamps ``suite``, ``params`` (ints, and
-    every other value as its string) and ``elapsed_ms``.
+    oracle or error; `run_instance` stamps ``suite``, ``params`` (the
+    generator's dict as it is; `cli` writes each non-int value as its
+    string) and ``elapsed_ms``, and the engine of a dual-route record.
     """
 
     lhs: str
@@ -92,25 +94,22 @@ class Report:
     passed: bool
     engine: str
     suite: str = ""
-    params: dict = field(default_factory=dict)
+    params: dict | None = None
     elapsed_ms: float = 0.0
     note: str | None = None
     oracle: str | None = None
     error: str | None = None
 
 
-def _ser_params(params: dict) -> dict:
-    # a class test, not isinstance: Fraction's ABC check costs more per record
-    return {k: (str(v) if v.__class__ is Fraction else v) for k, v in params.items()}
-
-
-def _congruence_report(lhs: Residue, rhs: Residue, label: str) -> Report:
+def _congruence_report(lhs: Residue, rhs: Residue, engine: str = "") -> Report:
+    """A record of lhs = rhs mod p^e; a dual-route check leaves the engine
+    for `run_instance` to stamp."""
     return Report(
         lhs=str(lhs.value),
         rhs=str(rhs.value),
         modulus=str(lhs.ctx.modulus),
         passed=lhs.value == rhs.value,
-        engine=label,
+        engine=engine,
     )
 
 
@@ -154,19 +153,20 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
         _need_binomial(c * n, sweep)
 
 
-#: ``dual(modular_fn, exact_fn) -> (value, engine label)``; `run_instance`
-#: binds it to the run's engine and hands it to every check.  Series windows
-#: reach it through `_series` and quartic terms through `_term`, each under its
-#: budget cap; no check calls it directly.
-Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], tuple[Residue, str]]
+#: ``dual(modular_fn, exact_fn) -> value``; `run_instance` binds it to the
+#: run's engine, hands it to every check and labels the records of the
+#: checks that call it.  Series windows reach it through `_series` and
+#: quartic terms through `_term`, each under its budget cap; no check calls
+#: it directly.
+Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], Residue]
 
 
 def _series(
     dual: Dual, x: PadicInput, stop: int, ctx: PrimePower, sweep: Sweep, start: int = 0
-) -> tuple[Residue, str]:
-    """The terms start <= k < stop of F(x; stop) mod p^e by the engine's
-    route(s), under the series cap; the one way a check reaches a series
-    engine."""
+) -> Residue:
+    """The sum of the terms start <= k < stop of F(x; stop) mod p^e by the
+    engine's route(s), under the series cap; the one way a check reaches a
+    series engine.  `run_instance` labels the record with the route."""
     _need_series(stop, sweep)
     return dual(
         lambda: series.window_sum_mod(x, start, stop, ctx),
@@ -176,9 +176,10 @@ def _series(
 
 def _term(
     dual: Dual, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep
-) -> tuple[Residue, str]:
+) -> Residue:
     """The term t_n of ``fam``'s series mod p^e by the engine's route(s),
-    under the binomial cap; the one way a check reaches a quartic term."""
+    under the binomial cap; the one way a check reaches a quartic term.
+    `run_instance` labels the record with the route."""
     _need_family(fam, n, sweep)
     return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
@@ -241,9 +242,9 @@ def gen_thm1(sweep):
 def check_thm1(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p, ctx, sweep)
+    lhs = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def gen_sun(sweep):
@@ -255,9 +256,9 @@ def gen_sun(sweep):
 def check_sun(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p, ctx, sweep)
+    lhs = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def gen_rv(sweep):
@@ -270,10 +271,10 @@ def gen_rv(sweep):
 def check_rv(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, n * p, ctx, sweep)
-    base, _ = _series(dual, x, n, ctx, sweep)
+    lhs = _series(dual, x, n * p, ctx, sweep)
+    base = _series(dual, x, n, ctx, sweep)
     rhs = base * special.sign_of_least_residue(x, p)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def gen_rv_general(sweep):
@@ -297,10 +298,10 @@ def gen_corollary_px(sweep):
 def check_corollary_px(params, sweep, dual):
     p, r, x = params["p"], params["r"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, p**r, ctx, sweep)
+    lhs = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
     rhs = _sign_residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 _EISENSTEIN_BASES = (2, 3, 5, 7, 10)
@@ -319,15 +320,14 @@ def gen_lemma1(sweep):
 
 def check_lemma1(params, sweep, dual):
     p = params["p"]
-    ctx2 = PrimePower(p, 2)
     if params["form"] == "product":
         a, b = params["a"], params["b"]
-        lhs = special.fermat_quotient(a * b, ctx2)
-        rhs = special.fermat_quotient(a, ctx2) + special.fermat_quotient(b, ctx2)
+        lhs = special.fermat_quotient(a * b, p)
+        rhs = special.fermat_quotient(a, p) + special.fermat_quotient(b, p)
     else:
         a, r = params["a"], params["r"]
-        lhs = special.fermat_quotient(a**r, ctx2)
-        rhs = special.fermat_quotient(a, ctx2) * r
+        lhs = special.fermat_quotient(a**r, p)
+        rhs = special.fermat_quotient(a, p) * r
     return _congruence_report(lhs, rhs, "modular")
 
 
@@ -342,10 +342,9 @@ def check_lemma2(params, sweep, dual):
     _need_series(p, sweep)
     ctx = PrimePower(p, 1)
     lhs = special.harmonic_mod(p // d, ctx)
-    ctx2 = PrimePower(p, 2)
-    q2 = special.fermat_quotient(2, ctx2)
-    q3 = special.fermat_quotient(3, ctx2)
-    half3 = Residue(3, ctx) * Residue(2, ctx).inverse()
+    q2 = special.fermat_quotient(2, p)
+    q3 = special.fermat_quotient(3, p)
+    half3 = residue_from_rational(Fraction(3, 2), ctx)
     if d == 2:
         rhs = -(q2 * 2)
     elif d == 3:
@@ -396,7 +395,7 @@ def check_lemma4(params, sweep, dual):
     p, r, k, x = params["p"], params["r"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _term(dual, fam, k + r * p, ctx, sweep)
+    lhs = _term(dual, fam, k + r * p, ctx, sweep)
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the row
     row, h = _lemma4_rows(x, ctx)
     for i in range(len(row), k + 1):
@@ -405,7 +404,7 @@ def check_lemma4(params, sweep, dual):
         row.append((t_i, residue_from_rational(p * w_i, ctx).value))
     term, weight = row[k]
     rhs = fam.term_residue(r, ctx) * term * (1 + r * (h + weight))
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def check_lemma4_binom(params, sweep, dual):
@@ -437,9 +436,9 @@ def check_lemma5(params, sweep, dual):
     p, k, x = params["p"], params["k"], params["x"]
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 1)
-    lhs, label = _term(dual, fam, k, ctx, sweep)
+    lhs = _term(dual, fam, k, ctx, sweep)
     rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def check_lemma5_poch(params, sweep, dual):
@@ -479,9 +478,9 @@ def check_babbage(params, sweep, dual):
 def check_chain_reflect(params, sweep, dual):
     p, x = params["p"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, -x, p, ctx, sweep)
+    lhs = _series(dual, -x, p, ctx, sweep)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -517,12 +516,12 @@ def check_chain_jet(params, sweep, dual):
     p, x = params["p"], params["x"]
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, -q, p, ctx, sweep)
+    lhs = _series(dual, -q, p, ctx, sweep)
     m = special.least_residue(x, p)
     delta = (q - m) / p
     a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
     rhs = residue_from_rational(a_tot + delta * p * (b_back + b_fwd), ctx)
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def gen_chain_m(sweep):
@@ -573,10 +572,10 @@ def check_chain_block(params, sweep, dual):
     fam = QUARTIC_BY_X[x]
     _need_family(fam, r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
-    base, _ = _series(dual, x, p, ctx, sweep)
+    lhs = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
+    base = _series(dual, x, p, ctx, sweep)
     rhs = fam.term_residue(r, ctx) * base
-    return _congruence_report(lhs, rhs, label)
+    return _congruence_report(lhs, rhs)
 
 
 def check_chain_convolution(params, sweep, dual):
@@ -629,10 +628,10 @@ def check_chain_weighted(params, sweep, dual):
 def check_chain_product(params, sweep, dual):
     p, n, x = params["p"], params["n"], params["x"]
     ctx = PrimePower(p, sweep.mod_exp or 2)
-    lhs, label = _series(dual, x, n * p, ctx, sweep)
-    fp, _ = _series(dual, x, p, ctx, sweep)
-    fn, _ = _series(dual, x, n, ctx, sweep)
-    return _congruence_report(lhs, fp * fn, label)
+    lhs = _series(dual, x, n * p, ctx, sweep)
+    fp = _series(dual, x, p, ctx, sweep)
+    fn = _series(dual, x, n, ctx, sweep)
+    return _congruence_report(lhs, fp * fn)
 
 
 def gen_gessel(sweep):
@@ -727,8 +726,8 @@ def check_conjecture(params, sweep, dual):
     # from both sums mod p^(e+w).  It is a p-adic integer when p^w divides
     # the difference, and rv's mod-p^2 theorem (eps is the sign of the quartic
     # x) puts p^2 in it too, so one rule holds for every engine: p^max(2, w).
-    f_np, label = _series(dual, x, n * p, ctxw, sweep)
-    f_n, _ = _series(dual, x, n, ctxw, sweep)
+    f_np = _series(dual, x, n * p, ctxw, sweep)
+    f_n = _series(dual, x, n, ctxw, sweep)
     diff = (f_np - f_n * eps).value
     rhs = _conj_rhs(x, ctx)
     if diff % p ** max(2, w):
@@ -737,14 +736,14 @@ def check_conjecture(params, sweep, dual):
             rhs=str(rhs.value),
             modulus=str(ctx.modulus),
             passed=False,
-            engine="modular",
+            engine="",
             note="divisibility violation: scaled difference is not a p-adic integer "
             "at the required valuation",
             oracle=_conj_oracle(fam, p, n, eps, ctx),
         )
     m = ctx.modulus
     lhs = Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
-    rep = _congruence_report(lhs, rhs, label)
+    rep = _congruence_report(lhs, rhs)
     if not rep.passed:
         rep.oracle = _conj_oracle(fam, p, n, eps, ctx)
     return rep
@@ -1084,7 +1083,8 @@ def run_instance(
     raise `InternalError`.
 
     This is the only code that knows the engine: the check gets a `Dual`
-    bound to it.  The first value a check asks ``dual`` for is the
+    bound to it, and a record of a check that asked it names the route
+    that ran.  The first value a check asks ``dual`` for is the
     instance's primary value (its left side); when ``fault_suite`` names
     this suite (the ``VERIFY_FAULT_INJECT`` self-test) the primary value of
     the route the engine reports (exact under ``exact``, modular otherwise)
@@ -1096,13 +1096,14 @@ def run_instance(
     if sweep is None:
         sweep = Sweep(primes_in(5, 97))
     fault = fault_suite == suite_id
+    route = None  # the route dual reports, once the check asks for it
 
     def dual(modular_fn, exact_fn):
-        nonlocal fault
+        nonlocal fault, route
         if engine == "exact":
-            value, label = exact_fn(), "exact"
+            value, route = exact_fn(), "exact"
         else:
-            value, label = modular_fn(), "modular"
+            value, route = modular_fn(), "modular"
         if fault:
             value, fault = Residue(value.value + 1, value.ctx), False
         if engine == "both":
@@ -1112,7 +1113,7 @@ def run_instance(
                     f"engine disagreement in {suite_id} {params}: modular {value.value} "
                     f"vs exact {ev.value} mod {value.ctx.p}^{value.ctx.e}"
                 )
-        return value, label
+        return value
 
     t0 = time.perf_counter()
     try:
@@ -1123,7 +1124,9 @@ def run_instance(
         raise
     except Exception as ex:  # a bug in a check or kernel: exit 3, not a traceback
         raise InternalError(f"{suite_id} {params}: {type(ex).__name__}: {ex}") from ex
-    rep.suite, rep.params = suite_id, _ser_params(params)
+    rep.suite, rep.params = suite_id, params
+    if route is not None and rep.error is None:
+        rep.engine = route
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep
 

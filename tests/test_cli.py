@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -12,12 +13,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import hypercheck
-from hypercheck import _kernel, cli, series, suites
-from hypercheck.errors import UsageError
+from hypercheck import _kernel, cli, padic, series, suites
+from hypercheck.errors import NonUnit, UsageError
 
 
 def run_main(capsys, *argv):
@@ -465,6 +467,82 @@ def test_benchmark_setup_probe_stops_before_the_first_record(tmp_path):
     assert not out.exists() or out.read_text() == ""
 
 
+def test_names_the_benchmark_reaches_by_name_exist():
+    # perfbench/child.py wraps these by name and skips a missing one with one
+    # stderr line, after which its metric reads 0 and no gate fails; this test
+    # goes when ROADMAP item 8 retires the name-based tracer
+    assert list(inspect.signature(_kernel.series_window_mod).parameters)[5] == "k_stop"
+    assert inspect.isfunction(series.QuarticFamily.term_scaled)
+    assert isinstance(padic.PrimePower, type)
+    assert inspect.isfunction(padic.residue_from_rational)
+    assert next(iter(inspect.signature(suites.run_instance).parameters)) == "suite_id"
+    assert inspect.isfunction(cli.run) and inspect.isfunction(cli.main)
+    assert inspect.isfunction(hypercheck.backend_name)
+
+
+# the suites whose checks ask `dual` for their values: run_instance labels
+# their records with the route that ran
+DUAL_ROUTE_SUITES = {
+    "thm1", "sun", "rv", "rv-x", "corollary", "lemma4", "lemma5", "chain-reflect",
+    "chain-jet", "chain-block", "chain-product",
+    "conj-1/2", "conj-1/3", "conj-1/4", "conj-1/6",
+}
+
+
+def _json_records(capsys, *argv) -> list[dict]:
+    _, out, _ = run_main(capsys, *argv, "--format", "json-lines")
+    return [json.loads(line) for line in out.splitlines()[:-1]]
+
+
+def test_records_name_the_route_that_ran(capsys, monkeypatch):
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "5")
+    argv = ("all", "conj", "rv-x", "identity-shifted-printed", "--p-max", "7")
+    labels = {}
+    for engine in ("modular", "exact", "both"):
+        seen = {}
+        for rec in _json_records(capsys, *argv, "--engine", engine):
+            if "error" not in rec:
+                seen.setdefault(rec["suite"], set()).add(rec["engine"])
+        assert set(seen) == set(suites.REGISTRY)
+        assert all(len(names) == 1 for names in seen.values()), (engine, seen)
+        labels[engine] = {sid: names.pop() for sid, names in seen.items()}
+    assert labels["both"] == labels["modular"]
+    differ = {sid for sid in suites.REGISTRY if labels["exact"][sid] != labels["modular"][sid]}
+    assert differ == DUAL_ROUTE_SUITES
+    assert {labels["exact"][sid] for sid in differ} == {"exact"}
+    assert {labels["modular"][sid] for sid in differ} == {"modular"}
+
+
+def test_error_records_name_no_route(capsys, monkeypatch):
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "5")
+    monkeypatch.setenv("VERIFY_BUDGET_SERIES", "4")
+    argv = ("all", "conj", "rv-x", "identity-shifted-printed", "--p-max", "7")
+    for engine in ("modular", "exact", "both"):
+        errors = [r for r in _json_records(capsys, *argv, "--engine", engine) if "error" in r]
+        assert {r["suite"] for r in errors} >= DUAL_ROUTE_SUITES - {"lemma4", "lemma5"}
+        assert {r["engine"] for r in errors} == {""}
+    # an error raised after the check read its series through dual
+    monkeypatch.delenv("VERIFY_BUDGET_SERIES")
+
+    def no_character(a, p):
+        raise NonUnit(f"{a} mod {p}")
+
+    monkeypatch.setattr(suites.special, "legendre", no_character)
+    for engine in ("modular", "exact", "both"):
+        records = _json_records(capsys, "thm1", "--p-max", "7", "--engine", engine)
+        assert len(records) == 8 and all(r["error"].startswith("NonUnit") for r in records)
+        assert {r["engine"] for r in records} == {""}
+
+
+def test_fault_injected_conjecture_names_the_exact_route(capsys, monkeypatch):
+    # a divisibility violation found on the exact route alone names that route
+    monkeypatch.setenv("VERIFY_FAULT_INJECT", "conj-1/2")
+    records = _json_records(capsys, "conj-1/2", "--p-max", "7", "--engine", "exact")
+    assert len(records) == 6
+    assert all(r["note"].startswith("divisibility violation") for r in records)
+    assert {r["engine"] for r in records} == {"exact"}
+
+
 def _strip_elapsed(stream: str) -> list[str]:
     out = []
     for line in stream.strip().splitlines():
@@ -486,50 +564,193 @@ def test_worker_count_does_not_change_output(capsys):
     assert _strip_elapsed(out1) == _strip_elapsed(out2)
 
 
-# SHA-256 of the `verify all --p-max 31` json-lines stream at
-# VERIFY_BUDGET_IDENTITY=40, elapsed fields stripped, recorded before the
-# identity suites and the chain suites shared their exact sequences; a
-# refactor that changes any record or the summary changes the digest
-ALL_P31_DIGESTS = {
-    "modular": "b08be9560bc460802079c9be9ae443b4647c794b6a04e57229d60e71643d04a1",
-    "exact": "08682d7b42888494cf8ab9b330ae24ab40e706154e4cef64b3fd0ce6d9d9058c",
-    "both": "0806bffcc8e5ac443ca8fae97ad259954f8bf567f9329780b293509b912daf03",
-}
+class Pinned(NamedTuple):
+    """One pinned json-lines run: its argv and environment (None unsets a
+    variable), exit code, line count (summary included) and the SHA-256 of
+    its records re-encoded with the elapsed fields stripped; ``raw`` is the
+    SHA-256 of the bytes as written, with only the elapsed fields cut out.
+    """
+
+    argv: tuple[str, ...]
+    env: dict
+    code: int
+    lines: int
+    digest: str
+    raw: str | None = None
 
 
-@pytest.mark.parametrize("engine", sorted(ALL_P31_DIGESTS))
-def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
-    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
-    code, out, _ = run_main(
-        capsys, "all", "--p-max", "31", "--engine", engine, "--format", "json-lines"
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 9694
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == ALL_P31_DIGESTS[engine]
-
-
-# SHA-256 of the same streams byte for byte, with only the elapsed fields
-# cut out by perfbench's gate pattern, recorded while the records were still
-# written by the json module; the digests above re-encode every record and
-# so cannot see a change in escaping, spacing or float text
+# perfbench's gate pattern for the elapsed fields
 _ELAPSED = re.compile(r',"elapsed_(?:ms|s)":[-+.0-9eE]+')
-ALL_P31_RAW_DIGESTS = {
-    "modular": "a53b2ad94cd2c771ef10db6e9712bd526c90d785f9eae3a3267b7dcc30380179",
-    "exact": "455285b46cf825406abb87343054e7cee214e651c5a0d7462b3a1623107b2d0e",
-    "both": "8fb02a171746b6e02b56daac75edf65894dc5b39ebc7e8f3b8c158870645f1ee",
+
+# Each digest was recorded before the change its comment names; a refactor
+# that changes any record or the summary changes it.
+PINNED_STREAMS = {
+    # `verify all --p-max 31` at VERIFY_BUDGET_IDENTITY=40, recorded before the
+    # identity suites and the chain suites shared their exact sequences; the
+    # raw digests were recorded while the json module still wrote the records,
+    # and see a change in escaping, spacing or float text that re-encoding hides
+    **{
+        f"all-p31-{engine}": Pinned(
+            ("all", "--p-max", "31", "--engine", engine),
+            {"VERIFY_BUDGET_IDENTITY": "40"}, 0, 9694, digest, raw,
+        )
+        for engine, digest, raw in (
+            ("modular",
+             "b08be9560bc460802079c9be9ae443b4647c794b6a04e57229d60e71643d04a1",
+             "a53b2ad94cd2c771ef10db6e9712bd526c90d785f9eae3a3267b7dcc30380179"),
+            ("exact",
+             "08682d7b42888494cf8ab9b330ae24ab40e706154e4cef64b3fd0ce6d9d9058c",
+             "455285b46cf825406abb87343054e7cee214e651c5a0d7462b3a1623107b2d0e"),
+            ("both",
+             "0806bffcc8e5ac443ca8fae97ad259954f8bf567f9329780b293509b912daf03",
+             "8fb02a171746b6e02b56daac75edf65894dc5b39ebc7e8f3b8c158870645f1ee"),
+        )
+    },
+    # `verify conj --p-max 61`, recorded before the conjecture suites' exact
+    # route moved to the binary-splitting oracle; the runs above never run
+    # the conjectures
+    "conj-p61-exact": Pinned(
+        ("conj", "--p-max", "61", "--engine", "exact"), {}, 0, 193,
+        "b69c1c4795114d0321e7831fd25ee7be17285e1612f6adcfd1adcc00884e8f02",
+    ),
+    "conj-p61-both": Pinned(
+        ("conj", "--p-max", "61", "--engine", "both"), {}, 0, 193,
+        "e4328122f63d6ae6ad68e816be6e0f018d0b1840a3e79014979410755279dace",
+    ),
+    # `verify conj --p-max 499 --engine both`, recorded before the Euler and
+    # Bernoulli tables were built from secant and tangent numbers; it reads
+    # table indices up to 497 and every rebuild of a table on the way
+    "conj-p499": Pinned(
+        ("conj", "--p-max", "499", "--engine", "both"), {}, 0, 1117,
+        "7f46af6710802b9cd911d6cabd640e1cff01f933ef9d5199c64558668061ff12",
+    ),
+    # `verify thm1 rv chain-block --engine modular --p-max 499`, recorded
+    # before every check reached the series engines through one (x, k_start,
+    # k_stop) signature: the modular windows, chain-block's blocks
+    # [r p, (r+1) p) among them, past p = 97
+    "modular-p499": Pinned(
+        ("thm1", "rv", "chain-block", "--engine", "modular", "--p-max", "499"),
+        {}, 0, 2605,
+        "9e7e3aaa7942e1cff84f6340a22c769534f7970c42a20439b029450b93f85a0b",
+    ),
+    # `verify lemma4 lemma4-binom lemma5 --p-max 199 --engine modular`,
+    # recorded before each quartic family computed its binomial products once
+    # per run: the only stream whose terms reach n = k + r p above 93
+    "lemmas-p199": Pinned(
+        ("lemma4", "lemma4-binom", "lemma5", "--engine", "modular", "--p-max", "199"),
+        {}, 0, 118217,
+        "e1197479bb77b7c80e5bc7902c3b7ae862096b819ec6d0fb8df1ea7db743becd",
+    ),
+    # `verify chain-binom chain-forward chain-weighted --p-max 199`, recorded
+    # before their identity sums at n = m were computed once per m
+    "chains-p199": Pinned(
+        ("chain-binom", "chain-forward", "chain-weighted", "--p-max", "199"),
+        {}, 0, 8797,
+        "ae526f5f7b797b2cb38a6fd633622a157b106c8babc38ab933de4a7514d99ce3",
+    ),
+    # the default sweep (theorem suites, 5 <= p <= 97) under `--engine exact`,
+    # recorded before the exact oracle read its windows from one prefix table
+    # per x: the only stream whose exact route goes past p = 31, through the
+    # p^2 sums and one x shared by every prime
+    "default-exact": Pinned(
+        ("--engine", "exact"), {}, 0, 43690,
+        "979c55e79ff2e606a9a48775bd32d2fa5347feb684883d25a1d028c569685863",
+    ),
+    # `verify identities` at the default index cap of 300, recorded before the
+    # alternating sums walked the signed-binomial row and the convolution
+    # became one integer sum
+    "identities": Pinned(
+        ("identities",), {"VERIFY_BUDGET_IDENTITY": None}, 0, 96017,
+        "95a827b412dd27704a9f428bb9ad45f1360dc68aae44d4156f6d081f356947fa",
+    ),
+    # `verify rv-x --p-max 31`, recorded before the series layer was
+    # specialized to F(x; N): general x and the n*p sums, with genuine
+    # counterexamples (exit 1)
+    **{
+        f"rv-x-p31-{engine}": Pinned(
+            ("rv-x", "--p-max", "31", "--engine", engine), {}, 1, 349, digest
+        )
+        for engine, digest in (
+            ("modular", "970121a2cb622f70de69c98557705747c99c98be58303f5a641ea86133a6c2a7"),
+            ("exact", "611cdf70d999f7f02853e340036f0fd272f7d520d734913015843d23cf2bca60"),
+            ("both", "13efe4360c52b9a3c43d94d19affdfb44420d985335878bd5e9470f77b60839f"),
+        )
+    },
+    # the series kernel at p^6, on the p^r sums and the blocks [r p, (r+1) p),
+    # recorded at the same point
+    "e6-p31": Pinned(
+        ("thm1", "rv", "chain-block", "chain-product", "--p-max", "31",
+         "--mod-exp", "6", "--r", "0,1,2,3"),
+        {}, 1, 397,
+        "6413f6539aac68afe1581686cd87135c772d82de3b9204ac60b3ea3f091b7f4c",
+    ),
 }
 
 
-@pytest.mark.parametrize("engine", sorted(ALL_P31_RAW_DIGESTS))
-def test_record_bytes_match_pinned_digest(capsys, monkeypatch, engine):
-    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
-    code, out, _ = run_main(
-        capsys, "all", "--p-max", "31", "--engine", engine, "--format", "json-lines"
-    )
-    raw = _ELAPSED.sub("", out).encode()
-    assert code == 0 and raw.count(b"\n") == 9694
-    assert hashlib.sha256(raw).hexdigest() == ALL_P31_RAW_DIGESTS[engine]
+def assert_pinned(capsys, monkeypatch, name: str) -> None:
+    """Run the pinned stream ``name`` and check every figure its row pins."""
+    case = PINNED_STREAMS[name]
+    for key, value in case.env.items():
+        if value is None:
+            monkeypatch.delenv(key, raising=False)
+        else:
+            monkeypatch.setenv(key, value)
+    code, out, _ = run_main(capsys, *case.argv, "--format", "json-lines")
+    lines = _strip_elapsed(out)
+    assert code == case.code and len(lines) == case.lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == case.digest
+    if case.raw is not None:
+        raw = _ELAPSED.sub("", out).encode()
+        assert raw.count(b"\n") == case.lines
+        assert hashlib.sha256(raw).hexdigest() == case.raw
+
+
+@pytest.mark.parametrize("engine", ["both", "exact", "modular"])
+def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
+    assert_pinned(capsys, monkeypatch, f"all-p31-{engine}")
+
+
+@pytest.mark.parametrize("engine", ["both", "exact"])
+def test_conjecture_stream_matches_pinned_digest(capsys, monkeypatch, engine):
+    assert_pinned(capsys, monkeypatch, f"conj-p61-{engine}")
+
+
+def test_conjecture_stream_to_p499_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "conj-p499")
+
+
+def test_modular_stream_to_p499_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "modular-p499")
+
+
+def test_lemma_stream_to_p199_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "lemmas-p199")
+
+
+def test_chain_identity_stream_to_p199_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "chains-p199")
+
+
+def test_default_sweep_exact_stream_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "default-exact")
+
+
+def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "identities")
+
+
+@pytest.mark.parametrize("engine", ["both", "exact", "modular"])
+def test_rv_x_stream_matches_pinned_digest(capsys, monkeypatch, engine):
+    assert_pinned(capsys, monkeypatch, f"rv-x-p31-{engine}")
+
+
+def test_mod_exp_six_stream_matches_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "e6-p31")
+
+
+def _json_params(params: dict) -> dict:
+    """``params`` with every non-int value as its string, as records show them."""
+    return {k: v if type(v) is int else str(v) for k, v in params.items()}
 
 
 def _reference_line(rep: suites.Report) -> str:
@@ -538,7 +759,7 @@ def _reference_line(rep: suites.Report) -> str:
     """
     rec = {
         "suite": rep.suite,
-        "params": suites._ser_params(rep.params),
+        "params": _json_params(rep.params),
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "modulus": rep.modulus,
@@ -591,7 +812,7 @@ def test_csv_params_cell_matches_the_json_module():
         cli._emit_csv(rep, writer)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert [row[1] for row in rows] == [
-        json.dumps(suites._ser_params(params), separators=(",", ":"))
+        json.dumps(_json_params(params), separators=(",", ":"))
         for params in _PARAMS_CASES
     ]
 
@@ -611,161 +832,6 @@ def test_generated_params_are_ints_fractions_or_strings(monkeypatch, x):
             assert types <= {int, Fraction, str}, (suite.id, params)
             seen |= types
     assert seen == {int, Fraction, str}
-
-
-# SHA-256 of the `verify conj --p-max 61` json-lines stream, elapsed fields
-# stripped, recorded before the conjecture suites' exact route moved to the
-# binary-splitting oracle; the suites above never run the conjectures
-CONJ_P61_DIGESTS = {
-    "exact": "b69c1c4795114d0321e7831fd25ee7be17285e1612f6adcfd1adcc00884e8f02",
-    "both": "e4328122f63d6ae6ad68e816be6e0f018d0b1840a3e79014979410755279dace",
-}
-
-
-@pytest.mark.parametrize("engine", sorted(CONJ_P61_DIGESTS))
-def test_conjecture_stream_matches_pinned_digest(capsys, engine):
-    code, out, _ = run_main(
-        capsys, "conj", "--p-max", "61", "--engine", engine, "--format", "json-lines"
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 193
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CONJ_P61_DIGESTS[engine]
-
-
-# The same for `verify conj --p-max 499 --engine both`, recorded before the
-# Euler and Bernoulli tables were built from secant and tangent numbers;
-# it reads table indices up to 497 and every rebuild of a table on the way
-CONJ_P499_DIGEST = "7f46af6710802b9cd911d6cabd640e1cff01f933ef9d5199c64558668061ff12"
-
-
-def test_conjecture_stream_to_p499_matches_pinned_digest(capsys):
-    code, out, _ = run_main(
-        capsys, "conj", "--p-max", "499", "--engine", "both", "--format", "json-lines"
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 1117
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CONJ_P499_DIGEST
-
-
-# The same for `verify thm1 rv chain-block --engine modular --p-max 499`,
-# recorded before every check reached the series engines through one
-# (x, k_start, k_stop) signature: the modular windows, chain-block's blocks
-# [r p, (r+1) p) among them, past p = 97
-MODULAR_P499_DIGEST = "9e7e3aaa7942e1cff84f6340a22c769534f7970c42a20439b029450b93f85a0b"
-
-
-def test_modular_stream_to_p499_matches_pinned_digest(capsys):
-    code, out, _ = run_main(
-        capsys, "thm1", "rv", "chain-block", "--engine", "modular",
-        "--p-max", "499", "--format", "json-lines",
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 2605
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == MODULAR_P499_DIGEST
-
-
-# The same for `verify lemma4 lemma4-binom lemma5 --p-max 199 --engine
-# modular`, recorded before each quartic family computed its binomial products
-# once per run: the only digest whose terms reach n = k + r p above 93
-LEMMAS_P199_DIGEST = "e1197479bb77b7c80e5bc7902c3b7ae862096b819ec6d0fb8df1ea7db743becd"
-
-
-def test_lemma_stream_to_p199_matches_pinned_digest(capsys):
-    code, out, _ = run_main(
-        capsys, "lemma4", "lemma4-binom", "lemma5", "--engine", "modular",
-        "--p-max", "199", "--format", "json-lines",
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 118217
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == LEMMAS_P199_DIGEST
-
-
-# The same for `verify chain-binom chain-forward chain-weighted --p-max 199`,
-# recorded before their identity sums at n = m were computed once per m
-CHAINS_P199_DIGEST = "ae526f5f7b797b2cb38a6fd633622a157b106c8babc38ab933de4a7514d99ce3"
-
-
-def test_chain_identity_stream_to_p199_matches_pinned_digest(capsys):
-    code, out, _ = run_main(
-        capsys, "chain-binom", "chain-forward", "chain-weighted",
-        "--p-max", "199", "--format", "json-lines",
-    )
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 8797
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CHAINS_P199_DIGEST
-
-
-# SHA-256 of the default sweep's json-lines stream (theorem suites,
-# 5 <= p <= 97) under `--engine exact`, elapsed fields stripped, recorded
-# before the exact oracle read its windows from one prefix table per x: the
-# only digest whose exact route goes past p = 31, through the p^2 sums and
-# one x shared by every prime
-DEFAULT_EXACT_DIGEST = "979c55e79ff2e606a9a48775bd32d2fa5347feb684883d25a1d028c569685863"
-
-
-def test_default_sweep_exact_stream_matches_pinned_digest(capsys):
-    code, out, _ = run_main(capsys, "--engine", "exact", "--format", "json-lines")
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 43690
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DEFAULT_EXACT_DIGEST
-
-
-# SHA-256 of the `verify identities` json-lines stream at the default index
-# cap of 300, elapsed fields stripped, recorded before the alternating sums
-# walked the signed-binomial row and the convolution became one integer sum
-IDENTITIES_DIGEST = "95a827b412dd27704a9f428bb9ad45f1360dc68aae44d4156f6d081f356947fa"
-
-
-def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
-    monkeypatch.delenv("VERIFY_BUDGET_IDENTITY", raising=False)
-    code, out, _ = run_main(capsys, "identities", "--format", "json-lines")
-    lines = _strip_elapsed(out)
-    assert code == 0 and len(lines) == 96017
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == IDENTITIES_DIGEST
-
-
-# SHA-256 of the `verify rv-x --p-max 31` json-lines stream, elapsed fields
-# stripped, recorded before the series layer was specialized to F(x; N):
-# general x and the n*p sums, with genuine counterexamples (exit 1)
-RV_X_P31_DIGESTS = {
-    "modular": "970121a2cb622f70de69c98557705747c99c98be58303f5a641ea86133a6c2a7",
-    "exact": "611cdf70d999f7f02853e340036f0fd272f7d520d734913015843d23cf2bca60",
-    "both": "13efe4360c52b9a3c43d94d19affdfb44420d985335878bd5e9470f77b60839f",
-}
-
-
-@pytest.mark.parametrize("engine", sorted(RV_X_P31_DIGESTS))
-def test_rv_x_stream_matches_pinned_digest(capsys, engine):
-    code, out, _ = run_main(
-        capsys, "rv-x", "--p-max", "31", "--engine", engine, "--format", "json-lines"
-    )
-    lines = _strip_elapsed(out)
-    assert code == 1 and len(lines) == 349
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == RV_X_P31_DIGESTS[engine]
-
-
-# The same for the series kernel at p^6, on the p^r sums and the blocks
-# [r p, (r+1) p), recorded at the same point
-E6_P31_DIGEST = "6413f6539aac68afe1581686cd87135c772d82de3b9204ac60b3ea3f091b7f4c"
-
-
-def test_mod_exp_six_stream_matches_pinned_digest(capsys):
-    code, out, _ = run_main(
-        capsys, "thm1", "rv", "chain-block", "chain-product", "--p-max", "31",
-        "--mod-exp", "6", "--r", "0,1,2,3", "--format", "json-lines",
-    )
-    lines = _strip_elapsed(out)
-    assert code == 1 and len(lines) == 397
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == E6_P31_DIGEST
 
 
 def test_serial_run_generates_instances_lazily(tmp_path, monkeypatch):

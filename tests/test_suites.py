@@ -1,5 +1,6 @@
 """Suite registry, dual-engine agreement, error taxonomy, fault injection."""
 
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck import identities, suites
+from hypercheck import cli, identities, suites
 from hypercheck.errors import InternalError
 from hypercheck.padic import PrimePower, Residue, residue_from_rational
 from hypercheck.series import QUARTICS, QuarticFamily
@@ -239,7 +240,7 @@ def _lemma4_rhs_per_instance(fam, p, r, k):
 def test_lemma4_rows_match_the_per_instance_rationals():
     # the left side is stubbed out: only the right side is under test
     def dual(modular_fn, exact_fn):
-        return Residue(0, PrimePower(5, 1)), "modular"
+        return Residue(0, PrimePower(5, 1))
 
     for p in primes_in(5, 101):
         refs = {
@@ -350,12 +351,13 @@ def test_conjecture_failure_attaches_exact_oracle():
 def test_conjecture_divisibility_violation_report(monkeypatch, engine):
     # a flipped character leaves the scaled difference with a p in its
     # denominator (n = 3 gives v_5(n^2 S(n)) = 2); every engine must report
-    # the same divisibility failure, labelled with the modular route
+    # the same divisibility failure, labelled with the route that ran
     legendre = suites.special.legendre
     monkeypatch.setattr(suites.special, "legendre", lambda a, p: -legendre(a, p))
     rep = run_instance("conj-1/2", {"p": 5, "n": 3, "x": F(1, 2)}, engine=engine)
     assert not rep.passed and rep.error is None and rep.lhs == ""
-    assert rep.engine == "modular" and rep.note.startswith("divisibility violation")
+    assert rep.engine == ("exact" if engine == "exact" else "modular")
+    assert rep.note.startswith("divisibility violation")
     assert "not a p-adic integer" in rep.oracle
 
 
@@ -367,8 +369,13 @@ def test_conjecture_precision_cap_is_reported():
 
 
 def test_report_params_serialized():
-    rep = run_instance("thm1", {"p": 7, "x": F(1, 2)})
-    assert rep.params == {"p": 7, "x": "1/2"}
+    # the record keeps the generator's dict; cli writes the Fraction as a string
+    params = {"p": 7, "x": F(1, 2)}
+    rep = run_instance("thm1", params)
+    assert rep.params is params
+    buf = io.StringIO()
+    cli._emit_json(rep, buf)
+    assert '"params":{"p":7,"x":"1/2"}' in buf.getvalue()
     assert isinstance(rep.lhs, str) and isinstance(rep.modulus, str)
     assert rep.elapsed_ms >= 0.0
 
