@@ -567,8 +567,9 @@ def test_worker_count_does_not_change_output(capsys):
 class Pinned(NamedTuple):
     """One pinned json-lines run: its argv and environment (None unsets a
     variable), exit code, line count (summary included) and the SHA-256 of
-    its records re-encoded with the elapsed fields stripped; ``raw`` is the
-    SHA-256 of the bytes as written, with only the elapsed fields cut out.
+    its records re-encoded with the elapsed fields stripped; ``raw``, where
+    set, is the SHA-256 of the bytes as written, with only the elapsed fields
+    cut out.
     """
 
     argv: tuple[str, ...]
@@ -687,27 +688,37 @@ PINNED_STREAMS = {
 }
 
 
-def assert_pinned(capsys, monkeypatch, name: str) -> None:
-    """Run the pinned stream ``name`` and check every figure its row pins."""
-    case = PINNED_STREAMS[name]
+def _run_pinned(capsys, monkeypatch, case: Pinned) -> str:
+    """Run the pinned stream ``case``, check its exit code and return its output."""
     for key, value in case.env.items():
         if value is None:
             monkeypatch.delenv(key, raising=False)
         else:
             monkeypatch.setenv(key, value)
     code, out, _ = run_main(capsys, *case.argv, "--format", "json-lines")
-    lines = _strip_elapsed(out)
-    assert code == case.code and len(lines) == case.lines
+    assert code == case.code
+    return out
+
+
+def assert_pinned(capsys, monkeypatch, name: str) -> None:
+    """Run the pinned stream ``name`` and check its re-encoded records."""
+    case = PINNED_STREAMS[name]
+    lines = _strip_elapsed(_run_pinned(capsys, monkeypatch, case))
+    assert len(lines) == case.lines
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == case.digest
-    if case.raw is not None:
-        raw = _ELAPSED.sub("", out).encode()
-        assert raw.count(b"\n") == case.lines
-        assert hashlib.sha256(raw).hexdigest() == case.raw
 
 
 @pytest.mark.parametrize("engine", ["both", "exact", "modular"])
 def test_record_stream_matches_pinned_digest(capsys, monkeypatch, engine):
     assert_pinned(capsys, monkeypatch, f"all-p31-{engine}")
+
+
+@pytest.mark.parametrize("engine", ["both", "exact", "modular"])
+def test_record_bytes_match_pinned_digest(capsys, monkeypatch, engine):
+    case = PINNED_STREAMS[f"all-p31-{engine}"]
+    raw = _ELAPSED.sub("", _run_pinned(capsys, monkeypatch, case)).encode()
+    assert raw.count(b"\n") == case.lines
+    assert hashlib.sha256(raw).hexdigest() == case.raw
 
 
 @pytest.mark.parametrize("engine", ["both", "exact"])
