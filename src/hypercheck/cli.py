@@ -45,7 +45,6 @@ from .suites import (
     ALIASES,
     REGISTRY,
     THEOREM_SUITES,
-    Budgets,
     Report,
     Sweep,
     primes_in,
@@ -79,8 +78,9 @@ def expand_selection(tokens: list[str]) -> list[str]:
 
 
 def _parse_int_list(flag: str, raw: str) -> tuple[int, ...]:
+    """The integers of a comma list, each once, where it first appears."""
     try:
-        values = tuple(int(tok) for tok in raw.split(",") if tok != "")
+        values = tuple(dict.fromkeys(int(tok) for tok in raw.split(",") if tok != ""))
     except ValueError as ex:
         raise UsageError(f"bad integer list {raw!r} for {flag}") from ex
     if any(v < 0 for v in values):
@@ -89,15 +89,17 @@ def _parse_int_list(flag: str, raw: str) -> tuple[int, ...]:
 
 
 def _parse_x_list(raw: str) -> tuple:
+    """The x values of ``--x``, each once; a fraction with denominator 1 is an int."""
     out = []
     for tok in raw.split(","):
         if tok == "":
             continue
         try:
-            out.append(Fraction(tok) if "/" in tok else int(tok))
+            x = Fraction(tok) if "/" in tok else int(tok)
         except (ValueError, ZeroDivisionError) as ex:
             raise UsageError(f"bad x value {tok!r}") from ex
-    return tuple(out)
+        out.append(x.numerator if x.denominator == 1 else x)
+    return tuple(dict.fromkeys(out))
 
 
 def _env_budget(name: str, default: int) -> int:
@@ -176,11 +178,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         r_values=_parse_int_list("--r", cfg.r),
         x_values=None if cfg.x is None else _parse_x_list(cfg.x),
         mod_exp=cfg.mod_exp,
-        budgets=Budgets(
-            binomial_max=_env_budget("VERIFY_BUDGET_BINOMIAL", Budgets.binomial_max),
-            series_max=_env_budget("VERIFY_BUDGET_SERIES", Budgets.series_max),
-            identity_max=_env_budget("VERIFY_BUDGET_IDENTITY", Budgets.identity_max),
-        ),
+        binomial_max=_env_budget("VERIFY_BUDGET_BINOMIAL", Sweep.binomial_max),
+        series_max=_env_budget("VERIFY_BUDGET_SERIES", Sweep.series_max),
+        identity_max=_env_budget("VERIFY_BUDGET_IDENTITY", Sweep.identity_max),
     )
     return cfg
 
@@ -195,9 +195,10 @@ def _human_params(params: dict) -> str:
 
 
 def _emit_human(rep: Report, out) -> None:
+    """Write one record's line, and its oracle line if a failure has one."""
     mod = "exact" if rep.modulus == "exact" else f"mod {rep.modulus}"
     if rep.error is not None:
-        print(f"ERROR {rep.suite} {_human_params(rep.params)}: {rep.error}", file=out)
+        out.write(f"ERROR {rep.suite} {_human_params(rep.params)}: {rep.error}\n")
         return
     tag = "PASS" if rep.passed else "FAIL"
     line = f"{tag} {rep.suite} {_human_params(rep.params)} ({mod})"
@@ -205,9 +206,9 @@ def _emit_human(rep: Report, out) -> None:
         line += f": lhs={rep.lhs} rhs={rep.rhs}"
         if rep.note:
             line += f" [{rep.note}]"
-    print(line, file=out)
-    if not rep.passed and rep.oracle:
-        print(f"  oracle: {rep.oracle}", file=out)
+        if rep.oracle:
+            line += f"\n  oracle: {rep.oracle}"
+    out.write(line + "\n")
 
 
 # the compact encoder of the json-lines summary record
@@ -409,13 +410,12 @@ def _report(cfg: argparse.Namespace, reports, out) -> int:
         }
         if internal_error is not None:
             summary["summary"].update(status="internal-error", error=internal_error)
-        print(_JSON.encode(summary), file=out)
+        out.write(_JSON.encode(summary) + "\n")
     elif cfg.format == "human" and internal_error is None:
-        print(
+        out.write(
             f"ran {total} instances: {tally.total('passed')} passed, "
             f"{failed} failed, {tally.total('errors')} errors "
-            f"in {elapsed:.1f}s (verify {__version__})",
-            file=out,
+            f"in {elapsed:.1f}s (verify {__version__})\n"
         )
     if internal_error is not None:
         return 3
@@ -425,9 +425,8 @@ def _report(cfg: argparse.Namespace, reports, out) -> int:
 def _list_suites(out) -> int:
     width = max(len(s) for s in REGISTRY)
     for suite in REGISTRY.values():
-        print(f"{suite.id:<{width}}  {suite.kind:<11}  {suite.description}", file=out)
-    print(file=out)
-    print("aliases: " + ", ".join(ALIASES), file=out)
+        out.write(f"{suite.id:<{width}}  {suite.kind:<11}  {suite.description}\n")
+    out.write("\naliases: " + ", ".join(ALIASES) + "\n")
     return 0
 
 

@@ -5,8 +5,9 @@ alternating binomial/harmonic sums, the partial-fraction harmonic
 decompositions of the four quadratic-character families, the convolution
 form of the harmonic-weighted term, the first-order Taylor coefficients
 of the binomial-ratio function, and the negated-upper-index binomial
-symmetry.  Each side is exact: a `fractions.Fraction`, or an `int` for the
-negation symmetry.  The hot sums run over integers and build one
+symmetry.  Each identity function returns its two sides as a pair
+(lhs, rhs); each side is exact: a `fractions.Fraction`, or an `int` for
+the negation symmetry.  The hot sums run over integers and build one
 `Fraction` at the end: the alternating sums share one accumulator,
 `_alternating`, which walks the signed-binomial row by its ratio; the
 convolution's right side is one Horner sum over a common denominator
@@ -20,7 +21,7 @@ harmonic closed form (`partial_fraction_closed_form`) and the series terms
 t_k(x) (`series_terms`), which `lemma5-poch` also reads for the rising
 products (x)_k (1-x)_k = t_k (k!)^2.  `suites` calls them instead of
 computing its own copies, and the proof-chain suites that restate an
-identity here report that identity's case.  The signed binomial
+identity here report that identity's pair.  The signed binomial
 (-1)^k C(n,k) C(n+k,k) that both sides sum comes from
 `special.signed_binomial`.
 
@@ -34,25 +35,12 @@ reports both rather than silently repairing either.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm
 
 from .errors import InternalError, PoleInParameter
 from .special import harmonic_exact, signed_binomial
-
-
-@dataclass(frozen=True, slots=True)
-class IdentityCase:
-    """One exact comparison; passed is derived, never stored."""
-
-    lhs: Fraction | int
-    rhs: Fraction | int
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -79,19 +67,19 @@ def _alternating(n: int, weights: list, start: int = 0) -> Fraction:
     return Fraction(total, den)
 
 
-def alternating_binomial_sum(n: int) -> IdentityCase:
+def alternating_binomial_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) equals (-1)^n."""
-    return IdentityCase(_alternating(n, [1] * (n + 1)), Fraction((-1) ** n))
+    return _alternating(n, [1] * (n + 1)), Fraction((-1) ** n)
 
 
-def harmonic_weighted_sum(n: int) -> IdentityCase:
+def harmonic_weighted_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 1 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_k equals 2(-1)^n H_n."""
     lhs = _alternating(n, [harmonic_exact(k) for k in range(1, n + 1)], start=1)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase(lhs, rhs)
+    return lhs, rhs
 
 
-def tail_harmonic_sum(n: int) -> IdentityCase:
+def tail_harmonic_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum of (-1)^k C(n,k)C(n+k,k) * (1/(n+1) + ... + 1/(n+k)) equals (-1)^n H_n.
 
     The inner sums are accumulated term by term, independently of the
@@ -99,10 +87,10 @@ def tail_harmonic_sum(n: int) -> IdentityCase:
     """
     inner = list(accumulate(Fraction(1, n + k) for k in range(1, n + 1)))
     rhs = Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase(_alternating(n, inner, start=1), rhs)
+    return _alternating(n, inner, start=1), rhs
 
 
-def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
+def shifted_harmonic_sum_printed(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 1 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_{n+k} vs 2(-1)^n H_n.
 
     As commonly printed the sum starts at k=1; the k=0 summand would be
@@ -111,17 +99,17 @@ def shifted_harmonic_sum_printed(n: int) -> IdentityCase:
     """
     lhs = _alternating(n, [harmonic_exact(n + k) for k in range(1, n + 1)], start=1)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase(lhs, rhs)
+    return lhs, rhs
 
 
-def shifted_harmonic_sum(n: int) -> IdentityCase:
+def shifted_harmonic_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_{n+k} equals 2(-1)^n H_n."""
     lhs = _alternating(n, [harmonic_exact(n + k) for k in range(n + 1)])
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return IdentityCase(lhs, rhs)
+    return lhs, rhs
 
 
-def harmonic_difference_chain(n: int) -> IdentityCase:
+def harmonic_difference_chain(n: int) -> tuple[Fraction, Fraction]:
     """Sum of (-1)^k C(n,k)C(n+k,k)(H_{n+k} - H_n) equals (-1)^n H_n.
 
     The step that links the alternating-sum and shifted-harmonic
@@ -129,7 +117,7 @@ def harmonic_difference_chain(n: int) -> IdentityCase:
     """
     hn = harmonic_exact(n)
     lhs = _alternating(n, [harmonic_exact(n + k) - hn for k in range(n + 1)])
-    return IdentityCase(lhs, Fraction(-1) ** n * hn)
+    return lhs, Fraction(-1) ** n * hn
 
 
 # --- partial-fraction decompositions ---------------------------------------
@@ -173,10 +161,10 @@ def partial_fraction_closed_form(k: int, x: Fraction) -> Fraction:
     return sum((c * harmonic_exact(d * k) for c, d in _PARTFRAC_RHS[x]), Fraction(0))
 
 
-def partial_fraction_sum(k: int, x: Fraction) -> IdentityCase:
+def partial_fraction_sum(k: int, x: Fraction) -> tuple[Fraction, Fraction]:
     """T_k(x) = sum_{j<k}(1/(j+x) + 1/(j+1-x)) vs its harmonic-number closed form."""
     rhs = partial_fraction_closed_form(k, x)
-    return IdentityCase(partial_fraction_weights(x, k)[k], rhs)
+    return partial_fraction_weights(x, k)[k], rhs
 
 
 # --- convolution form of the harmonic-weighted term ------------------------
@@ -215,7 +203,7 @@ def _convolution_sum(x: Fraction, k: int) -> Fraction:
     return Fraction(total, b ** (2 * (k - 1)) * factorial(k - 1) ** 2 * span)
 
 
-def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:
+def term_convolution_identity(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
     """t_k T_k(x) vs sum_{i<k} t_i/(k-i).
 
     The left side reads the cached `series_terms` and
@@ -223,7 +211,7 @@ def term_convolution_identity(x: Fraction, k: int) -> IdentityCase:
     right side is `_convolution_sum`, over integers.
     """
     weight = partial_fraction_weights(x, k)[k]
-    return IdentityCase(series_terms(x, k)[k] * weight, _convolution_sum(x, k))
+    return series_terms(x, k)[k] * weight, _convolution_sum(x, k)
 
 
 # --- Taylor coefficients of the binomial-ratio function --------------------
@@ -250,11 +238,12 @@ def _taylor_jet(k: int, r: int) -> tuple[int, int, int, int]:
     return p0, p1, q0, q1
 
 
-def taylor_coefficient_check(k: int, r: int) -> list[IdentityCase]:
+def taylor_coefficient_check(k: int, r: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """f(0) = C(2k,k) and f'(0) = r C(2k,k)(2H_{2k} - 2H_k), exactly.
 
-    Returns one case per coefficient order (0 and 1); the derivative is
-    read off a first-order jet product, not from the closed form.
+    Returns one (lhs, rhs) pair per coefficient order (0 and 1); the
+    derivative is read off a first-order jet product, not from the closed
+    form.
     """
     p0, p1, q0, q1 = _taylor_jet(k, r)
     f0 = Fraction(p0, q0)
@@ -262,7 +251,7 @@ def taylor_coefficient_check(k: int, r: int) -> list[IdentityCase]:
     c = comb(2 * k, k)
     rhs0 = Fraction(c)
     rhs1 = r * c * (2 * harmonic_exact(2 * k) - 2 * harmonic_exact(k))
-    return [IdentityCase(f0, rhs0), IdentityCase(f1, rhs1)]
+    return (f0, rhs0), (f1, rhs1)
 
 
 # --- negated-upper-index binomial symmetry ---------------------------------
@@ -287,7 +276,7 @@ def _negation_values(b: int, k: int):
     return nb, nbk, pb, pbk
 
 
-def negation_symmetry(b: int, k: int) -> IdentityCase:
+def negation_symmetry(b: int, k: int) -> tuple[int, int]:
     """C(-b,k) C(-b+k,k) = C(b-1,k) C(b-1+k,k) for integer b >= 1."""
     nb, nbk, pb, pbk = _negation_values(b, k)
-    return IdentityCase(nb * nbk, pb * pbk)
+    return nb * nbk, pb * pbk

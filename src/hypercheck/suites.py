@@ -3,7 +3,9 @@
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
 as a parameterized suite: a generator of instances plus a check that
-computes both sides and returns them as a `Report`.
+computes both sides and returns them as a `Report`.  Each instance is the
+params dict its generator yields, and the check takes those params by
+name, ``check(sweep, dual, **params)``, so its signature lists them.
 
 `run_instance` is the only code that knows the engine.  It hands each
 check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -58,24 +60,18 @@ def primes_in(lo: int, hi: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Budgets:
-    """Size caps; `cli.parse_args` reads VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}."""
-
-    binomial_max: int = 5000
-    series_max: int = 100_000
-    identity_max: int = 300
-
-
-@dataclass(frozen=True)
 class Sweep:
-    """Parameter domain for one run."""
+    """Parameter domain and size caps for one run; `cli.parse_args` reads
+    the caps from VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}."""
 
     primes: tuple[int, ...]
     n_values: tuple[int, ...] = (1, 2, 3)
     r_values: tuple[int, ...] = (0, 1, 2)
     x_values: tuple[Fraction | int, ...] | None = None
     mod_exp: int | None = None
-    budgets: Budgets = field(default_factory=Budgets)
+    binomial_max: int = 5000
+    series_max: int = 100_000
+    identity_max: int = 300
 
 
 @dataclass(slots=True)
@@ -118,14 +114,12 @@ def _exact_report(lhs, rhs) -> Report:
     return Report(text, text if passed else str(rhs), "exact", passed, "exact")
 
 
-def _identity_check(fn, *keys):
-    """A check that reports the `identities.IdentityCase` ``fn`` builds from
-    the instance's params named by ``keys``, in that order.
-    """
+def _identity_check(fn):
+    """A check that reports the (lhs, rhs) pair ``fn`` returns for the
+    instance's params, passed by name."""
 
-    def check(params, sweep, dual):
-        case = fn(*map(params.__getitem__, keys))
-        return _exact_report(case.lhs, case.rhs)
+    def check(sweep, dual, **params):
+        return _exact_report(*fn(**params))
 
     return check
 
@@ -134,17 +128,13 @@ def _identity_check(fn, *keys):
 
 
 def _need_series(n_terms: int, sweep: Sweep):
-    if n_terms > sweep.budgets.series_max:
-        raise BudgetExceeded(
-            f"series truncation {n_terms} exceeds cap {sweep.budgets.series_max}"
-        )
+    if n_terms > sweep.series_max:
+        raise BudgetExceeded(f"series truncation {n_terms} exceeds cap {sweep.series_max}")
 
 
 def _need_binomial(arg: int, sweep: Sweep):
-    if arg > sweep.budgets.binomial_max:
-        raise BudgetExceeded(
-            f"binomial argument {arg} exceeds cap {sweep.budgets.binomial_max}"
-        )
+    if arg > sweep.binomial_max:
+        raise BudgetExceeded(f"binomial argument {arg} exceeds cap {sweep.binomial_max}")
 
 
 def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
@@ -239,8 +229,7 @@ def gen_thm1(sweep):
             yield {"p": p, "x": x}
 
 
-def check_thm1(params, sweep, dual):
-    p, x = params["p"], params["x"]
+def check_thm1(sweep, dual, p, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
@@ -253,8 +242,7 @@ def gen_sun(sweep):
             yield {"p": p, "x": x}
 
 
-def check_sun(params, sweep, dual):
-    p, x = params["p"], params["x"]
+def check_sun(sweep, dual, p, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, p, ctx, sweep)
     rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
@@ -268,8 +256,7 @@ def gen_rv(sweep):
                 yield {"p": p, "n": n, "x": x}
 
 
-def check_rv(params, sweep, dual):
-    p, n, x = params["p"], params["n"], params["x"]
+def check_rv(sweep, dual, p, n, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, n * p, ctx, sweep)
     base = _series(dual, x, n, ctx, sweep)
@@ -295,8 +282,7 @@ def gen_corollary_px(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_corollary_px(params, sweep, dual):
-    p, r, x = params["p"], params["r"], params["x"]
+def check_corollary_px(sweep, dual, p, r, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
@@ -318,14 +304,11 @@ def gen_lemma1(sweep):
                 yield {"p": p, "a": a, "r": r, "form": "power"}
 
 
-def check_lemma1(params, sweep, dual):
-    p = params["p"]
-    if params["form"] == "product":
-        a, b = params["a"], params["b"]
+def check_lemma1(sweep, dual, p, form, a, b=None, r=None):
+    if form == "product":
         lhs = special.fermat_quotient(a * b, p)
         rhs = special.fermat_quotient(a, p) + special.fermat_quotient(b, p)
     else:
-        a, r = params["a"], params["r"]
         lhs = special.fermat_quotient(a**r, p)
         rhs = special.fermat_quotient(a, p) * r
     return _congruence_report(lhs, rhs, "modular")
@@ -337,8 +320,7 @@ def gen_lemma2(sweep):
             yield {"p": p, "d": d}
 
 
-def check_lemma2(params, sweep, dual):
-    p, d = params["p"], params["d"]
+def check_lemma2(sweep, dual, p, d):
     _need_series(p, sweep)
     ctx = PrimePower(p, 1)
     lhs = special.harmonic_mod(p // d, ctx)
@@ -391,8 +373,7 @@ def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> list[int]:
     return []
 
 
-def check_lemma4(params, sweep, dual):
-    p, r, k, x = params["p"], params["r"], params["k"], params["x"]
+def check_lemma4(sweep, dual, p, r, k, x):
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
@@ -407,8 +388,7 @@ def check_lemma4(params, sweep, dual):
     return _congruence_report(lhs, rhs)
 
 
-def check_lemma4_binom(params, sweep, dual):
-    p, r, k, x = params["p"], params["r"], params["k"], params["x"]
+def check_lemma4_binom(sweep, dual, p, r, k, x):
     fam = QUARTIC_BY_X[x]
     n = k + r * p
     _need_family(fam, n, sweep)
@@ -432,8 +412,7 @@ def gen_lemma5(sweep):
                 yield {"p": p, "k": k, "x": x}
 
 
-def check_lemma5(params, sweep, dual):
-    p, k, x = params["p"], params["k"], params["x"]
+def check_lemma5(sweep, dual, p, k, x):
     fam = QUARTIC_BY_X[x]
     ctx = PrimePower(p, sweep.mod_exp or 1)
     lhs = _term(dual, fam, k, ctx, sweep)
@@ -441,8 +420,7 @@ def check_lemma5(params, sweep, dual):
     return _congruence_report(lhs, rhs)
 
 
-def check_lemma5_poch(params, sweep, dual):
-    p, k, x = params["p"], params["k"], params["x"]
+def check_lemma5_poch(sweep, dual, p, k, x):
     _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     m = special.floor_px(x, p)
@@ -463,8 +441,7 @@ def gen_babbage(sweep):
                 yield {"p": p, "a": a, "b": b}
 
 
-def check_babbage(params, sweep, dual):
-    p, a, b = params["p"], params["a"], params["b"]
+def check_babbage(sweep, dual, p, a, b):
     _need_binomial(a * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(comb(a * p, b * p), ctx)
@@ -475,8 +452,7 @@ def check_babbage(params, sweep, dual):
 # --- proof-chain suites ----------------------------------------------------
 
 
-def check_chain_reflect(params, sweep, dual):
-    p, x = params["p"], params["x"]
+def check_chain_reflect(sweep, dual, p, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, -x, p, ctx, sweep)
     rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
@@ -512,8 +488,7 @@ def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fractio
     return Fraction(a, kf2), Fraction(b_back, kf2), Fraction(b_fwd, kf2)
 
 
-def check_chain_jet(params, sweep, dual):
-    p, x = params["p"], params["x"]
+def check_chain_jet(sweep, dual, p, x):
     q = as_fraction(x)
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, -q, p, ctx, sweep)
@@ -530,8 +505,7 @@ def gen_chain_m(sweep):
             yield {"p": p, "m": m}
 
 
-def check_chain_backward(params, sweep, dual):
-    p, m = params["p"], params["m"]
+def check_chain_backward(sweep, dual, p, m):
     _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     # the backward-offset first-order piece of the jet
@@ -548,16 +522,14 @@ _alternating_case = lru_cache(maxsize=512)(identities.alternating_binomial_sum)
 _tail_case = lru_cache(maxsize=512)(identities.tail_harmonic_sum)
 
 
-def check_chain_binom(params, sweep, dual):
-    _need_series(params["p"], sweep)
-    case = _alternating_case(params["m"])
-    return _exact_report(case.lhs, case.rhs)
+def check_chain_binom(sweep, dual, p, m):
+    _need_series(p, sweep)
+    return _exact_report(*_alternating_case(m))
 
 
-def check_chain_forward(params, sweep, dual):
-    _need_series(params["p"], sweep)
-    case = _tail_case(params["m"])
-    return _exact_report(case.lhs, case.rhs)
+def check_chain_forward(sweep, dual, p, m):
+    _need_series(p, sweep)
+    return _exact_report(*_tail_case(m))
 
 
 def gen_chain_block(sweep):
@@ -567,8 +539,7 @@ def gen_chain_block(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_chain_block(params, sweep, dual):
-    p, r, x = params["p"], params["r"], params["x"]
+def check_chain_block(sweep, dual, p, r, x):
     fam = QUARTIC_BY_X[x]
     _need_family(fam, r, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 2)
@@ -578,8 +549,7 @@ def check_chain_block(params, sweep, dual):
     return _congruence_report(lhs, rhs)
 
 
-def check_chain_convolution(params, sweep, dual):
-    p, x = params["p"], params["x"]
+def check_chain_convolution(sweep, dual, p, x):
     _need_series(p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 1)
     terms = identities.series_terms(x, p - 1)
@@ -601,8 +571,7 @@ def gen_chain_weighted(sweep):
                 yield {"p": p, "x": x, "form": form}
 
 
-def check_chain_weighted(params, sweep, dual):
-    p, x, form = params["p"], params["x"], params["form"]
+def check_chain_weighted(sweep, dual, p, x, form):
     _need_series(p, sweep)
     m = special.floor_px(x, p)
     hm = special.harmonic_exact(m)
@@ -618,15 +587,12 @@ def check_chain_weighted(params, sweep, dual):
         )
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
-    total = (
-        2 * hm * _alternating_case(m).lhs
-        - identities.harmonic_weighted_sum(m).lhs
-    )
-    return _exact_report(total, Fraction(0))
+    alt, _ = _alternating_case(m)
+    weighted, _ = identities.harmonic_weighted_sum(m)
+    return _exact_report(2 * hm * alt - weighted, Fraction(0))
 
 
-def check_chain_product(params, sweep, dual):
-    p, n, x = params["p"], params["n"], params["x"]
+def check_chain_product(sweep, dual, p, n, x):
     ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, n * p, ctx, sweep)
     fp = _series(dual, x, p, ctx, sweep)
@@ -640,8 +606,7 @@ def gen_gessel(sweep):
             yield {"p": p, "n": n}
 
 
-def check_gessel(params, sweep, dual):
-    p, n = params["p"], params["n"]
+def check_gessel(sweep, dual, p, n):
     _need_binomial(2 * n * p, sweep)
     ctx = PrimePower(p, sweep.mod_exp or 3)
     lhs = Residue(special.apery_number(n * p), ctx)
@@ -709,8 +674,7 @@ def gen_conjecture(x: Fraction):
     return gen
 
 
-def check_conjecture(params, sweep, dual):
-    p, n, x = params["p"], params["n"], params["x"]
+def check_conjecture(sweep, dual, p, n, x):
     fam = QUARTIC_BY_X[x]
     e_t = sweep.mod_exp or 3
     _need_series(n * p, sweep)  # the series cap first, before the binomial one
@@ -754,34 +718,31 @@ def check_conjecture(params, sweep, dual):
 
 def _identity_gen_n(start: int):
     def gen(sweep):
-        for n in range(start, sweep.budgets.identity_max + 1):
+        for n in range(start, sweep.identity_max + 1):
             yield {"n": n}
 
     return gen
 
 
 def gen_identity_kx(sweep):
-    for k in range(sweep.budgets.identity_max + 1):
+    for k in range(sweep.identity_max + 1):
         for x in _quartic_xs(sweep):
             yield {"k": k, "x": x}
 
 
 def gen_identity_taylor(sweep):
-    for k in range(sweep.budgets.identity_max + 1):
+    for k in range(sweep.identity_max + 1):
         for r in (1, 2, 3):
             for order in (0, 1):
                 yield {"k": k, "r": r, "order": order}
 
 
-def check_identity_taylor(params, sweep, dual):
-    case = identities.taylor_coefficient_check(params["k"], params["r"])[
-        params["order"]
-    ]
-    return _exact_report(case.lhs, case.rhs)
+def check_identity_taylor(sweep, dual, k, r, order):
+    return _exact_report(*identities.taylor_coefficient_check(k, r)[order])
 
 
 def gen_identity_negation(sweep):
-    cap = sweep.budgets.identity_max
+    cap = sweep.identity_max
     for b in range(1, cap + 1):
         for k in range(cap + 1):
             yield {"b": b, "k": k}
@@ -796,7 +757,7 @@ class Suite:
     kind: str  # theorem | identity | conjecture | exploratory
     description: str
     gen: Callable[[Sweep], Iterable[dict]]
-    check: Callable[[dict, Sweep, Dual], Report]
+    check: Callable[..., Report]  # check(sweep, dual, **params)
 
 
 _SUITES = [
@@ -952,49 +913,49 @@ _SUITES = [
         "identity",
         "alternating binomial sum equals (-1)^n, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.alternating_binomial_sum, "n"),
+        _identity_check(identities.alternating_binomial_sum),
     ),
     Suite(
         "identity-harmonic",
         "identity",
         "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.harmonic_weighted_sum, "n"),
+        _identity_check(identities.harmonic_weighted_sum),
     ),
     Suite(
         "identity-tail",
         "identity",
         "tail-harmonic alternating sum equals (-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.tail_harmonic_sum, "n"),
+        _identity_check(identities.tail_harmonic_sum),
     ),
     Suite(
         "identity-shifted",
         "identity",
         "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly",
         _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum, "n"),
+        _identity_check(identities.shifted_harmonic_sum),
     ),
     Suite(
         "identity-chain",
         "identity",
         "harmonic-difference form linking the alternating-sum identities, exactly",
         _identity_gen_n(0),
-        _identity_check(identities.harmonic_difference_chain, "n"),
+        _identity_check(identities.harmonic_difference_chain),
     ),
     Suite(
         "identity-partfrac",
         "identity",
         "partial-fraction harmonic decompositions of the four families, exactly",
         gen_identity_kx,
-        _identity_check(identities.partial_fraction_sum, "k", "x"),
+        _identity_check(identities.partial_fraction_sum),
     ),
     Suite(
         "identity-convolution",
         "identity",
         "harmonic-weighted term equals the convolution of earlier terms, exactly",
         gen_identity_kx,
-        _identity_check(identities.term_convolution_identity, "x", "k"),
+        _identity_check(identities.term_convolution_identity),
     ),
     Suite(
         "identity-taylor",
@@ -1008,7 +969,7 @@ _SUITES = [
         "identity",
         "negated-upper-index binomial product symmetry, exactly",
         gen_identity_negation,
-        _identity_check(identities.negation_symmetry, "b", "k"),
+        _identity_check(identities.negation_symmetry),
     ),
     Suite(
         "conj-1/2",
@@ -1050,7 +1011,7 @@ _SUITES = [
         "exploratory",
         "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)",
         _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum_printed, "n"),
+        _identity_check(identities.shifted_harmonic_sum_printed),
     ),
 ]
 
@@ -1090,7 +1051,7 @@ def run_instance(
     the route the engine reports (exact under ``exact``, modular otherwise)
     is off by one, so ``both`` raises `InternalError` and ``modular`` and
     ``exact`` report a failure.  Without a ``sweep`` the check gets the
-    primes 5..97 and the default `Budgets`, whatever the environment says.
+    primes 5..97 and `Sweep`'s default caps, whatever the environment says.
     """
     suite = REGISTRY[suite_id]
     if sweep is None:
@@ -1117,7 +1078,7 @@ def run_instance(
 
     t0 = time.perf_counter()
     try:
-        rep = suite.check(params, sweep, dual)
+        rep = suite.check(sweep, dual, **params)
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

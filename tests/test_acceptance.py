@@ -22,7 +22,6 @@ from hypercheck import cli
 from hypercheck.errors import InternalError
 from hypercheck.suites import (
     REGISTRY,
-    Budgets,
     Sweep,
     primes_in,
     run_instance,
@@ -131,7 +130,7 @@ def test_criterion_05_lemma_suites():
 
 
 def test_criterion_06_exact_identities_to_300():
-    sweep = Sweep(primes=(), budgets=Budgets(identity_max=300))
+    sweep = Sweep(primes=(), identity_max=300)
     c0, t0 = time.process_time(), time.perf_counter()
     total = bad = 0
     for sid in (
@@ -177,7 +176,7 @@ def test_criterion_08_apery_lifting():
     sweep = Sweep(
         primes=primes_in(5, 61),
         n_values=(0, 1, 2, 3),
-        budgets=Budgets(binomial_max=400),  # keeps np <= 200
+        binomial_max=400,  # keeps np <= 200
     )
     n, fails, errs, reports = _sweep_suite("gessel", sweep)
     in_range = [r for r in reports if r.error is None]

@@ -14,7 +14,6 @@ from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
 from hypercheck.suites import (
     CONJECTURE_SUITES,
     REGISTRY,
-    Budgets,
     Sweep,
     primes_in,
     run_instance,
@@ -115,7 +114,7 @@ def clear_binomial_tables() -> None:
 def test_binomial_tables_stop_at_the_binomial_cap():
     # every caller passes the cap c n <= binomial_max before it asks for n
     clear_binomial_tables()
-    sweep = Sweep(primes=(13,), budgets=Budgets(binomial_max=10))
+    sweep = Sweep(primes=(13,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom", "lemma5", "chain-block", *CONJECTURE_SUITES):
         for params in REGISTRY[suite_id].gen(sweep):
             run_instance(suite_id, params, "both", sweep)
@@ -133,7 +132,7 @@ def fill_binomial_tables(binomial_max: int) -> None:
 def test_binomial_tables_at_the_default_cap_stay_small(monkeypatch):
     # math.comb's temporaries make the fill 20 times slower under tracemalloc,
     # so the binomials are computed first; each product is a new object
-    cap = Budgets().binomial_max
+    cap = Sweep.binomial_max
     pairs = {
         (c * n, d * n) for fam in QUARTICS for c, d in fam.binomials for n in range(cap // c + 1)
     }

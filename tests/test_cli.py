@@ -66,6 +66,17 @@ def test_parse_args_integer_lifts_in_x():
     assert cfg.sweep.x_values == (0, 3, Fraction(2, 5))
 
 
+def test_parse_args_keeps_each_listed_value_once():
+    cfg = cli.parse_args(
+        ["sun", "--x", "1/2,7/1,1/2,2/4,7,6/3,-0,0", "--n", "1,1,3,1", "--r", "2,0,2"]
+    )
+    assert cfg.sweep.x_values == (Fraction(1, 2), 7, 2, 0)
+    # an x whose fraction has denominator 1 is an int, as if given as one
+    assert [type(x) for x in cfg.sweep.x_values] == [Fraction, int, int, int]
+    assert cfg.sweep.n_values == (1, 3)
+    assert cfg.sweep.r_values == (2, 0)
+
+
 def test_usage_errors():
     with pytest.raises(UsageError):
         cli.parse_args(["bogus-suite"])
@@ -492,6 +503,20 @@ DUAL_ROUTE_SUITES = {
 def _json_records(capsys, *argv) -> list[dict]:
     _, out, _ = run_main(capsys, *argv, "--format", "json-lines")
     return [json.loads(line) for line in out.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (("sun", "--x", "1/2,1/2,2/4"), [{"p": 5, "x": "1/2"}]),
+        (("thm1", "--x", "1/2,1/2"), [{"p": 5, "x": "1/2"}]),
+        (("rv", "--n", "1,1", "--x", "1/2"), [{"p": 5, "n": 1, "x": "1/2"}]),
+        (("sun", "--x", "7,7/1"), [{"p": 5, "x": 7}]),
+    ],
+)
+def test_a_repeated_list_value_runs_its_instance_once(capsys, argv, params):
+    records = _json_records(capsys, *argv, "--p-max", "5")
+    assert [r["params"] for r in records] == params
 
 
 def test_records_name_the_route_that_ran(capsys, monkeypatch):

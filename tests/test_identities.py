@@ -20,41 +20,41 @@ PREFIX_XS = XS + (
 
 @given(st.integers(min_value=0, max_value=120))
 def test_alternating_binomial_sum(n):
-    case = identities.alternating_binomial_sum(n)
-    assert case.passed
-    assert case.rhs == (-1) ** n
+    lhs, rhs = identities.alternating_binomial_sum(n)
+    assert lhs == rhs
+    assert rhs == (-1) ** n
 
 
 @given(st.integers(min_value=1, max_value=120))
 def test_harmonic_weighted_sum(n):
-    case = identities.harmonic_weighted_sum(n)
-    assert case.passed
-    assert case.rhs == 2 * Fraction(-1) ** n * harmonic_exact(n)
+    lhs, rhs = identities.harmonic_weighted_sum(n)
+    assert lhs == rhs
+    assert rhs == 2 * Fraction(-1) ** n * harmonic_exact(n)
 
 
 @given(st.integers(min_value=1, max_value=120))
 def test_tail_harmonic_sum(n):
-    case = identities.tail_harmonic_sum(n)
-    assert case.passed
-    assert case.rhs == Fraction(-1) ** n * harmonic_exact(n)
+    lhs, rhs = identities.tail_harmonic_sum(n)
+    assert lhs == rhs
+    assert rhs == Fraction(-1) ** n * harmonic_exact(n)
 
 
 @given(st.integers(min_value=1, max_value=120))
 def test_shifted_harmonic_sum_needs_k0(n):
-    full = identities.shifted_harmonic_sum(n)
-    printed = identities.shifted_harmonic_sum_printed(n)
-    assert full.passed
+    full_lhs, full_rhs = identities.shifted_harmonic_sum(n)
+    printed_lhs, printed_rhs = identities.shifted_harmonic_sum_printed(n)
+    assert full_lhs == full_rhs
     # dropping the k=0 term removes exactly H_n from the left side
-    assert not printed.passed
-    assert full.lhs - printed.lhs == harmonic_exact(n)
-    assert printed.rhs == full.rhs
+    assert printed_lhs != printed_rhs
+    assert full_lhs - printed_lhs == harmonic_exact(n)
+    assert printed_rhs == full_rhs
 
 
 @given(st.integers(min_value=0, max_value=120))
 def test_harmonic_difference_chain(n):
-    case = identities.harmonic_difference_chain(n)
-    assert case.passed
-    assert case.rhs == Fraction(-1) ** n * harmonic_exact(n)
+    lhs, rhs = identities.harmonic_difference_chain(n)
+    assert lhs == rhs
+    assert rhs == Fraction(-1) ** n * harmonic_exact(n)
 
 
 @st.composite
@@ -95,16 +95,16 @@ def test_alternating_row_at_index_300(j):
 
 
 def test_small_sum_values_frozen():
-    assert identities.alternating_binomial_sum(3).lhs == -1
-    assert identities.harmonic_weighted_sum(2).lhs == 3
-    assert identities.tail_harmonic_sum(2).lhs == Fraction(3, 2)
-    assert identities.harmonic_difference_chain(2).lhs == Fraction(3, 2)
+    assert identities.alternating_binomial_sum(3)[0] == -1
+    assert identities.harmonic_weighted_sum(2)[0] == 3
+    assert identities.tail_harmonic_sum(2)[0] == Fraction(3, 2)
+    assert identities.harmonic_difference_chain(2)[0] == Fraction(3, 2)
 
 
 @given(st.sampled_from(XS), st.integers(min_value=0, max_value=150))
 def test_partial_fraction_sum(x, k):
-    case = identities.partial_fraction_sum(k, x)
-    assert case.passed
+    lhs, rhs = identities.partial_fraction_sum(k, x)
+    assert lhs == rhs
 
 
 def test_partial_fraction_closed_forms_spot():
@@ -129,8 +129,8 @@ def test_partial_fraction_closed_forms_spot():
 
 @given(st.sampled_from(XS), st.integers(min_value=0, max_value=120))
 def test_term_convolution_identity(x, k):
-    case = identities.term_convolution_identity(x, k)
-    assert case.passed
+    lhs, rhs = identities.term_convolution_identity(x, k)
+    assert lhs == rhs
 
 
 def _convolution_direct(x, k):
@@ -159,7 +159,8 @@ def test_convolution_sum_matches_fraction_sum(x, k):
             identities.term_convolution_identity(x, k)
         return
     assert identities._convolution_sum(x, k) == _convolution_direct(x, k)
-    assert identities.term_convolution_identity(x, k).passed
+    lhs, rhs = identities.term_convolution_identity(x, k)
+    assert lhs == rhs
 
 
 def test_term_convolution_rejects_poles():
@@ -171,17 +172,17 @@ def test_term_convolution_rejects_poles():
 
 @given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=4))
 def test_taylor_coefficient_check(k, r):
-    for case in identities.taylor_coefficient_check(k, r):
-        assert case.passed
+    for lhs, rhs in identities.taylor_coefficient_check(k, r):
+        assert lhs == rhs
 
 
 def test_taylor_coefficient_values_frozen():
-    zeroth, first = identities.taylor_coefficient_check(1, 1)
-    assert zeroth.lhs == comb(2, 1) == 2
-    assert first.lhs == 2  # r * C(2k,k) * (2 H_2k - 2 H_k) = 1 * 2 * 1
-    zeroth, first = identities.taylor_coefficient_check(3, 2)
-    assert zeroth.lhs == comb(6, 3)
-    assert first.lhs == 2 * comb(6, 3) * (
+    (zeroth, _), (first, _) = identities.taylor_coefficient_check(1, 1)
+    assert zeroth == comb(2, 1) == 2
+    assert first == 2  # r * C(2k,k) * (2 H_2k - 2 H_k) = 1 * 2 * 1
+    (zeroth, _), (first, _) = identities.taylor_coefficient_check(3, 2)
+    assert zeroth == comb(6, 3)
+    assert first == 2 * comb(6, 3) * (
         2 * harmonic_exact(6) - 2 * harmonic_exact(3)
     )
 
@@ -215,8 +216,8 @@ def test_generalized_binomial_matches_comb_for_integers():
 
 @given(st.integers(min_value=1, max_value=120), st.integers(min_value=0, max_value=120))
 def test_negation_symmetry(b, k):
-    case = identities.negation_symmetry(b, k)
-    assert case.passed
+    lhs, rhs = identities.negation_symmetry(b, k)
+    assert lhs == rhs
 
 
 def test_negation_symmetry_is_the_binomial_reflection():
@@ -225,8 +226,7 @@ def test_negation_symmetry_is_the_binomial_reflection():
     lhs = generalized_binomial(-b, k) * generalized_binomial(-b + k, k)
     rhs = comb(b - 1 + k, k) * comb(b - 1, k)
     assert lhs == rhs
-    case = identities.negation_symmetry(b, k)
-    assert case.lhs == lhs
+    assert identities.negation_symmetry(b, k)[0] == lhs
 
 
 def test_exact_division_raises_on_a_remainder():

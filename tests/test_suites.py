@@ -21,7 +21,6 @@ from hypercheck.suites import (
     IDENTITY_SUITES,
     REGISTRY,
     THEOREM_SUITES,
-    Budgets,
     Sweep,
     primes_in,
     run_instance,
@@ -31,7 +30,7 @@ F = Fraction
 
 
 def small_sweep(**kw) -> Sweep:
-    base = dict(primes=primes_in(5, 13), budgets=Budgets(identity_max=12))
+    base = dict(primes=primes_in(5, 13), identity_max=12)
     base.update(kw)
     return Sweep(**base)
 
@@ -169,7 +168,7 @@ def test_representative_instance_passes(sid):
 
 
 def test_representative_params_come_from_generators():
-    sweep = Sweep(primes=primes_in(5, 13), budgets=Budgets(identity_max=12))
+    sweep = Sweep(primes=primes_in(5, 13), identity_max=12)
     for sid, params in REPRESENTATIVE.items():
         assert params in list(REGISTRY[sid].gen(sweep)), sid
 
@@ -256,8 +255,8 @@ def test_lemma4_rows_match_the_per_instance_rationals():
             for (x, r, k), ref in refs.items():
                 params = {"p": p, "r": r, "k": k, "x": x}
                 got = (
-                    suites.check_lemma4(params, sweep, dual).rhs,
-                    suites.check_lemma4_binom(params, sweep, dual).rhs,
+                    suites.check_lemma4(sweep, dual, **params).rhs,
+                    suites.check_lemma4_binom(sweep, dual, **params).rhs,
                 )
                 want = tuple(str(residue_from_rational(q, ctx).value) for q in ref)
                 assert got == want, (p, x, k, r, e)
@@ -305,11 +304,11 @@ def test_fault_injection_without_oracle_is_a_plain_failure():
 
 
 def test_budget_exceeded_becomes_error_report():
-    sw = small_sweep(budgets=Budgets(series_max=10))
+    sw = small_sweep(series_max=10)
     rep = run_instance("rv", {"p": 11, "n": 2, "x": F(1, 2)}, sweep=sw)
     assert rep.error is not None and rep.error.startswith("BudgetExceeded")
     assert not rep.passed
-    sw = small_sweep(budgets=Budgets(binomial_max=10))
+    sw = small_sweep(binomial_max=10)
     rep = run_instance("babbage", {"p": 11, "a": 5, "b": 2}, sweep=sw)
     assert rep.error is not None and rep.error.startswith("BudgetExceeded")
 
@@ -327,7 +326,7 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
     monkeypatch.setattr(QuarticFamily, "binomial_product", recording)
     suites._lemma4_rows.cache_clear()
     suites._lemma4_binom_rows.cache_clear()
-    sweep = Sweep(primes=(101,), budgets=Budgets(binomial_max=10))
+    sweep = Sweep(primes=(101,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom"):
         for params in REGISTRY[suite_id].gen(sweep):
             rep = run_instance(suite_id, params, "both", sweep)
@@ -410,7 +409,7 @@ def test_x_filter_restricts_rv_x_conjectures_and_identities():
         {"p": p, "n": n, "x": F(1, 2)} for p in (5, 7) for n in (1, 2, 3)
     ]
     assert all(instances == [] for instances in ran.values())
-    sw = Sweep(primes=(), x_values=(F(1, 6),), budgets=Budgets(identity_max=1))
+    sw = Sweep(primes=(), x_values=(F(1, 6),), identity_max=1)
     for sid in ("identity-partfrac", "identity-convolution"):
         assert list(REGISTRY[sid].gen(sw)) == [{"k": 0, "x": F(1, 6)}, {"k": 1, "x": F(1, 6)}]
 
