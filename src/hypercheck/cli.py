@@ -68,13 +68,7 @@ def expand_selection(tokens: list[str]) -> list[str]:
                 + "; aliases: "
                 + ", ".join(ALIASES)
             )
-    seen: set[str] = set()
-    ordered = []
-    for s in picked:
-        if s not in seen:
-            seen.add(s)
-            ordered.append(s)
-    return ordered
+    return list(dict.fromkeys(picked))
 
 
 def _parse_int_list(flag: str, raw: str) -> tuple[int, ...]:
@@ -173,7 +167,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             + ", ".join(REGISTRY)
         )
     cfg.sweep = Sweep(
-        primes=primes_in(cfg.p_min, cfg.p_max),
+        # --list prints a fixed table, so it skips the walk over the prime range
+        primes=() if cfg.list_suites else primes_in(cfg.p_min, cfg.p_max),
         n_values=_parse_int_list("--n", cfg.n),
         r_values=_parse_int_list("--r", cfg.r),
         x_values=None if cfg.x is None else _parse_x_list(cfg.x),
@@ -186,7 +181,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _work(job, instance):
-    """The pool's task: run one ``(suite_id, params)`` under ``(engine, sweep, fault)``."""
+    """Run one ``(suite_id, params)`` under ``(engine, sweep, fault)``.
+
+    It looks ``run_instance`` up at each call: the benchmark's setup probe
+    rebinds that name to stop a run at its first instance.
+    """
     return run_instance(*instance, *job)
 
 
@@ -331,7 +330,7 @@ def run(cfg: argparse.Namespace) -> int:
     """List the suites or run the sweep; the exit code."""
     if cfg.list_suites:
         return _write(cfg, _list_suites)
-    job = (cfg.engine, cfg.sweep, cfg.fault)
+    task = partial(_work, (cfg.engine, cfg.sweep, cfg.fault))
     instances = ((sid, params) for sid in cfg.suites for params in REGISTRY[sid].gen(cfg.sweep))
     workers = 1
     if cfg.workers > 1:
@@ -340,11 +339,10 @@ def run(cfg: argparse.Namespace) -> int:
         workers = min(cfg.workers, len(instances), _usable_cpus())
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
-            # run_instance is looked up at each call: the benchmark's setup probe rebinds it
-            reports = (run_instance(sid, params, *job) for sid, params in instances)
+            reports = map(task, instances)
         else:
             chunksize = max(1, len(instances) // (workers * 8))
-            reports = pool.imap(partial(_work, job), instances, chunksize=chunksize)
+            reports = pool.imap(task, instances, chunksize=chunksize)
         return _write(cfg, partial(_report, cfg, reports))
 
 

@@ -2,10 +2,14 @@
 
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
-as a parameterized suite: a generator of instances plus a check that
-computes both sides and returns them as a `Report`.  Each instance is the
-params dict its generator yields, and the check takes those params by
-name, ``check(sweep, dual, **params)``, so its signature lists them.
+as one row of a table: a generator of instances, a check that computes
+both sides and returns them as a `Report`, and the exponent e of the
+suite's statement mod p^e.  Each instance is the params dict its generator
+yields, and the check takes those params by name,
+``check(sweep, dual, ctx, **params)``, so its signature lists them.
+`run_instance` builds ``ctx``, the instance's `PrimePower` p^e, where e is
+``--mod-exp`` if given and the suite's own exponent otherwise; ``ctx`` is
+None for the exact suites and for lemma1 and lemma2, which stay mod p.
 
 `run_instance` is the only code that knows the engine.  It hands each
 check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
@@ -68,6 +72,7 @@ class Sweep:
     n_values: tuple[int, ...] = (1, 2, 3)
     r_values: tuple[int, ...] = (0, 1, 2)
     x_values: tuple[Fraction | int, ...] | None = None
+    #: overrides each suite's `Suite.exponent` where it has one (``--mod-exp``)
     mod_exp: int | None = None
     binomial_max: int = 5000
     series_max: int = 100_000
@@ -118,7 +123,7 @@ def _identity_check(fn):
     """A check that reports the (lhs, rhs) pair ``fn`` returns for the
     instance's params, passed by name."""
 
-    def check(sweep, dual, **params):
+    def check(sweep, dual, ctx, **params):
         return _exact_report(*fn(**params))
 
     return check
@@ -174,10 +179,6 @@ def _term(
     return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
 
-def _sign_residue(s: int, ctx: PrimePower) -> Residue:
-    return Residue(1 if s == 1 else -1, ctx)
-
-
 # --- domains ---------------------------------------------------------------
 
 
@@ -229,10 +230,9 @@ def gen_thm1(sweep):
             yield {"p": p, "x": x}
 
 
-def check_thm1(sweep, dual, p, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_thm1(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
-    rhs = _sign_residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
+    rhs = Residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
     return _congruence_report(lhs, rhs)
 
 
@@ -242,10 +242,9 @@ def gen_sun(sweep):
             yield {"p": p, "x": x}
 
 
-def check_sun(sweep, dual, p, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_sun(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
-    rhs = _sign_residue(special.sign_of_least_residue(x, p), ctx)
+    rhs = Residue(special.sign_of_least_residue(x, p), ctx)
     return _congruence_report(lhs, rhs)
 
 
@@ -256,8 +255,7 @@ def gen_rv(sweep):
                 yield {"p": p, "n": n, "x": x}
 
 
-def check_rv(sweep, dual, p, n, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_rv(sweep, dual, ctx, p, n, x):
     lhs = _series(dual, x, n * p, ctx, sweep)
     base = _series(dual, x, n, ctx, sweep)
     rhs = base * special.sign_of_least_residue(x, p)
@@ -282,11 +280,10 @@ def gen_corollary_px(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_corollary_px(sweep, dual, p, r, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_corollary_px(sweep, dual, ctx, p, r, x):
     lhs = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
-    rhs = _sign_residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
+    rhs = Residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
     return _congruence_report(lhs, rhs)
 
 
@@ -304,7 +301,7 @@ def gen_lemma1(sweep):
                 yield {"p": p, "a": a, "r": r, "form": "power"}
 
 
-def check_lemma1(sweep, dual, p, form, a, b=None, r=None):
+def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
     if form == "product":
         lhs = special.fermat_quotient(a * b, p)
         rhs = special.fermat_quotient(a, p) + special.fermat_quotient(b, p)
@@ -320,9 +317,9 @@ def gen_lemma2(sweep):
             yield {"p": p, "d": d}
 
 
-def check_lemma2(sweep, dual, p, d):
+def check_lemma2(sweep, dual, ctx, p, d):
     _need_series(p, sweep)
-    ctx = PrimePower(p, 1)
+    ctx = PrimePower(p, 1)  # mod p under any --mod-exp
     lhs = special.harmonic_mod(p // d, ctx)
     q2 = special.fermat_quotient(2, p)
     q3 = special.fermat_quotient(3, p)
@@ -373,9 +370,8 @@ def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> list[int]:
     return []
 
 
-def check_lemma4(sweep, dual, p, r, k, x):
+def check_lemma4(sweep, dual, ctx, p, r, k, x):
     fam = QUARTIC_BY_X[x]
-    ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the row
     row, h = _lemma4_rows(x, ctx)
@@ -388,11 +384,10 @@ def check_lemma4(sweep, dual, p, r, k, x):
     return _congruence_report(lhs, rhs)
 
 
-def check_lemma4_binom(sweep, dual, p, r, k, x):
+def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
     fam = QUARTIC_BY_X[x]
     n = k + r * p
     _need_family(fam, n, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
     # closed form, from the row
@@ -412,17 +407,15 @@ def gen_lemma5(sweep):
                 yield {"p": p, "k": k, "x": x}
 
 
-def check_lemma5(sweep, dual, p, k, x):
+def check_lemma5(sweep, dual, ctx, p, k, x):
     fam = QUARTIC_BY_X[x]
-    ctx = PrimePower(p, sweep.mod_exp or 1)
     lhs = _term(dual, fam, k, ctx, sweep)
     rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
     return _congruence_report(lhs, rhs)
 
 
-def check_lemma5_poch(sweep, dual, p, k, x):
+def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     _need_series(p, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 1)
     m = special.floor_px(x, p)
     # integer rising products mod p
     acc = 1
@@ -441,9 +434,8 @@ def gen_babbage(sweep):
                 yield {"p": p, "a": a, "b": b}
 
 
-def check_babbage(sweep, dual, p, a, b):
+def check_babbage(sweep, dual, ctx, p, a, b):
     _need_binomial(a * p, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = Residue(comb(a * p, b * p), ctx)
     rhs = Residue(comb(a, b), ctx)
     return _congruence_report(lhs, rhs, "exact")
@@ -452,10 +444,9 @@ def check_babbage(sweep, dual, p, a, b):
 # --- proof-chain suites ----------------------------------------------------
 
 
-def check_chain_reflect(sweep, dual, p, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_chain_reflect(sweep, dual, ctx, p, x):
     lhs = _series(dual, -x, p, ctx, sweep)
-    rhs = _sign_residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
+    rhs = Residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
     return _congruence_report(lhs, rhs)
 
 
@@ -488,9 +479,8 @@ def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fractio
     return Fraction(a, kf2), Fraction(b_back, kf2), Fraction(b_fwd, kf2)
 
 
-def check_chain_jet(sweep, dual, p, x):
+def check_chain_jet(sweep, dual, ctx, p, x):
     q = as_fraction(x)
-    ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, -q, p, ctx, sweep)
     m = special.least_residue(x, p)
     delta = (q - m) / p
@@ -505,9 +495,8 @@ def gen_chain_m(sweep):
             yield {"p": p, "m": m}
 
 
-def check_chain_backward(sweep, dual, p, m):
+def check_chain_backward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 1)
     # the backward-offset first-order piece of the jet
     lhs = residue_from_rational(_reflected_jet_sums(m, p)[1], ctx)
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
@@ -522,12 +511,12 @@ _alternating_case = lru_cache(maxsize=512)(identities.alternating_binomial_sum)
 _tail_case = lru_cache(maxsize=512)(identities.tail_harmonic_sum)
 
 
-def check_chain_binom(sweep, dual, p, m):
+def check_chain_binom(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
     return _exact_report(*_alternating_case(m))
 
 
-def check_chain_forward(sweep, dual, p, m):
+def check_chain_forward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
     return _exact_report(*_tail_case(m))
 
@@ -539,19 +528,17 @@ def gen_chain_block(sweep):
                 yield {"p": p, "r": r, "x": x}
 
 
-def check_chain_block(sweep, dual, p, r, x):
+def check_chain_block(sweep, dual, ctx, p, r, x):
     fam = QUARTIC_BY_X[x]
     _need_family(fam, r, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 2)
     lhs = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
     base = _series(dual, x, p, ctx, sweep)
     rhs = fam.term_residue(r, ctx) * base
     return _congruence_report(lhs, rhs)
 
 
-def check_chain_convolution(sweep, dual, p, x):
+def check_chain_convolution(sweep, dual, ctx, p, x):
     _need_series(p, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 1)
     terms = identities.series_terms(x, p - 1)
     weights = identities.partial_fraction_weights(x, p - 1)
     lhs = residue_from_rational(
@@ -571,12 +558,11 @@ def gen_chain_weighted(sweep):
                 yield {"p": p, "x": x, "form": form}
 
 
-def check_chain_weighted(sweep, dual, p, x, form):
+def check_chain_weighted(sweep, dual, ctx, p, x, form):
     _need_series(p, sweep)
     m = special.floor_px(x, p)
     hm = special.harmonic_exact(m)
     if form == "series":
-        ctx = PrimePower(p, sweep.mod_exp or 1)
         terms = identities.series_terms(x, p - 1)
         total = sum(
             (terms[k] * (2 * hm - special.harmonic_exact(k)) for k in range(p)),
@@ -592,8 +578,7 @@ def check_chain_weighted(sweep, dual, p, x, form):
     return _exact_report(2 * hm * alt - weighted, Fraction(0))
 
 
-def check_chain_product(sweep, dual, p, n, x):
-    ctx = PrimePower(p, sweep.mod_exp or 2)
+def check_chain_product(sweep, dual, ctx, p, n, x):
     lhs = _series(dual, x, n * p, ctx, sweep)
     fp = _series(dual, x, p, ctx, sweep)
     fn = _series(dual, x, n, ctx, sweep)
@@ -606,9 +591,8 @@ def gen_gessel(sweep):
             yield {"p": p, "n": n}
 
 
-def check_gessel(sweep, dual, p, n):
+def check_gessel(sweep, dual, ctx, p, n):
     _need_binomial(2 * n * p, sweep)
-    ctx = PrimePower(p, sweep.mod_exp or 3)
     lhs = Residue(special.apery_number(n * p), ctx)
     rhs = Residue(special.apery_number(n), ctx)
     return _congruence_report(lhs, rhs, "exact")
@@ -674,17 +658,16 @@ def gen_conjecture(x: Fraction):
     return gen
 
 
-def check_conjecture(sweep, dual, p, n, x):
+def check_conjecture(sweep, dual, ctx, p, n, x):
     fam = QUARTIC_BY_X[x]
-    e_t = sweep.mod_exp or 3
     _need_series(n * p, sweep)  # the series cap first, before the binomial one
     _need_family(fam, n, sweep)
     w, unit = split_p_power(n * n * fam.binomial_product(n), p)
-    if e_t + w > padic.MAX_EXPONENT:
+    if ctx.e + w > padic.MAX_EXPONENT:
         raise BudgetExceeded(
-            f"needs working precision p^{e_t + w}, cap is p^{padic.MAX_EXPONENT}"
+            f"needs working precision p^{ctx.e + w}, cap is p^{padic.MAX_EXPONENT}"
         )
-    ctx, ctxw = PrimePower(p, e_t), PrimePower(p, e_t + w)
+    ctxw = PrimePower(p, ctx.e + w)
     eps = special.legendre(fam.character_arg, p)
     # scaled difference base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e,
     # from both sums mod p^(e+w).  It is a p-adic integer when p^w divides
@@ -724,6 +707,17 @@ def _identity_gen_n(start: int):
     return gen
 
 
+check_identity_alt = _identity_check(identities.alternating_binomial_sum)
+check_identity_harmonic = _identity_check(identities.harmonic_weighted_sum)
+check_identity_tail = _identity_check(identities.tail_harmonic_sum)
+check_identity_shifted = _identity_check(identities.shifted_harmonic_sum)
+check_identity_chain = _identity_check(identities.harmonic_difference_chain)
+check_identity_partfrac = _identity_check(identities.partial_fraction_sum)
+check_identity_convolution = _identity_check(identities.term_convolution_identity)
+check_identity_negation = _identity_check(identities.negation_symmetry)
+check_identity_printed = _identity_check(identities.shifted_harmonic_sum_printed)
+
+
 def gen_identity_kx(sweep):
     for k in range(sweep.identity_max + 1):
         for x in _quartic_xs(sweep):
@@ -737,7 +731,7 @@ def gen_identity_taylor(sweep):
                 yield {"k": k, "r": r, "order": order}
 
 
-def check_identity_taylor(sweep, dual, k, r, order):
+def check_identity_taylor(sweep, dual, ctx, k, r, order):
     return _exact_report(*identities.taylor_coefficient_check(k, r)[order])
 
 
@@ -753,266 +747,91 @@ def gen_identity_negation(sweep):
 
 @dataclass(frozen=True)
 class Suite:
+    """One registry row.  ``exponent`` is the e of the suite's statement mod
+    p^e, which ``--mod-exp`` overrides; it is None for the exact suites and
+    for lemma1 and lemma2, which stay mod p."""
+
     id: str
     kind: str  # theorem | identity | conjecture | exploratory
-    description: str
+    exponent: int | None
     gen: Callable[[Sweep], Iterable[dict]]
-    check: Callable[..., Report]  # check(sweep, dual, **params)
+    check: Callable[..., Report]  # check(sweep, dual, ctx, **params)
+    description: str
 
 
 _SUITES = [
-    Suite(
-        "thm1",
-        "theorem",
-        "four quadratic-character congruences for the length-p sum, mod p^2",
-        gen_thm1,
-        check_thm1,
-    ),
-    Suite(
-        "sun",
-        "theorem",
-        "length-p sum vs parity of the least residue of -x, any p-adic x, mod p^2",
-        gen_sun,
-        check_sun,
-    ),
-    Suite(
-        "rv",
-        "theorem",
-        "length-np sum vs sign times length-n sum, quartic x, mod p^2",
-        gen_rv,
-        check_rv,
-    ),
-    Suite(
-        "corollary",
-        "theorem",
-        "length-p^r sum vs r-th power of the sign, mod p^2",
-        gen_corollary_px,
-        check_corollary_px,
-    ),
-    Suite(
-        "lemma1",
-        "theorem",
-        "Fermat-quotient additivity over products and powers, mod p",
-        gen_lemma1,
-        check_lemma1,
-    ),
-    Suite(
-        "lemma2",
-        "theorem",
-        "harmonic numbers at floor(p/d) vs Fermat quotients, mod p",
-        gen_lemma2,
-        check_lemma2,
-    ),
-    Suite(
-        "lemma4",
-        "theorem",
-        "term shift k -> k+rp factors through a harmonic correction, mod p^2",
-        gen_lemma4,
-        check_lemma4,
-    ),
-    Suite(
-        "lemma4-binom",
-        "theorem",
-        "central-binomial form of the term-shift congruence, mod p^2",
-        gen_lemma4,
-        check_lemma4_binom,
-    ),
-    Suite(
-        "lemma5",
-        "theorem",
-        "series term vs signed binomial product at the floor multiple, mod p",
-        gen_lemma5,
-        check_lemma5,
-    ),
-    Suite(
-        "lemma5-poch",
-        "theorem",
-        "rising-product form of the term/binomial congruence, mod p",
-        gen_lemma5,
-        check_lemma5_poch,
-    ),
-    Suite(
-        "babbage",
-        "theorem",
-        "C(ap, bp) vs C(a, b), mod p^2",
-        gen_babbage,
-        check_babbage,
-    ),
-    Suite(
-        "chain-reflect",
-        "theorem",
-        "reflected-parameter restatement of the any-x congruence, mod p^2",
-        gen_sun,
-        check_chain_reflect,
-    ),
-    Suite(
-        "chain-jet",
-        "theorem",
-        "first-order jet expansion of the reflected sum around the least residue, mod p^2",
-        gen_sun,
-        check_chain_jet,
-    ),
-    Suite(
-        "chain-backward",
-        "theorem",
-        "backward-offset first-order piece vs a signed harmonic number, mod p",
-        gen_chain_m,
-        check_chain_backward,
-    ),
-    Suite(
-        "chain-binom",
-        "theorem",
-        "alternating binomial sum truncated at p equals the sign, exactly",
-        gen_chain_m,
-        check_chain_binom,
-    ),
-    Suite(
-        "chain-forward",
-        "theorem",
-        "forward-offset harmonic-weighted sum equals a signed harmonic number, exactly",
-        gen_chain_m,
-        check_chain_forward,
-    ),
-    Suite(
-        "chain-block",
-        "theorem",
-        "length-p block r factors into term_r times the base block, mod p^2",
-        gen_chain_block,
-        check_chain_block,
-    ),
-    Suite(
-        "chain-convolution",
-        "theorem",
-        "partial-fraction weights reduce to harmonic weights under the sum, mod p",
-        gen_thm1,
-        check_chain_convolution,
-    ),
-    Suite(
-        "chain-weighted",
-        "theorem",
-        "harmonic-weighted sum vanishes mod p (series and binomial forms)",
-        gen_chain_weighted,
-        check_chain_weighted,
-    ),
-    Suite(
-        "chain-product",
-        "theorem",
-        "length-np sum factors into length-p times length-n sums, mod p^2",
-        gen_rv,
-        check_chain_product,
-    ),
-    Suite(
-        "gessel",
-        "theorem",
-        "Apery numbers A_{np} vs A_n, mod p^3",
-        gen_gessel,
-        check_gessel,
-    ),
-    Suite(
-        "identity-alt",
-        "identity",
-        "alternating binomial sum equals (-1)^n, exactly",
-        _identity_gen_n(0),
-        _identity_check(identities.alternating_binomial_sum),
-    ),
-    Suite(
-        "identity-harmonic",
-        "identity",
-        "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly",
-        _identity_gen_n(1),
-        _identity_check(identities.harmonic_weighted_sum),
-    ),
-    Suite(
-        "identity-tail",
-        "identity",
-        "tail-harmonic alternating sum equals (-1)^n H_n, exactly",
-        _identity_gen_n(1),
-        _identity_check(identities.tail_harmonic_sum),
-    ),
-    Suite(
-        "identity-shifted",
-        "identity",
-        "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly",
-        _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum),
-    ),
-    Suite(
-        "identity-chain",
-        "identity",
-        "harmonic-difference form linking the alternating-sum identities, exactly",
-        _identity_gen_n(0),
-        _identity_check(identities.harmonic_difference_chain),
-    ),
-    Suite(
-        "identity-partfrac",
-        "identity",
-        "partial-fraction harmonic decompositions of the four families, exactly",
-        gen_identity_kx,
-        _identity_check(identities.partial_fraction_sum),
-    ),
-    Suite(
-        "identity-convolution",
-        "identity",
-        "harmonic-weighted term equals the convolution of earlier terms, exactly",
-        gen_identity_kx,
-        _identity_check(identities.term_convolution_identity),
-    ),
-    Suite(
-        "identity-taylor",
-        "identity",
-        "value and derivative at zero of the binomial-ratio function, exactly",
-        gen_identity_taylor,
-        check_identity_taylor,
-    ),
-    Suite(
-        "identity-negation",
-        "identity",
-        "negated-upper-index binomial product symmetry, exactly",
-        gen_identity_negation,
-        _identity_check(identities.negation_symmetry),
-    ),
-    Suite(
-        "conj-1/2",
-        "conjecture",
-        "scaled mod-p^3 strengthening, central-binomial family (Euler number RHS)",
-        gen_conjecture(Fraction(1, 2)),
-        check_conjecture,
-    ),
-    Suite(
-        "conj-1/3",
-        "conjecture",
-        "scaled mod-p^3 strengthening, 1/3 family (Bernoulli polynomial RHS)",
-        gen_conjecture(Fraction(1, 3)),
-        check_conjecture,
-    ),
-    Suite(
-        "conj-1/4",
-        "conjecture",
-        "scaled mod-p^3 strengthening, 1/4 family (Euler polynomial RHS)",
-        gen_conjecture(Fraction(1, 4)),
-        check_conjecture,
-    ),
-    Suite(
-        "conj-1/6",
-        "conjecture",
-        "scaled mod-p^3 strengthening, 1/6 family (Euler number RHS)",
-        gen_conjecture(Fraction(1, 6)),
-        check_conjecture,
-    ),
-    Suite(
-        "rv-x",
-        "exploratory",
-        "the np-vs-n factorization swept over general rational x (expected to fail)",
-        gen_rv_general,
-        check_rv,
-    ),
-    Suite(
-        "identity-shifted-printed",
-        "exploratory",
-        "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)",
-        _identity_gen_n(1),
-        _identity_check(identities.shifted_harmonic_sum_printed),
-    ),
+    Suite("thm1", "theorem", 2, gen_thm1, check_thm1,
+          "four quadratic-character congruences for the length-p sum, mod p^2"),
+    Suite("sun", "theorem", 2, gen_sun, check_sun,
+          "length-p sum vs parity of the least residue of -x, any p-adic x, mod p^2"),
+    Suite("rv", "theorem", 2, gen_rv, check_rv,
+          "length-np sum vs sign times length-n sum, quartic x, mod p^2"),
+    Suite("corollary", "theorem", 2, gen_corollary_px, check_corollary_px,
+          "length-p^r sum vs r-th power of the sign, mod p^2"),
+    Suite("lemma1", "theorem", None, gen_lemma1, check_lemma1,
+          "Fermat-quotient additivity over products and powers, mod p"),
+    Suite("lemma2", "theorem", None, gen_lemma2, check_lemma2,
+          "harmonic numbers at floor(p/d) vs Fermat quotients, mod p"),
+    Suite("lemma4", "theorem", 2, gen_lemma4, check_lemma4,
+          "term shift k -> k+rp factors through a harmonic correction, mod p^2"),
+    Suite("lemma4-binom", "theorem", 2, gen_lemma4, check_lemma4_binom,
+          "central-binomial form of the term-shift congruence, mod p^2"),
+    Suite("lemma5", "theorem", 1, gen_lemma5, check_lemma5,
+          "series term vs signed binomial product at the floor multiple, mod p"),
+    Suite("lemma5-poch", "theorem", 1, gen_lemma5, check_lemma5_poch,
+          "rising-product form of the term/binomial congruence, mod p"),
+    Suite("babbage", "theorem", 2, gen_babbage, check_babbage,
+          "C(ap, bp) vs C(a, b), mod p^2"),
+    Suite("chain-reflect", "theorem", 2, gen_sun, check_chain_reflect,
+          "reflected-parameter restatement of the any-x congruence, mod p^2"),
+    Suite("chain-jet", "theorem", 2, gen_sun, check_chain_jet,
+          "first-order jet expansion of the reflected sum around the least residue, mod p^2"),
+    Suite("chain-backward", "theorem", 1, gen_chain_m, check_chain_backward,
+          "backward-offset first-order piece vs a signed harmonic number, mod p"),
+    Suite("chain-binom", "theorem", None, gen_chain_m, check_chain_binom,
+          "alternating binomial sum truncated at p equals the sign, exactly"),
+    Suite("chain-forward", "theorem", None, gen_chain_m, check_chain_forward,
+          "forward-offset harmonic-weighted sum equals a signed harmonic number, exactly"),
+    Suite("chain-block", "theorem", 2, gen_chain_block, check_chain_block,
+          "length-p block r factors into term_r times the base block, mod p^2"),
+    Suite("chain-convolution", "theorem", 1, gen_thm1, check_chain_convolution,
+          "partial-fraction weights reduce to harmonic weights under the sum, mod p"),
+    Suite("chain-weighted", "theorem", 1, gen_chain_weighted, check_chain_weighted,
+          "harmonic-weighted sum vanishes mod p (series and binomial forms)"),
+    Suite("chain-product", "theorem", 2, gen_rv, check_chain_product,
+          "length-np sum factors into length-p times length-n sums, mod p^2"),
+    Suite("gessel", "theorem", 3, gen_gessel, check_gessel,
+          "Apery numbers A_{np} vs A_n, mod p^3"),
+    Suite("identity-alt", "identity", None, _identity_gen_n(0), check_identity_alt,
+          "alternating binomial sum equals (-1)^n, exactly"),
+    Suite("identity-harmonic", "identity", None, _identity_gen_n(1), check_identity_harmonic,
+          "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly"),
+    Suite("identity-tail", "identity", None, _identity_gen_n(1), check_identity_tail,
+          "tail-harmonic alternating sum equals (-1)^n H_n, exactly"),
+    Suite("identity-shifted", "identity", None, _identity_gen_n(1), check_identity_shifted,
+          "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly"),
+    Suite("identity-chain", "identity", None, _identity_gen_n(0), check_identity_chain,
+          "harmonic-difference form linking the alternating-sum identities, exactly"),
+    Suite("identity-partfrac", "identity", None, gen_identity_kx, check_identity_partfrac,
+          "partial-fraction harmonic decompositions of the four families, exactly"),
+    Suite("identity-convolution", "identity", None, gen_identity_kx, check_identity_convolution,
+          "harmonic-weighted term equals the convolution of earlier terms, exactly"),
+    Suite("identity-taylor", "identity", None, gen_identity_taylor, check_identity_taylor,
+          "value and derivative at zero of the binomial-ratio function, exactly"),
+    Suite("identity-negation", "identity", None, gen_identity_negation, check_identity_negation,
+          "negated-upper-index binomial product symmetry, exactly"),
+    Suite("conj-1/2", "conjecture", 3, gen_conjecture(Fraction(1, 2)), check_conjecture,
+          "scaled mod-p^3 strengthening, central-binomial family (Euler number RHS)"),
+    Suite("conj-1/3", "conjecture", 3, gen_conjecture(Fraction(1, 3)), check_conjecture,
+          "scaled mod-p^3 strengthening, 1/3 family (Bernoulli polynomial RHS)"),
+    Suite("conj-1/4", "conjecture", 3, gen_conjecture(Fraction(1, 4)), check_conjecture,
+          "scaled mod-p^3 strengthening, 1/4 family (Euler polynomial RHS)"),
+    Suite("conj-1/6", "conjecture", 3, gen_conjecture(Fraction(1, 6)), check_conjecture,
+          "scaled mod-p^3 strengthening, 1/6 family (Euler number RHS)"),
+    Suite("rv-x", "exploratory", 2, gen_rv_general, check_rv,
+          "the np-vs-n factorization swept over general rational x (expected to fail)"),
+    Suite("identity-shifted-printed", "exploratory", None, _identity_gen_n(1), check_identity_printed,
+          "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)"),
 ]
 
 REGISTRY: dict[str, Suite] = {s.id: s for s in _SUITES}
@@ -1043,9 +862,11 @@ def run_instance(
     """Run one instance under `engine`; domain errors become error reports, bugs
     raise `InternalError`.
 
-    This is the only code that knows the engine: the check gets a `Dual`
-    bound to it, and a record of a check that asked it names the route
-    that ran.  The first value a check asks ``dual`` for is the
+    The check gets the instance's modulus ``ctx``: p^e with e the sweep's
+    ``mod_exp`` or else the suite's exponent, or None where the suite has
+    none.  This is the only code that knows the engine: the check gets a
+    `Dual` bound to it, and a record of a check that asked it names the
+    route that ran.  The first value a check asks ``dual`` for is the
     instance's primary value (its left side); when ``fault_suite`` names
     this suite (the ``VERIFY_FAULT_INJECT`` self-test) the primary value of
     the route the engine reports (exact under ``exact``, modular otherwise)
@@ -1078,7 +899,10 @@ def run_instance(
 
     t0 = time.perf_counter()
     try:
-        rep = suite.check(sweep, dual, **params)
+        ctx = None
+        if suite.exponent is not None:
+            ctx = PrimePower(params["p"], sweep.mod_exp or suite.exponent)
+        rep = suite.check(sweep, dual, ctx, **params)
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -319,6 +320,20 @@ def test_list_suites(capsys):
     code, out, err = run_main(capsys, "--list")
     assert code == 0
     assert "thm1" in out and "conj-1/6" in out and "aliases:" in out
+    # the table's bytes, recorded before the registry became one row per suite
+    digest = "181ddba49b365e0f94f67c93566b98578308c278082b0b7a6fba096ddd42ce7c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_list_skips_the_prime_range_but_checks_its_input(capsys, monkeypatch):
+    # --list prints a fixed table, so a huge --p-max costs no walk over the primes
+    start = time.process_time()
+    code, out, _ = run_main(capsys, "--list", "--p-max", "1000000000")
+    assert time.process_time() - start < 1
+    assert code == 0 and "aliases:" in out
+    assert run_main(capsys, "--list", "--p-max", "3")[0] == 2
+    monkeypatch.setenv("VERIFY_BUDGET_SERIES", "many")
+    assert run_main(capsys, "--list")[0] == 2
 
 
 def test_list_follows_out(tmp_path, capsys):

@@ -250,13 +250,13 @@ def test_lemma4_rows_match_the_per_instance_rationals():
         }
         # one e at a time, as a sweep runs, so each row is built once
         for e in (1, 2, 3):
-            sweep = Sweep(primes=(p,), mod_exp=e)
+            sweep = Sweep(primes=(p,))
             ctx = PrimePower(p, e)
             for (x, r, k), ref in refs.items():
                 params = {"p": p, "r": r, "k": k, "x": x}
                 got = (
-                    suites.check_lemma4(sweep, dual, **params).rhs,
-                    suites.check_lemma4_binom(sweep, dual, **params).rhs,
+                    suites.check_lemma4(sweep, dual, ctx, **params).rhs,
+                    suites.check_lemma4_binom(sweep, dual, ctx, **params).rhs,
                 )
                 want = tuple(str(residue_from_rational(q, ctx).value) for q in ref)
                 assert got == want, (p, x, k, r, e)
@@ -459,6 +459,42 @@ def test_mod_exp_override():
         "thm1", {"p": 7, "x": F(1, 2)}, sweep=Sweep(primes=(7,), mod_exp=1)
     )
     assert rep.modulus == "7"
+
+
+# The exponents e of the moduli p^e of each suite's records with no
+# --mod-exp, with --mod-exp 1 and with --mod-exp 3; "exact" for an exact
+# record.  chain-weighted writes one record of each kind per (p, x).
+_E2, _E1, _E3 = ({2}, {1}, {3}), ({1}, {1}, {3}), ({3}, {1}, {3})
+_MOD_P, _EXACT = ({1}, {1}, {1}), ({"exact"}, {"exact"}, {"exact"})
+RECORD_EXPONENTS = {
+    "thm1": _E2, "sun": _E2, "rv": _E2, "corollary": _E2, "lemma1": _MOD_P,
+    "lemma2": _MOD_P, "lemma4": _E2, "lemma4-binom": _E2, "lemma5": _E1,
+    "lemma5-poch": _E1, "babbage": _E2, "chain-reflect": _E2, "chain-jet": _E2,
+    "chain-backward": _E1, "chain-binom": _EXACT, "chain-forward": _EXACT,
+    "chain-block": _E2, "chain-convolution": _E1,
+    "chain-weighted": ({1, "exact"}, {1, "exact"}, {3, "exact"}),
+    "chain-product": _E2, "gessel": _E3, "identity-alt": _EXACT,
+    "identity-harmonic": _EXACT, "identity-tail": _EXACT, "identity-shifted": _EXACT,
+    "identity-chain": _EXACT, "identity-partfrac": _EXACT,
+    "identity-convolution": _EXACT, "identity-taylor": _EXACT,
+    "identity-negation": _EXACT, "conj-1/2": _E3, "conj-1/3": _E3, "conj-1/4": _E3,
+    "conj-1/6": _E3, "rv-x": _E2, "identity-shifted-printed": _EXACT,
+}
+
+
+@pytest.mark.parametrize("column, mod_exp", enumerate((None, 1, 3)))
+def test_each_suite_reports_at_its_exponent(column, mod_exp):
+    sweep = Sweep(primes=primes_in(5, 13), mod_exp=mod_exp, identity_max=3)
+    seen = {}
+    for sid, suite in REGISTRY.items():
+        for params in suite.gen(sweep):
+            rep = run_instance(sid, params, "both", sweep)
+            assert rep.error is None, (sid, params, rep.error)
+            e = rep.modulus
+            if e != "exact":
+                e = next(k for k in range(1, 7) if params["p"] ** k == int(rep.modulus))
+            seen.setdefault(sid, set()).add(e)
+    assert seen == {sid: column_sets[column] for sid, column_sets in RECORD_EXPONENTS.items()}
 
 
 def test_kernel_matches_oracle_at_wide_moduli():
