@@ -31,6 +31,14 @@ a zero factor, which happens only for an integer x (at step -x for x <= 0
 and at step x - 1 for x >= 1): term j = step + 1 and every later term
 vanish, so the sum stays at prefix(j) for every stop past j.
 
+The step from k has three factors, f = xn + k xd, g = xd - xn + k xd and
+h = k + 1, and p divides each at one residue of k mod p: kf = -xn/xd,
+kg = (xn - xd)/xd and p - 1.  Only these special steps, at most three in
+any p consecutive k, can meet a p-power or a zero factor (zero is
+divisible by p), so only they strip p, look for a zero and test v.  The
+plain steps between have unit factors: they run in a tight loop with v
+fixed and no test, and drop the add to ``acc`` once v >= e.
+
 The suites ask for the same series (same x, p and e) many times, with
 different stops: the length-p, n*p and p^r sums and the blocks
 [r*p, (r+1)*p).  So each series has one `_Walker`, and a window [a, b) is
@@ -54,9 +62,9 @@ series one suite shares with the next ones at the same primes (372 on the
 thm1/rv/chain-block sweep to p = 499).  Past it the bound is a cliff:
 that sweep has four quartic series per prime, 388 at p = 523, and once
 they outnumber the table each one is evicted just before the next suite
-asks for it again.  In process (two runs each, a shared two-core Xeon)
-the sweep took 0.32 s of CPU at ``--p-max 499``, 0.34-0.36 s at 521,
-0.69-0.71 s at 523 and 0.34-0.38 s at 523 with an unbounded table.
+asks for it again: in process (fastest of three runs, a shared two-core
+x86-64 host) the sweep took 0.14 s of CPU at ``--p-max 499``, 0.15 s at
+521, 0.29 s at 523 and 0.15 s at 523 with an unbounded table.
 """
 
 from __future__ import annotations
@@ -78,11 +86,13 @@ def backend_name() -> str:
 class _Walker:
     """Checkpointed prefix sums and a term cursor of F(xn/xd; N) mod p^e."""
 
-    __slots__ = ("xn", "xd", "p", "e", "m", "powers", "checkpoints", "cursor", "dead")
+    __slots__ = ("xn", "xd", "p", "e", "m", "powers", "kf", "kg", "checkpoints", "cursor", "dead")
 
     def __init__(self, xn: int, xd: int, p: int, e: int):
         self.xn, self.xd, self.p, self.e = xn, xd, p, e
         self.m = p**e
+        inverse = pow(xd, -1, p)
+        self.kf, self.kg = -xn * inverse % p, (xn - xd) * inverse % p  # p divides f, g
         self.powers = [p**j for j in range(e)]
         self.checkpoints = [(0, 0, 1, 0)]  # (k, v, num, acc), sorted by k
         self.cursor = (0, 0, 1, 0)  # the state at the last term read
@@ -99,10 +109,34 @@ class _Walker:
             state = self.cursor
         k, v, num, acc = state
         p, e, m, powers, xn, xd = self.p, self.e, self.m, self.powers, self.xn, self.xd
+        kf, kg = self.kf, self.kg
         yn = xd - xn  # 1 - x = yn / xd
         ds0 = xd * xd
         den = 1
         while k < stop:
+            r = k % p
+            j = min(k + min((kf - r) % p, (kg - r) % p, p - 1 - r), stop)  # next special k
+            if k < j:  # plain steps k .. j-1: no test, v fixed
+                f, g = xn + k * xd, yn + k * xd
+                if v < e:
+                    pv = powers[v]
+                    for h in range(k + 1, j + 1):
+                        ds = ds0 * h * h
+                        acc = (acc + num * pv) * ds % m
+                        num = num * f * g % m
+                        den = den * ds % m
+                        f += xd
+                        g += xd
+                else:
+                    for h in range(k + 1, j + 1):
+                        ds = ds0 * h * h
+                        acc = acc * ds % m
+                        num = num * f * g % m
+                        den = den * ds % m
+                        f += xd
+                        g += xd
+                k = j
+                continue
             if v < e:
                 acc = (acc + num * powers[v]) % m
             # step to term k+1: multiply by p^(nv - v) * f g / (ds0 h^2)

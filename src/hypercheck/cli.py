@@ -36,7 +36,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from multiprocessing import Pool
 
 from . import __version__
 from .errors import InternalError, UsageError
@@ -337,12 +336,14 @@ def run(cfg: argparse.Namespace) -> int:
         # Pool.imap reads its input ahead anyway, so the pool gets a list
         instances = list(instances)
         workers = min(cfg.workers, len(instances), _usable_cpus())
-    with Pool(workers) if workers > 1 else nullcontext() as pool:
-        if pool is None:
-            reports = map(task, instances)
-        else:
-            chunksize = max(1, len(instances) // (workers * 8))
-            reports = pool.imap(task, instances, chunksize=chunksize)
+    if workers < 2:  # 0 when there is no instance
+        return _write(cfg, partial(_report, cfg, map(task, instances)))
+    # imported here: a serial run never pays for multiprocessing
+    from multiprocessing import Pool
+
+    with Pool(workers) as pool:
+        chunksize = max(1, len(instances) // (workers * 8))
+        reports = pool.imap(task, instances, chunksize=chunksize)
         return _write(cfg, partial(_report, cfg, reports))
 
 

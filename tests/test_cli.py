@@ -6,6 +6,7 @@ import inspect
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -935,6 +936,14 @@ def test_exact_prefix_table_stays_bounded(tmp_path):
     assert peak < 2**17, peak
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    # a serial run never starts a pool, so it should not pay for the import
+    code = "import sys, hypercheck.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hypercheck.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_pool_never_outnumbers_instances(capsys, monkeypatch):
     sizes = []
 
@@ -953,7 +962,7 @@ def test_pool_never_outnumbers_instances(capsys, monkeypatch):
         def imap(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     # six usable CPUs; no real process is started
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     # thm1 has four instances at p = 5 and eight up to p = 7

@@ -4,9 +4,11 @@ import dataclasses
 import inspect
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -499,6 +501,90 @@ def test_evicted_walkers_restart_cleanly(windows):
             assert_matches_exact_oracle(window, got)
             assert_term_read_matches_one_term_window(window)
             assert _kernel._walker.cache_info().currsize <= 2
+
+
+class ReferenceWalker(_kernel._Walker):
+    """The kernel's walker with one step per iteration, every factor tested
+    for p and for zero: the reference for the blocked `_Walker.reach`."""
+
+    __slots__ = ()
+
+    def reach(self, stop: int, term: bool) -> int:
+        if self.dead is not None and stop >= self.dead[0]:
+            return 0 if term else self.dead[1]
+        i = bisect_right(self.checkpoints, stop, key=itemgetter(0)) - 1
+        state = self.checkpoints[i]
+        if state[0] < self.cursor[0] <= stop:
+            state = self.cursor
+        k, v, num, acc = state
+        p, e, m, powers, xn, xd = self.p, self.e, self.m, self.powers, self.xn, self.xd
+        yn = xd - xn
+        ds0 = xd * xd
+        den = 1
+        while k < stop:
+            if v < e:
+                acc = (acc + num * powers[v]) % m
+            f, g, h = xn + k * xd, yn + k * xd, k + 1
+            if f == 0 or g == 0:
+                self.dead = (k + 1, acc * pow(den, -1, m) % m)
+                return 0 if term else self.dead[1]
+            nv = v
+            while f % p == 0:
+                f //= p
+                nv += 1
+            while g % p == 0:
+                g //= p
+                nv += 1
+            while h % p == 0:
+                h //= p
+                nv -= 2
+            if nv < 0:
+                raise InternalError(f"term {k + 1} of F({xn}/{xd}) is not {p}-integral")
+            ds = ds0 * h * h % m
+            num = num * f * g % m
+            acc = acc * ds % m
+            den = den * ds % m
+            v = nv
+            k += 1
+        inverse = pow(den, -1, m)
+        num, acc = num * inverse % m, acc * inverse % m
+        if term:
+            self.cursor = (k, v, num, acc)
+            return num * powers[v] % m if v < e else 0
+        if self.checkpoints[i][0] < stop:
+            self.checkpoints.insert(i + 1, (k, v, num, acc))
+        return acc
+
+
+@st.composite
+def walker_requests(draw):
+    """A series (xn, xd, p, e) and 1-10 sums and term reads, (stop, term), in
+    any order, with stops up to 4p."""
+    p = draw(st.sampled_from((5, 7, 11, 13, 97, 499)))
+    xd = draw(st.integers(min_value=1, max_value=12).filter(lambda d: d % p))
+    x = Fraction(draw(st.integers(min_value=-3 * p, max_value=3 * p)), xd)
+    stops = st.integers(min_value=0, max_value=4 * p)
+    requests = draw(st.lists(st.tuples(stops, st.booleans()), min_size=1, max_size=10))
+    return x.numerator, x.denominator, p, draw(st.integers(min_value=1, max_value=6)), requests
+
+
+@settings(max_examples=300)
+@given(walker_requests())
+@example((1, 2, 7, 3, [(20, False), (9, True), (28, False)]))  # x = 1/2: f = g
+@example((9, 2, 7, 2, [(27, False), (13, True), (21, True)]))  # f's residue is h's, p - 1
+@example((1, 3, 5, 1, [(25, False), (11, True)]))  # e = 1: whole blocks have v >= e
+# resumes inside a plain block, from a checkpoint and from the cursor
+@example((1, 6, 11, 2, [(2, False), (9, False), (3, True), (6, True), (8, False)]))
+@example((-3, 1, 7, 3, [(2, False), (40, False), (5, True), (1, True)]))  # x = -3
+@example((4, 1, 5, 2, [(12, False), (2, True), (4, False), (3, True)]))  # x = 4: 1 - x = -3
+def test_blocked_walker_matches_reference_walk(case):
+    xn, xd, p, e, requests = case
+    walker, reference = _kernel._Walker(xn, xd, p, e), ReferenceWalker(xn, xd, p, e)
+    for stop, term in requests:
+        assert walker.reach(stop, term) == reference.reach(stop, term)
+        assert walker.checkpoints == reference.checkpoints
+        assert walker.cursor == reference.cursor
+        assert walker.dead == reference.dead
 
 
 def test_quartic_families_table():
