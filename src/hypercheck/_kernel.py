@@ -35,9 +35,12 @@ The step from k has three factors, f = xn + k xd, g = xd - xn + k xd and
 h = k + 1, and p divides each at one residue of k mod p: kf = -xn/xd,
 kg = (xn - xd)/xd and p - 1.  Only these special steps, at most three in
 any p consecutive k, can meet a p-power or a zero factor (zero is
-divisible by p), so only they strip p, look for a zero and test v.  The
-plain steps between have unit factors: they run in a tight loop with v
-fixed and no test, and drop the add to ``acc`` once v >= e.
+divisible by p).  So a walk goes in blocks, each one loop of plain steps
+up to the next special k and then that special step.  The plain steps
+have unit factors, so v stays fixed and the loop tests nothing: it adds
+``num * pv`` to ``acc`` with pv = p^v, or 0 once v >= e.  The special step
+reuses the loop's f, g and pv and adds only the p-stripping, the exit on
+a zero factor and the test of v.
 
 The suites ask for the same series (same x, p and e) many times, with
 different stops: the length-p, n*p and p^r sums and the blocks
@@ -116,51 +119,39 @@ class _Walker:
         while k < stop:
             r = k % p
             j = min(k + min((kf - r) % p, (kg - r) % p, p - 1 - r), stop)  # next special k
-            if k < j:  # plain steps k .. j-1: no test, v fixed
-                f, g = xn + k * xd, yn + k * xd
-                if v < e:
-                    pv = powers[v]
-                    for h in range(k + 1, j + 1):
-                        ds = ds0 * h * h
-                        acc = (acc + num * pv) * ds % m
-                        num = num * f * g % m
-                        den = den * ds % m
-                        f += xd
-                        g += xd
-                else:
-                    for h in range(k + 1, j + 1):
-                        ds = ds0 * h * h
-                        acc = acc * ds % m
-                        num = num * f * g % m
-                        den = den * ds % m
-                        f += xd
-                        g += xd
-                k = j
-                continue
-            if v < e:
-                acc = (acc + num * powers[v]) % m
-            # step to term k+1: multiply by p^(nv - v) * f g / (ds0 h^2)
-            f, g, h = xn + k * xd, yn + k * xd, k + 1
+            f, g = xn + k * xd, yn + k * xd
+            pv = powers[v] if v < e else 0
+            for h in range(k + 1, j + 1):  # plain steps k .. j-1: no test, v fixed
+                ds = ds0 * h * h
+                acc = (acc + num * pv) * ds % m
+                num = num * f * g % m
+                den = den * ds % m
+                f += xd
+                g += xd
+            k = j
+            if k == stop:
+                break
+            # the special step to term k+1, with f, g at k: strip p into v
+            acc = (acc + num * pv) % m
             if f == 0 or g == 0:
                 self.dead = (k + 1, acc * pow(den, -1, m) % m)
                 return 0 if term else self.dead[1]
-            nv = v
+            h = k + 1
             while f % p == 0:
                 f //= p
-                nv += 1
+                v += 1
             while g % p == 0:
                 g //= p
-                nv += 1
+                v += 1
             while h % p == 0:
                 h //= p
-                nv -= 2
-            if nv < 0:
+                v -= 2
+            if v < 0:
                 raise InternalError(f"term {k + 1} of F({xn}/{xd}) is not {p}-integral")
             ds = ds0 * h * h % m
             num = num * f * g % m
             acc = acc * ds % m
             den = den * ds % m
-            v = nv
             k += 1
         inverse = pow(den, -1, m)
         num, acc = num * inverse % m, acc * inverse % m

