@@ -121,8 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--p-min", type=int, default=5)
     ap.add_argument("--p-max", type=int, default=97)
-    ap.add_argument("--n", default="1,2,3", help="comma list of multipliers n")
-    ap.add_argument("--r", default="0,1,2", help="comma list of shift indices r")
+    ap.add_argument(
+        "--n", default=",".join(map(str, Sweep.n_values)), help="comma list of multipliers n"
+    )
+    ap.add_argument(
+        "--r", default=",".join(map(str, Sweep.r_values)), help="comma list of shift indices r"
+    )
     ap.add_argument(
         "--x", default=None, help="comma list of arguments (integers or a/b fractions)"
     )

@@ -238,20 +238,19 @@ def _taylor_jet(k: int, r: int) -> tuple[int, int, int, int]:
     return p0, p1, q0, q1
 
 
-def taylor_coefficient_check(k: int, r: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """f(0) = C(2k,k) and f'(0) = r C(2k,k)(2H_{2k} - 2H_k), exactly.
+def taylor_coefficient_check(k: int, r: int, order: int) -> tuple[Fraction, Fraction]:
+    """f(0) = C(2k,k) at order 0, f'(0) = r C(2k,k)(2H_{2k} - 2H_k) at order 1,
+    as one exact (lhs, rhs) pair.
 
-    Returns one (lhs, rhs) pair per coefficient order (0 and 1); the
-    derivative is read off a first-order jet product, not from the closed
-    form.
+    The derivative is read off a first-order jet product, not from the
+    closed form.
     """
     p0, p1, q0, q1 = _taylor_jet(k, r)
-    f0 = Fraction(p0, q0)
-    f1 = Fraction(p1 * q0 - p0 * q1, q0 * q0)
     c = comb(2 * k, k)
-    rhs0 = Fraction(c)
-    rhs1 = r * c * (2 * harmonic_exact(2 * k) - 2 * harmonic_exact(k))
-    return (f0, rhs0), (f1, rhs1)
+    if order == 0:
+        return Fraction(p0, q0), Fraction(c)
+    f1 = Fraction(p1 * q0 - p0 * q1, q0 * q0)
+    return f1, r * c * (2 * harmonic_exact(2 * k) - 2 * harmonic_exact(k))
 
 
 # --- negated-upper-index binomial symmetry ---------------------------------

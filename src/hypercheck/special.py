@@ -4,10 +4,12 @@ the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
 against the other.  The sequence caches are module state.  The harmonic
-caches grow by appending, the modular one for the latest p^e only; the
-Euler and Bernoulli tables are built from the secant and tangent numbers
-on first use and rebuilt, to at least twice their length, when an index
-lies past their end.
+caches grow by appending, the modular one for the latest p^e only.  The
+Euler and Bernoulli tables are built together, from the secant and tangent
+numbers, on first use, and rebuilt together, to at least twice their
+length, when an index lies past their end: the Brent-Harvey loops that
+build them cannot extend a finished table.  One Appell sum evaluates both
+polynomials mod p^e.
 """
 
 from __future__ import annotations
@@ -108,9 +110,11 @@ def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
 # "Fast computation of Bernoulli, Tangent and Secant numbers" (2011): the
 # secant numbers S_n give E_2n = (-1)^n S_n, and the tangent numbers T_n give
 # B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).  Those loops cannot extend a
-# finished table by one index, so a table too short for E_m or B_m is
-# rebuilt to at least twice its length; a sweep over rising indices then
-# rebuilds it O(log m) times.
+# finished table by one index, so `_tables` rebuilds both tables together,
+# to at least twice their length, when an index lies past their end.  A
+# sweep over rising indices then rebuilds them O(log m) times, and a conj
+# sweep, which asks for E_m and B_m at neighbouring m, builds neither table
+# further than the other.
 
 
 def _secant_numbers(n: int) -> list[int]:
@@ -135,92 +139,81 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
-_EULER: list[int] = [1]  # E_0, E_1, ... (odd entries are 0)
+_EULER: list[int] = [1, 0]  # E_0, E_1, ... (odd entries are 0)
+_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]  # B_0, B_1, ...
 
 
-def _euler_table(m: int) -> list[int]:
-    """The Euler table through at least E_m."""
-    _require_index("E", m)
+def _tables(name: str, m: int) -> tuple[list[int], list[Fraction]]:
+    """The Euler and Bernoulli tables, both through at least index m;
+    `name` labels the error for a negative m."""
+    _require_index(name, m)
     if len(_EULER) <= m:
         size = max(m + 1, 2 * len(_EULER))
-        secants = _secant_numbers((size - 1) // 2)
-        table = [0] * size
-        table[::2] = [-s if n % 2 else s for n, s in enumerate(secants)]
-        _EULER[:] = table
-    return _EULER
+        half = (size - 1) // 2
+        euler, bern = [0] * size, [Fraction(0)] * size
+        euler[::2] = [-s if n % 2 else s for n, s in enumerate(_secant_numbers(half))]
+        bern[:2] = _BERNOULLI[:2]
+        four = 1  # 4^n
+        for n, t in enumerate(_tangent_numbers(half)[1:], 1):
+            four *= 4
+            bern[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t, four * (four - 1))
+        _EULER[:], _BERNOULLI[:] = euler, bern
+    return _EULER, _BERNOULLI
 
 
 def euler_number_exact(m: int) -> int:
     """Euler number E_m (integer; E_m = 0 for odd m)."""
-    return _euler_table(m)[m]
+    return _tables("E", m)[0][m]
 
 
 def euler_number_mod(m: int, ctx: PrimePower) -> Residue:
     return Residue(euler_number_exact(m), ctx)
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+def _appell_mod(m: int, coeffs: list[int], h: int, mod: int) -> int:
+    """sum_k C(m,k) c_k h^(m-k) mod `mod`, where c_k = coeffs[k] is reduced.
 
-
-def _bernoulli_table(m: int) -> list[Fraction]:
-    """The Bernoulli table through at least B_m."""
-    _require_index("B", m)
-    if len(_BERNOULLI) <= m:
-        size = max(m + 1, 2 * len(_BERNOULLI))
-        table = [Fraction(0)] * size
-        table[0], table[1] = Fraction(1), Fraction(-1, 2)
-        four = 1  # 4^n
-        for n, t in enumerate(_tangent_numbers((size - 1) // 2)[1:], 1):
-            four *= 4
-            table[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t, four * (four - 1))
-        _BERNOULLI[:] = table
-    return _BERNOULLI
+    Summed from k = m down so that C(m,k) and h^(m-k) are running values;
+    zero c_k are skipped.
+    """
+    total, binom, power = 0, 1, 1  # C(m,k) and h^(m-k) at k = m
+    for k in range(m, -1, -1):
+        if coeffs[k]:
+            total += binom * coeffs[k] * power
+        binom = binom * k // (m - k + 1)
+        power = power * h % mod
+    return total % mod
 
 
 def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
-    """B_m(arg) mod p^e; rejects any needed B_k with p in its denominator.
+    """B_m(arg) mod p^e = sum_k C(m,k) B_k arg^(m-k); rejects any needed
+    B_k with p in its denominator.
 
     By von Staudt-Clausen, p divides the denominator of B_k (k >= 2) iff
     (p - 1) | k, and p >= 5 clears B_0 and B_1, so the first such B_k is
-    B_(p-1).  Summed mod p^e as sum_k C(m,k) B_k arg^(m-k), from k = m
-    down so that C(m,k) and arg^(m-k) are running values; each nonzero B_k
-    is reduced once, and every term is p-integral once B_k is.
+    B_(p-1).  Below it every B_k is p-integral and is reduced once.
     """
     p, mod = ctx.p, ctx.modulus
     x = residue_from_rational(require_p_integral(arg, p), ctx).value
     if m >= p - 1:
         raise PDivisibleDenominator(f"B_{p - 1} has {p} in its denominator")
-    table = _bernoulli_table(m)
-    total, binom, power = 0, 1, 1  # C(m,k) and x^(m-k) at k = m
-    for k in range(m, -1, -1):
-        b = table[k]
-        if b:
-            total += binom * b.numerator * pow(b.denominator, -1, mod) * power
-        binom = binom * k // (m - k + 1)
-        power = power * x % mod
-    return Residue(total, ctx)
+    bern = _tables("B", m)[1]
+    # each nonzero B_k reduced once; B_k = 0 for odd k >= 3
+    coeffs = [
+        b.numerator * pow(b.denominator, -1, mod) % mod if b else 0 for b in bern[: m + 1]
+    ]
+    return Residue(_appell_mod(m, coeffs, x, mod), ctx)
 
 
 def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
-    """E_m(arg) mod p^e via the expansion around 1/2 (denominators are 2-powers).
-
-    Summed mod p^e as sum_k C(m,k) (E_k / 2^k) (arg - 1/2)^(m-k), from
-    k = m down so that C(m,k), (arg - 1/2)^(m-k) and 2^-k are running
-    values; the zero E_k of odd k are skipped.
-    """
+    """E_m(arg) mod p^e = 2^-m sum_k C(m,k) E_k (2 arg - 1)^(m-k), the
+    expansion around 1/2 with its 2-power denominators gathered in front."""
     mod = ctx.modulus
     x = require_p_integral(arg, ctx.p)
-    half = residue_from_rational(x - Fraction(1, 2), ctx).value
-    table = _euler_table(m)
-    # C(m,k), half^(m-k) and 2^-k at k = m
-    total, binom, power, scale = 0, 1, 1, pow(2, -m, mod)
-    for k in range(m, -1, -1):
-        if table[k]:
-            total += binom * table[k] * scale * power
-        binom = binom * k // (m - k + 1)
-        power = power * half % mod
-        scale = scale * 2 % mod
-    return Residue(total, ctx)
+    h = residue_from_rational(2 * x - 1, ctx).value
+    euler = _tables("E", m)[0]
+    coeffs = [e % mod for e in euler[: m + 1]]
+    return Residue(_appell_mod(m, coeffs, h, mod) * pow(2, -m, mod), ctx)
 
 
 # --- signed binomials ------------------------------------------------------

@@ -706,6 +706,7 @@ check_identity_shifted = _identity_check(identities.shifted_harmonic_sum)
 check_identity_chain = _identity_check(identities.harmonic_difference_chain)
 check_identity_partfrac = _identity_check(identities.partial_fraction_sum)
 check_identity_convolution = _identity_check(identities.term_convolution_identity)
+check_identity_taylor = _identity_check(identities.taylor_coefficient_check)
 check_identity_negation = _identity_check(identities.negation_symmetry)
 check_identity_printed = _identity_check(identities.shifted_harmonic_sum_printed)
 
@@ -721,10 +722,6 @@ def gen_identity_taylor(sweep):
         for r in (1, 2, 3):
             for order in (0, 1):
                 yield {"k": k, "r": r, "order": order}
-
-
-def check_identity_taylor(sweep, dual, ctx, k, r, order):
-    return identities.taylor_coefficient_check(k, r)[order]
 
 
 def gen_identity_negation(sweep):

@@ -172,15 +172,20 @@ def test_term_convolution_rejects_poles():
 
 @given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=4))
 def test_taylor_coefficient_check(k, r):
-    for lhs, rhs in identities.taylor_coefficient_check(k, r):
+    for order in (0, 1):
+        lhs, rhs = identities.taylor_coefficient_check(k, r, order)
         assert lhs == rhs
 
 
 def test_taylor_coefficient_values_frozen():
-    (zeroth, _), (first, _) = identities.taylor_coefficient_check(1, 1)
+    zeroth, first = (
+        identities.taylor_coefficient_check(1, 1, order)[0] for order in (0, 1)
+    )
     assert zeroth == comb(2, 1) == 2
     assert first == 2  # r * C(2k,k) * (2 H_2k - 2 H_k) = 1 * 2 * 1
-    (zeroth, _), (first, _) = identities.taylor_coefficient_check(3, 2)
+    zeroth, first = (
+        identities.taylor_coefficient_check(3, 2, order)[0] for order in (0, 1)
+    )
     assert zeroth == comb(6, 3)
     assert first == 2 * comb(6, 3) * (
         2 * harmonic_exact(6) - 2 * harmonic_exact(3)

@@ -28,7 +28,7 @@ def reference_bernoulli() -> list[Fraction]:
 def bernoulli_exact(m: int) -> Fraction:
     """Bernoulli number B_m with the B_1 = -1/2 convention, read from the
     module's table."""
-    return special._bernoulli_table(m)[m]
+    return special._tables("B", m)[1][m]
 
 
 @cache
@@ -206,13 +206,16 @@ def test_bernoulli_frozen():
 )
 def test_tables_match_reference_recurrences(monkeypatch, order):
     # every index to 600, odd ones and B_1 = -1/2 included, in any request
-    # order; start from the import-time tables, whatever earlier tests built
+    # order; start from the import-time tables, whatever earlier tests built,
+    # and check that the two tables only ever grow together
     monkeypatch.setattr(special, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
-    monkeypatch.setattr(special, "_EULER", [1])
+    monkeypatch.setattr(special, "_EULER", [1, 0])
     bern, euler = reference_bernoulli(), reference_euler()
     for m in order:
         assert bernoulli_exact(m) == bern[m], m
+        assert len(special._EULER) == len(special._BERNOULLI), m
         assert special.euler_number_exact(m) == euler[m], m
+        assert len(special._EULER) == len(special._BERNOULLI), m
     assert special._BERNOULLI[: REFERENCE_MAX + 1] == bern
     assert special._EULER[: REFERENCE_MAX + 1] == euler
 
