@@ -83,11 +83,14 @@ def require_p_integral(x: PadicInput, p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PrimePower:
-    """Modulus context p^e with p a prime >= 5 and 1 <= e <= MAX_EXPONENT."""
+    """Modulus context p^e with p a prime >= 5 and 1 <= e <= MAX_EXPONENT;
+    ``tables`` holds the memo rows that depend only on p^e, for as long as
+    the modulus lives, outside equality, hash and repr."""
 
     p: int
     e: int
     modulus: int = field(init=False, repr=False, compare=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 5 or not is_prime(self.p):

@@ -3,19 +3,19 @@ numbers, Euler and Bernoulli numbers/polynomials, the Apery sequence, and
 the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
-against the other.  The sequence caches are module state.  The harmonic
-caches grow by appending, the modular one for the latest p^e only.  The
-Euler and Bernoulli tables are built together, from the secant and tangent
-numbers, on first use, and rebuilt together, to at least twice their
-length, when an index lies past their end: the Brent-Harvey loops that
-build them cannot extend a finished table.  One Appell sum evaluates both
-polynomials mod p^e.
+against the other.  The sequence caches are module state, except the
+modular harmonic row, which lives on its `PrimePower`'s tables and goes
+with it; both harmonic caches grow by appending.  The Euler and
+Bernoulli tables are built together, from the secant and tangent numbers,
+on first use, and rebuilt together, to at least twice their length, when
+an index lies past their end: the Brent-Harvey loops that build them
+cannot extend a finished table.  One Appell sum evaluates both polynomials
+mod p^e.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .errors import IndexTooLarge, NonUnit, PDivisibleDenominator
@@ -85,18 +85,13 @@ def harmonic_exact(n: int) -> Fraction:
     return _H_EXACT[n]
 
 
-@lru_cache(maxsize=1)  # suites finish one prime before the next
-def _harmonic_row(ctx: PrimePower) -> list[int]:
-    """H_0, H_1, ... mod p^e, extended in place by `harmonic_mod`."""
-    return [0]
-
-
 def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
-    """H_n mod p^e by modular inversion; only indices below p are units."""
+    """H_n mod p^e by modular inversion, from a row on ``ctx.tables``
+    extended in index order; only indices below p are units."""
     _require_index("H", n)
     if n >= ctx.p:
         raise IndexTooLarge(f"H_{n} mod {ctx.p}^{ctx.e}: index must stay below p")
-    cache = _harmonic_row(ctx)
+    cache = ctx.tables.setdefault("harmonic", [0])
     m = ctx.modulus
     while len(cache) <= n:
         k = len(cache)

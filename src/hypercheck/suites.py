@@ -127,6 +127,13 @@ def _identity_check(fn):
 
 # --- shared evaluation helpers ---------------------------------------------
 
+#: The modulus of a run of instances at the same p^e, built once for the
+#: run.  A sweep runs one suite, one prime at a time, so one entry serves
+#: it, and a prime's tables (`PrimePower.tables`) are freed with its
+#: modulus.  A check that works at another p^e builds a plain `PrimePower`,
+#: which would otherwise evict the run's.
+_modulus = lru_cache(maxsize=1)(PrimePower)
+
 
 def _need_series(n_terms: int, sweep: Sweep):
     if n_terms > sweep.series_max:
@@ -317,7 +324,7 @@ def gen_lemma2(sweep):
 
 def check_lemma2(sweep, dual, ctx, p, d):
     _need_series(p, sweep)
-    ctx = PrimePower(p, 1)  # mod p under any --mod-exp
+    ctx = _modulus(p, 1)  # mod p under any --mod-exp
     lhs = special.harmonic_mod(p // d, ctx)
     q2 = special.fermat_quotient(2, p)
     q3 = special.fermat_quotient(3, p)
@@ -341,38 +348,20 @@ def gen_lemma4(sweep):
                     yield {"p": p, "r": r, "k": k, "x": x}
 
 
-# Residue rows of the lemma4 and lemma4-binom right sides, one per quartic
-# x at the latest p^e, since both suites finish one prime before the next.
-# Each row grows in index order to the k an instance asks for, as
-# `special.harmonic_mod` grows its row.  By then the instance has passed the
-# binomial cap at c (k + rp) for its family's C(c n, d n), so no entry goes
-# past the cap.  Entry k of lemma4's row is the residue pair of the term t_k
-# (`term_residue`) and of p (T_k - 2 H_k); lemma4-binom's is the residue of
-# p (closed form - 2 H_k), and it reads binomial_product(k) from the
-# family's one table, as the left sides do at n = k + rp.  h = 2p H_floor(px)
-# comes from the modular harmonic row: floor(px) < p, and p (H mod p^e) is
-# p H mod p^(e+1).
-# For the four quartic x and p >= 5 every factor is p-integral: base^k is a
-# unit, H_k and H_floor(px) have indices below p, and i < k < p puts at most
-# one p in each denominator of T_k and of the H_{dk} in its closed form.  So
-# reducing factor by factor equals reducing the exact product.
-@lru_cache(maxsize=len(QUARTICS))
-def _lemma4_rows(x: Fraction, ctx: PrimePower) -> tuple[list[tuple[int, int]], int]:
-    """([(term, weight) at k = 0, 1, ...], h) for lemma4."""
-    return [], 2 * ctx.p * special.harmonic_mod(special.floor_px(x, ctx.p), ctx).value
-
-
-@lru_cache(maxsize=len(QUARTICS))
-def _lemma4_binom_rows(x: Fraction, ctx: PrimePower) -> list[int]:
-    """The closed-form column at k = 0, 1, ... for lemma4-binom."""
-    return []
-
-
 def check_lemma4(sweep, dual, ctx, p, r, k, x):
     fam = QUARTIC_BY_X[x]
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
-    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from the row
-    row, h = _lemma4_rows(x, ctx)
+    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from x's
+    # row on ctx, grown in index order to k, which has passed the binomial
+    # cap; entry i holds the residues of t_i and p (T_i - 2 H_i).  Every
+    # factor is p-integral for the quartic x and p >= 5, so reducing each one
+    # equals reducing the product.  2p H_floor(px) comes from the modular
+    # harmonic row (floor(px) < p), as p H mod p^(e+1).
+    rows = ctx.tables.get(("lemma4", x))
+    if rows is None:
+        h = 2 * p * special.harmonic_mod(special.floor_px(x, p), ctx).value
+        rows = ctx.tables[("lemma4", x)] = [], h
+    row, h = rows
     for i in range(len(row), k + 1):
         t_i = fam.term_residue(i, ctx).value
         w_i = identities.partial_fraction_weights(x, i)[i] - 2 * special.harmonic_exact(i)
@@ -388,8 +377,8 @@ def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
     _need_family(fam, n, sweep)
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
-    # closed form, from the row
-    closed = _lemma4_binom_rows(x, ctx)
+    # closed form, from x's row on ctx, grown as lemma4's is
+    closed = ctx.tables.setdefault(("lemma4-binom", x), [])
     for i in range(len(closed), k + 1):
         q = identities.partial_fraction_closed_form(i, x) - 2 * special.harmonic_exact(i)
         closed.append(residue_from_rational(p * q, ctx).value)
@@ -503,20 +492,27 @@ def check_chain_backward(sweep, dual, ctx, p, m):
 
 # For m < p, C(m, k) = 0 when m < k < p, so the sums truncated at p are the
 # identity-alt and identity-tail sums at n = m.  Every prime reads them again
-# at each m < p, so they are computed once per m: 512 entries hold every
-# m < p <= 499, and a sweep past that misses but stays correct.
-_alternating_case = lru_cache(maxsize=512)(identities.alternating_binomial_sum)
-_tail_case = lru_cache(maxsize=512)(identities.tail_harmonic_sum)
+# at each m < p, so each is computed once per m, into a table bounded by
+# VERIFY_BUDGET_SERIES: every reader passes the series cap at p > m first.
+_ALTERNATING: dict[int, tuple[Fraction, Fraction]] = {}
+_TAIL: dict[int, tuple[Fraction, Fraction]] = {}
+
+
+def _case(table: dict, fn, m: int) -> tuple[Fraction, Fraction]:
+    """fn(m), computed once per m into ``table``."""
+    if m not in table:
+        table[m] = fn(m)
+    return table[m]
 
 
 def check_chain_binom(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
-    return _alternating_case(m)
+    return _case(_ALTERNATING, identities.alternating_binomial_sum, m)
 
 
 def check_chain_forward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
-    return _tail_case(m)
+    return _case(_TAIL, identities.tail_harmonic_sum, m)
 
 
 def gen_chain_block(sweep):
@@ -569,7 +565,7 @@ def check_chain_weighted(sweep, dual, ctx, p, x, form):
         return residue_from_rational(total, ctx), Residue(0, ctx)
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
-    alt, _ = _alternating_case(m)
+    alt, _ = _case(_ALTERNATING, identities.alternating_binomial_sum, m)
     weighted, _ = identities.harmonic_weighted_sum(m)
     return 2 * hm * alt - weighted, Fraction(0)
 
@@ -604,11 +600,10 @@ _CONJ_RHS: dict[Fraction, tuple[str, Fraction]] = {
 }
 
 
-@lru_cache(maxsize=1)  # the latest (x, p, e), shared by every n at that prime
-def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
+def _conj_rhs(x: Fraction, ctx: PrimePower) -> int:
     p, e = ctx.p, ctx.e
     if e <= 2:
-        return Residue(0, ctx)
+        return 0
     sub = PrimePower(p, e - 2)
     kind, coeff = _CONJ_RHS[x]
     if kind == "euler-number":
@@ -617,7 +612,7 @@ def _conj_rhs(x: Fraction, ctx: PrimePower) -> Residue:
         poly = special.euler_polynomial_mod(p - 3, Fraction(1, 4), sub)
     else:
         poly = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), sub)
-    return residue_from_rational(coeff, ctx) * Residue(p * p * poly.value, ctx)
+    return (residue_from_rational(coeff, ctx) * (p * p * poly.value)).value
 
 
 def _conj_exact_scaled(fam, p, n, eps) -> Fraction:
@@ -672,19 +667,20 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
     f_np = _series(dual, x, n * p, ctxw, sweep)
     f_n = _series(dual, x, n, ctxw, sweep)
     diff = (f_np - f_n * eps).value
-    rhs = _conj_rhs(x, ctx)
+    key = ("conj", x)  # one right side per x on ctx, for every n
+    if key not in ctx.tables:
+        ctx.tables[key] = _conj_rhs(x, ctx)
+    rhs = Residue(ctx.tables[key], ctx)
     if diff % p ** max(2, w):
-        return _record(
-            None,
-            rhs,
-            note="divisibility violation: scaled difference is not a p-adic integer "
-            "at the required valuation",
-            oracle=_conj_oracle(fam, p, n, eps, ctx),
+        note = (
+            "divisibility violation: scaled difference is not a p-adic integer "
+            "at the required valuation"
         )
+        return None, rhs, "exact", note, _conj_oracle(fam, p, n, eps, ctx)
     m = ctx.modulus
     lhs = Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
     if lhs.value != rhs.value:
-        return _record(lhs, rhs, oracle=_conj_oracle(fam, p, n, eps, ctx))
+        return lhs, rhs, "exact", None, _conj_oracle(fam, p, n, eps, ctx)
     return lhs, rhs
 
 
@@ -744,8 +740,8 @@ class Suite:
     kind: str  # theorem | identity | conjecture | exploratory
     exponent: int | None
     gen: Callable[[Sweep], Iterable[dict]]
-    #: ``check(sweep, dual, ctx, **params)`` returns `_record`'s args or a `Report`
-    check: Callable[..., tuple | Report]
+    #: ``check(sweep, dual, ctx, **params)`` returns `_record`'s args
+    check: Callable[..., tuple]
     description: str
 
 
@@ -854,17 +850,18 @@ def run_instance(
 
     The check gets the instance's modulus ``ctx``: p^e with e the sweep's
     ``mod_exp`` or else the suite's exponent, or None where the suite has
-    none.  `_record` builds the record from the sides the check returns; a
-    `Report` it returns is kept.  This is the only code that knows the
-    engine: the check gets a `Dual` bound to it, and a record of a check
-    that asked it names the route that ran.  The first value a check asks
-    ``dual`` for is the instance's primary value (its left side); when
-    ``fault_suite`` names this suite (the ``VERIFY_FAULT_INJECT`` self-test)
-    the primary value of the route the engine reports (exact under
-    ``exact``, modular otherwise) is off by one, so ``both`` raises
-    `InternalError` and ``modular`` and ``exact`` report a failure.  Without
-    a ``sweep`` the check gets the primes 5..97 and `Sweep`'s default caps,
-    whatever the environment says.
+    none.  Consecutive instances at the same p^e share one ``ctx`` and its
+    tables (`_modulus`), so a run pays for them once per suite and prime.
+    `_record` builds the record from the sides the check returns.  This is
+    the only code that knows the engine: the check gets a `Dual` bound to
+    it, and a record of a check that asked it names the route that ran.
+    The first value a check asks ``dual`` for is the instance's primary
+    value (its left side); when ``fault_suite`` names this suite (the
+    ``VERIFY_FAULT_INJECT`` self-test) the primary value of the route the
+    engine reports (exact under ``exact``, modular otherwise) is off by one,
+    so ``both`` raises `InternalError` and ``modular`` and ``exact`` report
+    a failure.  Without a ``sweep`` the check gets the primes 5..97 and
+    `Sweep`'s default caps, whatever the environment says.
     """
     suite = REGISTRY[suite_id]
     if sweep is None:
@@ -893,9 +890,8 @@ def run_instance(
     try:
         ctx = None
         if suite.exponent is not None:
-            ctx = PrimePower(params["p"], sweep.mod_exp or suite.exponent)
-        out = suite.check(sweep, dual, ctx, **params)
-        rep = out if isinstance(out, Report) else _record(*out)
+            ctx = _modulus(params["p"], sweep.mod_exp or suite.exponent)
+        rep = _record(*suite.check(sweep, dual, ctx, **params))
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

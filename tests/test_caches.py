@@ -5,11 +5,11 @@ import importlib
 import inspect
 import pkgutil
 import tracemalloc
+import weakref
 from math import comb
 
 import hypercheck
-from hypercheck import series, special, suites
-from hypercheck.padic import PrimePower
+from hypercheck import identities, series, special, suites
 from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
 from hypercheck.suites import (
     CONJECTURE_SUITES,
@@ -46,10 +46,7 @@ def test_every_functools_cache_is_bounded():
     assert {
         "hypercheck._kernel._walker",
         "hypercheck.series._checkpoints",
-        "hypercheck.special._harmonic_row",
-        "hypercheck.suites._alternating_case",
-        "hypercheck.suites._conj_rhs",
-        "hypercheck.suites._tail_case",
+        "hypercheck.suites._modulus",
     } <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -70,14 +67,25 @@ def run_prime(suite_id: str, p: int) -> None:
         assert run_instance(suite_id, params, "both", sweep).passed
 
 
+def assert_tables_of_prime(p: int, e: int, keys: set, previous):
+    """`suites._modulus` holds only p^e, whose tables hold ``keys``, and the
+    modulus of the previous prime, with its tables, is gone."""
+    assert_holds_only(suites._modulus, [(p, e)])
+    ctx = suites._modulus(p, e)
+    assert set(ctx.tables) == keys
+    assert previous is None or previous() is None
+    return weakref.ref(ctx)
+
+
 def test_lemma4_rows_keep_only_the_latest_prime():
-    for suite_id, rows in (
-        ("lemma4", suites._lemma4_rows),
-        ("lemma4-binom", suites._lemma4_binom_rows),
+    for suite_id, keys in (
+        ("lemma4", {"harmonic"} | {("lemma4", fam.x) for fam in QUARTICS}),
+        ("lemma4-binom", {("lemma4-binom", fam.x) for fam in QUARTICS}),
     ):
+        previous = None
         for p in primes_in(5, 31):
             run_prime(suite_id, p)
-            assert_holds_only(rows, [(fam.x, PrimePower(p, 2)) for fam in QUARTICS])
+            previous = assert_tables_of_prime(p, 2, keys, previous)
 
 
 def test_lemma4_reads_no_exact_harmonic_number_past_k(monkeypatch):
@@ -101,9 +109,35 @@ def test_lemma4_reads_no_exact_harmonic_number_past_k(monkeypatch):
 
 def test_harmonic_rows_keep_only_the_latest_prime():
     for suite_id in ("lemma2", "chain-backward"):
+        previous = None
         for p in primes_in(5, 61):
             run_prime(suite_id, p)
-            assert_holds_only(special._harmonic_row, [(PrimePower(p, 1),)])
+            previous = assert_tables_of_prime(p, 1, {"harmonic"}, previous)
+
+
+def test_chain_cases_are_computed_once_per_m_past_512(monkeypatch):
+    # chain-binom and chain-forward read every m < p at every prime, so each
+    # identity case is computed once, however large p grows
+    names = ("alternating_binomial_sum", "tail_harmonic_sum")
+    calls = []
+
+    def counting(name):
+        fn = getattr(identities, name)
+
+        def counted(m):
+            calls.append((name, m))
+            return fn(m)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(identities, name, counting(name))
+    monkeypatch.setattr(suites, "_ALTERNATING", {})
+    monkeypatch.setattr(suites, "_TAIL", {})
+    for p in (521, 523):
+        run_prime("chain-binom", p)
+        run_prime("chain-forward", p)
+    assert sorted(calls) == [(name, m) for name in names for m in range(523)]
 
 
 def clear_binomial_tables() -> None:

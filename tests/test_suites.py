@@ -329,8 +329,7 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
         return product(fam, n)
 
     monkeypatch.setattr(QuarticFamily, "binomial_product", recording)
-    suites._lemma4_rows.cache_clear()
-    suites._lemma4_binom_rows.cache_clear()
+    suites._modulus.cache_clear()
     sweep = Sweep(primes=(101,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom"):
         for params in REGISTRY[suite_id].gen(sweep):
@@ -338,6 +337,36 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
             assert rep.passed or rep.error.startswith("BudgetExceeded")
     assert seen
     assert all(c * n <= 10 for fam, n in seen for c, _ in fam.binomials)
+
+
+ORDER_SWEEP = small_sweep()
+ORDER_CASES = [
+    (suite_id, params)
+    for suite_id in ("lemma2", "lemma4", "lemma4-binom", "chain-backward", "conj-1/3")
+    for params in REGISTRY[suite_id].gen(ORDER_SWEEP)
+]
+
+
+def order_record(suite_id: str, params: dict):
+    rep = run_instance(suite_id, params, "both", ORDER_SWEEP)
+    rep.elapsed_ms = 0.0
+    return rep
+
+
+@pytest.fixture(scope="module")
+def in_order_records():
+    records = [order_record(*case) for case in ORDER_CASES]
+    assert all(rep.passed for rep in records)
+    return records
+
+
+@settings(max_examples=25)
+@given(st.lists(st.integers(0, len(ORDER_CASES) - 1), min_size=1, max_size=60))
+def test_records_do_not_depend_on_instance_order(in_order_records, picks):
+    # the per-p^e tables are caches: any order, across suites and primes,
+    # gives every instance its in-order record
+    for i in picks:
+        assert order_record(*ORDER_CASES[i]) == in_order_records[i]
 
 
 def test_conjecture_failure_attaches_exact_oracle():
