@@ -125,8 +125,6 @@ class Residue:
             return v
         return Residue(self.value + v, self.ctx)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         v = self._lift(other)
         if v is NotImplemented:
@@ -138,8 +136,6 @@ class Residue:
         if v is NotImplemented:
             return v
         return Residue(self.value * v, self.ctx)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return Residue(-self.value, self.ctx)

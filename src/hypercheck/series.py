@@ -19,20 +19,16 @@ The modular engine walks the term recurrence with valuation-tracked
 units, once per series and p^e, resuming from checkpoints at the stops
 already asked for (see ``_kernel``), and `QuarticFamily.term_scaled`
 reads quartic terms from the same walk.  The exact engine is the independent
-oracle and has the same design over the integers: a window [a, b) is
-S(b) - S(a) mod p^e, where S(j) is the exact prefix sum of the terms below
-j from binary splitting over the term ratio, reduced once mod p^e
-(`window_residue_exact`).  The ratio factors do not depend on p, so
-F(x; p), F(x; n p) and F(x; p^2) at every prime are prefixes of one
-integer sequence per x.  `_checkpoints(x)` holds checkpoints of it keyed
-by x only, and a prefix resumes from the nearest checkpoint at or below
-its stop, splitting only the missing factors.  The table holds big
-integers, so it keeps at most `SERIES_LIMIT` series (an `lru_cache`) of at
-most `CHECKPOINT_LIMIT` checkpoints each, least recently used evicted
-first at both levels, and a resume moves its base checkpoint forward
-instead of adding one.
-`series_fraction` reads F(x; N) from the same table as one exact rational,
-for the conjecture oracle's failure text.
+oracle: a window [a, b) is S(b) - S(a) mod p^e, where S(j) is the prefix
+sum of the terms below j (`window_residue_exact`).  The ratio factors do
+not depend on p, so F(x; p), F(x; n p) and F(x; p^2) at every prime are
+prefixes of one integer sequence per x.  `_blocks(x)`, keyed by x only,
+holds exact binary-splitting blocks of `_LEAF` consecutive factors, built
+in index order as requests reach them, and a prefix folds the blocks below
+its stop mod p^(2v+e), whatever was asked before.  The table keeps the
+blocks of the last `SERIES_LIMIT` series used (an `lru_cache`).
+`series_fraction` splits F(x; N) on its own as one exact rational, for
+the conjecture oracle's failure text.
 """
 
 from __future__ import annotations
@@ -56,29 +52,20 @@ from .padic import (
 
 # --- exact engine ----------------------------------------------------------
 
-# Below this many ratio factors, `_split` folds them sequentially.
-_LEAF = 16
+# Below this many ratio factors, `_split` folds them sequentially; it is
+# also the length of the prefix table's blocks.
+_LEAF = 64
 
-# Both levels of the prefix table evict least recently used first.  A resume
-# moves its base checkpoint forward to the new stop, so a sweep that climbs
-# with p keeps about one checkpoint per kind of stop: five per x on conj
-# (stops 2, 3, p, 2p and 3p), and at most 15 in any series on the default
-# sweep without the bounds.  The bounds are for requests in other orders
-# (falling stops keep every checkpoint) and for sweeps over many x.  The
-# three integers of checkpoint j have O(j log j) bits: about 100 KB in all
-# at j = 97^2 and 1.4 MB at the default series cap of 100,000 terms, so the
-# table holds at most 48 checkpoints, 68 MB in the worst case.  Six per
-# series keep all of conj's gain: `conj --p-max 499` took 0.24 s of CPU
-# with these bounds and unbounded, against 0.63 s when every window was
-# split from k = 0; four re-split 94,000 factors instead of 12,000.
+# A series' blocks hold O(j log j) bits up to factor j, about 1.6 MB at the
+# default series cap of 100,000 terms, so the table holds about 13 MB at most.
 SERIES_LIMIT = 8
-CHECKPOINT_LIMIT = 6
 
 
 @lru_cache(maxsize=SERIES_LIMIT)
-def _checkpoints(x: Fraction) -> dict[int, tuple[int, int, int]]:
-    """The checkpoints {j: (P, Q, T)} of F(x; N), least recently used first."""
-    return {}
+def _blocks(x: Fraction) -> list[tuple[int, int, int]]:
+    """Entry i is `_split` (P, Q, T) of the ratio factors of F(x; N) from
+    i `_LEAF` up to (i + 1) `_LEAF`."""
+    return []
 
 
 def _ratio_factors(x: Fraction, start: int, stop: int) -> tuple[list[int], list[int]]:
@@ -111,51 +98,48 @@ def _split(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[int, int
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _prefix_sum(x: Fraction, stop: int) -> tuple[int, int]:
-    """The sum of the terms below ``stop`` as the integers (num, den).
-
-    Resumes from the series' nearest checkpoint at or below j = stop - 1,
-    splits only the missing factors [k, j) and merges them in as
-    (P0 P1, Q0 Q1, T0 Q1 + P0 T1), and keeps the result as checkpoint j
-    in place of checkpoint k.  A zero factor (integer x) zeroes P, so later
-    merges add nothing to the sum.
-    """
-    if stop <= 1:
-        return stop, 1
-    checkpoints = _checkpoints(x)
-    j = stop - 1
-    k = max((i for i in checkpoints if i <= j), default=0)
-    p, q, t = checkpoints.pop(k, (1, 1, 0))
-    if k < j:
-        nums, dens = _ratio_factors(x, k, j)
-        p1, q1, t1 = _split(nums, dens, 0, j - k)
-        p, q, t = p * p1, q * q1, t * q1 + p * t1
-        if len(checkpoints) >= CHECKPOINT_LIMIT:
-            del checkpoints[next(iter(checkpoints))]
-    checkpoints[j] = p, q, t
-    return q + t, q
-
-
 def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     """The sum of the terms below ``stop`` reduced mod p^e, raising
     `InternalError` unless it is p-integral over a denominator whose p-power
-    is the one Legendre's formula gives."""
-    num, den = _prefix_sum(x, stop)
-    p, m = ctx.p, ctx.modulus
-    v, j = 0, stop - 1
-    while j > 0:
-        j //= p
-        v += j
+    is the one Legendre's formula gives.
+
+    The sum is 1 + T / Q over the ratio factors [0, stop - 1), folded right
+    to left mod p^(2v+e) from (Q, T) = (1, 0): first the factors past the
+    last whole block, one at a time, then the blocks, each put in front as
+    (Q1 Q, T1 Q + P1 T).  A zero factor (integer x) zeroes every later
+    term.  The blocks are built on first use and kept in `_blocks`.
+    """
+    p, j = ctx.p, stop - 1
+    v, i = 0, j
+    while i > 0:
+        i //= p
+        v += i
     pv = p ** (2 * v)
-    num, den = num % (pv * m), den % (pv * m)
+    mod = pv * ctx.modulus
+    whole = j // _LEAF
+    blocks = _blocks(x)
+    if len(blocks) < whole:
+        nums, dens = _ratio_factors(x, len(blocks) * _LEAF, whole * _LEAF)
+        blocks += [_split(nums, dens, lo, lo + _LEAF) for lo in range(0, len(nums), _LEAF)]
+    nums, dens = _ratio_factors(x, whole * _LEAF, j)
+    q, t = 1, 0
+    for n, d in zip(reversed(nums), reversed(dens)):
+        q, t = d * q % mod, n * (q + t) % mod
+    for p1, q1, t1 in reversed(blocks[:whole]):
+        q, t = q1 * q % mod, (t1 * q + p1 * t) % mod
+    num, den = q + t, q
     if num % pv or den % pv or den // pv % p == 0:
         raise InternalError(f"F({x}; {stop}) is not {p}-integral")
     return residue_from_rational(Fraction(num // pv, den // pv), ctx)
 
 
 def series_fraction(x: PadicInput, stop: int) -> Fraction:
-    """F(x; stop) as one exact rational, read from the prefix table."""
-    return Fraction(*_prefix_sum(as_fraction(x), stop))
+    """F(x; stop) as one exact rational, split from k = 0 on its own."""
+    if stop <= 0:
+        return Fraction(0)
+    nums, dens = _ratio_factors(as_fraction(x), 0, stop - 1)
+    _, q, t = _split(nums, dens, 0, stop - 1)
+    return Fraction(q + t, q)
 
 
 def window_residue_exact(
@@ -163,15 +147,14 @@ def window_residue_exact(
 ) -> Residue:
     """Sum of terms k_start <= k < k_stop, evaluated exactly, reduced mod p^e.
 
-    The window is S(k_stop) - S(k_start), where S(j) is the exact prefix
-    sum 1 + T / Q from binary splitting over the ratio factors (Haible and
-    Papanikolaou, "Fast multiprecision evaluation of series of rational
-    numbers", ANTS-III, 1998), reduced once: Q is xd^(2(j-1)) ((j-1)!)^2
-    with xd prime to p, so its p-power p^v has v = 2 sum_i floor((j-1)/p^i)
-    (Legendre's formula), both integers are taken mod p^(v+e), the numerator
-    is checked for p-integrality, and the p-free part of Q is inverted mod
-    p^e.  Every term is p-integral, so every prefix is.  The lower prefix
-    is read first, so the upper one extends it.
+    The window is S(k_stop) - S(k_start), where S(j) is the prefix sum
+    1 + T / Q over the ratio factors, folded from exact binary-splitting
+    blocks (Haible and Papanikolaou, "Fast multiprecision evaluation of
+    series of rational numbers", ANTS-III, 1998) mod p^(v+e): Q is
+    xd^(2(j-1)) ((j-1)!)^2 with xd prime to p, so its p-power p^v has
+    v = 2 sum_i floor((j-1)/p^i) (Legendre's formula), the numerator is
+    checked for p-integrality, and the p-free part of Q is inverted mod
+    p^e.  Every term is p-integral, so every prefix is.
     """
     x = require_p_integral(x, ctx.p)  # a Fraction: 3 and Fraction(3) share a table
     if k_stop <= k_start:

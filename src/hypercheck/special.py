@@ -29,12 +29,13 @@ from .padic import (
 )
 
 
-def fermat_quotient(a: int, p: int) -> Residue:
-    """(a^(p-1) - 1)/p mod p."""
+def fermat_quotient(a: int, ctx: PrimePower) -> Residue:
+    """(a^(p-1) - 1)/p mod p, in the mod-p context ``ctx``."""
+    p = ctx.p
     if a % p == 0:
         raise NonUnit(f"{a} is divisible by {p}")
     q = (pow(a, p - 1, p * p) - 1) // p
-    return Residue(q, PrimePower(p, 1))
+    return Residue(q, ctx)
 
 
 def legendre(a: int, p: int) -> int:

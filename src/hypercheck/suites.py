@@ -307,12 +307,13 @@ def gen_lemma1(sweep):
 
 
 def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
+    ctx = _modulus(p, 1)  # the suite has no exponent: mod p under any --mod-exp
     if form == "product":
-        lhs = special.fermat_quotient(a * b, p)
-        rhs = special.fermat_quotient(a, p) + special.fermat_quotient(b, p)
+        lhs = special.fermat_quotient(a * b, ctx)
+        rhs = special.fermat_quotient(a, ctx) + special.fermat_quotient(b, ctx)
     else:
-        lhs = special.fermat_quotient(a**r, p)
-        rhs = special.fermat_quotient(a, p) * r
+        lhs = special.fermat_quotient(a**r, ctx)
+        rhs = special.fermat_quotient(a, ctx) * r
     return lhs, rhs, "modular"
 
 
@@ -326,8 +327,8 @@ def check_lemma2(sweep, dual, ctx, p, d):
     _need_series(p, sweep)
     ctx = _modulus(p, 1)  # mod p under any --mod-exp
     lhs = special.harmonic_mod(p // d, ctx)
-    q2 = special.fermat_quotient(2, p)
-    q3 = special.fermat_quotient(3, p)
+    q2 = special.fermat_quotient(2, ctx)
+    q3 = special.fermat_quotient(3, ctx)
     half3 = residue_from_rational(Fraction(3, 2), ctx)
     if d == 2:
         rhs = -(q2 * 2)

@@ -10,6 +10,7 @@ from math import comb
 
 import hypercheck
 from hypercheck import identities, series, special, suites
+from hypercheck.padic import PrimePower
 from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
 from hypercheck.suites import (
     CONJECTURE_SUITES,
@@ -45,7 +46,7 @@ def test_every_functools_cache_is_bounded():
     caches = functools_caches()
     assert {
         "hypercheck._kernel._walker",
-        "hypercheck.series._checkpoints",
+        "hypercheck.series._blocks",
         "hypercheck.suites._modulus",
     } <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
@@ -113,6 +114,24 @@ def test_harmonic_rows_keep_only_the_latest_prime():
         for p in primes_in(5, 61):
             run_prime(suite_id, p)
             previous = assert_tables_of_prime(p, 1, {"harmonic"}, previous)
+
+
+def test_lemma1_and_lemma2_build_one_modulus_per_prime(monkeypatch):
+    # every Fermat quotient and harmonic number of a prime's lemma1 and
+    # lemma2 instances lives on the run's mod-p modulus
+    built = []
+    init = PrimePower.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PrimePower, "__init__", counting)
+    suites._modulus.cache_clear()
+    for p in (13, 17):
+        run_prime("lemma1", p)
+        run_prime("lemma2", p)
+    assert built == [(13, 1), (17, 1)]
 
 
 def test_chain_cases_are_computed_once_per_m_past_512(monkeypatch):

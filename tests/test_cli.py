@@ -921,8 +921,8 @@ def test_series_walker_table_stays_bounded(tmp_path):
 
 def test_exact_prefix_table_stays_bounded(tmp_path):
     # sun asks for 210 x at every prime to 199: the run peaks near 0.07 MB
-    # with the bounded prefix table and near 0.25 MB without the bounds
-    series._checkpoints.cache_clear()
+    # with the bounded block table and near 0.37 MB without the bound
+    series._blocks.cache_clear()
     argv = ["sun", "--p-max", "199", "--engine", "exact", "--out", str(tmp_path / "o")]
     cfg = cli.parse_args(argv)
     tracemalloc.start()
@@ -932,7 +932,7 @@ def test_exact_prefix_table_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert series._checkpoints.cache_info().currsize == series.SERIES_LIMIT
+    assert series._blocks.cache_info().currsize == series.SERIES_LIMIT
     assert peak < 2**17, peak
 
 

@@ -8,7 +8,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import is_, itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -196,8 +196,9 @@ def test_non_unit_series_parameters_rejected():
 
 def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
     # unreachable unless the ratio factors are wrong: every term is
-    # p-integral; the empty table makes the oracle split the bad factors
-    # instead of answering from a checkpoint built earlier
+    # p-integral; the empty table makes the oracle split the bad factors,
+    # past the last block and in blocks, instead of folding blocks built
+    # earlier
     ratio_factors = series._ratio_factors
 
     def one_p_too_many(x, start, stop):
@@ -206,8 +207,9 @@ def test_non_integral_oracle_sum_is_an_internal_error(monkeypatch):
 
     fresh_prefix_table(monkeypatch)
     monkeypatch.setattr(series, "_ratio_factors", one_p_too_many)
-    with pytest.raises(InternalError, match="is not 5-integral"):
-        window_residue_exact(Fraction(1, 2), 0, 3, PrimePower(5, 2))
+    for stop in (3, 2 * series._LEAF + 1):
+        with pytest.raises(InternalError, match="is not 5-integral"):
+            window_residue_exact(Fraction(1, 2), 0, stop, PrimePower(5, 2))
 
 
 @st.composite
@@ -249,17 +251,26 @@ def test_binary_splitting_oracle_on_long_windows():
                 assert window_residue_exact(fam.x, lo, hi, ctx) == want
 
 
-def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[dict]:
-    """Point the oracle at an empty prefix table of ``series_limit`` series;
-    returns every checkpoint dict the table makes, evicted ones included."""
-    made, build = [], series._checkpoints.__wrapped__
+def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[tuple]:
+    """Point the oracle at an empty block table of ``series_limit`` series;
+    returns (x, blocks) for every block list the table makes, evicted ones
+    included."""
+    made, build = [], series._blocks.__wrapped__
 
-    def checkpoints(x):
-        made.append(build(x))
-        return made[-1]
+    def blocks(x):
+        made.append((x, build(x)))
+        return made[-1][1]
 
-    mp.setattr(series, "_checkpoints", lru_cache(maxsize=series_limit)(checkpoints))
+    mp.setattr(series, "_blocks", lru_cache(maxsize=series_limit)(blocks))
     return made
+
+
+def assert_blocks_are_fresh_splits(x: Fraction, blocks: list) -> None:
+    """Block i is `_split` of the ratio factors [i _LEAF, (i+1) _LEAF) of x."""
+    leaf = series._LEAF
+    for i, block in enumerate(blocks):
+        nums, dens = series._ratio_factors(x, i * leaf, (i + 1) * leaf)
+        assert block == series._split(nums, dens, 0, leaf)
 
 
 def assert_oracle_matches_reference(x, k_start, k_stop, ctx):
@@ -281,8 +292,8 @@ def quartic_windows(x: Fraction) -> list:
 
 @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
 def test_prefix_table_serves_any_request_order(monkeypatch, order):
-    # stops of one x shared across primes and exponents: every request
-    # resumes from whatever checkpoints the earlier ones left
+    # stops of one x shared across primes and exponents: whatever the order,
+    # the requests fold the same blocks, up to the highest stop asked
     windows = quartic_windows(Fraction(1, 3))
     if order == "rising":
         windows.sort(key=lambda w: (w[2], w[1]))
@@ -293,45 +304,35 @@ def test_prefix_table_serves_any_request_order(monkeypatch, order):
     made = fresh_prefix_table(monkeypatch)
     for window in windows:
         assert_oracle_matches_reference(*window)
-        assert all(len(cps) <= series.CHECKPOINT_LIMIT for cps in made)
-    assert len(made) == 1
+    [(x, blocks)] = made
+    assert len(blocks) == (13 * 13 - 1) // series._LEAF
+    assert_blocks_are_fresh_splits(x, blocks)
 
 
-def test_rising_stops_move_one_checkpoint_forward(monkeypatch):
-    # each resume replaces its base, so a series that climbs holds a single
-    # checkpoint however far it climbs
-    made = fresh_prefix_table(monkeypatch)
-    ctx = PrimePower(5, 3)
-    for stop in range(10, 201, 10):
-        assert_oracle_matches_reference(Fraction(1, 2), 0, stop, ctx)
-        assert len(made) == 1 and list(made[0]) == [stop - 1]
-
-
-def test_prefix_table_evicts_series_and_checkpoints(monkeypatch):
-    # more series than SERIES_LIMIT, each asked for more falling stops than
-    # CHECKPOINT_LIMIT (a falling stop has no checkpoint below it to move
-    # forward, so each adds one), twice over: both levels evict, and every
-    # series of the second pass restarts from an empty dict
+def test_prefix_table_evicts_least_recent_series(monkeypatch):
+    # more series than SERIES_LIMIT, twice over: the table evicts the series
+    # used longest ago, and every series of the second pass restarts from an
+    # empty block list
     made = fresh_prefix_table(monkeypatch)
     ctx = PrimePower(7, 4)
     xs = [Fraction(i, 4) for i in range(1, series.SERIES_LIMIT + 3)]
-    stops = range(3 + 4 * (series.CHECKPOINT_LIMIT + 2), 2, -4)
+    stops = range(3 + 2 * series._LEAF, 2, -16)
     for _ in range(2):
         for x in xs:
             for stop in stops:
                 assert_oracle_matches_reference(x, 0, stop, ctx)
                 assert_oracle_matches_reference(x, stop - 3, stop, ctx)
-            assert len(made[-1]) == series.CHECKPOINT_LIMIT
-            assert series._checkpoints.cache_info().currsize <= series.SERIES_LIMIT
+            assert made[-1][0] == x and len(made[-1][1]) == 2
+            assert series._blocks.cache_info().currsize <= series.SERIES_LIMIT
     assert len(made) == 2 * len(xs)
-    assert series._checkpoints.cache_info().currsize == series.SERIES_LIMIT
+    assert series._blocks.cache_info().currsize == series.SERIES_LIMIT
 
 
 @st.composite
 def table_requests(draw):
-    """2-12 windows of F(x; N) on up to three x, integer x (dead terms)
-    among them, at p in 5..13 and e in 1..6, with stop 0, k_start > 0 and
-    empty windows in the mix."""
+    """2-12 windows of F(x; N) in random order on up to three x, integer x
+    (dead terms) among them, at p in 5..13 and e in 1..6, with stop 0,
+    stops past several blocks, k_start > 0 and empty windows in the mix."""
     xs = draw(
         st.lists(
             st.builds(
@@ -348,7 +349,8 @@ def table_requests(draw):
         p = draw(st.sampled_from((5, 7, 11, 13)))
         k_stop = draw(
             st.one_of(
-                st.sampled_from((0, p, 2 * p, p * p)), st.integers(min_value=0, max_value=4 * p)
+                st.sampled_from((0, p, 2 * p, p * p, 3 * p * p)),
+                st.integers(min_value=0, max_value=4 * p),
             )
         )
         k_start = draw(st.integers(min_value=0, max_value=k_stop + 2))
@@ -358,28 +360,34 @@ def table_requests(draw):
 
 
 @settings(max_examples=200)
-@given(table_requests(), st.sampled_from(((8, 6), (2, 2), (1, 1))))
-# dead terms: a zero factor before a checkpoint, and checkpoints on both
-# sides of it, so later merges must keep the sum
+@given(table_requests(), st.sampled_from((8, 2, 1)))
+# dead terms: a zero factor inside the first block, and blocks and factors
+# past it, so the fold must keep the sum
 @example(
     [
         (-3, 0, 2, PrimePower(5, 2)),
-        (-3, 0, 30, PrimePower(5, 2)),
-        (-3, 2, 30, PrimePower(7, 3)),
-        (-3, 31, 60, PrimePower(7, 3)),
-        (4, 0, 60, PrimePower(11, 6)),
+        (-3, 0, 150, PrimePower(5, 2)),
+        (-3, 2, 150, PrimePower(7, 3)),
+        (-3, 131, 200, PrimePower(7, 3)),
+        (4, 0, 200, PrimePower(11, 6)),
     ],
-    (8, 6),
+    8,
 )
-@example([(Fraction(1, 2), 0, 0, PrimePower(5, 1))] * 2, (1, 1))
-def test_prefix_table_matches_sequential_reference(requests, limits):
+@example([(Fraction(1, 2), 0, 0, PrimePower(5, 1))] * 2, 1)
+def test_prefix_table_matches_sequential_reference(requests, series_limit):
+    # after every request the residue is the sequential sum's, and every
+    # block list is fresh splits of consecutive ranges that only grew at its
+    # end: no block is rebuilt in place or dropped
     with pytest.MonkeyPatch.context() as mp:
-        made = fresh_prefix_table(mp, limits[0])
-        mp.setattr(series, "CHECKPOINT_LIMIT", limits[1])
+        made = fresh_prefix_table(mp, series_limit)
         for window in requests:
+            before = [list(blocks) for _, blocks in made]
             assert_oracle_matches_reference(*window)
-            assert series._checkpoints.cache_info().currsize <= limits[0]
-            assert all(len(cps) <= limits[1] for cps in made)
+            assert series._blocks.cache_info().currsize <= series_limit
+            for (_, blocks), old in zip(made, before):
+                assert len(blocks) >= len(old) and all(map(is_, old, blocks))
+            for x, blocks in made:
+                assert_blocks_are_fresh_splits(x, blocks)
 
 
 @given(
@@ -395,11 +403,11 @@ def test_series_fraction_matches_sequential_sum(x, stops):
 def test_int_and_fraction_x_share_one_prefix_table():
     # the engines turn x into a Fraction: lru_cache alone keys 3 and
     # Fraction(3) apart, and sun's integer lifts would build a second table
-    series._checkpoints.cache_clear()
+    series._blocks.cache_clear()
     ctx = PrimePower(7, 3)
     low = window_residue_exact(3, 0, 10, ctx)
     high = window_residue_exact(Fraction(3), 0, 20, ctx)
-    assert series._checkpoints.cache_info().currsize == 1
+    assert series._blocks.cache_info().currsize == 1
     assert low == window_sum_mod(3, 0, 10, ctx)
     assert high == window_sum_mod(Fraction(3), 0, 20, ctx)
 

@@ -45,12 +45,13 @@ def reference_euler() -> list[int]:
 
 @given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=10**6))
 def test_fermat_quotient_definition(p, a):
+    ctx = PrimePower(p, 1)
     if a % p == 0:
         with pytest.raises(NonUnit):
-            special.fermat_quotient(a, p)
+            special.fermat_quotient(a, ctx)
         return
-    q = special.fermat_quotient(a, p)
-    assert q.ctx == PrimePower(p, 1)
+    q = special.fermat_quotient(a, ctx)
+    assert q.ctx is ctx
     assert q.value == (pow(a, p - 1, p * p) - 1) // p % p
 
 
