@@ -309,6 +309,23 @@ def test_prefix_table_serves_any_request_order(monkeypatch, order):
     assert_blocks_are_fresh_splits(x, blocks)
 
 
+def test_rising_stops_move_one_checkpoint_forward(monkeypatch):
+    # the end of a series' block list is its one checkpoint: a series that
+    # climbs moves it forward by appending the blocks below each new stop,
+    # and keeps every block it built before
+    made = fresh_prefix_table(monkeypatch)
+    ctx = PrimePower(5, 3)
+    old = []
+    for stop in range(10, 201, 10):
+        assert_oracle_matches_reference(Fraction(1, 2), 0, stop, ctx)
+        [(x, blocks)] = made
+        assert len(blocks) == (stop - 1) // series._LEAF
+        assert all(map(is_, old, blocks))
+        old = list(blocks)
+    assert len(old) == 3
+    assert_blocks_are_fresh_splits(x, old)
+
+
 def test_prefix_table_evicts_least_recent_series(monkeypatch):
     # more series than SERIES_LIMIT, twice over: the table evicts the series
     # used longest ago, and every series of the second pass restarts from an
