@@ -9,10 +9,13 @@ symmetry.  Each identity function returns its two sides as a pair
 (lhs, rhs); each side is exact: a `fractions.Fraction`, or an `int` for
 the negation symmetry.  The hot sums run over integers and build one
 `Fraction` at the end: the alternating sums share one accumulator,
-`_alternating`, which walks the signed-binomial row by its ratio; the
-convolution's right side is one Horner sum over a common denominator
-(`_convolution_sum`); the negation binomials are integers.  Every integer
-step that must divide exactly is a checked exact division (`_exact_div`).
+`_alternating`, which walks the signed-binomial row by its ratio over
+weights that are integer numerators over one lcm denominator (harmonic
+numbers from `_harmonic_numerators`; the right sides read
+`special.harmonic_exact`); the convolution's right side is one Horner sum
+over a common denominator (`_convolution_sum`); the negation binomials are
+integers.  Every integer step that must divide exactly is a checked exact
+division (`_exact_div`).
 
 This module is also the one home of the exact sequences that the theorem
 suites share with these identities: the partial-fraction weight
@@ -51,20 +54,26 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _alternating(n: int, weights: list, start: int = 0) -> Fraction:
-    """Sum over start <= k <= n of (-1)^k C(n,k)C(n+k,k) w_k for weights
-    w_start, ..., w_n: one integer over the lcm of their denominators.
+def _alternating(n: int, numerators: list, start: int = 0, den: int = 1) -> Fraction:
+    """Sum over start <= k <= n of (-1)^k C(n,k)C(n+k,k) w_k / den for
+    integer numerators w_start, ..., w_n over one denominator: a single
+    `Fraction` at the end.
 
     The signed binomial walks its row from k = start by the ratio
     -(n-k)(n+k+1)/(k+1)^2, one checked exact division per step.
     """
-    den = lcm(*(w.denominator for w in weights))
     c = signed_binomial(n, start)
     total = 0
-    for k, w in enumerate(weights, start):
-        total += c * (w.numerator * (den // w.denominator))
+    for k, w in enumerate(numerators, start):
+        total += c * w
         c = _exact_div(-c * (n - k) * (n + k + 1), (k + 1) ** 2)
     return Fraction(total, den)
+
+
+def _harmonic_numerators(m: int) -> tuple[list[int], int]:
+    """H_0, ..., H_m as integer numerators over L = lcm(1..m), and L."""
+    den = lcm(*range(1, m + 1))
+    return list(accumulate((den // i for i in range(1, m + 1)), initial=0)), den
 
 
 def alternating_binomial_sum(n: int) -> tuple[Fraction, Fraction]:
@@ -74,20 +83,21 @@ def alternating_binomial_sum(n: int) -> tuple[Fraction, Fraction]:
 
 def harmonic_weighted_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 1 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_k equals 2(-1)^n H_n."""
-    lhs = _alternating(n, [harmonic_exact(k) for k in range(1, n + 1)], start=1)
+    h, den = _harmonic_numerators(n)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return lhs, rhs
+    return _alternating(n, h[1:], 1, den), rhs
 
 
 def tail_harmonic_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum of (-1)^k C(n,k)C(n+k,k) * (1/(n+1) + ... + 1/(n+k)) equals (-1)^n H_n.
 
-    The inner sums are accumulated term by term, independently of the
-    harmonic-difference route used in `harmonic_difference_chain`.
+    The inner sums are running sums of numerators over lcm(n+1..2n),
+    independent of the harmonic-difference route of `harmonic_difference_chain`.
     """
-    inner = list(accumulate(Fraction(1, n + k) for k in range(1, n + 1)))
+    den = lcm(*range(n + 1, 2 * n + 1))
+    inner = list(accumulate(den // (n + k) for k in range(1, n + 1)))
     rhs = Fraction(-1) ** n * harmonic_exact(n)
-    return _alternating(n, inner, start=1), rhs
+    return _alternating(n, inner, 1, den), rhs
 
 
 def shifted_harmonic_sum_printed(n: int) -> tuple[Fraction, Fraction]:
@@ -97,16 +107,16 @@ def shifted_harmonic_sum_printed(n: int) -> tuple[Fraction, Fraction]:
     H_n.  In that form the equality fails for every n >= 1 (the two sides
     differ by exactly H_n); the full variant below includes k=0 and holds.
     """
-    lhs = _alternating(n, [harmonic_exact(n + k) for k in range(1, n + 1)], start=1)
+    h, den = _harmonic_numerators(2 * n)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return lhs, rhs
+    return _alternating(n, h[n + 1 :], 1, den), rhs
 
 
 def shifted_harmonic_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum over 0 <= k <= n of (-1)^k C(n,k)C(n+k,k) H_{n+k} equals 2(-1)^n H_n."""
-    lhs = _alternating(n, [harmonic_exact(n + k) for k in range(n + 1)])
+    h, den = _harmonic_numerators(2 * n)
     rhs = 2 * Fraction(-1) ** n * harmonic_exact(n)
-    return lhs, rhs
+    return _alternating(n, h[n:], 0, den), rhs
 
 
 def harmonic_difference_chain(n: int) -> tuple[Fraction, Fraction]:
@@ -115,9 +125,9 @@ def harmonic_difference_chain(n: int) -> tuple[Fraction, Fraction]:
     The step that links the alternating-sum and shifted-harmonic
     identities to the tail form, checked as an identity of its own.
     """
-    hn = harmonic_exact(n)
-    lhs = _alternating(n, [harmonic_exact(n + k) - hn for k in range(n + 1)])
-    return lhs, Fraction(-1) ** n * hn
+    h, den = _harmonic_numerators(2 * n)
+    lhs = _alternating(n, [w - h[n] for w in h[n:]], 0, den)
+    return lhs, Fraction(-1) ** n * harmonic_exact(n)
 
 
 # --- partial-fraction decompositions ---------------------------------------

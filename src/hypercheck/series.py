@@ -107,7 +107,8 @@ def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     to left mod p^(2v+e) from (Q, T) = (1, 0): first the factors past the
     last whole block, one at a time, then the blocks, each put in front as
     (Q1 Q, T1 Q + P1 T).  A zero factor (integer x) zeroes every later
-    term.  The blocks are built on first use and kept in `_blocks`.
+    term.  The blocks are built one at a time on first use and kept in
+    `_blocks`.
     """
     p, j = ctx.p, stop - 1
     v, i = 0, j
@@ -118,9 +119,8 @@ def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     mod = pv * ctx.modulus
     whole = j // _LEAF
     blocks = _blocks(x)
-    if len(blocks) < whole:
-        nums, dens = _ratio_factors(x, len(blocks) * _LEAF, whole * _LEAF)
-        blocks += [_split(nums, dens, lo, lo + _LEAF) for lo in range(0, len(nums), _LEAF)]
+    for lo in range(len(blocks) * _LEAF, whole * _LEAF, _LEAF):
+        blocks.append(_split(*_ratio_factors(x, lo, lo + _LEAF), 0, _LEAF))
     nums, dens = _ratio_factors(x, whole * _LEAF, j)
     q, t = 1, 0
     for n, d in zip(reversed(nums), reversed(dens)):

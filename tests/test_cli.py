@@ -705,6 +705,16 @@ PINNED_STREAMS = {
         ("identities",), {"VERIFY_BUDGET_IDENTITY": None}, 0, 96017,
         "95a827b412dd27704a9f428bb9ad45f1360dc68aae44d4156f6d081f356947fa",
     ),
+    # `verify identity-harmonic identity-tail identity-shifted identity-chain
+    # identity-shifted-printed` at the default index cap of 300, recorded
+    # before the harmonic sums moved to integer numerators over one lcm
+    # denominator; the printed form fails on purpose (exit 1)
+    "harmonic-sums-300": Pinned(
+        ("identity-harmonic", "identity-tail", "identity-shifted", "identity-chain",
+         "identity-shifted-printed"),
+        {"VERIFY_BUDGET_IDENTITY": None}, 1, 1502,
+        "0d962045f4a7ad654cd854e1a011c976d0ddd5e3a0f968d61f2c679044c51a36",
+    ),
     # `verify rv-x --p-max 31`, recorded before the series layer was
     # specialized to F(x; N): general x and the n*p sums, with genuine
     # counterexamples (exit 1)
@@ -789,6 +799,10 @@ def test_default_sweep_exact_stream_matches_pinned_digest(capsys, monkeypatch):
 
 def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
     assert_pinned(capsys, monkeypatch, "identities")
+
+
+def test_harmonic_sum_streams_to_300_match_pinned_digest(capsys, monkeypatch):
+    assert_pinned(capsys, monkeypatch, "harmonic-sums-300")
 
 
 @pytest.mark.parametrize("engine", ["both", "exact", "modular"])

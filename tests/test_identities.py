@@ -1,7 +1,8 @@
 """Exact combinatorial identities behind the congruence proofs."""
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,17 +66,30 @@ def alternating_args(draw):
     weights = draw(
         st.lists(st.fractions(max_denominator=1000), min_size=size, max_size=size)
     )
-    return n, weights, start
+    numerators = draw(st.lists(st.integers(), min_size=size, max_size=size))
+    den = draw(st.integers(min_value=1, max_value=10**6))
+    return n, weights, start, numerators, den
 
 
 @given(alternating_args())
-@example((0, [], 1))  # the empty sum
+@example((0, [], 1, [], 1))  # the empty sum
 def test_alternating_matches_direct_sum(args):
-    n, weights, start = args
+    n, weights, start, numerators, den = args
     direct = sum(
         (signed_binomial(n, k) * w for k, w in enumerate(weights, start)), Fraction(0)
     )
     assert identities._alternating(n, weights, start) == direct
+    direct = sum(signed_binomial(n, k) * w for k, w in enumerate(numerators, start))
+    assert identities._alternating(n, numerators, start, den) == Fraction(direct, den)
+
+
+@given(st.integers(min_value=0, max_value=400))
+@example(0)
+def test_harmonic_numerators_are_harmonic_numbers(m):
+    h, den = identities._harmonic_numerators(m)
+    assert den == lcm(*range(1, m + 1))
+    assert len(h) == m + 1
+    assert all(Fraction(w, den) == harmonic_exact(k) for k, w in enumerate(h))
 
 
 def test_alternating_walks_the_signed_binomial_row():
@@ -92,6 +106,49 @@ def test_alternating_row_at_index_300(j):
     unit = [0] * 301
     unit[j] = 1
     assert identities._alternating(300, unit) == signed_binomial(300, j)
+
+
+def _reference_alternating(n, weights, start=0):
+    """The signed-binomial row summed over Fraction weights on the lcm of
+    their denominators: the accumulator before the weights became integer
+    numerators over one denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    c = signed_binomial(n, start)
+    total = 0
+    for k, w in enumerate(weights, start):
+        total += c * (w.numerator * (den // w.denominator))
+        c = identities._exact_div(-c * (n - k) * (n + k + 1), (k + 1) ** 2)
+    return Fraction(total, den)
+
+
+def _reference_harmonic_sums(n):
+    """The five harmonic sums with Fraction weights read from
+    `harmonic_exact`, as (lhs, rhs) pairs in the order of `HARMONIC_SUMS`."""
+    h = [harmonic_exact(k) for k in range(2 * n + 1)]
+    inner = list(accumulate(Fraction(1, n + k) for k in range(1, n + 1)))
+    sign = Fraction(-1) ** n
+    return (
+        (_reference_alternating(n, h[1 : n + 1], 1), 2 * sign * h[n]),
+        (_reference_alternating(n, inner, 1), sign * h[n]),
+        (_reference_alternating(n, h[n + 1 :], 1), 2 * sign * h[n]),
+        (_reference_alternating(n, h[n:]), 2 * sign * h[n]),
+        (_reference_alternating(n, [w - h[n] for w in h[n:]]), sign * h[n]),
+    )
+
+
+HARMONIC_SUMS = (
+    identities.harmonic_weighted_sum,
+    identities.tail_harmonic_sum,
+    identities.shifted_harmonic_sum_printed,
+    identities.shifted_harmonic_sum,
+    identities.harmonic_difference_chain,
+)
+
+
+@pytest.mark.parametrize("n", (*range(41), 150, 299, 300))
+def test_harmonic_sums_match_fraction_weight_reference(n):
+    got = tuple(f(n) for f in HARMONIC_SUMS)
+    assert got == _reference_harmonic_sums(n)
 
 
 def test_small_sum_values_frozen():
