@@ -17,14 +17,13 @@ over a common denominator (`_convolution_sum`); the negation binomials are
 integers.  Every integer step that must divide exactly is a checked exact
 division (`_exact_div`).
 
-This module is also the one home of the exact sequences that the theorem
-suites share with these identities: the partial-fraction weight
+The exact sequences here are the partial-fraction weight
 T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) (`partial_fraction_weights`), its
-harmonic closed form (`partial_fraction_closed_form`) and the series terms
-t_k(x) (`series_terms`), which `lemma5-poch` also reads for the rising
-products (x)_k (1-x)_k = t_k (k!)^2.  `suites` calls them instead of
-computing its own copies, and the proof-chain suites that restate an
-identity here report that identity's pair.  The signed binomial
+harmonic closed form (`partial_fraction_closed_form`, whose coefficients
+`PARTFRAC_CLOSED_FORMS` `lemma4-binom` also reads) and the series terms
+t_k(x) (`series_terms`); the theorem suites build their values mod p^e as
+rows of their own.  The proof-chain suites that restate an identity here
+report that identity's pair.  The signed binomial
 (-1)^k C(n,k) C(n+k,k) that both sides sum comes from
 `special.signed_binomial`.
 
@@ -132,9 +131,9 @@ def harmonic_difference_chain(n: int) -> tuple[Fraction, Fraction]:
 
 # --- partial-fraction decompositions ---------------------------------------
 
-# x -> coefficients of H_{c*k} in the closed form of
+# x -> the pairs (c, d) of the closed form sum c H_{d k} of
 # sum_{j<k} (1/(j+x) + 1/(j+1-x))
-_PARTFRAC_RHS: dict[Fraction, tuple[tuple[int, int], ...]] = {
+PARTFRAC_CLOSED_FORMS: dict[Fraction, tuple[tuple[int, int], ...]] = {
     Fraction(1, 2): ((4, 2), (-2, 1)),
     Fraction(1, 3): ((3, 3), (-1, 1)),
     Fraction(1, 4): ((4, 4), (-2, 2)),
@@ -143,9 +142,8 @@ _PARTFRAC_RHS: dict[Fraction, tuple[tuple[int, int], ...]] = {
 
 
 # x -> [T_0(x), T_1(x), ...], extended on demand.  Keyed by the four quartic
-# x; bounded by the budgets that cap k: VERIFY_BUDGET_IDENTITY
-# (identity-partfrac, identity-convolution), VERIFY_BUDGET_BINOMIAL (lemma4's
-# rows) and VERIFY_BUDGET_SERIES (chain-convolution's k < p).
+# x; bounded by VERIFY_BUDGET_IDENTITY, which caps the k of its readers,
+# identity-partfrac and identity-convolution.
 _PF: dict[Fraction, list[Fraction]] = {}
 
 
@@ -166,9 +164,9 @@ def partial_fraction_weights(x: Fraction, upto: int) -> list[Fraction]:
 
 def partial_fraction_closed_form(k: int, x: Fraction) -> Fraction:
     """T_k(x) as the combination sum c H_{d k} on record for the four quartic x."""
-    if x not in _PARTFRAC_RHS:
+    if x not in PARTFRAC_CLOSED_FORMS:
         raise ValueError(f"no closed form on record for x={x}")
-    return sum((c * harmonic_exact(d * k) for c, d in _PARTFRAC_RHS[x]), Fraction(0))
+    return sum((c * harmonic_exact(d * k) for c, d in PARTFRAC_CLOSED_FORMS[x]), Fraction(0))
 
 
 def partial_fraction_sum(k: int, x: Fraction) -> tuple[Fraction, Fraction]:
@@ -180,9 +178,8 @@ def partial_fraction_sum(k: int, x: Fraction) -> tuple[Fraction, Fraction]:
 # --- convolution form of the harmonic-weighted term ------------------------
 
 # x -> [t_0(x), t_1(x), ...], extended on demand.  Keyed by the four quartic
-# x; bounded by VERIFY_BUDGET_IDENTITY (identity-convolution) and
-# VERIFY_BUDGET_SERIES (the k < p of chain-convolution, chain-weighted and
-# lemma5-poch).
+# x; bounded by VERIFY_BUDGET_IDENTITY, which caps the k of its one reader,
+# identity-convolution.
 _TERMS: dict[Fraction, list[Fraction]] = {}
 
 

@@ -4,8 +4,8 @@ the signed binomial (-1)^k C(n,k) C(n+k,k) of the alternating sums.
 
 Exact generators live beside their modular reductions so tests can pin one
 against the other.  The sequence caches are module state, except the
-modular harmonic row, which lives on its `PrimePower`'s tables and goes
-with it; both harmonic caches grow by appending.  The Euler and
+modular harmonic rows (H_n and p H_n), which live on their `PrimePower`'s
+tables and go with it; the harmonic caches grow by appending.  The Euler and
 Bernoulli tables are built together, from the secant and tangent numbers,
 on first use, and rebuilt together, to at least twice their length, when
 an index lies past their end: the Brent-Harvey loops that build them
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import IndexTooLarge, NonUnit, PDivisibleDenominator
+from .errors import IndexTooLarge, InternalError, NonUnit, PDivisibleDenominator
 from .padic import (
     PadicInput,
     PrimePower,
@@ -65,10 +65,9 @@ def floor_px(x: PadicInput, p: int) -> int:
 
 # --- harmonic numbers ------------------------------------------------------
 
-# H_0, H_1, ..., extended on demand.  Bounded by the budgets that cap its
-# index: the identities read H_n up to n = 6 VERIFY_BUDGET_IDENTITY (the
-# closed form H_{6k} of T_k(1/6)), the lemma4 and lemma4-binom rows up to
-# VERIFY_BUDGET_BINOMIAL, the chain suites n < p <= VERIFY_BUDGET_SERIES.
+# H_0, H_1, ..., extended on demand, bounded by the budgets that cap its
+# index: the identities read up to n = 6 VERIFY_BUDGET_IDENTITY (H_{6k} of
+# T_k(1/6)), chain-weighted's binomial form n < p <= VERIFY_BUDGET_SERIES.
 _H_EXACT: list[Fraction] = [Fraction(0)]
 
 
@@ -87,17 +86,36 @@ def harmonic_exact(n: int) -> Fraction:
 
 
 def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
-    """H_n mod p^e by modular inversion, from a row on ``ctx.tables``
-    extended in index order; only indices below p are units."""
+    """H_n mod p^e by modular inversion; only indices below p are units."""
     _require_index("H", n)
     if n >= ctx.p:
         raise IndexTooLarge(f"H_{n} mod {ctx.p}^{ctx.e}: index must stay below p")
-    cache = ctx.tables.setdefault("harmonic", [0])
-    m = ctx.modulus
-    while len(cache) <= n:
-        k = len(cache)
-        cache.append((cache[-1] + pow(k, -1, m)) % m)
-    return Residue(cache[n], ctx)
+    return Residue(harmonic_row(n, ctx)[n], ctx)
+
+
+def harmonic_row(n: int, ctx: PrimePower, scaled: bool = False) -> list[int]:
+    """H_0, H_1, ... mod p^e through at least index n < p, or with ``scaled``
+    p H_0, p H_1, ... through n < p^2 by the terms `p_over`: a row on
+    ``ctx.tables`` extended in index order."""
+    term = p_over if scaled else unit_inverse
+    row = ctx.tables.setdefault("p-harmonic" if scaled else "harmonic", [0])
+    while len(row) <= n:
+        row.append((row[-1] + term(len(row), ctx)) % ctx.modulus)
+    return row
+
+
+def unit_inverse(u: int, ctx: PrimePower) -> int:
+    """1/u mod p^e for a p-unit u; p | u raises `InternalError`."""
+    if u % ctx.p == 0:
+        raise InternalError(f"{u} is not a unit mod {ctx.p}")
+    return pow(u, -1, ctx.modulus)
+
+
+def p_over(n: int, ctx: PrimePower) -> int:
+    """p/n mod p^e for v_p(n) <= 1, and `InternalError` where p^2 | n."""
+    if n % ctx.p:
+        return ctx.p * unit_inverse(n, ctx) % ctx.modulus
+    return unit_inverse(n // ctx.p, ctx)
 
 
 # --- Euler and Bernoulli numbers ------------------------------------------

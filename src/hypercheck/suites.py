@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from . import identities, padic, series, special
 from .errors import BudgetExceeded, InternalError, VerifyError
@@ -133,6 +133,34 @@ def _identity_check(fn):
 #: modulus.  A check that works at another p^e builds a plain `PrimePower`,
 #: which would otherwise evict the run's.
 _modulus = lru_cache(maxsize=1)(PrimePower)
+
+
+def _term_row(x: Fraction, ctx: PrimePower) -> list[tuple[int, int, int]]:
+    """(t_k, t_k T_k, (k!)^2) mod p^e for k < p: x's row on ``ctx.tables``.
+
+    For x = a/b, t_k + t_k T_k eps is the jet prod_{j<k} (a+jb+b eps)
+    (b-a+jb+b eps) over b^(2k) (k!)^2, a p-unit for k < p although T_k is
+    not: the row walks the jet mod p^e, inverts the last denominator once
+    and steps down by (b k)^2 to the others.
+    """
+    row = ctx.tables.get(("terms", x))
+    if row is not None:
+        return row
+    a, b, m = x.numerator, x.denominator, ctx.modulus
+    row, r0, r1, f2 = [], 1, 0, 1
+    for k in range(ctx.p):
+        if k:
+            u, v = a + (k - 1) * b, b - a + (k - 1) * b
+            r0, r1 = r0 * u * v % m, (r1 * u * v + r0 * b * (u + v)) % m
+            f2 = f2 * k * k % m
+        row.append((r0, r1, f2))
+    inv = special.unit_inverse(pow(b, 2 * (ctx.p - 1), m) * f2, ctx)
+    for k in range(ctx.p - 1, -1, -1):
+        r0, r1, f2 = row[k]
+        row[k] = (r0 * inv % m, r1 * inv % m, f2)
+        inv = inv * (b * k) ** 2 % m
+    ctx.tables[("terms", x)] = row
+    return row
 
 
 def _need_series(n_terms: int, sweep: Sweep):
@@ -352,23 +380,21 @@ def gen_lemma4(sweep):
 def check_lemma4(sweep, dual, ctx, p, r, k, x):
     fam = QUARTIC_BY_X[x]
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
-    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)) from x's
-    # row on ctx, grown in index order to k, which has passed the binomial
-    # cap; entry i holds the residues of t_i and p (T_i - 2 H_i).  Every
-    # factor is p-integral for the quartic x and p >= 5, so reducing each one
-    # equals reducing the product.  2p H_floor(px) comes from the modular
-    # harmonic row (floor(px) < p), as p H mod p^(e+1).
-    rows = ctx.tables.get(("lemma4", x))
-    if rows is None:
-        h = 2 * p * special.harmonic_mod(special.floor_px(x, p), ctx).value
-        rows = ctx.tables[("lemma4", x)] = [], h
-    row, h = rows
+    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)), each
+    # factor p-integral for the quartic x and p >= 5, so reduced one by one.
+    # x = a/b's row on ctx, grown in index order to k (past the binomial
+    # cap), holds t_i and p T_i from T_i's definition, not its closed form:
+    # each step adds p b/(a+jb) + p b/(b-a+jb).  The p H_n (n < p) are a row.
+    a, b = x.numerator, x.denominator
+    row = ctx.tables.setdefault(("lemma4", x), [(1, 0)])
     for i in range(len(row), k + 1):
-        t_i = fam.term_residue(i, ctx).value
-        w_i = identities.partial_fraction_weights(x, i)[i] - 2 * special.harmonic_exact(i)
-        row.append((t_i, residue_from_rational(p * w_i, ctx).value))
-    term, weight = row[k]
-    rhs = fam.term_residue(r, ctx) * term * (1 + r * (h + weight))
+        u, v = a + (i - 1) * b, b - a + (i - 1) * b
+        pt = row[-1][1] + b * (special.p_over(u, ctx) + special.p_over(v, ctx))
+        row.append((fam.term_residue(i, ctx).value, pt % ctx.modulus))
+    term, pt = row[k]
+    h = special.harmonic_row(p - 1, ctx, scaled=True)
+    corr = 2 * h[special.floor_px(x, p)] + pt - 2 * h[k]
+    rhs = fam.term_residue(r, ctx) * term * (1 + r * corr)
     return lhs, rhs
 
 
@@ -377,14 +403,12 @@ def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
     n = k + r * p
     _need_family(fam, n, sweep)
     lhs = Residue(fam.binomial_product(n), ctx)
-    # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k(x) in its harmonic
-    # closed form, from x's row on ctx, grown as lemma4's is
-    closed = ctx.tables.setdefault(("lemma4-binom", x), [])
-    for i in range(len(closed), k + 1):
-        q = identities.partial_fraction_closed_form(i, x) - 2 * special.harmonic_exact(i)
-        closed.append(residue_from_rational(p * q, ctx).value)
+    # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k in its closed form sum
+    # c H_{dk}; each dk <= 6(p-1) < p^2, so p H_{dk} is a p-integral row entry
+    h = special.harmonic_row(6 * k, ctx, scaled=True)
+    corr = sum(c * h[d * k] for c, d in identities.PARTFRAC_CLOSED_FORMS[x]) - 2 * h[k]
     b_k = fam.binomial_product(k) % ctx.modulus
-    rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * closed[k]), ctx)
+    rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * corr), ctx)
     return lhs, rhs
 
 
@@ -411,8 +435,8 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
         acc = acc * (m + 1 + i) % ctx.modulus * (-m + i) % ctx.modulus
     lhs = Residue(acc, ctx)
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
-    rhs = residue_from_rational(identities.series_terms(x, k)[k], ctx) * factorial(k) ** 2
-    return lhs, rhs, "modular"
+    t_k, _, f2 = _term_row(x, ctx)[k]
+    return lhs, Residue(t_k * f2, ctx), "modular"
 
 
 def gen_babbage(sweep):
@@ -438,43 +462,43 @@ def check_chain_reflect(sweep, dual, ctx, p, x):
     return lhs, rhs
 
 
-def _reflected_jet_sums(m: int, terms: int) -> tuple[Fraction, Fraction, Fraction]:
-    """First-order expansion of the reflected alternating binomial sum.
+def _reflected_jet_sums(m: int, ctx: PrimePower) -> tuple[int, int, int]:
+    """First-order expansion of the reflected alternating binomial sum, mod p^e.
 
-    Returns exact rationals (A, B_back, B_fwd) with sum_k (-1)^k jet_k =
+    Returns (A, B_back, B_fwd) mod p^e with sum_{k<p} (-1)^k jet_k =
     A + (B_back + B_fwd)*t, where jet_k carries prod_{i<=k}(m+1-i+t)(m+i+t)/(k!)^2
     to first order in t; B_back comes from the backward factors (m+1-i+t),
     B_fwd from the forward ones.  The first-order part stays meaningful where
     a single factor vanishes (large k), where the naive reciprocal-sum form
-    breaks down.  Each part is one integer over ((terms-1)!)^2, S <- S*k^2 + c_k.
+    breaks down.  Each part is one integer over ((p-1)!)^2, S <- S*k^2 + c_k,
+    walked mod p^e; that p-unit denominator is inverted once at the end.
     """
+    mod = ctx.modulus
     a = b_back = b_fwd = 0
-    p0, p1, d0, d1 = 1, 0, 1, 0
-    kf2 = 1
-    sign = 1
-    for k in range(terms):
+    p0, p1, d0, d1, kf2, sign = 1, 0, 1, 0, 1, 1
+    for k in range(ctx.p):
         if k:
             c, d = m + 1 - k, m + k
-            p0, p1 = p0 * c, p1 * c + p0
-            d0, d1 = d0 * d, d1 * d + d0
+            p0, p1 = p0 * c % mod, (p1 * c + p0) % mod
+            d0, d1 = d0 * d % mod, (d1 * d + d0) % mod
             k2 = k * k
-            a, b_back, b_fwd = a * k2, b_back * k2, b_fwd * k2
-            kf2 *= k2
+            a, b_back, b_fwd = a * k2 % mod, b_back * k2 % mod, b_fwd * k2 % mod
+            kf2 = kf2 * k2 % mod
             sign = -sign
         a += sign * p0 * d0
         b_back += sign * p1 * d0
         b_fwd += sign * p0 * d1
-    return Fraction(a, kf2), Fraction(b_back, kf2), Fraction(b_fwd, kf2)
+    inv = special.unit_inverse(kf2, ctx)
+    return a * inv % mod, b_back * inv % mod, b_fwd * inv % mod
 
 
 def check_chain_jet(sweep, dual, ctx, p, x):
     q = as_fraction(x)
     lhs = _series(dual, -q, p, ctx, sweep)
     m = special.least_residue(x, p)
-    delta = (q - m) / p
-    a_tot, b_back, b_fwd = _reflected_jet_sums(m, p)
-    rhs = residue_from_rational(a_tot + delta * p * (b_back + b_fwd), ctx)
-    return lhs, rhs
+    delta = residue_from_rational((q - m) / p, ctx)
+    a_tot, b_back, b_fwd = _reflected_jet_sums(m, ctx)
+    return lhs, delta * (p * (b_back + b_fwd)) + a_tot
 
 
 def gen_chain_m(sweep):
@@ -486,7 +510,7 @@ def gen_chain_m(sweep):
 def check_chain_backward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
     # the backward-offset first-order piece of the jet
-    lhs = residue_from_rational(_reflected_jet_sums(m, p)[1], ctx)
+    lhs = Residue(_reflected_jet_sums(m, ctx)[1], ctx)
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
     return lhs, rhs
 
@@ -534,15 +558,9 @@ def check_chain_block(sweep, dual, ctx, p, r, x):
 
 def check_chain_convolution(sweep, dual, ctx, p, x):
     _need_series(p, sweep)
-    terms = identities.series_terms(x, p - 1)
-    weights = identities.partial_fraction_weights(x, p - 1)
-    lhs = residue_from_rational(
-        sum((terms[k] * weights[k] for k in range(p)), Fraction(0)), ctx
-    )
-    rhs = residue_from_rational(
-        sum((terms[i] * special.harmonic_exact(i) for i in range(p)), Fraction(0)),
-        ctx,
-    )
+    row, h = _term_row(x, ctx), special.harmonic_row(p - 1, ctx)
+    lhs = Residue(sum(tt for _, tt, _ in row), ctx)
+    rhs = Residue(sum(t * h[i] for i, (t, _, _) in enumerate(row)), ctx)
     return lhs, rhs
 
 
@@ -556,19 +574,15 @@ def gen_chain_weighted(sweep):
 def check_chain_weighted(sweep, dual, ctx, p, x, form):
     _need_series(p, sweep)
     m = special.floor_px(x, p)
-    hm = special.harmonic_exact(m)
     if form == "series":
-        terms = identities.series_terms(x, p - 1)
-        total = sum(
-            (terms[k] * (2 * hm - special.harmonic_exact(k)) for k in range(p)),
-            Fraction(0),
-        )
-        return residue_from_rational(total, ctx), Residue(0, ctx)
+        h = special.harmonic_row(p - 1, ctx)
+        total = sum(t * (2 * h[m] - h[k]) for k, (t, _, _) in enumerate(_term_row(x, ctx)))
+        return Residue(total, ctx), Residue(0, ctx)
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
     alt, _ = _case(_ALTERNATING, identities.alternating_binomial_sum, m)
     weighted, _ = identities.harmonic_weighted_sum(m)
-    return 2 * hm * alt - weighted, Fraction(0)
+    return 2 * special.harmonic_exact(m) * alt - weighted, Fraction(0)
 
 
 def check_chain_product(sweep, dual, ctx, p, n, x):

@@ -6,10 +6,11 @@ import inspect
 import pkgutil
 import tracemalloc
 import weakref
+from fractions import Fraction
 from math import comb
 
 import hypercheck
-from hypercheck import identities, series, special, suites
+from hypercheck import cli, identities, series, special, suites
 from hypercheck.padic import PrimePower
 from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
 from hypercheck.suites import (
@@ -80,8 +81,8 @@ def assert_tables_of_prime(p: int, e: int, keys: set, previous):
 
 def test_lemma4_rows_keep_only_the_latest_prime():
     for suite_id, keys in (
-        ("lemma4", {"harmonic"} | {("lemma4", fam.x) for fam in QUARTICS}),
-        ("lemma4-binom", {("lemma4-binom", fam.x) for fam in QUARTICS}),
+        ("lemma4", {"p-harmonic"} | {("lemma4", fam.x) for fam in QUARTICS}),
+        ("lemma4-binom", {"p-harmonic"}),
     ):
         previous = None
         for p in primes_in(5, 31):
@@ -89,9 +90,21 @@ def test_lemma4_rows_keep_only_the_latest_prime():
             previous = assert_tables_of_prime(p, 2, keys, previous)
 
 
-def test_lemma4_reads_no_exact_harmonic_number_past_k(monkeypatch):
-    # no budget caps lemma4's p, so its H_floor(px) comes from the modular
-    # row: only the row entries up to k read the exact table
+def empty_exact_tables(monkeypatch) -> None:
+    """Swap in empty exact harmonic, partial-fraction and term tables."""
+    monkeypatch.setattr(special, "_H_EXACT", [Fraction(0)])
+    monkeypatch.setattr(identities, "_PF", {})
+    monkeypatch.setattr(identities, "_TERMS", {})
+
+
+def assert_exact_tables_empty() -> None:
+    assert special._H_EXACT == [0]
+    assert identities._PF == {} and identities._TERMS == {}
+
+
+def test_lemma4_rows_read_no_exact_sequence(monkeypatch):
+    # no budget caps lemma4's p, so both lemma4 rows are built mod p^e: they
+    # read no exact harmonic number, partial-fraction weight or term
     seen = []
     harmonic_exact = special.harmonic_exact
 
@@ -99,13 +112,29 @@ def test_lemma4_reads_no_exact_harmonic_number_past_k(monkeypatch):
         seen.append(n)
         return harmonic_exact(n)
 
-    monkeypatch.setattr(special, "harmonic_exact", recording)
+    for module in (special, identities):
+        monkeypatch.setattr(module, "harmonic_exact", recording)
+    empty_exact_tables(monkeypatch)
     p = 10_007
     sweep = Sweep(primes=(p,))
-    for fam in QUARTICS:
-        params = {"p": p, "r": 0, "k": 0, "x": fam.x}
-        assert run_instance("lemma4", params, "modular", sweep).passed
-    assert seen and max(seen) <= 0
+    for suite_id in ("lemma4", "lemma4-binom"):
+        for fam in QUARTICS:
+            params = {"p": p, "r": 0, "k": 0, "x": fam.x}
+            assert run_instance(suite_id, params, "modular", sweep).passed
+    assert seen == []
+    assert_exact_tables_empty()
+
+
+def test_lemma4_sweep_at_p997_leaves_the_exact_tables_empty(monkeypatch, capsys):
+    # every k < p of both lemma4 suites at one large prime: the right sides
+    # live on the prime's modulus and go with it, so no module-level exact
+    # table grows with p
+    empty_exact_tables(monkeypatch)
+    argv = ["lemma4", "lemma4-binom", "--p-min", "997", "--p-max", "997", "--r", "0",
+            "--engine", "modular", "--format", "json-lines"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 7977
+    assert_exact_tables_empty()
 
 
 def test_harmonic_rows_keep_only_the_latest_prime():

@@ -690,6 +690,23 @@ PINNED_STREAMS = {
         {}, 0, 8797,
         "ae526f5f7b797b2cb38a6fd633622a157b106c8babc38ab933de4a7514d99ce3",
     ),
+    # the seven suites whose right sides are rows mod p^e, at p^4, above every
+    # proved exponent (exit 1), and lemma5-poch and chain-jet, -backward and
+    # -convolution past p = 97; both recorded before those right sides moved
+    # from exact rationals to integer rows mod p^e
+    "rows-e4": Pinned(
+        ("lemma4", "lemma4-binom", "lemma5-poch", "chain-jet", "chain-backward",
+         "chain-convolution", "chain-weighted", "--p-max", "31", "--mod-exp", "4",
+         "--engine", "both"),
+        {}, 1, 4854,
+        "9da426114831ce31dd6e7ae1c0483b5394e3a8c0a34a7bd77c43301a99bd3242",
+    ),
+    "chains-p101-199": Pinned(
+        ("lemma5-poch", "chain-jet", "chain-backward", "chain-convolution",
+         "--p-min", "101", "--p-max", "199", "--engine", "both"),
+        {}, 0, 19318,
+        "7c20396d723f4552454e5ee8a0a0a0240db6f462e57beb254fbd4730079e3c46",
+    ),
     # the default sweep (theorem suites, 5 <= p <= 97) under `--engine exact`,
     # recorded before the exact oracle read its windows from one prefix table
     # per x: the only stream whose exact route goes past p = 31, through the
@@ -791,6 +808,11 @@ def test_lemma_stream_to_p199_matches_pinned_digest(capsys, monkeypatch):
 
 def test_chain_identity_stream_to_p199_matches_pinned_digest(capsys, monkeypatch):
     assert_pinned(capsys, monkeypatch, "chains-p199")
+
+
+@pytest.mark.parametrize("name", ["rows-e4", "chains-p101-199"])
+def test_row_suite_streams_match_pinned_digest(capsys, monkeypatch, name):
+    assert_pinned(capsys, monkeypatch, name)
 
 
 def test_default_sweep_exact_stream_matches_pinned_digest(capsys, monkeypatch):

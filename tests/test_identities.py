@@ -11,7 +11,7 @@ from hypercheck import identities
 from hypercheck.errors import InternalError, PoleInParameter
 from hypercheck.special import harmonic_exact, signed_binomial
 
-XS = tuple(identities._PARTFRAC_RHS)
+XS = tuple(identities.PARTFRAC_CLOSED_FORMS)
 # the quartic x, two other rationals, and integers with a pole:
 # x + i = 0 at i = 0 and i = 3, 1 - x + i = 0 at i = 0 and i = 4
 PREFIX_XS = XS + (

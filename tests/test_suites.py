@@ -5,13 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercheck import cli, identities, suites
+from hypercheck import cli, identities, special, suites
 from hypercheck.errors import InternalError
-from hypercheck.padic import PrimePower, Residue, residue_from_rational
+from hypercheck.padic import MAX_EXPONENT, PrimePower, Residue, residue_from_rational
 from hypercheck.series import QUARTICS, QuarticFamily
 from hypercheck.special import floor_px, harmonic_exact
 from hypercheck.suites import (
@@ -173,6 +174,28 @@ def test_representative_params_come_from_generators():
         assert params in list(REGISTRY[sid].gen(sweep)), sid
 
 
+def _reflected_jet_sums_exact(m, terms):
+    """chain-jet's and chain-backward's former jet sums: (A, B_back, B_fwd)
+    as exact rationals, each one integer over ((terms-1)!)^2."""
+    a = b_back = b_fwd = 0
+    p0, p1, d0, d1 = 1, 0, 1, 0
+    kf2 = 1
+    sign = 1
+    for k in range(terms):
+        if k:
+            c, d = m + 1 - k, m + k
+            p0, p1 = p0 * c, p1 * c + p0
+            d0, d1 = d0 * d, d1 * d + d0
+            k2 = k * k
+            a, b_back, b_fwd = a * k2, b_back * k2, b_fwd * k2
+            kf2 *= k2
+            sign = -sign
+        a += sign * p0 * d0
+        b_back += sign * p1 * d0
+        b_fwd += sign * p0 * d1
+    return Fraction(a, kf2), Fraction(b_back, kf2), Fraction(b_fwd, kf2)
+
+
 def _jet_sums_per_step(m, terms):
     """chain-jet's former walk: (A, B) as per-step `Fraction` sums."""
     a_tot = Fraction(0)
@@ -212,7 +235,7 @@ def _backward_sum_per_step(m, p):
 def test_jet_sums_match_the_per_step_walks():
     for p in primes_in(5, 61):
         for m in range(p):
-            a, b_back, b_fwd = suites._reflected_jet_sums(m, p)
+            a, b_back, b_fwd = _reflected_jet_sums_exact(m, p)
             a_ref, b_ref = _jet_sums_per_step(m, p)
             back_ref = _backward_sum_per_step(m, p)
             assert (a, b_back, b_fwd) == (a_ref, back_ref, b_ref - back_ref), (p, m)
@@ -265,6 +288,42 @@ def test_lemma4_rows_match_the_per_instance_rationals():
                 )
                 want = tuple(str(residue_from_rational(q, ctx).value) for q in ref)
                 assert got == want, (p, x, k, r, e)
+
+
+def _no_left_side(modular_fn, exact_fn):
+    return Residue(0, PrimePower(5, 1))
+
+
+@settings(max_examples=8)
+@given(st.sampled_from(primes_in(5, 500)), st.integers(1, MAX_EXPONENT))
+def test_modular_rows_match_their_exact_references(p, e):
+    # every row the theorem suites build mod p^e, entry by entry, against the
+    # exact rationals it replaced, reduced once
+    ctx = PrimePower(p, e)
+
+    def reduce(q):
+        return residue_from_rational(q, ctx).value
+
+    for m in range(p):
+        want = tuple(map(reduce, _reflected_jet_sums_exact(m, p)))
+        assert suites._reflected_jet_sums(m, ctx) == want, m
+    top = 6 * (p - 1)  # lemma4-binom's largest index d k
+    assert special.harmonic_row(top, ctx, scaled=True)[: top + 1] == [
+        reduce(p * harmonic_exact(j)) for j in range(top + 1)
+    ]
+    sweep = Sweep(primes=(p,))
+    for fam in QUARTICS:
+        x = fam.x
+        terms = identities.series_terms(x, p - 1)
+        weights = identities.partial_fraction_weights(x, p - 1)
+        suites.check_lemma4(sweep, _no_left_side, ctx, p=p, r=0, k=p - 1, x=x)
+        assert ctx.tables[("lemma4", x)] == [
+            (reduce(terms[i]), reduce(p * weights[i])) for i in range(p)
+        ]
+        assert suites._term_row(x, ctx) == [
+            (reduce(terms[k]), reduce(terms[k] * weights[k]), reduce(factorial(k) ** 2))
+            for k in range(p)
+        ]
 
 
 def test_exploratory_suites_do_fail():
