@@ -73,15 +73,26 @@ def test_split_p_power_large_powers(p, k, u, negative):
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need a prime p >= 5, got 4$"):
         PrimePower(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need a prime p >= 5, got 3$"):
         PrimePower(3, 2)  # domain starts at 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= e <= 6, got e=0$"):
         PrimePower(7, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^need 1 <= e <= 6, got e={MAX_EXPONENT + 1}$"):
         PrimePower(7, MAX_EXPONENT + 1)
     assert PrimePower(7, 3).modulus == 343
+
+
+def test_context_repr_equality_and_hash():
+    # the context-mismatch message embeds the repr; tables take no part
+    ctx = PrimePower(7, 2)
+    assert repr(ctx) == "PrimePower(p=7, e=2)"
+    other = PrimePower(7, 2)
+    other.tables["row"] = [1]
+    assert ctx == other and hash(ctx) == hash(other)
+    assert ctx != PrimePower(7, 3) and ctx != PrimePower(11, 2)
+    assert repr(Residue(9, PrimePower(5, 1))) == "Residue(value=4, ctx=PrimePower(p=5, e=1))"
 
 
 @given(ctxs, st.integers(), st.integers())
@@ -96,10 +107,17 @@ def test_residue_ring_ops_match_integers(ctx, a, b):
 
 
 def test_residue_context_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^context mismatch: PrimePower\(p=5, e=2\) vs PrimePower\(p=7, e=2\)$",
+    ):
         Residue(1, PrimePower(5, 2)) + Residue(1, PrimePower(7, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^context mismatch: "):
         Residue(1, PrimePower(5, 2)) + Residue(1, PrimePower(5, 3))
+    # an equal context built apart is no mismatch
+    assert (Residue(3, PrimePower(5, 2)) * Residue(4, PrimePower(5, 2))).value == 12
+    assert Residue(27, PrimePower(5, 2)) == Residue(2, PrimePower(5, 2))
+    assert Residue(2, PrimePower(5, 2)) != Residue(2, PrimePower(5, 3))
 
 
 def test_residue_from_rational_values():

@@ -1,6 +1,7 @@
 """Suite registry, dual-engine agreement, error taxonomy, fault injection."""
 
 import io
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from hypercheck.suites import (
     IDENTITY_SUITES,
     REGISTRY,
     THEOREM_SUITES,
+    Report,
     Sweep,
     primes_in,
     run_instance,
@@ -470,6 +472,35 @@ def test_report_params_serialized():
     assert '"params":{"p":7,"x":"1/2"}' in buf.getvalue()
     assert isinstance(rep.lhs, str) and isinstance(rep.modulus, str)
     assert rep.elapsed_ms >= 0.0
+
+
+REPORT_FIELDS = dict(
+    lhs="3", rhs="3", modulus="49", passed=True, engine="modular", suite="thm1",
+    params={"p": 7, "x": F(1, 2)}, elapsed_ms=1.5, note="n", oracle="o", error=None,
+)
+
+
+@pytest.mark.parametrize(
+    "field, other",
+    [("lhs", "4"), ("rhs", "4"), ("modulus", "343"), ("passed", False), ("engine", "exact"),
+     ("suite", "rv"), ("params", {"p": 7}), ("elapsed_ms", 2.5), ("note", None),
+     ("oracle", None), ("error", "E")],
+)
+def test_report_equality_compares_every_field(field, other):
+    rep = Report(**REPORT_FIELDS)
+    assert rep == Report(**REPORT_FIELDS)
+    assert rep != Report(**{**REPORT_FIELDS, field: other})
+
+
+def test_sweep_and_report_survive_pickling():
+    # --workers sends both to the pool
+    sweep = small_sweep(x_values=(F(1, 3), 2), mod_exp=3)
+    assert pickle.loads(pickle.dumps(sweep)) == sweep
+    rep = Report(**REPORT_FIELDS)
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    assert pickle.loads(pickle.dumps(Report("1", "1", "25", True, "exact"))) == Report(
+        "1", "1", "25", True, "exact"
+    )
 
 
 def test_sun_domain_contains_lifts_and_small_rationals():
