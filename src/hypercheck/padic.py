@@ -1,6 +1,7 @@
 """Arithmetic substrate: prime-power moduli and residues mod p^e.
 
-Everything downstream works with `Residue` (canonical value in [0, p^e)).
+Everything downstream works with `Residue` (canonical value in [0, p^e)), a
+plain slotted class like `PrimePower`, built 148,181 times on the default sweep.
 Code that must keep p-divisible quantities exact carries them as plain
 integer pairs (v, u) meaning u * p^v and reduces once at the end; v comes
 from a theorem where one gives it (the exact oracle's denominators) and
@@ -10,7 +11,6 @@ from `split_p_power` otherwise.  Rationals enter only through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,38 +81,47 @@ def require_p_integral(x: PadicInput, p: int) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
 class PrimePower:
-    """Modulus context p^e with p a prime >= 5 and 1 <= e <= MAX_EXPONENT;
-    ``tables`` holds the memo rows that depend only on p^e, for as long as
-    the modulus lives, outside equality, hash and repr."""
+    """Slotted modulus context p^e, p a prime >= 5, 1 <= e <= MAX_EXPONENT,
+    equal and hashed as (p, e).  ``tables`` holds the memo rows that depend
+    only on p^e while the modulus lives, outside equality, hash and repr."""
 
-    p: int
-    e: int
-    modulus: int = field(init=False, repr=False, compare=False)
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("p", "e", "modulus", "tables", "__weakref__")
 
-    def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"need a prime p >= 5, got {self.p}")
-        if not 1 <= self.e <= MAX_EXPONENT:
-            raise ValueError(f"need 1 <= e <= {MAX_EXPONENT}, got e={self.e}")
-        object.__setattr__(self, "modulus", self.p**self.e)
+    def __init__(self, p: int, e: int):
+        if p < 5 or not is_prime(p):
+            raise ValueError(f"need a prime p >= 5, got {p}")
+        if not 1 <= e <= MAX_EXPONENT:
+            raise ValueError(f"need 1 <= e <= {MAX_EXPONENT}, got e={e}")
+        self.p, self.e, self.modulus, self.tables = p, e, p**e, {}
+
+    def __eq__(self, other):
+        return isinstance(other, PrimePower) and (self.p, self.e) == (other.p, other.e)
+
+    def __hash__(self):
+        return hash((self.p, self.e))
+
+    def __repr__(self):
+        return f"PrimePower(p={self.p}, e={self.e})"
 
 
-@dataclass(frozen=True)
 class Residue:
-    """Canonical residue in [0, p^e) with ring operations."""
+    """Slotted canonical residue in [0, p^e) with ring operations, equal by (value, ctx)."""
 
-    value: int
-    ctx: PrimePower
+    __slots__ = ("value", "ctx")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.ctx.modulus)
+    def __init__(self, value: int, ctx: PrimePower):
+        self.value, self.ctx = value % ctx.modulus, ctx
+
+    def __eq__(self, other):
+        return isinstance(other, Residue) and (self.value, self.ctx) == (other.value, other.ctx)
+
+    def __repr__(self):
+        return f"Residue(value={self.value}, ctx={self.ctx!r})"
 
     def _lift(self, other) -> int:
         if isinstance(other, Residue):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
             return other.value
         if isinstance(other, int):
@@ -121,21 +130,15 @@ class Residue:
 
     def __add__(self, other):
         v = self._lift(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value + v, self.ctx)
+        return v if v is NotImplemented else Residue(self.value + v, self.ctx)
 
     def __sub__(self, other):
         v = self._lift(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value - v, self.ctx)
+        return v if v is NotImplemented else Residue(self.value - v, self.ctx)
 
     def __mul__(self, other):
         v = self._lift(other)
-        if v is NotImplemented:
-            return v
-        return Residue(self.value * v, self.ctx)
+        return v if v is NotImplemented else Residue(self.value * v, self.ctx)
 
     def __neg__(self):
         return Residue(-self.value, self.ctx)

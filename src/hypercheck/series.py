@@ -33,7 +33,6 @@ the conjecture oracle's failure text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -176,7 +175,6 @@ def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) ->
 # --- the four quadratic-character families ---------------------------------
 
 
-@dataclass(frozen=True)
 class QuarticFamily:
     """One of the four x with c(c-1) the discriminant of a quadratic field.
 
@@ -189,21 +187,26 @@ class QuarticFamily:
 
     The suites ask for the same n = k + r p again at every prime and in
     several suites, so each family keeps one table of its binomial products,
-    keyed by n and filled only at the n asked for.  The table takes no part
-    in the family's equality or hash.
+    keyed by n and filled only at the n asked for.  Equality and hash are
+    those of (x, binomials, base, character_arg); the table takes no part.
     """
 
-    x: Fraction
-    binomials: tuple[tuple[int, int], ...]
-    base: int
-    character_arg: int
-    # n -> binomial_product(n).  Bounded by VERIFY_BUDGET_BINOMIAL: every
-    # caller passes the cap c n <= binomial_max first (`suites._need_family`),
-    # so n <= binomial_max // c: 4.1 MB for all four families at the
-    # default cap of 5,000.
-    _products: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("x", "binomials", "base", "character_arg", "_products")
+
+    def __init__(self, x: Fraction, binomials: tuple, base: int, character_arg: int):
+        self.x, self.binomials, self.base, self.character_arg = x, binomials, base, character_arg
+        # n -> binomial_product(n), n <= binomial_max // c (`suites._need_family`
+        # comes first): 4.1 MB for all four families at the default cap of 5,000
+        self._products: dict[int, int] = {}
+
+    def _key(self) -> tuple:
+        return self.x, self.binomials, self.base, self.character_arg
+
+    def __eq__(self, other):
+        return isinstance(other, QuarticFamily) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def binomial_product(self, n: int) -> int:
         """The product of the binomials C(c*n, d*n), computed once per n."""

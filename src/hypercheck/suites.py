@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -63,23 +62,32 @@ def primes_in(lo: int, hi: int) -> tuple[int, ...]:
 # --- run configuration shared by suites and CLI ----------------------------
 
 
-@dataclass(frozen=True)
 class Sweep:
-    """Parameter domain and size caps for one run; `cli.parse_args` reads
-    the caps from VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}."""
+    """Parameter domain and size caps for one run; ``mod_exp`` overrides each
+    suite's `Suite.exponent` where it has one (``--mod-exp``).  `cli.parse_args`
+    reads the caps from VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}, and the
+    defaults from the class attributes."""
 
-    primes: tuple[int, ...]
     n_values: tuple[int, ...] = (1, 2, 3)
     r_values: tuple[int, ...] = (0, 1, 2)
-    x_values: tuple[Fraction | int, ...] | None = None
-    #: overrides each suite's `Suite.exponent` where it has one (``--mod-exp``)
-    mod_exp: int | None = None
-    binomial_max: int = 5000
-    series_max: int = 100_000
-    identity_max: int = 300
+    binomial_max = 5000
+    series_max = 100_000
+    identity_max = 300
+
+    def __init__(
+        self, primes: tuple[int, ...], n_values: tuple[int, ...] = n_values,
+        r_values: tuple[int, ...] = r_values, x_values: tuple[Fraction | int, ...] | None = None,
+        mod_exp: int | None = None, binomial_max: int = binomial_max,
+        series_max: int = series_max, identity_max: int = identity_max,
+    ):
+        self.primes, self.n_values, self.r_values = primes, n_values, r_values
+        self.x_values, self.mod_exp, self.binomial_max = x_values, mod_exp, binomial_max
+        self.series_max, self.identity_max = series_max, identity_max
+
+    def __eq__(self, other):
+        return isinstance(other, Sweep) and vars(self) == vars(other)
 
 
-@dataclass(slots=True)
 class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
@@ -87,20 +95,25 @@ class Report:
     oracle from a check's sides, `_error_report` the error of a failed
     instance; `run_instance` stamps ``suite``, ``params`` (the generator's
     dict as it is; `cli` writes each non-int value as its string) and
-    ``elapsed_ms``, and the engine of a dual-route record.
+    ``elapsed_ms``, and the engine of a dual-route record.  Equal field by field.
     """
 
-    lhs: str
-    rhs: str
-    modulus: str
-    passed: bool
-    engine: str
-    suite: str = ""
-    params: dict | None = None
-    elapsed_ms: float = 0.0
-    note: str | None = None
-    oracle: str | None = None
-    error: str | None = None
+    __slots__ = ("lhs", "rhs", "modulus", "passed", "engine", "suite", "params", "elapsed_ms",
+                 "note", "oracle", "error")
+
+    def __init__(
+        self, lhs: str, rhs: str, modulus: str, passed: bool, engine: str, suite: str = "",
+        params: dict | None = None, elapsed_ms: float = 0.0, note: str | None = None,
+        oracle: str | None = None, error: str | None = None,
+    ):
+        self.lhs, self.rhs, self.modulus, self.passed = lhs, rhs, modulus, passed
+        self.engine, self.suite, self.params, self.elapsed_ms = engine, suite, params, elapsed_ms
+        self.note, self.oracle, self.error = note, oracle, error
+
+    def __eq__(self, other):
+        return isinstance(other, Report) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
 
 
 def _record(lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
@@ -429,11 +442,12 @@ def check_lemma5(sweep, dual, ctx, p, k, x):
 def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     _need_series(p, sweep)
     m = special.floor_px(x, p)
-    # integer rising products mod p
-    acc = 1
-    for i in range(k):
-        acc = acc * (m + 1 + i) % ctx.modulus * (-m + i) % ctx.modulus
-    lhs = Residue(acc, ctx)
+    # integer rising products prod_{i<k} (m+1+i)(i-m) mod p: x's row on
+    # ctx, grown in index order to k like lemma4's
+    row = ctx.tables.setdefault(("poch", x), [1])
+    for i in range(len(row) - 1, k):
+        row.append(row[-1] * (m + 1 + i) % ctx.modulus * (i - m) % ctx.modulus)
+    lhs = Residue(row[k], ctx)
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
     t_k, _, f2 = _term_row(x, ctx)[k]
     return lhs, Residue(t_k * f2, ctx), "modular"
@@ -745,19 +759,19 @@ def gen_identity_negation(sweep):
 # --- registry --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Suite:
     """One registry row.  ``exponent`` is the e of the suite's statement mod
     p^e, which ``--mod-exp`` overrides; it is None for the exact suites and
-    for lemma1 and lemma2, which stay mod p."""
+    for lemma1 and lemma2, which stay mod p.  ``kind`` is one of theorem,
+    identity, conjecture and exploratory; ``check(sweep, dual, ctx,
+    **params)`` returns `_record`'s args."""
 
-    id: str
-    kind: str  # theorem | identity | conjecture | exploratory
-    exponent: int | None
-    gen: Callable[[Sweep], Iterable[dict]]
-    #: ``check(sweep, dual, ctx, **params)`` returns `_record`'s args
-    check: Callable[..., tuple]
-    description: str
+    def __init__(
+        self, id: str, kind: str, exponent: int | None, gen: Callable[[Sweep], Iterable[dict]],
+        check: Callable[..., tuple], description: str,
+    ):
+        self.id, self.kind, self.exponent = id, kind, exponent
+        self.gen, self.check, self.description = gen, check, description
 
 
 _SUITES = [

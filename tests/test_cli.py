@@ -980,6 +980,14 @@ def test_import_leaves_multiprocessing_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # both cost every start and buy nothing the checker uses
+    code = "import sys, hypercheck.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(hypercheck.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_pool_never_outnumbers_instances(capsys, monkeypatch):
     sizes = []
 

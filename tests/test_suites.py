@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +322,11 @@ def test_modular_rows_match_their_exact_references(p, e):
         assert ctx.tables[("lemma4", x)] == [
             (reduce(terms[i]), reduce(p * weights[i])) for i in range(p)
         ]
+        suites.check_lemma5_poch(sweep, _no_left_side, ctx, p=p, k=p - 1, x=x)
+        m = floor_px(x, p)
+        assert ctx.tables[("poch", x)] == [
+            prod((m + 1 + i) * (i - m) for i in range(k)) % ctx.modulus for k in range(p)
+        ]
         assert suites._term_row(x, ctx) == [
             (reduce(terms[k]), reduce(terms[k] * weights[k]), reduce(factorial(k) ** 2))
             for k in range(p)
@@ -403,7 +408,7 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
 ORDER_SWEEP = small_sweep()
 ORDER_CASES = [
     (suite_id, params)
-    for suite_id in ("lemma2", "lemma4", "lemma4-binom", "chain-backward", "conj-1/3")
+    for suite_id in ("lemma2", "lemma4", "lemma4-binom", "lemma5-poch", "chain-backward", "conj-1/3")
     for params in REGISTRY[suite_id].gen(ORDER_SWEEP)
 ]
 
@@ -498,9 +503,6 @@ def test_sweep_and_report_survive_pickling():
     assert pickle.loads(pickle.dumps(sweep)) == sweep
     rep = Report(**REPORT_FIELDS)
     assert pickle.loads(pickle.dumps(rep)) == rep
-    assert pickle.loads(pickle.dumps(Report("1", "1", "25", True, "exact"))) == Report(
-        "1", "1", "25", True, "exact"
-    )
 
 
 def test_sun_domain_contains_lifts_and_small_rationals():
