@@ -1,5 +1,6 @@
 """Suite registry, dual-engine agreement, error taxonomy, fault injection."""
 
+import hashlib
 import io
 import pickle
 import subprocess
@@ -76,10 +77,34 @@ def test_registry_shape():
         assert ALIASES[name]
 
 
+# every registered suite's params dicts, keys in order, over these sweeps:
+# repeated and zero n and r, the --x filter with a p-divisible denominator,
+# an integer and a non-quartic x, empty axes, and no prime at all
+GENERATOR_SWEEPS = (
+    small_sweep(),
+    small_sweep(n_values=(0, 2, 1), r_values=(0, 3, 1), identity_max=7),
+    small_sweep(x_values=(F(1, 2), F(1, 7), 3, F(2, 5), F(1, 6))),
+    small_sweep(n_values=(), r_values=(), x_values=(F(1, 5),)),
+    small_sweep(primes=(), identity_max=0),
+    Sweep((7,), n_values=(1, 1, 2), x_values=(F(1, 4), F(1, 4))),
+)
+GENERATOR_DIGEST = "f6ae5bcfb21f75a1630b15a17cd90b3064d544cb7c01df8880578237c8f2c015"
+
+
+def _generator_digest() -> str:
+    h = hashlib.sha256()
+    for sw in GENERATOR_SWEEPS:
+        for sid in REGISTRY:
+            for params in REGISTRY[sid].gen(sw):
+                h.update(repr((sid, list(params.items()))).encode())
+    return h.hexdigest()
+
+
 def test_generators_are_deterministic():
     sw = small_sweep()
     for sid in REGISTRY:
         assert list(REGISTRY[sid].gen(sw)) == list(REGISTRY[sid].gen(sw))
+    assert _generator_digest() == GENERATOR_DIGEST
 
 
 # frozen worked examples, one per headline suite
