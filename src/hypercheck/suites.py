@@ -2,14 +2,14 @@
 
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
-as one row of a table: a generator of instances, a check that computes
-both sides and returns them, and the exponent e of the suite's statement
-mod p^e.  Each instance is the params dict its generator yields, and the
-check takes those params by name, ``check(sweep, dual, ctx, **params)``,
-so its signature lists them.  `run_instance` builds ``ctx``, the
-instance's `PrimePower` p^e, where e is ``--mod-exp`` if given and the
-suite's own exponent otherwise; ``ctx`` is None for the exact suites and
-for lemma1 and lemma2, which stay mod p.
+as one row of a table: its instances, declared as a grid of axes
+(`_grid`), a check that computes both sides and returns them, and the
+exponent e of the suite's statement mod p^e.  Each instance is a params
+dict with one key per axis name, and the check takes those params by
+name, ``check(sweep, dual, ctx, **params)``, so its signature lists them.
+`run_instance` builds ``ctx``, the instance's `PrimePower` p^e, where e is
+``--mod-exp`` if given and the suite's own exponent otherwise; ``ctx`` is
+None for the exact suites and for lemma1 and lemma2, which stay mod p.
 
 `run_instance` is the only code that knows the engine.  It hands each
 check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
@@ -36,7 +36,7 @@ that is not p-integral) or an unexpected exception in a check.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -253,8 +253,11 @@ def _sun_xs(p: int, sweep: Sweep) -> list:
     return lifts + rationals
 
 
-def _general_xs(p: int) -> list[Fraction]:
-    """p-coprime rationals a/b (b <= 8) outside the four-family orbit."""
+def _general_xs(p: int, sweep: Sweep) -> list:
+    """p-coprime rationals a/b (b <= 8) outside the four-family orbit; given
+    x follow the any-x rule of `_sun_xs`."""
+    if sweep.x_values is not None:
+        return _sun_xs(p, sweep)
     skip = {f.x for f in QUARTICS} | {1 - f.x for f in QUARTICS}
     out = []
     for b in range(2, 9):
@@ -267,13 +270,61 @@ def _general_xs(p: int) -> list[Fraction]:
     return out
 
 
+def _grid(*axes: tuple) -> Callable[[Sweep], Iterator[dict]]:
+    """The generator of a suite's instances: one params dict per point of a
+    grid of (name, domain) axes, listed outermost first, keys in that order.
+
+    The first domain is a function of the sweep; each later one, a function
+    of (first value, sweep) that returns a sequence, is evaluated once per
+    first value, and the points are the product of the domains.  An axis
+    named by a tuple of names binds them from a domain of tuples: a loop
+    the product cannot state (b <= a), or a loop order unlike the key order.
+    """
+    (name, first), *later = axes
+
+    def gen(sweep):
+        for v in first(sweep):
+            points = [{name: v}]
+            for names, domain in later:
+                points = _extend(points, names, domain(v, sweep))
+            yield from points
+
+    return gen
+
+
+def _extend(points: Iterable[dict], names, values) -> Iterator[dict]:
+    """Each of ``points`` with each of ``values`` bound to ``names`` in turn;
+    a function of its own, so that each axis's generator keeps its own
+    names and values."""
+    if isinstance(names, str):
+        return ({**point, names: v} for point in points for v in values)
+    return ({**point, **dict(zip(names, v))} for point in points for v in values)
+
+
+#: Axes that several suites share.  A later axis's domain takes (first
+#: value, sweep); the first value is p in every suite but the identity ones.
+_P = ("p", lambda sweep: sweep.primes)
+_N = ("n", lambda p, sweep: sweep.n_values)
+_N1 = ("n", lambda p, sweep: [n for n in sweep.n_values if n >= 1])  # conj: n >= 1
+_R = ("r", lambda p, sweep: sweep.r_values)
+_R1 = ("r", lambda p, sweep: [r for r in sweep.r_values if r >= 1])  # corollary: r >= 1
+_K = ("k", lambda p, sweep: range(p))
+_M = ("m", lambda p, sweep: range(p))
+_X = ("x", lambda first, sweep: _quartic_xs(sweep))
+_SUN_X = ("x", _sun_xs)
+
+
+def _only(x: Fraction) -> tuple:
+    """The x axis of a suite of one quartic x: x itself unless --x drops it."""
+    return "x", lambda p, sweep: [x] if x in _quartic_xs(sweep) else []
+
+
+def _indices(start: int) -> Callable[[Sweep], range]:
+    """The first domain of an identity suite: start..identity_max."""
+    return lambda sweep: range(start, sweep.identity_max + 1)
+
+
 # --- theorem suites --------------------------------------------------------
-
-
-def gen_thm1(sweep):
-    for p in sweep.primes:
-        for x in _quartic_xs(sweep):
-            yield {"p": p, "x": x}
 
 
 def check_thm1(sweep, dual, ctx, p, x):
@@ -282,23 +333,10 @@ def check_thm1(sweep, dual, ctx, p, x):
     return lhs, rhs
 
 
-def gen_sun(sweep):
-    for p in sweep.primes:
-        for x in _sun_xs(p, sweep):
-            yield {"p": p, "x": x}
-
-
 def check_sun(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
     rhs = Residue(special.sign_of_least_residue(x, p), ctx)
     return lhs, rhs
-
-
-def gen_rv(sweep):
-    for p in sweep.primes:
-        for n in sweep.n_values:
-            for x in _quartic_xs(sweep):
-                yield {"p": p, "n": n, "x": x}
 
 
 def check_rv(sweep, dual, ctx, p, n, x):
@@ -306,24 +344,6 @@ def check_rv(sweep, dual, ctx, p, n, x):
     base = _series(dual, x, n, ctx, sweep)
     rhs = base * special.sign_of_least_residue(x, p)
     return lhs, rhs
-
-
-def gen_rv_general(sweep):
-    for p in sweep.primes:
-        # given x follow the any-x rule: every x with denominator prime to p
-        xs = _general_xs(p) if sweep.x_values is None else _sun_xs(p, sweep)
-        for x in xs:
-            for n in sweep.n_values:
-                yield {"p": p, "n": n, "x": x}
-
-
-def gen_corollary_px(sweep):
-    for p in sweep.primes:
-        for r in sweep.r_values:
-            if r < 1:
-                continue
-            for x in _quartic_xs(sweep):
-                yield {"p": p, "r": r, "x": x}
 
 
 def check_corollary_px(sweep, dual, ctx, p, r, x):
@@ -358,12 +378,6 @@ def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
     return lhs, rhs, "modular"
 
 
-def gen_lemma2(sweep):
-    for p in sweep.primes:
-        for d in (2, 3, 4, 6):
-            yield {"p": p, "d": d}
-
-
 def check_lemma2(sweep, dual, ctx, p, d):
     _need_series(p, sweep)
     ctx = _modulus(p, 1)  # mod p under any --mod-exp
@@ -380,14 +394,6 @@ def check_lemma2(sweep, dual, ctx, p, d):
     else:
         rhs = -(q2 * 2) - half3 * q3
     return lhs, rhs, "modular"
-
-
-def gen_lemma4(sweep):
-    for p in sweep.primes:
-        for r in sweep.r_values:
-            for k in range(p):
-                for x in _quartic_xs(sweep):
-                    yield {"p": p, "r": r, "k": k, "x": x}
 
 
 def check_lemma4(sweep, dual, ctx, p, r, k, x):
@@ -425,13 +431,6 @@ def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
     return lhs, rhs
 
 
-def gen_lemma5(sweep):
-    for p in sweep.primes:
-        for k in range(p):
-            for x in _quartic_xs(sweep):
-                yield {"p": p, "k": k, "x": x}
-
-
 def check_lemma5(sweep, dual, ctx, p, k, x):
     fam = QUARTIC_BY_X[x]
     lhs = _term(dual, fam, k, ctx, sweep)
@@ -451,13 +450,6 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
     t_k, _, f2 = _term_row(x, ctx)[k]
     return lhs, Residue(t_k * f2, ctx), "modular"
-
-
-def gen_babbage(sweep):
-    for p in sweep.primes:
-        for a in range(7):
-            for b in range(a + 1):
-                yield {"p": p, "a": a, "b": b}
 
 
 def check_babbage(sweep, dual, ctx, p, a, b):
@@ -515,12 +507,6 @@ def check_chain_jet(sweep, dual, ctx, p, x):
     return lhs, delta * (p * (b_back + b_fwd)) + a_tot
 
 
-def gen_chain_m(sweep):
-    for p in sweep.primes:
-        for m in range(p):
-            yield {"p": p, "m": m}
-
-
 def check_chain_backward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
     # the backward-offset first-order piece of the jet
@@ -554,13 +540,6 @@ def check_chain_forward(sweep, dual, ctx, p, m):
     return _case(_TAIL, identities.tail_harmonic_sum, m)
 
 
-def gen_chain_block(sweep):
-    for p in sweep.primes:
-        for r in sweep.r_values:
-            for x in _quartic_xs(sweep):
-                yield {"p": p, "r": r, "x": x}
-
-
 def check_chain_block(sweep, dual, ctx, p, r, x):
     fam = QUARTIC_BY_X[x]
     _need_family(fam, r, sweep)
@@ -576,13 +555,6 @@ def check_chain_convolution(sweep, dual, ctx, p, x):
     lhs = Residue(sum(tt for _, tt, _ in row), ctx)
     rhs = Residue(sum(t * h[i] for i, (t, _, _) in enumerate(row)), ctx)
     return lhs, rhs
-
-
-def gen_chain_weighted(sweep):
-    for p in sweep.primes:
-        for x in _quartic_xs(sweep):
-            for form in ("series", "binomial"):
-                yield {"p": p, "x": x, "form": form}
 
 
 def check_chain_weighted(sweep, dual, ctx, p, x, form):
@@ -604,12 +576,6 @@ def check_chain_product(sweep, dual, ctx, p, n, x):
     fp = _series(dual, x, p, ctx, sweep)
     fn = _series(dual, x, n, ctx, sweep)
     return lhs, fp * fn
-
-
-def gen_gessel(sweep):
-    for p in sweep.primes:
-        for n in sweep.n_values:
-            yield {"p": p, "n": n}
 
 
 def check_gessel(sweep, dual, ctx, p, n):
@@ -666,18 +632,6 @@ def _conj_oracle(fam, p, n, eps, ctx: PrimePower) -> str:
     return head + f"; reduces to {residue_from_rational(val, ctx).value} mod {ctx.modulus}"
 
 
-def gen_conjecture(x: Fraction):
-    def gen(sweep):
-        if x not in _quartic_xs(sweep):
-            return
-        for p in sweep.primes:
-            for n in sweep.n_values:
-                if n >= 1:
-                    yield {"p": p, "n": n, "x": x}
-
-    return gen
-
-
 def check_conjecture(sweep, dual, ctx, p, n, x):
     fam = QUARTIC_BY_X[x]
     _need_series(n * p, sweep)  # the series cap first, before the binomial one
@@ -716,14 +670,6 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
 # --- identity suites -------------------------------------------------------
 
 
-def _identity_gen_n(start: int):
-    def gen(sweep):
-        for n in range(start, sweep.identity_max + 1):
-            yield {"n": n}
-
-    return gen
-
-
 check_identity_alt = _identity_check(identities.alternating_binomial_sum)
 check_identity_harmonic = _identity_check(identities.harmonic_weighted_sum)
 check_identity_tail = _identity_check(identities.tail_harmonic_sum)
@@ -736,26 +682,6 @@ check_identity_negation = _identity_check(identities.negation_symmetry)
 check_identity_printed = _identity_check(identities.shifted_harmonic_sum_printed)
 
 
-def gen_identity_kx(sweep):
-    for k in range(sweep.identity_max + 1):
-        for x in _quartic_xs(sweep):
-            yield {"k": k, "x": x}
-
-
-def gen_identity_taylor(sweep):
-    for k in range(sweep.identity_max + 1):
-        for r in (1, 2, 3):
-            for order in (0, 1):
-                yield {"k": k, "r": r, "order": order}
-
-
-def gen_identity_negation(sweep):
-    cap = sweep.identity_max
-    for b in range(1, cap + 1):
-        for k in range(cap + 1):
-            yield {"b": b, "k": k}
-
-
 # --- registry --------------------------------------------------------------
 
 
@@ -763,8 +689,11 @@ class Suite:
     """One registry row.  ``exponent`` is the e of the suite's statement mod
     p^e, which ``--mod-exp`` overrides; it is None for the exact suites and
     for lemma1 and lemma2, which stay mod p.  ``kind`` is one of theorem,
-    identity, conjecture and exploratory; ``check(sweep, dual, ctx,
-    **params)`` returns `_record`'s args."""
+    identity, conjecture and exploratory.  ``gen(sweep)`` yields the
+    instances' params dicts; every suite but lemma1 declares it as a
+    `_grid` of (name, domain) axes, listed outermost first and keyed in
+    that order, with p first in every suite that has a prime.  ``check(sweep,
+    dual, ctx, **params)`` returns `_record`'s args."""
 
     def __init__(
         self, id: str, kind: str, exponent: int | None, gen: Callable[[Sweep], Iterable[dict]],
@@ -775,77 +704,89 @@ class Suite:
 
 
 _SUITES = [
-    Suite("thm1", "theorem", 2, gen_thm1, check_thm1,
+    Suite("thm1", "theorem", 2, _grid(_P, _X), check_thm1,
           "four quadratic-character congruences for the length-p sum, mod p^2"),
-    Suite("sun", "theorem", 2, gen_sun, check_sun,
+    Suite("sun", "theorem", 2, _grid(_P, _SUN_X), check_sun,
           "length-p sum vs parity of the least residue of -x, any p-adic x, mod p^2"),
-    Suite("rv", "theorem", 2, gen_rv, check_rv,
+    Suite("rv", "theorem", 2, _grid(_P, _N, _X), check_rv,
           "length-np sum vs sign times length-n sum, quartic x, mod p^2"),
-    Suite("corollary", "theorem", 2, gen_corollary_px, check_corollary_px,
+    Suite("corollary", "theorem", 2, _grid(_P, _R1, _X), check_corollary_px,
           "length-p^r sum vs r-th power of the sign, mod p^2"),
     Suite("lemma1", "theorem", None, gen_lemma1, check_lemma1,
           "Fermat-quotient additivity over products and powers, mod p"),
-    Suite("lemma2", "theorem", None, gen_lemma2, check_lemma2,
+    Suite("lemma2", "theorem", None, _grid(_P, ("d", lambda p, sweep: (2, 3, 4, 6))), check_lemma2,
           "harmonic numbers at floor(p/d) vs Fermat quotients, mod p"),
-    Suite("lemma4", "theorem", 2, gen_lemma4, check_lemma4,
+    Suite("lemma4", "theorem", 2, _grid(_P, _R, _K, _X), check_lemma4,
           "term shift k -> k+rp factors through a harmonic correction, mod p^2"),
-    Suite("lemma4-binom", "theorem", 2, gen_lemma4, check_lemma4_binom,
+    Suite("lemma4-binom", "theorem", 2, _grid(_P, _R, _K, _X), check_lemma4_binom,
           "central-binomial form of the term-shift congruence, mod p^2"),
-    Suite("lemma5", "theorem", 1, gen_lemma5, check_lemma5,
+    Suite("lemma5", "theorem", 1, _grid(_P, _K, _X), check_lemma5,
           "series term vs signed binomial product at the floor multiple, mod p"),
-    Suite("lemma5-poch", "theorem", 1, gen_lemma5, check_lemma5_poch,
+    Suite("lemma5-poch", "theorem", 1, _grid(_P, _K, _X), check_lemma5_poch,
           "rising-product form of the term/binomial congruence, mod p"),
-    Suite("babbage", "theorem", 2, gen_babbage, check_babbage,
-          "C(ap, bp) vs C(a, b), mod p^2"),
-    Suite("chain-reflect", "theorem", 2, gen_sun, check_chain_reflect,
+    Suite("babbage", "theorem", 2,
+          _grid(_P, (("a", "b"), lambda p, sweep: [
+              (a, b) for a in range(7) for b in range(a + 1)])),
+          check_babbage, "C(ap, bp) vs C(a, b), mod p^2"),
+    Suite("chain-reflect", "theorem", 2, _grid(_P, _SUN_X), check_chain_reflect,
           "reflected-parameter restatement of the any-x congruence, mod p^2"),
-    Suite("chain-jet", "theorem", 2, gen_sun, check_chain_jet,
+    Suite("chain-jet", "theorem", 2, _grid(_P, _SUN_X), check_chain_jet,
           "first-order jet expansion of the reflected sum around the least residue, mod p^2"),
-    Suite("chain-backward", "theorem", 1, gen_chain_m, check_chain_backward,
+    Suite("chain-backward", "theorem", 1, _grid(_P, _M), check_chain_backward,
           "backward-offset first-order piece vs a signed harmonic number, mod p"),
-    Suite("chain-binom", "theorem", None, gen_chain_m, check_chain_binom,
+    Suite("chain-binom", "theorem", None, _grid(_P, _M), check_chain_binom,
           "alternating binomial sum truncated at p equals the sign, exactly"),
-    Suite("chain-forward", "theorem", None, gen_chain_m, check_chain_forward,
+    Suite("chain-forward", "theorem", None, _grid(_P, _M), check_chain_forward,
           "forward-offset harmonic-weighted sum equals a signed harmonic number, exactly"),
-    Suite("chain-block", "theorem", 2, gen_chain_block, check_chain_block,
+    Suite("chain-block", "theorem", 2, _grid(_P, _R, _X), check_chain_block,
           "length-p block r factors into term_r times the base block, mod p^2"),
-    Suite("chain-convolution", "theorem", 1, gen_thm1, check_chain_convolution,
+    Suite("chain-convolution", "theorem", 1, _grid(_P, _X), check_chain_convolution,
           "partial-fraction weights reduce to harmonic weights under the sum, mod p"),
-    Suite("chain-weighted", "theorem", 1, gen_chain_weighted, check_chain_weighted,
+    Suite("chain-weighted", "theorem", 1,
+          _grid(_P, _X, ("form", lambda p, sweep: ("series", "binomial"))), check_chain_weighted,
           "harmonic-weighted sum vanishes mod p (series and binomial forms)"),
-    Suite("chain-product", "theorem", 2, gen_rv, check_chain_product,
+    Suite("chain-product", "theorem", 2, _grid(_P, _N, _X), check_chain_product,
           "length-np sum factors into length-p times length-n sums, mod p^2"),
-    Suite("gessel", "theorem", 3, gen_gessel, check_gessel,
+    Suite("gessel", "theorem", 3, _grid(_P, _N), check_gessel,
           "Apery numbers A_{np} vs A_n, mod p^3"),
-    Suite("identity-alt", "identity", None, _identity_gen_n(0), check_identity_alt,
+    Suite("identity-alt", "identity", None, _grid(("n", _indices(0))), check_identity_alt,
           "alternating binomial sum equals (-1)^n, exactly"),
-    Suite("identity-harmonic", "identity", None, _identity_gen_n(1), check_identity_harmonic,
+    Suite("identity-harmonic", "identity", None, _grid(("n", _indices(1))), check_identity_harmonic,
           "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly"),
-    Suite("identity-tail", "identity", None, _identity_gen_n(1), check_identity_tail,
+    Suite("identity-tail", "identity", None, _grid(("n", _indices(1))), check_identity_tail,
           "tail-harmonic alternating sum equals (-1)^n H_n, exactly"),
-    Suite("identity-shifted", "identity", None, _identity_gen_n(1), check_identity_shifted,
+    Suite("identity-shifted", "identity", None, _grid(("n", _indices(1))), check_identity_shifted,
           "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly"),
-    Suite("identity-chain", "identity", None, _identity_gen_n(0), check_identity_chain,
+    Suite("identity-chain", "identity", None, _grid(("n", _indices(0))), check_identity_chain,
           "harmonic-difference form linking the alternating-sum identities, exactly"),
-    Suite("identity-partfrac", "identity", None, gen_identity_kx, check_identity_partfrac,
+    Suite("identity-partfrac", "identity", None, _grid(("k", _indices(0)), _X),
+          check_identity_partfrac,
           "partial-fraction harmonic decompositions of the four families, exactly"),
-    Suite("identity-convolution", "identity", None, gen_identity_kx, check_identity_convolution,
+    Suite("identity-convolution", "identity", None, _grid(("k", _indices(0)), _X),
+          check_identity_convolution,
           "harmonic-weighted term equals the convolution of earlier terms, exactly"),
-    Suite("identity-taylor", "identity", None, gen_identity_taylor, check_identity_taylor,
+    Suite("identity-taylor", "identity", None,
+          _grid(("k", _indices(0)), ("r", lambda k, sweep: (1, 2, 3)),
+                ("order", lambda k, sweep: (0, 1))), check_identity_taylor,
           "value and derivative at zero of the binomial-ratio function, exactly"),
-    Suite("identity-negation", "identity", None, gen_identity_negation, check_identity_negation,
-          "negated-upper-index binomial product symmetry, exactly"),
-    Suite("conj-1/2", "conjecture", 3, gen_conjecture(Fraction(1, 2)), check_conjecture,
+    Suite("identity-negation", "identity", None,
+          _grid(("b", _indices(1)), ("k", lambda b, sweep: range(sweep.identity_max + 1))),
+          check_identity_negation, "negated-upper-index binomial product symmetry, exactly"),
+    Suite("conj-1/2", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 2))), check_conjecture,
           "scaled mod-p^3 strengthening, central-binomial family (Euler number RHS)"),
-    Suite("conj-1/3", "conjecture", 3, gen_conjecture(Fraction(1, 3)), check_conjecture,
+    Suite("conj-1/3", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 3))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/3 family (Bernoulli polynomial RHS)"),
-    Suite("conj-1/4", "conjecture", 3, gen_conjecture(Fraction(1, 4)), check_conjecture,
+    Suite("conj-1/4", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 4))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/4 family (Euler polynomial RHS)"),
-    Suite("conj-1/6", "conjecture", 3, gen_conjecture(Fraction(1, 6)), check_conjecture,
+    Suite("conj-1/6", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 6))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/6 family (Euler number RHS)"),
-    Suite("rv-x", "exploratory", 2, gen_rv_general, check_rv,
-          "the np-vs-n factorization swept over general rational x (expected to fail)"),
-    Suite("identity-shifted-printed", "exploratory", None, _identity_gen_n(1), check_identity_printed,
+    # the loop runs x outside n, but the keys stay p, n, x
+    Suite("rv-x", "exploratory", 2,
+          _grid(_P, (("n", "x"), lambda p, sweep: [
+              (n, x) for x in _general_xs(p, sweep) for n in sweep.n_values])),
+          check_rv, "the np-vs-n factorization swept over general rational x (expected to fail)"),
+    Suite("identity-shifted-printed", "exploratory", None, _grid(("n", _indices(1))),
+          check_identity_printed,
           "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)"),
 ]
 

@@ -137,6 +137,32 @@ def test_lemma4_sweep_at_p997_leaves_the_exact_tables_empty(monkeypatch, capsys)
     assert_exact_tables_empty()
 
 
+def test_exact_tables_stay_within_the_caps_of_their_readers(monkeypatch):
+    # the module-level exact tables live as long as the process, so each is
+    # bounded by what its readers may ask: the identity index cap k <= 40
+    # (H_n to 6k for the partial-fraction form), and m < p for the chain cases
+    cap = 40
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", str(cap))
+    empty_exact_tables(monkeypatch)
+    monkeypatch.setattr(identities, "_JETS", {})
+    monkeypatch.setattr(identities, "_NEG", {})
+    assert cli.main(["identities", "--format", "json-lines"]) == 0
+    for table in (identities._PF, identities._TERMS):
+        assert set(table) == {f.x for f in QUARTICS}
+        assert max(map(len, table.values())) <= cap + 1
+    assert set(identities._JETS) <= {1, 2, 3}
+    assert all(k <= cap for k, *_ in identities._JETS.values())
+    assert set(identities._NEG) <= set(range(1, cap + 1))
+    assert len(special._H_EXACT) <= 6 * cap + 1
+    monkeypatch.setattr(suites, "_ALTERNATING", {})
+    monkeypatch.setattr(suites, "_TAIL", {})
+    argv = ["chain-binom", "chain-forward", "chain-weighted", "--p-max", "31",
+            "--format", "json-lines"]
+    assert cli.main(argv) == 0
+    assert suites._ALTERNATING and suites._TAIL
+    assert max(suites._ALTERNATING | suites._TAIL) < 31
+
+
 def test_harmonic_rows_keep_only_the_latest_prime():
     for suite_id in ("lemma2", "chain-backward"):
         previous = None
