@@ -188,13 +188,15 @@ class QuarticFamily:
     The suites ask for the same n = k + r p again at every prime and in
     several suites, so each family keeps one table of its binomial products,
     keyed by n and filled only at the n asked for.  Equality and hash are
-    those of (x, binomials, base, character_arg); the table takes no part.
+    those of (x, binomials, base, character_arg), the hash computed once, as
+    the suites key per-prime rows by family; the table takes no part.
     """
 
-    __slots__ = ("x", "binomials", "base", "character_arg", "_products")
+    __slots__ = ("x", "binomials", "base", "character_arg", "_hash", "_products")
 
     def __init__(self, x: Fraction, binomials: tuple, base: int, character_arg: int):
         self.x, self.binomials, self.base, self.character_arg = x, binomials, base, character_arg
+        self._hash = hash(self._key())
         # n -> binomial_product(n), n <= binomial_max // c (`suites._need_family`
         # comes first): 4.1 MB for all four families at the default cap of 5,000
         self._products: dict[int, int] = {}
@@ -206,7 +208,7 @@ class QuarticFamily:
         return isinstance(other, QuarticFamily) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def binomial_product(self, n: int) -> int:
         """The product of the binomials C(c*n, d*n), computed once per n."""

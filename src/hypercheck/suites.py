@@ -3,24 +3,27 @@
 Every proved congruence family, every intermediate step of the two proof
 chains, and the four conjectured mod-p^3 strengthenings is registered here
 as one row of a table: its instances, declared as a grid of axes
-(`_grid`), a check that computes both sides and returns them, and the
+(`_Grid`), a check that computes both sides and returns them, and the
 exponent e of the suite's statement mod p^e.  Each instance is a params
 dict with one key per axis name, and the check takes those params by
 name, ``check(sweep, dual, ctx, **params)``, so its signature lists them.
-`run_instance` builds ``ctx``, the instance's `PrimePower` p^e, where e is
-``--mod-exp`` if given and the suite's own exponent otherwise; ``ctx`` is
-None for the exact suites and for lemma1 and lemma2, which stay mod p.
 
-`run_instance` is the only code that knows the engine.  It hands each
-check a ``dual(modular_fn, exact_fn)`` evaluator for values that have both
+A shard is one value of a suite's first axis: one prime, or one identity
+index.  The runner builds one `Shard` per shard and passes it to
+`run_instance` for each of its instances.  The shard holds ``ctx``, the
+`PrimePower` p^e that all its instances and their rows (`PrimePower.tables`)
+share, where e is ``--mod-exp`` if given and the suite's own exponent
+otherwise (lemma1 and lemma2 stay mod p; ``ctx`` is None for the exact
+suites), so a prime's tables go with its shard.  The shard is also the
+checks' ``dual(modular_fn, exact_fn)`` evaluator for values that have both
 a modular route (valuation-tracked term recurrence) and an exact route
-(exact evaluation reduced once at the end).  ``dual`` runs the modular
-route under ``modular``, the exact one under ``exact``, and both under
-``both``, where any disagreement raises `InternalError`; it returns the
-value alone.  A check returns its sides and `run_instance` builds every
-record from them: one of a check that asked ``dual`` names the route it
-reports (``"exact"`` under ``exact``, ``"modular"`` otherwise), and one of
-a single-route check says ``"exact"`` unless the check names its engine.
+(exact evaluation reduced once at the end): it runs the modular route
+under ``modular``, the exact one under ``exact``, and both under ``both``,
+where any disagreement raises `InternalError`, and returns the value alone.
+`run_instance` builds every record from the sides a check returns: one of
+a check that asked ``dual`` names the route it reports (``"exact"`` under
+``exact``, ``"modular"`` otherwise), and one of a single-route check says
+``"exact"`` unless the check names its engine.
 
 Kinds: ``theorem`` suites are proved, so a failing instance at the suite's
 own exponent means a checker bug, but it is reported like any other failure
@@ -35,11 +38,10 @@ that is not p-integral) or an unexpected exception in a check.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
+from time import perf_counter
 
 from . import identities, padic, series, special
 from .errors import BudgetExceeded, InternalError, VerifyError
@@ -64,7 +66,7 @@ def primes_in(lo: int, hi: int) -> tuple[int, ...]:
 
 class Sweep:
     """Parameter domain and size caps for one run; ``mod_exp`` overrides each
-    suite's `Suite.exponent` where it has one (``--mod-exp``).  `cli.parse_args`
+    suite's `Suite.exponent` unless it is ``fixed`` (``--mod-exp``).  `cli.parse_args`
     reads the caps from VERIFY_BUDGET_{BINOMIAL,SERIES,IDENTITY}, and the
     defaults from the class attributes."""
 
@@ -92,7 +94,7 @@ class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
     `_record` fills in lhs, rhs, modulus, passed, engine and any note or
-    oracle from a check's sides, `_error_report` the error of a failed
+    oracle from a check's sides, `run_instance` the error of a failed
     instance; `run_instance` stamps ``suite``, ``params`` (the generator's
     dict as it is; `cli` writes each non-int value as its string) and
     ``elapsed_ms``, and the engine of a dual-route record.  Equal field by field.
@@ -119,13 +121,14 @@ class Report:
 def _record(lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
     """The record of lhs = rhs: mod the modulus of ``rhs`` for `Residue`
     sides, exactly otherwise; a None ``lhs`` fails."""
-    if isinstance(rhs, Residue):
+    if rhs.__class__ is Residue:
         passed, modulus = lhs is not None and lhs.value == rhs.value, str(rhs.ctx.modulus)
-        lhs, rhs = "" if lhs is None else str(lhs.value), str(rhs.value)
+        rhs = str(rhs.value)
+        lhs = rhs if passed else "" if lhs is None else str(lhs.value)
     else:
         passed, modulus, lhs = lhs == rhs, "exact", str(lhs)
         rhs = lhs if passed else str(rhs)
-    return Report(lhs, rhs, modulus, passed, engine, note=note, oracle=oracle)
+    return Report(lhs, rhs, modulus, passed, engine, "", None, 0.0, note, oracle)
 
 
 def _identity_check(fn):
@@ -140,26 +143,34 @@ def _identity_check(fn):
 
 # --- shared evaluation helpers ---------------------------------------------
 
-#: The modulus of a run of instances at the same p^e, built once for the
-#: run.  A sweep runs one suite, one prime at a time, so one entry serves
-#: it, and a prime's tables (`PrimePower.tables`) are freed with its
-#: modulus.  A check that works at another p^e builds a plain `PrimePower`,
-#: which would otherwise evict the run's.
-_modulus = lru_cache(maxsize=1)(PrimePower)
+
+def _family(x: Fraction) -> QuarticFamily:
+    """The quartic family of x.  Every grid hands out the family's own x,
+    so a scan by identity finds it without hashing a `Fraction`; an equal
+    x that is another object takes the dict."""
+    for fam in QUARTICS:
+        if fam.x is x:
+            return fam
+    return QUARTIC_BY_X[x]
 
 
-def _term_row(x: Fraction, ctx: PrimePower) -> list[tuple[int, int, int]]:
-    """(t_k, t_k T_k, (k!)^2) mod p^e for k < p: x's row on ``ctx.tables``.
+# the partial-fraction closed form of each family's T_k, by family
+_PARTFRAC = {fam: identities.PARTFRAC_CLOSED_FORMS[fam.x] for fam in QUARTICS}
+
+
+def _term_row(fam: QuarticFamily, ctx: PrimePower) -> list[tuple[int, int, int]]:
+    """(t_k, t_k T_k, (k!)^2) mod p^e for k < p: the row of ``fam``'s x on
+    ``ctx.tables``.
 
     For x = a/b, t_k + t_k T_k eps is the jet prod_{j<k} (a+jb+b eps)
     (b-a+jb+b eps) over b^(2k) (k!)^2, a p-unit for k < p although T_k is
     not: the row walks the jet mod p^e, inverts the last denominator once
     and steps down by (b k)^2 to the others.
     """
-    row = ctx.tables.get(("terms", x))
+    row = ctx.tables.get(("terms", fam))
     if row is not None:
         return row
-    a, b, m = x.numerator, x.denominator, ctx.modulus
+    a, b, m = fam.x.numerator, fam.x.denominator, ctx.modulus
     row, r0, r1, f2 = [], 1, 0, 1
     for k in range(ctx.p):
         if k:
@@ -172,7 +183,7 @@ def _term_row(x: Fraction, ctx: PrimePower) -> list[tuple[int, int, int]]:
         r0, r1, f2 = row[k]
         row[k] = (r0 * inv % m, r1 * inv % m, f2)
         inv = inv * (b * k) ** 2 % m
-    ctx.tables[("terms", x)] = row
+    ctx.tables[("terms", fam)] = row
     return row
 
 
@@ -192,21 +203,12 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
         _need_binomial(c * n, sweep)
 
 
-#: ``dual(modular_fn, exact_fn) -> value``; `run_instance` binds it to the
-#: run's engine, hands it to every check, and names the route that ran in
-#: the record it builds from the sides of a check that called it.  Series
-#: windows reach it through `_series` and quartic terms through `_term`,
-#: each under its budget cap; no check calls it directly.
-Dual = Callable[[Callable[[], Residue], Callable[[], Residue]], Residue]
-
-
 def _series(
-    dual: Dual, x: PadicInput, stop: int, ctx: PrimePower, sweep: Sweep, start: int = 0
+    dual: Shard, x: PadicInput, stop: int, ctx: PrimePower, sweep: Sweep, start: int = 0
 ) -> Residue:
     """The sum of the terms start <= k < stop of F(x; stop) mod p^e by the
-    engine's route(s), under the series cap; the one way a check reaches a
-    series engine.  The record `run_instance` builds from the check's sides
-    names the route."""
+    engine's route(s) (``dual``), under the series cap; the one way a check
+    reaches a series engine."""
     _need_series(stop, sweep)
     return dual(
         lambda: series.window_sum_mod(x, start, stop, ctx),
@@ -214,13 +216,10 @@ def _series(
     )
 
 
-def _term(
-    dual: Dual, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep
-) -> Residue:
-    """The term t_n of ``fam``'s series mod p^e by the engine's route(s),
-    under the binomial cap; the one way a check reaches a quartic term.
-    The record `run_instance` builds from the check's sides names the
-    route."""
+def _term(dual: Shard, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep) -> Residue:
+    """The term t_n of ``fam``'s series mod p^e by the engine's route(s)
+    (``dual``), under the binomial cap; the one way a check reaches a
+    quartic term."""
     _need_family(fam, n, sweep)
     return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
@@ -237,20 +236,9 @@ def _quartic_xs(sweep: Sweep) -> list[Fraction]:
 
 def _sun_xs(p: int, sweep: Sweep) -> list:
     if sweep.x_values is not None:
-        return [
-            x for x in sweep.x_values if as_fraction(x).denominator % p != 0
-        ]
-    lifts = list(range(p))
-    rationals = sorted(
-        {
-            Fraction(a, b)
-            for b in range(2, 7)
-            if b % p
-            for a in range(1, b)
-            if gcd(a, b) == 1
-        }
-    )
-    return lifts + rationals
+        return [x for x in sweep.x_values if as_fraction(x).denominator % p != 0]
+    rationals = {Fraction(a, b) for b in range(2, 7) if b % p for a in range(1, b)}
+    return list(range(p)) + sorted(rationals)
 
 
 def _general_xs(p: int, sweep: Sweep) -> list:
@@ -270,35 +258,39 @@ def _general_xs(p: int, sweep: Sweep) -> list:
     return out
 
 
-def _grid(*axes: tuple) -> Callable[[Sweep], Iterator[dict]]:
-    """The generator of a suite's instances: one params dict per point of a
-    grid of (name, domain) axes, listed outermost first, keys in that order.
+class _Grid:
+    """A suite's instances: one params dict per point of a grid of (name,
+    domain) axes, listed outermost first, keys in that order.
 
-    The first domain is a function of the sweep; each later one, a function
-    of (first value, sweep) that returns a sequence, is evaluated once per
-    first value, and the points are the product of the domains.  An axis
-    named by a tuple of names binds them from a domain of tuples: a loop
-    the product cannot state (b <= a), or a loop order unlike the key order.
+    Each value of the first domain, a function of the sweep (`firsts`), is a
+    shard; each later domain, a function of (first value, sweep) returning a
+    sequence, is evaluated once per shard, whose points are their product
+    (`points`).  An axis named None binds a domain of dicts, each merged
+    into the point: a loop the product cannot state (b <= a), a loop order
+    unlike the key order, or keys that differ between points.
     """
-    (name, first), *later = axes
 
-    def gen(sweep):
-        for v in first(sweep):
-            points = [{name: v}]
-            for names, domain in later:
-                points = _extend(points, names, domain(v, sweep))
-            yield from points
+    def __init__(self, *axes: tuple):
+        (self.name, self.firsts), *self.later = axes
 
-    return gen
+    def points(self, first, sweep: Sweep) -> Iterable[dict]:
+        points = [{self.name: first}]
+        for name, domain in self.later:
+            points = _extend(points, name, domain(first, sweep))
+        return points
+
+    def __call__(self, sweep: Sweep) -> Iterator[dict]:
+        for first in self.firsts(sweep):
+            yield from self.points(first, sweep)
 
 
-def _extend(points: Iterable[dict], names, values) -> Iterator[dict]:
-    """Each of ``points`` with each of ``values`` bound to ``names`` in turn;
-    a function of its own, so that each axis's generator keeps its own
-    names and values."""
-    if isinstance(names, str):
-        return ({**point, names: v} for point in points for v in values)
-    return ({**point, **dict(zip(names, v))} for point in points for v in values)
+def _extend(points: Iterable[dict], name, values) -> Iterator[dict]:
+    """Each of ``points`` with each of ``values`` bound to ``name`` in turn,
+    or merged in where ``name`` is None; a function of its own, so that each
+    axis's generator keeps its own name and values."""
+    if name is None:
+        return ({**point, **v} for point in points for v in values)
+    return ({**point, name: v} for point in points for v in values)
 
 
 #: Axes that several suites share.  A later axis's domain takes (first
@@ -329,7 +321,7 @@ def _indices(start: int) -> Callable[[Sweep], range]:
 
 def check_thm1(sweep, dual, ctx, p, x):
     lhs = _series(dual, x, p, ctx, sweep)
-    rhs = Residue(special.legendre(QUARTIC_BY_X[x].character_arg, p), ctx)
+    rhs = Residue(special.legendre(_family(x).character_arg, p), ctx)
     return lhs, rhs
 
 
@@ -356,19 +348,14 @@ def check_corollary_px(sweep, dual, ctx, p, r, x):
 _EISENSTEIN_BASES = (2, 3, 5, 7, 10)
 
 
-def gen_lemma1(sweep):
-    for p in sweep.primes:
-        bases = [a for a in _EISENSTEIN_BASES if a % p]
-        for i, a in enumerate(bases):
-            for b in bases[i:]:
-                yield {"p": p, "a": a, "b": b, "form": "product"}
-        for a in bases:
-            for r in (1, 2, 3):
-                yield {"p": p, "a": a, "r": r, "form": "power"}
+def _lemma1_forms(p: int, sweep: Sweep) -> list[dict]:
+    """Each product pair a <= b of the bases prime to p, then each power."""
+    bases = [a for a in _EISENSTEIN_BASES if a % p]
+    pairs = [{"a": a, "b": b, "form": "product"} for i, a in enumerate(bases) for b in bases[i:]]
+    return pairs + [{"a": a, "r": r, "form": "power"} for a in bases for r in (1, 2, 3)]
 
 
 def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
-    ctx = _modulus(p, 1)  # the suite has no exponent: mod p under any --mod-exp
     if form == "product":
         lhs = special.fermat_quotient(a * b, ctx)
         rhs = special.fermat_quotient(a, ctx) + special.fermat_quotient(b, ctx)
@@ -380,7 +367,6 @@ def check_lemma1(sweep, dual, ctx, p, form, a, b=None, r=None):
 
 def check_lemma2(sweep, dual, ctx, p, d):
     _need_series(p, sweep)
-    ctx = _modulus(p, 1)  # mod p under any --mod-exp
     lhs = special.harmonic_mod(p // d, ctx)
     q2 = special.fermat_quotient(2, ctx)
     q3 = special.fermat_quotient(3, ctx)
@@ -397,7 +383,7 @@ def check_lemma2(sweep, dual, ctx, p, d):
 
 
 def check_lemma4(sweep, dual, ctx, p, r, k, x):
-    fam = QUARTIC_BY_X[x]
+    fam = _family(x)
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
     # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)), each
     # factor p-integral for the quartic x and p >= 5, so reduced one by one.
@@ -405,7 +391,7 @@ def check_lemma4(sweep, dual, ctx, p, r, k, x):
     # cap), holds t_i and p T_i from T_i's definition, not its closed form:
     # each step adds p b/(a+jb) + p b/(b-a+jb).  The p H_n (n < p) are a row.
     a, b = x.numerator, x.denominator
-    row = ctx.tables.setdefault(("lemma4", x), [(1, 0)])
+    row = ctx.tables.setdefault(("lemma4", fam), [(1, 0)])
     for i in range(len(row), k + 1):
         u, v = a + (i - 1) * b, b - a + (i - 1) * b
         pt = row[-1][1] + b * (special.p_over(u, ctx) + special.p_over(v, ctx))
@@ -418,21 +404,21 @@ def check_lemma4(sweep, dual, ctx, p, r, k, x):
 
 
 def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
-    fam = QUARTIC_BY_X[x]
+    fam = _family(x)
     n = k + r * p
     _need_family(fam, n, sweep)
     lhs = Residue(fam.binomial_product(n), ctx)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k in its closed form sum
     # c H_{dk}; each dk <= 6(p-1) < p^2, so p H_{dk} is a p-integral row entry
     h = special.harmonic_row(6 * k, ctx, scaled=True)
-    corr = sum(c * h[d * k] for c, d in identities.PARTFRAC_CLOSED_FORMS[x]) - 2 * h[k]
+    corr = sum(c * h[d * k] for c, d in _PARTFRAC[fam]) - 2 * h[k]
     b_k = fam.binomial_product(k) % ctx.modulus
     rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * corr), ctx)
     return lhs, rhs
 
 
 def check_lemma5(sweep, dual, ctx, p, k, x):
-    fam = QUARTIC_BY_X[x]
+    fam = _family(x)
     lhs = _term(dual, fam, k, ctx, sweep)
     rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
     return lhs, rhs
@@ -443,12 +429,13 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     m = special.floor_px(x, p)
     # integer rising products prod_{i<k} (m+1+i)(i-m) mod p: x's row on
     # ctx, grown in index order to k like lemma4's
-    row = ctx.tables.setdefault(("poch", x), [1])
+    fam = _family(x)
+    row = ctx.tables.setdefault(("poch", fam), [1])
     for i in range(len(row) - 1, k):
         row.append(row[-1] * (m + 1 + i) % ctx.modulus * (i - m) % ctx.modulus)
     lhs = Residue(row[k], ctx)
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
-    t_k, _, f2 = _term_row(x, ctx)[k]
+    t_k, _, f2 = _term_row(fam, ctx)[k]
     return lhs, Residue(t_k * f2, ctx), "modular"
 
 
@@ -541,7 +528,7 @@ def check_chain_forward(sweep, dual, ctx, p, m):
 
 
 def check_chain_block(sweep, dual, ctx, p, r, x):
-    fam = QUARTIC_BY_X[x]
+    fam = _family(x)
     _need_family(fam, r, sweep)
     lhs = _series(dual, x, (r + 1) * p, ctx, sweep, start=r * p)
     base = _series(dual, x, p, ctx, sweep)
@@ -551,7 +538,7 @@ def check_chain_block(sweep, dual, ctx, p, r, x):
 
 def check_chain_convolution(sweep, dual, ctx, p, x):
     _need_series(p, sweep)
-    row, h = _term_row(x, ctx), special.harmonic_row(p - 1, ctx)
+    row, h = _term_row(_family(x), ctx), special.harmonic_row(p - 1, ctx)
     lhs = Residue(sum(tt for _, tt, _ in row), ctx)
     rhs = Residue(sum(t * h[i] for i, (t, _, _) in enumerate(row)), ctx)
     return lhs, rhs
@@ -562,7 +549,8 @@ def check_chain_weighted(sweep, dual, ctx, p, x, form):
     m = special.floor_px(x, p)
     if form == "series":
         h = special.harmonic_row(p - 1, ctx)
-        total = sum(t * (2 * h[m] - h[k]) for k, (t, _, _) in enumerate(_term_row(x, ctx)))
+        row = _term_row(_family(x), ctx)
+        total = sum(t * (2 * h[m] - h[k]) for k, (t, _, _) in enumerate(row))
         return Residue(total, ctx), Residue(0, ctx)
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
@@ -633,7 +621,7 @@ def _conj_oracle(fam, p, n, eps, ctx: PrimePower) -> str:
 
 
 def check_conjecture(sweep, dual, ctx, p, n, x):
-    fam = QUARTIC_BY_X[x]
+    fam = _family(x)
     _need_series(n * p, sweep)  # the series cap first, before the binomial one
     _need_family(fam, n, sweep)
     w, unit = split_p_power(n * n * fam.binomial_product(n), p)
@@ -667,126 +655,118 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
     return lhs, rhs
 
 
-# --- identity suites -------------------------------------------------------
-
-
-check_identity_alt = _identity_check(identities.alternating_binomial_sum)
-check_identity_harmonic = _identity_check(identities.harmonic_weighted_sum)
-check_identity_tail = _identity_check(identities.tail_harmonic_sum)
-check_identity_shifted = _identity_check(identities.shifted_harmonic_sum)
-check_identity_chain = _identity_check(identities.harmonic_difference_chain)
-check_identity_partfrac = _identity_check(identities.partial_fraction_sum)
-check_identity_convolution = _identity_check(identities.term_convolution_identity)
-check_identity_taylor = _identity_check(identities.taylor_coefficient_check)
-check_identity_negation = _identity_check(identities.negation_symmetry)
-check_identity_printed = _identity_check(identities.shifted_harmonic_sum_printed)
-
-
 # --- registry --------------------------------------------------------------
 
 
 class Suite:
     """One registry row.  ``exponent`` is the e of the suite's statement mod
-    p^e, which ``--mod-exp`` overrides; it is None for the exact suites and
-    for lemma1 and lemma2, which stay mod p.  ``kind`` is one of theorem,
-    identity, conjecture and exploratory.  ``gen(sweep)`` yields the
-    instances' params dicts; every suite but lemma1 declares it as a
-    `_grid` of (name, domain) axes, listed outermost first and keyed in
-    that order, with p first in every suite that has a prime.  ``check(sweep,
-    dual, ctx, **params)`` returns `_record`'s args."""
+    p^e, which ``--mod-exp`` overrides unless the row is ``fixed`` (lemma1
+    and lemma2 stay mod p); it is None for the exact suites.  ``kind`` is one
+    of theorem, identity, conjecture and exploratory.  ``gen`` is the
+    instances' `_Grid` of (name, domain) axes, listed outermost first and
+    keyed in that order, with p first in every suite that has a prime;
+    ``gen(sweep)`` yields the params dicts.  ``check(sweep, dual, ctx,
+    **params)`` returns `_record`'s args."""
 
     def __init__(
-        self, id: str, kind: str, exponent: int | None, gen: Callable[[Sweep], Iterable[dict]],
-        check: Callable[..., tuple], description: str,
+        self, id: str, kind: str, exponent: int | None, gen: _Grid,
+        check: Callable[..., tuple], description: str, fixed: bool = False,
     ):
-        self.id, self.kind, self.exponent = id, kind, exponent
+        self.id, self.kind, self.exponent, self.fixed = id, kind, exponent, fixed
         self.gen, self.check, self.description = gen, check, description
 
 
 _SUITES = [
-    Suite("thm1", "theorem", 2, _grid(_P, _X), check_thm1,
+    Suite("thm1", "theorem", 2, _Grid(_P, _X), check_thm1,
           "four quadratic-character congruences for the length-p sum, mod p^2"),
-    Suite("sun", "theorem", 2, _grid(_P, _SUN_X), check_sun,
+    Suite("sun", "theorem", 2, _Grid(_P, _SUN_X), check_sun,
           "length-p sum vs parity of the least residue of -x, any p-adic x, mod p^2"),
-    Suite("rv", "theorem", 2, _grid(_P, _N, _X), check_rv,
+    Suite("rv", "theorem", 2, _Grid(_P, _N, _X), check_rv,
           "length-np sum vs sign times length-n sum, quartic x, mod p^2"),
-    Suite("corollary", "theorem", 2, _grid(_P, _R1, _X), check_corollary_px,
+    Suite("corollary", "theorem", 2, _Grid(_P, _R1, _X), check_corollary_px,
           "length-p^r sum vs r-th power of the sign, mod p^2"),
-    Suite("lemma1", "theorem", None, gen_lemma1, check_lemma1,
-          "Fermat-quotient additivity over products and powers, mod p"),
-    Suite("lemma2", "theorem", None, _grid(_P, ("d", lambda p, sweep: (2, 3, 4, 6))), check_lemma2,
-          "harmonic numbers at floor(p/d) vs Fermat quotients, mod p"),
-    Suite("lemma4", "theorem", 2, _grid(_P, _R, _K, _X), check_lemma4,
+    Suite("lemma1", "theorem", 1, _Grid(_P, (None, _lemma1_forms)), check_lemma1,
+          "Fermat-quotient additivity over products and powers, mod p", fixed=True),
+    Suite("lemma2", "theorem", 1, _Grid(_P, ("d", lambda p, sweep: (2, 3, 4, 6))), check_lemma2,
+          "harmonic numbers at floor(p/d) vs Fermat quotients, mod p", fixed=True),
+    Suite("lemma4", "theorem", 2, _Grid(_P, _R, _K, _X), check_lemma4,
           "term shift k -> k+rp factors through a harmonic correction, mod p^2"),
-    Suite("lemma4-binom", "theorem", 2, _grid(_P, _R, _K, _X), check_lemma4_binom,
+    Suite("lemma4-binom", "theorem", 2, _Grid(_P, _R, _K, _X), check_lemma4_binom,
           "central-binomial form of the term-shift congruence, mod p^2"),
-    Suite("lemma5", "theorem", 1, _grid(_P, _K, _X), check_lemma5,
+    Suite("lemma5", "theorem", 1, _Grid(_P, _K, _X), check_lemma5,
           "series term vs signed binomial product at the floor multiple, mod p"),
-    Suite("lemma5-poch", "theorem", 1, _grid(_P, _K, _X), check_lemma5_poch,
+    Suite("lemma5-poch", "theorem", 1, _Grid(_P, _K, _X), check_lemma5_poch,
           "rising-product form of the term/binomial congruence, mod p"),
     Suite("babbage", "theorem", 2,
-          _grid(_P, (("a", "b"), lambda p, sweep: [
-              (a, b) for a in range(7) for b in range(a + 1)])),
+          _Grid(_P, (None, lambda p, sweep: [
+              {"a": a, "b": b} for a in range(7) for b in range(a + 1)])),
           check_babbage, "C(ap, bp) vs C(a, b), mod p^2"),
-    Suite("chain-reflect", "theorem", 2, _grid(_P, _SUN_X), check_chain_reflect,
+    Suite("chain-reflect", "theorem", 2, _Grid(_P, _SUN_X), check_chain_reflect,
           "reflected-parameter restatement of the any-x congruence, mod p^2"),
-    Suite("chain-jet", "theorem", 2, _grid(_P, _SUN_X), check_chain_jet,
+    Suite("chain-jet", "theorem", 2, _Grid(_P, _SUN_X), check_chain_jet,
           "first-order jet expansion of the reflected sum around the least residue, mod p^2"),
-    Suite("chain-backward", "theorem", 1, _grid(_P, _M), check_chain_backward,
+    Suite("chain-backward", "theorem", 1, _Grid(_P, _M), check_chain_backward,
           "backward-offset first-order piece vs a signed harmonic number, mod p"),
-    Suite("chain-binom", "theorem", None, _grid(_P, _M), check_chain_binom,
+    Suite("chain-binom", "theorem", None, _Grid(_P, _M), check_chain_binom,
           "alternating binomial sum truncated at p equals the sign, exactly"),
-    Suite("chain-forward", "theorem", None, _grid(_P, _M), check_chain_forward,
+    Suite("chain-forward", "theorem", None, _Grid(_P, _M), check_chain_forward,
           "forward-offset harmonic-weighted sum equals a signed harmonic number, exactly"),
-    Suite("chain-block", "theorem", 2, _grid(_P, _R, _X), check_chain_block,
+    Suite("chain-block", "theorem", 2, _Grid(_P, _R, _X), check_chain_block,
           "length-p block r factors into term_r times the base block, mod p^2"),
-    Suite("chain-convolution", "theorem", 1, _grid(_P, _X), check_chain_convolution,
+    Suite("chain-convolution", "theorem", 1, _Grid(_P, _X), check_chain_convolution,
           "partial-fraction weights reduce to harmonic weights under the sum, mod p"),
     Suite("chain-weighted", "theorem", 1,
-          _grid(_P, _X, ("form", lambda p, sweep: ("series", "binomial"))), check_chain_weighted,
+          _Grid(_P, _X, ("form", lambda p, sweep: ("series", "binomial"))), check_chain_weighted,
           "harmonic-weighted sum vanishes mod p (series and binomial forms)"),
-    Suite("chain-product", "theorem", 2, _grid(_P, _N, _X), check_chain_product,
+    Suite("chain-product", "theorem", 2, _Grid(_P, _N, _X), check_chain_product,
           "length-np sum factors into length-p times length-n sums, mod p^2"),
-    Suite("gessel", "theorem", 3, _grid(_P, _N), check_gessel,
+    Suite("gessel", "theorem", 3, _Grid(_P, _N), check_gessel,
           "Apery numbers A_{np} vs A_n, mod p^3"),
-    Suite("identity-alt", "identity", None, _grid(("n", _indices(0))), check_identity_alt,
+    Suite("identity-alt", "identity", None, _Grid(("n", _indices(0))),
+          _identity_check(identities.alternating_binomial_sum),
           "alternating binomial sum equals (-1)^n, exactly"),
-    Suite("identity-harmonic", "identity", None, _grid(("n", _indices(1))), check_identity_harmonic,
+    Suite("identity-harmonic", "identity", None, _Grid(("n", _indices(1))),
+          _identity_check(identities.harmonic_weighted_sum),
           "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly"),
-    Suite("identity-tail", "identity", None, _grid(("n", _indices(1))), check_identity_tail,
+    Suite("identity-tail", "identity", None, _Grid(("n", _indices(1))),
+          _identity_check(identities.tail_harmonic_sum),
           "tail-harmonic alternating sum equals (-1)^n H_n, exactly"),
-    Suite("identity-shifted", "identity", None, _grid(("n", _indices(1))), check_identity_shifted,
+    Suite("identity-shifted", "identity", None, _Grid(("n", _indices(1))),
+          _identity_check(identities.shifted_harmonic_sum),
           "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly"),
-    Suite("identity-chain", "identity", None, _grid(("n", _indices(0))), check_identity_chain,
+    Suite("identity-chain", "identity", None, _Grid(("n", _indices(0))),
+          _identity_check(identities.harmonic_difference_chain),
           "harmonic-difference form linking the alternating-sum identities, exactly"),
-    Suite("identity-partfrac", "identity", None, _grid(("k", _indices(0)), _X),
-          check_identity_partfrac,
+    Suite("identity-partfrac", "identity", None, _Grid(("k", _indices(0)), _X),
+          _identity_check(identities.partial_fraction_sum),
           "partial-fraction harmonic decompositions of the four families, exactly"),
-    Suite("identity-convolution", "identity", None, _grid(("k", _indices(0)), _X),
-          check_identity_convolution,
+    Suite("identity-convolution", "identity", None, _Grid(("k", _indices(0)), _X),
+          _identity_check(identities.term_convolution_identity),
           "harmonic-weighted term equals the convolution of earlier terms, exactly"),
     Suite("identity-taylor", "identity", None,
-          _grid(("k", _indices(0)), ("r", lambda k, sweep: (1, 2, 3)),
-                ("order", lambda k, sweep: (0, 1))), check_identity_taylor,
+          _Grid(("k", _indices(0)), ("r", lambda k, sweep: (1, 2, 3)),
+                ("order", lambda k, sweep: (0, 1))),
+          _identity_check(identities.taylor_coefficient_check),
           "value and derivative at zero of the binomial-ratio function, exactly"),
     Suite("identity-negation", "identity", None,
-          _grid(("b", _indices(1)), ("k", lambda b, sweep: range(sweep.identity_max + 1))),
-          check_identity_negation, "negated-upper-index binomial product symmetry, exactly"),
-    Suite("conj-1/2", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 2))), check_conjecture,
+          _Grid(("b", _indices(1)), ("k", lambda b, sweep: range(sweep.identity_max + 1))),
+          _identity_check(identities.negation_symmetry),
+          "negated-upper-index binomial product symmetry, exactly"),
+    Suite("conj-1/2", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 2))), check_conjecture,
           "scaled mod-p^3 strengthening, central-binomial family (Euler number RHS)"),
-    Suite("conj-1/3", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 3))), check_conjecture,
+    Suite("conj-1/3", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 3))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/3 family (Bernoulli polynomial RHS)"),
-    Suite("conj-1/4", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 4))), check_conjecture,
+    Suite("conj-1/4", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 4))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/4 family (Euler polynomial RHS)"),
-    Suite("conj-1/6", "conjecture", 3, _grid(_P, _N1, _only(Fraction(1, 6))), check_conjecture,
+    Suite("conj-1/6", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 6))), check_conjecture,
           "scaled mod-p^3 strengthening, 1/6 family (Euler number RHS)"),
     # the loop runs x outside n, but the keys stay p, n, x
     Suite("rv-x", "exploratory", 2,
-          _grid(_P, (("n", "x"), lambda p, sweep: [
-              (n, x) for x in _general_xs(p, sweep) for n in sweep.n_values])),
+          _Grid(_P, (None, lambda p, sweep: [
+              {"n": n, "x": x} for x in _general_xs(p, sweep) for n in sweep.n_values])),
           check_rv, "the np-vs-n factorization swept over general rational x (expected to fail)"),
-    Suite("identity-shifted-printed", "exploratory", None, _grid(("n", _indices(1))),
-          check_identity_printed,
+    Suite("identity-shifted-printed", "exploratory", None, _Grid(("n", _indices(1))),
+          _identity_check(identities.shifted_harmonic_sum_printed),
           "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)"),
 ]
 
@@ -808,72 +788,83 @@ ALIASES: dict[str, tuple[str, ...]] = {
 }
 
 
+class Shard:
+    """What the instances at one value of a suite's first axis (a prime or an
+    identity index) share: ``ctx``, the modulus p^e with its tables, e the
+    suite's exponent or ``--mod-exp``, or None for an exact suite; and the
+    checks' ``dual(modular_fn, exact_fn)``, the shard itself, bound to the
+    run's engine, which checks reach only through `_series` and `_term`,
+    under their budget caps.  `run_instance` sets ``params``, the instance
+    running, and resets the route and the fault flag for each instance.
+    """
+
+    __slots__ = ("suite", "engine", "sweep", "fault", "ctx", "params", "route", "armed")
+
+    def __init__(self, suite_id: str, first, engine: str, sweep: Sweep, fault_suite: str | None):
+        suite = self.suite = REGISTRY[suite_id]
+        self.engine, self.sweep, self.fault = engine, sweep, fault_suite == suite_id
+        e = suite.exponent
+        if e is not None and not suite.fixed:
+            e = sweep.mod_exp or e
+        self.ctx = None if e is None else PrimePower(first, e)
+
+    def __call__(self, modular_fn, exact_fn):
+        engine = self.engine
+        if engine == "exact":
+            value, self.route = exact_fn(), "exact"
+        else:
+            value, self.route = modular_fn(), "modular"
+        if self.armed:
+            value, self.armed = Residue(value.value + 1, value.ctx), False
+        if engine == "both":
+            ev = exact_fn()
+            if value.value != ev.value:
+                raise InternalError(
+                    f"engine disagreement in {self.suite.id} {self.params}: modular "
+                    f"{value.value} vs exact {ev.value} mod {value.ctx.p}^{value.ctx.e}"
+                )
+        return value
+
+
 def run_instance(
     suite_id: str,
     params: dict,
     engine: str = "modular",
     sweep: Sweep | None = None,
     fault_suite: str | None = None,
+    shard: Shard | None = None,
 ) -> Report:
     """Run one instance under `engine`; domain errors become error reports, bugs
     raise `InternalError`.
 
-    The check gets the instance's modulus ``ctx``: p^e with e the sweep's
-    ``mod_exp`` or else the suite's exponent, or None where the suite has
-    none.  Consecutive instances at the same p^e share one ``ctx`` and its
-    tables (`_modulus`), so a run pays for them once per suite and prime.
-    `_record` builds the record from the sides the check returns.  This is
-    the only code that knows the engine: the check gets a `Dual` bound to
-    it, and a record of a check that asked it names the route that ran.
-    The first value a check asks ``dual`` for is the instance's primary
-    value (its left side); when ``fault_suite`` names this suite (the
-    ``VERIFY_FAULT_INJECT`` self-test) the primary value of the route the
-    engine reports (exact under ``exact``, modular otherwise) is off by one,
-    so ``both`` raises `InternalError` and ``modular`` and ``exact`` report
-    a failure.  Without a ``sweep`` the check gets the primes 5..97 and
+    The runner passes the instance's `Shard`, built for the same engine,
+    sweep and fault suite; without one, the instance runs in a shard of its
+    own (at ``params["p"]``).  The check gets the shard's modulus and the
+    shard as its ``dual``, and `_record` builds the record from the sides it
+    returns.  The first value a check asks ``dual`` for is its primary value
+    (its left side); when ``fault_suite`` names this suite (the
+    ``VERIFY_FAULT_INJECT`` self-test) that value, on the route the engine
+    reports (exact under ``exact``, modular otherwise), is off by one, so
+    ``both`` raises `InternalError` and ``modular`` and ``exact`` report a
+    failure.  Without a ``sweep`` the check gets the primes 5..97 and
     `Sweep`'s default caps, whatever the environment says.
     """
-    suite = REGISTRY[suite_id]
-    if sweep is None:
-        sweep = Sweep(primes_in(5, 97))
-    fault = fault_suite == suite_id
-    route = None  # the route dual reports, once the check asks for it
-
-    def dual(modular_fn, exact_fn):
-        nonlocal fault, route
-        if engine == "exact":
-            value, route = exact_fn(), "exact"
-        else:
-            value, route = modular_fn(), "modular"
-        if fault:
-            value, fault = Residue(value.value + 1, value.ctx), False
-        if engine == "both":
-            ev = exact_fn()
-            if value.value != ev.value:
-                raise InternalError(
-                    f"engine disagreement in {suite_id} {params}: modular {value.value} "
-                    f"vs exact {ev.value} mod {value.ctx.p}^{value.ctx.e}"
-                )
-        return value
-
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     try:
-        ctx = None
-        if suite.exponent is not None:
-            ctx = _modulus(params["p"], sweep.mod_exp or suite.exponent)
-        rep = _record(*suite.check(sweep, dual, ctx, **params))
+        if shard is None:
+            sweep = sweep or Sweep(primes_in(5, 97))
+            shard = Shard(suite_id, params.get("p"), engine, sweep, fault_suite)
+        shard.params, shard.route, shard.armed = params, None, shard.fault
+        rep = _record(*shard.suite.check(shard.sweep, shard, shard.ctx, **params))
     except VerifyError as ex:
-        rep = _error_report(ex)
+        rep = Report("", "", "", False, "", error=f"{type(ex).__name__}: {ex}")
     except InternalError:
         raise
     except Exception as ex:  # a bug in a check or kernel: exit 3, not a traceback
         raise InternalError(f"{suite_id} {params}: {type(ex).__name__}: {ex}") from ex
     rep.suite, rep.params = suite_id, params
-    if route is not None and rep.error is None:
-        rep.engine = route
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if shard.route is not None and rep.error is None:
+        rep.engine = shard.route
+    rep.elapsed_ms = (perf_counter() - t0) * 1000.0
     return rep
 
-
-def _error_report(ex: Exception) -> Report:
-    return Report("", "", "", False, "", error=f"{type(ex).__name__}: {ex}")

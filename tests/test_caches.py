@@ -3,6 +3,7 @@ rows keep only the prime a sweep is on."""
 
 import importlib
 import inspect
+import os
 import pkgutil
 import tracemalloc
 import weakref
@@ -45,49 +46,37 @@ def test_every_functools_cache_is_bounded():
     # memory stays bounded on large sweeps: an unbounded cache keyed by a
     # prime or a series grows with the sweep
     caches = functools_caches()
-    assert {
-        "hypercheck._kernel._walker",
-        "hypercheck.series._blocks",
-        "hypercheck.suites._modulus",
-    } <= set(caches)
+    assert {"hypercheck._kernel._walker", "hypercheck.series._blocks"} <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
 
 
-def assert_holds_only(table, keys: list[tuple]) -> None:
-    """``table`` holds the entries for ``keys`` and nothing else."""
-    info = table.cache_info()
-    for key in keys:
-        table(*key)
-    assert info.currsize == len(keys)
-    assert table.cache_info().hits == info.hits + len(keys)
+def run_sweep(monkeypatch, *argv) -> list[tuple[tuple, dict]]:
+    """Run ``verify argv`` in process and check that it passes; the (p, e)
+    and the tables of every modulus it built, in order.  Each modulus is
+    built only once every one before it, with its tables, is gone."""
+    built = []
+    init = PrimePower.__init__
+
+    def tracking(self, *args):
+        assert all(ref() is None for _, ref, _ in built), (args, "an earlier modulus lives")
+        init(self, *args)
+        built.append((args, weakref.ref(self), self.tables))
+
+    monkeypatch.setattr(PrimePower, "__init__", tracking)
+    assert cli.main([*argv, "--format", "json-lines", "--out", os.devnull]) == 0
+    return [(args, tables) for args, _, tables in built]
 
 
-def run_prime(suite_id: str, p: int) -> None:
-    sweep = Sweep(primes=(p,))
-    for params in REGISTRY[suite_id].gen(sweep):
-        assert run_instance(suite_id, params, "both", sweep).passed
-
-
-def assert_tables_of_prime(p: int, e: int, keys: set, previous):
-    """`suites._modulus` holds only p^e, whose tables hold ``keys``, and the
-    modulus of the previous prime, with its tables, is gone."""
-    assert_holds_only(suites._modulus, [(p, e)])
-    ctx = suites._modulus(p, e)
-    assert set(ctx.tables) == keys
-    assert previous is None or previous() is None
-    return weakref.ref(ctx)
-
-
-def test_lemma4_rows_keep_only_the_latest_prime():
+def test_lemma4_rows_keep_only_the_latest_prime(monkeypatch):
+    # one modulus per shard, (suite, prime), holding that prime's rows
     for suite_id, keys in (
-        ("lemma4", {"p-harmonic"} | {("lemma4", fam.x) for fam in QUARTICS}),
+        ("lemma4", {"p-harmonic"} | {("lemma4", fam) for fam in QUARTICS}),
         ("lemma4-binom", {"p-harmonic"}),
     ):
-        previous = None
-        for p in primes_in(5, 31):
-            run_prime(suite_id, p)
-            previous = assert_tables_of_prime(p, 2, keys, previous)
+        built = run_sweep(monkeypatch, suite_id, "--p-max", "31")
+        assert [args for args, _ in built] == [(p, 2) for p in primes_in(5, 31)]
+        assert all(set(tables) == keys for _, tables in built)
 
 
 def empty_exact_tables(monkeypatch) -> None:
@@ -163,30 +152,26 @@ def test_exact_tables_stay_within_the_caps_of_their_readers(monkeypatch):
     assert max(suites._ALTERNATING | suites._TAIL) < 31
 
 
-def test_harmonic_rows_keep_only_the_latest_prime():
+def test_harmonic_rows_keep_only_the_latest_prime(monkeypatch):
     for suite_id in ("lemma2", "chain-backward"):
-        previous = None
-        for p in primes_in(5, 61):
-            run_prime(suite_id, p)
-            previous = assert_tables_of_prime(p, 1, {"harmonic"}, previous)
+        built = run_sweep(monkeypatch, suite_id, "--p-max", "61")
+        assert [args for args, _ in built] == [(p, 1) for p in primes_in(5, 61)]
+        assert all(set(tables) == {"harmonic"} for _, tables in built)
 
 
 def test_lemma1_and_lemma2_build_one_modulus_per_prime(monkeypatch):
     # every Fermat quotient and harmonic number of a prime's lemma1 and
-    # lemma2 instances lives on the run's mod-p modulus
-    built = []
-    init = PrimePower.__init__
+    # lemma2 instances lives on its shard's mod-p modulus, under any --mod-exp
+    for mod_exp in ((), ("--mod-exp", "3")):
+        argv = ("lemma1", "lemma2", "--p-min", "13", "--p-max", "17", *mod_exp)
+        built = run_sweep(monkeypatch, *argv)
+        assert [args for args, _ in built] == [(13, 1), (17, 1)] * 2
 
-    def counting(self, *args):
-        built.append(args)
-        init(self, *args)
 
-    monkeypatch.setattr(PrimePower, "__init__", counting)
-    suites._modulus.cache_clear()
-    for p in (13, 17):
-        run_prime("lemma1", p)
-        run_prime("lemma2", p)
-    assert built == [(13, 1), (17, 1)]
+def test_default_sweep_builds_one_modulus_per_suite_and_prime(monkeypatch):
+    # 19 theorem suites have a modulus, and 23 primes lie in 5..97
+    built = run_sweep(monkeypatch, "--engine", "modular")
+    assert len(built) == 437 == 19 * len(primes_in(5, 97))
 
 
 def test_chain_cases_are_computed_once_per_m_past_512(monkeypatch):
@@ -208,9 +193,7 @@ def test_chain_cases_are_computed_once_per_m_past_512(monkeypatch):
         monkeypatch.setattr(identities, name, counting(name))
     monkeypatch.setattr(suites, "_ALTERNATING", {})
     monkeypatch.setattr(suites, "_TAIL", {})
-    for p in (521, 523):
-        run_prime("chain-binom", p)
-        run_prime("chain-forward", p)
+    run_sweep(monkeypatch, "chain-binom", "chain-forward", "--p-min", "521", "--p-max", "523")
     assert sorted(calls) == [(name, m) for name in names for m in range(523)]
 
 

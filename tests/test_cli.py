@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypercheck
 from hypercheck import _kernel, cli, padic, series, suites
@@ -223,6 +224,53 @@ def test_unexpected_exception_exits_three_with_a_summary(tmp_path, capsys, monke
     assert summary["status"] == "internal-error"
     assert summary["error"].startswith("thm1 {")
     assert summary["error"].endswith("RuntimeError: kernel bug")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_internal_error_mid_shard_keeps_the_records_before_it(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # a check that raises at the third instance of the first shard (p = 5):
+    # its first two records are written, and neither the rest of the shard
+    # nor a later shard (run meanwhile by the other worker) is
+    check = suites.REGISTRY["thm1"].check
+
+    def broken(sweep, dual, ctx, p, x):
+        if (p, x) == (5, Fraction(1, 4)):
+            raise RuntimeError("third instance")
+        return check(sweep, dual, ctx, p=p, x=x)
+
+    monkeypatch.setattr(suites.REGISTRY["thm1"], "check", broken)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_main(
+        capsys, "thm1", "--p-max", "11", "--format", "json-lines",
+        "--workers", workers, "--out", str(out),
+    )
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert code == 3 and "RuntimeError: third instance" in err
+    assert [rec["params"] for rec in lines[:-1]] == [{"p": 5, "x": "1/2"}, {"p": 5, "x": "1/3"}]
+    summary = lines[-1]["summary"]
+    assert summary["status"] == "internal-error" and summary["instances"] == 2
+    assert summary["error"] == "thm1 {'p': 5, 'x': Fraction(1, 4)}: RuntimeError: third instance"
+
+
+def test_lemma_checks_hash_no_fraction_per_instance(capsys, monkeypatch):
+    # lemma4, lemma4-binom and lemma5 reach their family and their rows
+    # without hashing x: before shards, these 4,340 records hashed a
+    # Fraction 8,060 times; a few per (suite, prime, x), 108 here, may stay
+    hashes = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        hashes[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    argv = ("lemma4", "lemma4-binom", "lemma5", "--p-max", "31", "--engine", "modular")
+    code, out, _ = run_main(capsys, *argv, "--format", "json-lines")
+    assert code == 0 and out.count("\n") == 4341
+    assert hashes[0] <= 500
 
 
 def test_unknown_fault_injection_id_is_a_usage_error(capsys, monkeypatch):
@@ -476,22 +524,34 @@ def test_run_looks_up_run_instance_at_each_call(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+# the argv of the four perfbench workloads, before the options it adds
+BENCHMARK_WORKLOADS = (
+    (),
+    ("thm1", "rv", "chain-block", "--engine", "modular", "--p-max", "499"),
+    ("conj", "--p-max", "499"),
+    ("identities",),
+)
+
+
 def test_benchmark_setup_probe_stops_before_the_first_record(tmp_path):
     # perfbench's setup_s is a `child.py setup` process, which rebinds
-    # run_instance to stop at the first instance; a serial path that no
-    # longer reaches the rebound name would run, and time, the whole sweep
+    # run_instance to raise a plain Exception at the first instance, and
+    # finds the name only through module globals and closure cells; a runner
+    # that held run_instance elsewhere, caught Exception around the call or
+    # ran a shard before it would run, and time, the whole sweep
     root = Path(__file__).resolve().parents[1]
-    out = tmp_path / "records"
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "child.py"), "setup", "--",
-         "identities", "--format", "json-lines", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert not out.exists() or out.read_text() == ""
+    for argv in BENCHMARK_WORKLOADS:
+        out = tmp_path / "records"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "setup", "--",
+             *argv, "--format", "json-lines", "--out", str(out), "--workers", "1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert not out.exists() or out.read_text() == "", argv
 
 
 def test_names_the_benchmark_reaches_by_name_exist():
@@ -836,6 +896,37 @@ def test_mod_exp_six_stream_matches_pinned_digest(capsys, monkeypatch):
     assert_pinned(capsys, monkeypatch, "e6-p31")
 
 
+# `verify all --p-max 31 --engine modular` at VERIFY_BUDGET_IDENTITY=40 in
+# the other two formats: line count and SHA-256, recorded before each
+# (suite, prime) ran as one shard, with the human summary's "in X.Xs" and
+# the csv elapsed_ms column cut out
+PINNED_FORMATS = {
+    "human": (9694, "3953888739f5615f3262a5e1855716972e24cbfc3204d195c6b08f3ee7ecb726"),
+    "csv": (9694, "992d05b01c8c10dad054c3c80f29fcb6741aa887cf3ea461837911c75ea6a9e3"),
+}
+
+
+def _strip_format_elapsed(fmt: str, out: str) -> str:
+    if fmt == "human":
+        return re.sub(r" in [0-9.]+s \(verify ", " (verify ", out)
+    rows = list(csv.reader(io.StringIO(out)))
+    col = rows[0].index("elapsed_ms")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(row[:col] + row[col + 1 :] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv"])
+def test_human_and_csv_streams_match_pinned_digest(capsys, monkeypatch, fmt):
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
+    argv = ("all", "--p-max", "31", "--engine", "modular", "--format", fmt)
+    code, out, _ = run_main(capsys, *argv)
+    lines, digest = PINNED_FORMATS[fmt]
+    out = _strip_format_elapsed(fmt, out)
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _json_params(params: dict) -> dict:
     """``params`` with every non-int value as its string, as records show them."""
     return {k: v if type(v) is int else str(v) for k, v in params.items()}
@@ -887,6 +978,14 @@ def test_records_match_the_json_module_byte_for_byte():
         assert buf.getvalue() == _reference_line(rep), rep
         count += 1
     assert count == 5 * 4**3 * 6 * 2
+
+
+@settings(max_examples=2000)
+@given(st.floats() | st.integers(0, 10**9).map(lambda n: n / 2000))
+def test_elapsed_text_is_the_repr_of_the_rounded_value(x):
+    # the json-lines writer formats elapsed_ms with one "%.3f" where that
+    # gives the same text, ties and values past 1e12 included
+    assert cli._ms(x) == repr(round(x, 3))
 
 
 def test_csv_params_cell_matches_the_json_module():

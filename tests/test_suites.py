@@ -344,15 +344,15 @@ def test_modular_rows_match_their_exact_references(p, e):
         terms = identities.series_terms(x, p - 1)
         weights = identities.partial_fraction_weights(x, p - 1)
         suites.check_lemma4(sweep, _no_left_side, ctx, p=p, r=0, k=p - 1, x=x)
-        assert ctx.tables[("lemma4", x)] == [
+        assert ctx.tables[("lemma4", fam)] == [
             (reduce(terms[i]), reduce(p * weights[i])) for i in range(p)
         ]
         suites.check_lemma5_poch(sweep, _no_left_side, ctx, p=p, k=p - 1, x=x)
         m = floor_px(x, p)
-        assert ctx.tables[("poch", x)] == [
+        assert ctx.tables[("poch", fam)] == [
             prod((m + 1 + i) * (i - m) for i in range(k)) % ctx.modulus for k in range(p)
         ]
-        assert suites._term_row(x, ctx) == [
+        assert suites._term_row(fam, ctx) == [
             (reduce(terms[k]), reduce(terms[k] * weights[k]), reduce(factorial(k) ** 2))
             for k in range(p)
         ]
@@ -420,11 +420,11 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
         return product(fam, n)
 
     monkeypatch.setattr(QuarticFamily, "binomial_product", recording)
-    suites._modulus.cache_clear()
     sweep = Sweep(primes=(101,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom"):
-        for params in REGISTRY[suite_id].gen(sweep):
-            rep = run_instance(suite_id, params, "both", sweep)
+        shard = suites.Shard(suite_id, 101, "both", sweep, None)
+        for params in REGISTRY[suite_id].gen.points(101, sweep):
+            rep = run_instance(suite_id, params, "both", sweep, None, shard)
             assert rep.passed or rep.error.startswith("BudgetExceeded")
     assert seen
     assert all(c * n <= 10 for fam, n in seen for c, _ in fam.binomials)
