@@ -4,9 +4,9 @@
 registry and runs the sweep one shard at a time: a shard is one value of a
 suite's first axis (one prime, or one identity index), whose instances
 share one `Shard`.  `run` calls `run_instance` for each instance, in
-generation order, in this process or one shard per task across worker
-processes, and writes one line per instance in human, json-lines, or csv
-form.
+generation order, in this process or across worker processes, a run of
+whole shards per task, and writes one line per instance in human,
+json-lines, or csv form.
 
 `parse_args` is the only code that reads argv and the ``VERIFY_*``
 environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
@@ -215,11 +215,6 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 # one params object per key tuple the generators yield, with a %s for each value
 _PARAMS_TEMPLATES: dict[tuple, str] = {}
 
-# the JSON text of each (immutable) non-int params value met lately, by id,
-# as the grids hand out the same x objects again and again; each entry holds
-# its value, so no other object can take that id while the entry lasts
-_TEXTS: dict[int, tuple[object, str]] = {}
-
 
 def _params_json(params: dict) -> str:
     """``params`` as compact JSON: int values as digits, any other value as a string."""
@@ -230,24 +225,8 @@ def _params_json(params: dict) -> str:
         _PARAMS_TEMPLATES[keys] = template
     values = []  # a plain loop: a comprehension's own frame costs more per record
     for v in params.values():
-        if v.__class__ is not int:
-            entry = _TEXTS.get(id(v))
-            if entry is None:
-                if len(_TEXTS) >= 1024:
-                    _TEXTS.clear()
-                entry = _TEXTS[id(v)] = v, _quote(str(v))
-            v = entry[1]
-        values.append(v)
+        values.append(v if v.__class__ is int else _quote(str(v)))
     return template % tuple(values)
-
-
-def _ms(x: float) -> str:
-    """``repr(round(x, 3))``, by one "%.3f" where that is the same text: it rounds as round
-    does, and below 1e12 no shorter decimal names the rounded float."""
-    if x.__class__ is float and 0 <= x < 1e12:
-        text = ("%.3f" % x).rstrip("0")
-        return text + "0" if text[-1] == "." else text
-    return repr(round(x, 3))
 
 
 def _emit_json(rep: Report, out) -> None:
@@ -256,7 +235,7 @@ def _emit_json(rep: Report, out) -> None:
         f'{{"suite":{_quote(rep.suite)},"params":{_params_json(rep.params)},'
         f'"lhs":{_quote(rep.lhs)},"rhs":{_quote(rep.rhs)},'
         f'"modulus":{_quote(rep.modulus)},"pass":{"true" if rep.passed else "false"},'
-        f'"engine":{_quote(rep.engine)},"elapsed_ms":{_ms(rep.elapsed_ms)}'
+        f'"engine":{_quote(rep.engine)},"elapsed_ms":{round(rep.elapsed_ms, 3)!r}'
     )
     if rep.note is not None:
         line += ',"note":' + _quote(rep.note)
@@ -267,23 +246,60 @@ def _emit_json(rep: Report, out) -> None:
     out.write(line + "}\n")
 
 
-_CSV_COLUMNS = ("suite", "params", "lhs", "rhs", "modulus", "pass", "engine", "elapsed_ms",
-                "note", "oracle", "error")
+_CSV_COLUMNS = (
+    "suite",
+    "params",
+    "lhs",
+    "rhs",
+    "modulus",
+    "pass",
+    "engine",
+    "elapsed_ms",
+    "note",
+    "oracle",
+    "error",
+)
 
 
 def _emit_csv(rep: Report, writer) -> None:
-    writer.writerow([
-        rep.suite, _params_json(rep.params), rep.lhs, rep.rhs, rep.modulus,
-        "true" if rep.passed else "false", rep.engine, f"{rep.elapsed_ms:.3f}",
-        rep.note or "", rep.oracle or "", rep.error or "",
-    ])
+    writer.writerow(
+        [
+            rep.suite,
+            _params_json(rep.params),
+            rep.lhs,
+            rep.rhs,
+            rep.modulus,
+            "true" if rep.passed else "false",
+            rep.engine,
+            f"{rep.elapsed_ms:.3f}",
+            rep.note or "",
+            rep.oracle or "",
+            rep.error or "",
+        ]
+    )
 
 
 # one record writer per format, picked once per run; csv's writes to a csv.writer
 _EMITTERS = {"human": _emit_human, "json-lines": _emit_json, "csv": _emit_csv}
 
-# the per-suite counts of the summary
-_COUNTS = ("instances", "passed", "failed", "errors")
+
+class _Tally:
+    """Per-suite pass/fail/error counts."""
+
+    def __init__(self):
+        self.by_suite: dict[str, dict[str, int]] = {}
+
+    def add(self, rep: Report) -> None:
+        row = self.by_suite.get(rep.suite)
+        if row is None:
+            row = self.by_suite[rep.suite] = dict.fromkeys(
+                ("instances", "passed", "failed", "errors"), 0
+            )
+        row["instances"] += 1
+        row["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
+
+    def total(self, key: str) -> int:
+        return sum(row[key] for row in self.by_suite.values())
 
 
 def _config_echo(cfg: argparse.Namespace) -> dict:
@@ -325,13 +341,18 @@ def run(cfg: argparse.Namespace) -> int:
         jobs = [(sid, first, list(points), *rest) for sid, first, points, *rest in jobs]
         workers = min(cfg.workers, sum(len(job[2]) for job in jobs), _usable_cpus())
     if workers < 2:  # 0 when there is no instance
-        shards = ((job[0], _shard(*job), None) for job in jobs)
+        shards = ((_shard(*job), None) for job in jobs)
         return _write(cfg, partial(_report, cfg, shards))
     # imported here: a serial run never pays for multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        return _write(cfg, partial(_report, cfg, pool.imap(_pooled, jobs)))
+        # about 64 tasks per worker: few enough that the cost of a task stays
+        # small next to its shards, many enough that the reports of a task
+        # of the largest shards stay small in both processes
+        chunksize = max(1, len(jobs) // (workers * 64))
+        shards = pool.imap(_pooled, jobs, chunksize=chunksize)
+        return _write(cfg, partial(_report, cfg, shards))
 
 
 def _shard(suite_id: str, first, points, engine: str, sweep: Sweep, fault: str | None):
@@ -346,15 +367,15 @@ def _shard(suite_id: str, first, points, engine: str, sweep: Sweep, fault: str |
         yield run_instance(suite_id, params, engine, sweep, fault, shard)
 
 
-def _pooled(job: tuple) -> tuple[str, list[Report], InternalError | None]:
-    """`_shard` in a worker: its suite id, its reports up to any internal
-    error, and that error, which the parent raises after those records."""
+def _pooled(job: tuple) -> tuple[list[Report], InternalError | None]:
+    """`_shard` in a worker: its reports up to any internal error, and that
+    error, which the parent raises after those records."""
     reports: list[Report] = []
     try:
         reports.extend(_shard(*job))
     except InternalError as ex:
-        return job[0], reports, ex
-    return job[0], reports, None
+        return reports, ex
+    return reports, None
 
 
 def _write(cfg: argparse.Namespace, emit) -> int:
@@ -385,22 +406,20 @@ def _write(cfg: argparse.Namespace, emit) -> int:
 
 
 def _report(cfg: argparse.Namespace, shards, out) -> int:
-    """Write the records of each (suite id, reports, error) shard, then its
-    internal error if any, and the summary to ``out``; the exit code."""
+    """Write the records of each (reports, error) shard, then its internal
+    error if any, and the summary to ``out``; the exit code."""
     sink = out
     if cfg.format == "csv":
         sink = csv.writer(out, lineterminator="\n")
         sink.writerow(_CSV_COLUMNS)
     emit = _EMITTERS[cfg.format]
-    by_suite: dict[str, dict[str, int]] = {}  # _COUNTS per suite, instances filled in last
+    tally = _Tally()
     internal_error = None
     t0 = time.perf_counter()
     try:
-        for suite_id, reports, error in shards:
-            row = by_suite.setdefault(suite_id, dict.fromkeys(_COUNTS, 0))
+        for reports, error in shards:
             for rep in reports:
-                status = "errors" if rep.error is not None else "passed" if rep.passed else "failed"
-                row[status] += 1
+                tally.add(rep)
                 emit(rep, sink)
             if error is not None:
                 raise error
@@ -408,22 +427,28 @@ def _report(cfg: argparse.Namespace, shards, out) -> int:
         print(f"internal error: {ex}", file=sys.stderr)
         internal_error = str(ex)
     elapsed = time.perf_counter() - t0
-    for row in by_suite.values():
-        row["instances"] = row["passed"] + row["failed"] + row["errors"]
-    # a suite appears in the summary once it has a record
-    by_suite = {sid: row for sid, row in by_suite.items() if row["instances"]}
-    total, passed, failed, errors = (sum(row[k] for row in by_suite.values()) for k in _COUNTS)
+    total = tally.total("instances")
+    failed = tally.total("failed")
     if cfg.format == "json-lines":
-        summary = dict(
-            version=__version__, instances=total, passed=passed, failed=failed, errors=errors,
-            suites=by_suite, config=_config_echo(cfg), elapsed_s=round(elapsed, 3),
-        )
+        summary = {
+            "summary": {
+                "version": __version__,
+                "instances": total,
+                "passed": tally.total("passed"),
+                "failed": failed,
+                "errors": tally.total("errors"),
+                "suites": tally.by_suite,
+                "config": _config_echo(cfg),
+                "elapsed_s": round(elapsed, 3),
+            }
+        }
         if internal_error is not None:
-            summary.update(status="internal-error", error=internal_error)
-        out.write(_JSON.encode({"summary": summary}) + "\n")
+            summary["summary"].update(status="internal-error", error=internal_error)
+        out.write(_JSON.encode(summary) + "\n")
     elif cfg.format == "human" and internal_error is None:
         out.write(
-            f"ran {total} instances: {passed} passed, {failed} failed, {errors} errors "
+            f"ran {total} instances: {tally.total('passed')} passed, "
+            f"{failed} failed, {tally.total('errors')} errors "
             f"in {elapsed:.1f}s (verify {__version__})\n"
         )
     if internal_error is not None:

@@ -38,10 +38,10 @@ that is not p-integral) or an unexpected exception in a check.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd
-from time import perf_counter
 
 from . import identities, padic, series, special
 from .errors import BudgetExceeded, InternalError, VerifyError
@@ -94,7 +94,7 @@ class Report:
     """One suite instance outcome; all values pre-serialized for emission.
 
     `_record` fills in lhs, rhs, modulus, passed, engine and any note or
-    oracle from a check's sides, `run_instance` the error of a failed
+    oracle from a check's sides, `_error_report` the error of a failed
     instance; `run_instance` stamps ``suite``, ``params`` (the generator's
     dict as it is; `cli` writes each non-int value as its string) and
     ``elapsed_ms``, and the engine of a dual-route record.  Equal field by field.
@@ -121,14 +121,13 @@ class Report:
 def _record(lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
     """The record of lhs = rhs: mod the modulus of ``rhs`` for `Residue`
     sides, exactly otherwise; a None ``lhs`` fails."""
-    if rhs.__class__ is Residue:
+    if isinstance(rhs, Residue):
         passed, modulus = lhs is not None and lhs.value == rhs.value, str(rhs.ctx.modulus)
-        rhs = str(rhs.value)
-        lhs = rhs if passed else "" if lhs is None else str(lhs.value)
+        lhs, rhs = "" if lhs is None else str(lhs.value), str(rhs.value)
     else:
         passed, modulus, lhs = lhs == rhs, "exact", str(lhs)
         rhs = lhs if passed else str(rhs)
-    return Report(lhs, rhs, modulus, passed, engine, "", None, 0.0, note, oracle)
+    return Report(lhs, rhs, modulus, passed, engine, note=note, oracle=oracle)
 
 
 def _identity_check(fn):
@@ -236,9 +235,20 @@ def _quartic_xs(sweep: Sweep) -> list[Fraction]:
 
 def _sun_xs(p: int, sweep: Sweep) -> list:
     if sweep.x_values is not None:
-        return [x for x in sweep.x_values if as_fraction(x).denominator % p != 0]
-    rationals = {Fraction(a, b) for b in range(2, 7) if b % p for a in range(1, b)}
-    return list(range(p)) + sorted(rationals)
+        return [
+            x for x in sweep.x_values if as_fraction(x).denominator % p != 0
+        ]
+    lifts = list(range(p))
+    rationals = sorted(
+        {
+            Fraction(a, b)
+            for b in range(2, 7)
+            if b % p
+            for a in range(1, b)
+            if gcd(a, b) == 1
+        }
+    )
+    return lifts + rationals
 
 
 def _general_xs(p: int, sweep: Sweep) -> list:
@@ -655,6 +665,21 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
     return lhs, rhs
 
 
+# --- identity suites -------------------------------------------------------
+
+
+check_identity_alt = _identity_check(identities.alternating_binomial_sum)
+check_identity_harmonic = _identity_check(identities.harmonic_weighted_sum)
+check_identity_tail = _identity_check(identities.tail_harmonic_sum)
+check_identity_shifted = _identity_check(identities.shifted_harmonic_sum)
+check_identity_chain = _identity_check(identities.harmonic_difference_chain)
+check_identity_partfrac = _identity_check(identities.partial_fraction_sum)
+check_identity_convolution = _identity_check(identities.term_convolution_identity)
+check_identity_taylor = _identity_check(identities.taylor_coefficient_check)
+check_identity_negation = _identity_check(identities.negation_symmetry)
+check_identity_printed = _identity_check(identities.shifted_harmonic_sum_printed)
+
+
 # --- registry --------------------------------------------------------------
 
 
@@ -722,36 +747,29 @@ _SUITES = [
           "length-np sum factors into length-p times length-n sums, mod p^2"),
     Suite("gessel", "theorem", 3, _Grid(_P, _N), check_gessel,
           "Apery numbers A_{np} vs A_n, mod p^3"),
-    Suite("identity-alt", "identity", None, _Grid(("n", _indices(0))),
-          _identity_check(identities.alternating_binomial_sum),
+    Suite("identity-alt", "identity", None, _Grid(("n", _indices(0))), check_identity_alt,
           "alternating binomial sum equals (-1)^n, exactly"),
-    Suite("identity-harmonic", "identity", None, _Grid(("n", _indices(1))),
-          _identity_check(identities.harmonic_weighted_sum),
+    Suite("identity-harmonic", "identity", None, _Grid(("n", _indices(1))), check_identity_harmonic,
           "harmonic-weighted alternating sum equals 2(-1)^n H_n, exactly"),
-    Suite("identity-tail", "identity", None, _Grid(("n", _indices(1))),
-          _identity_check(identities.tail_harmonic_sum),
+    Suite("identity-tail", "identity", None, _Grid(("n", _indices(1))), check_identity_tail,
           "tail-harmonic alternating sum equals (-1)^n H_n, exactly"),
-    Suite("identity-shifted", "identity", None, _Grid(("n", _indices(1))),
-          _identity_check(identities.shifted_harmonic_sum),
+    Suite("identity-shifted", "identity", None, _Grid(("n", _indices(1))), check_identity_shifted,
           "shifted-harmonic alternating sum including k=0 equals 2(-1)^n H_n, exactly"),
-    Suite("identity-chain", "identity", None, _Grid(("n", _indices(0))),
-          _identity_check(identities.harmonic_difference_chain),
+    Suite("identity-chain", "identity", None, _Grid(("n", _indices(0))), check_identity_chain,
           "harmonic-difference form linking the alternating-sum identities, exactly"),
     Suite("identity-partfrac", "identity", None, _Grid(("k", _indices(0)), _X),
-          _identity_check(identities.partial_fraction_sum),
+          check_identity_partfrac,
           "partial-fraction harmonic decompositions of the four families, exactly"),
     Suite("identity-convolution", "identity", None, _Grid(("k", _indices(0)), _X),
-          _identity_check(identities.term_convolution_identity),
+          check_identity_convolution,
           "harmonic-weighted term equals the convolution of earlier terms, exactly"),
     Suite("identity-taylor", "identity", None,
           _Grid(("k", _indices(0)), ("r", lambda k, sweep: (1, 2, 3)),
-                ("order", lambda k, sweep: (0, 1))),
-          _identity_check(identities.taylor_coefficient_check),
+                ("order", lambda k, sweep: (0, 1))), check_identity_taylor,
           "value and derivative at zero of the binomial-ratio function, exactly"),
     Suite("identity-negation", "identity", None,
           _Grid(("b", _indices(1)), ("k", lambda b, sweep: range(sweep.identity_max + 1))),
-          _identity_check(identities.negation_symmetry),
-          "negated-upper-index binomial product symmetry, exactly"),
+          check_identity_negation, "negated-upper-index binomial product symmetry, exactly"),
     Suite("conj-1/2", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 2))), check_conjecture,
           "scaled mod-p^3 strengthening, central-binomial family (Euler number RHS)"),
     Suite("conj-1/3", "conjecture", 3, _Grid(_P, _N1, _only(Fraction(1, 3))), check_conjecture,
@@ -766,7 +784,7 @@ _SUITES = [
               {"n": n, "x": x} for x in _general_xs(p, sweep) for n in sweep.n_values])),
           check_rv, "the np-vs-n factorization swept over general rational x (expected to fail)"),
     Suite("identity-shifted-printed", "exploratory", None, _Grid(("n", _indices(1))),
-          _identity_check(identities.shifted_harmonic_sum_printed),
+          check_identity_printed,
           "shifted-harmonic alternating sum starting at k=1 (off by H_n; expected to fail)"),
 ]
 
@@ -839,17 +857,18 @@ def run_instance(
 
     The runner passes the instance's `Shard`, built for the same engine,
     sweep and fault suite; without one, the instance runs in a shard of its
-    own (at ``params["p"]``).  The check gets the shard's modulus and the
-    shard as its ``dual``, and `_record` builds the record from the sides it
-    returns.  The first value a check asks ``dual`` for is its primary value
-    (its left side); when ``fault_suite`` names this suite (the
-    ``VERIFY_FAULT_INJECT`` self-test) that value, on the route the engine
-    reports (exact under ``exact``, modular otherwise), is off by one, so
-    ``both`` raises `InternalError` and ``modular`` and ``exact`` report a
-    failure.  Without a ``sweep`` the check gets the primes 5..97 and
-    `Sweep`'s default caps, whatever the environment says.
+    own (at ``params["p"]``), whose modulus and rows no other call shares.
+    The check gets the shard's modulus and the shard as its ``dual``, and
+    `_record` builds the record from the sides it returns.  The first value
+    a check asks ``dual`` for is its primary value (its left side); when
+    ``fault_suite`` names this suite (the ``VERIFY_FAULT_INJECT`` self-test)
+    that value, on the route the engine reports (exact under ``exact``,
+    modular otherwise), is off by one, so ``both`` raises `InternalError`
+    and ``modular`` and ``exact`` report a failure.  Without a ``sweep`` the
+    check gets the primes 5..97 and `Sweep`'s default caps, whatever the
+    environment says.
     """
-    t0 = perf_counter()
+    t0 = time.perf_counter()
     try:
         if shard is None:
             sweep = sweep or Sweep(primes_in(5, 97))
@@ -857,7 +876,7 @@ def run_instance(
         shard.params, shard.route, shard.armed = params, None, shard.fault
         rep = _record(*shard.suite.check(shard.sweep, shard, shard.ctx, **params))
     except VerifyError as ex:
-        rep = Report("", "", "", False, "", error=f"{type(ex).__name__}: {ex}")
+        rep = _error_report(ex)
     except InternalError:
         raise
     except Exception as ex:  # a bug in a check or kernel: exit 3, not a traceback
@@ -865,6 +884,10 @@ def run_instance(
     rep.suite, rep.params = suite_id, params
     if shard.route is not None and rep.error is None:
         rep.engine = shard.route
-    rep.elapsed_ms = (perf_counter() - t0) * 1000.0
+    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep
+
+
+def _error_report(ex: Exception) -> Report:
+    return Report("", "", "", False, "", error=f"{type(ex).__name__}: {ex}")
 

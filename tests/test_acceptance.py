@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, sweep_reports
 
 from hypercheck import cli
 from hypercheck.errors import InternalError
@@ -39,10 +39,7 @@ def _record(num: int, ok: bool, detail: str) -> None:
 
 def _sweep_suite(sid, sweep, engine="modular"):
     """Run every instance; returns (#instances, #failures, #errors, reports)."""
-    reports = [
-        run_instance(sid, params, engine=engine, sweep=sweep)
-        for params in REGISTRY[sid].gen(sweep)
-    ]
+    reports = list(sweep_reports(sid, sweep, engine))
     fails = sum(1 for r in reports if r.error is None and not r.passed)
     errs = sum(1 for r in reports if r.error is not None)
     return len(reports), fails, errs, reports

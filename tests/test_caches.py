@@ -3,12 +3,16 @@ rows keep only the prime a sweep is on."""
 
 import importlib
 import inspect
-import os
+import io
+import json
 import pkgutil
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb
+
+from conftest import sweep_reports
 
 import hypercheck
 from hypercheck import cli, identities, series, special, suites
@@ -16,7 +20,6 @@ from hypercheck.padic import PrimePower
 from hypercheck.series import QUARTICS, QUARTIC_BY_X, QuarticFamily
 from hypercheck.suites import (
     CONJECTURE_SUITES,
-    REGISTRY,
     Sweep,
     primes_in,
     run_instance,
@@ -52,9 +55,9 @@ def test_every_functools_cache_is_bounded():
 
 
 def run_sweep(monkeypatch, *argv) -> list[tuple[tuple, dict]]:
-    """Run ``verify argv`` in process and check that it passes; the (p, e)
-    and the tables of every modulus it built, in order.  Each modulus is
-    built only once every one before it, with its tables, is gone."""
+    """Run ``verify argv`` in process and check that every instance passes;
+    the (p, e) and the tables of every modulus it built, in order.  Each
+    modulus is built only once every one before it, with its tables, is gone."""
     built = []
     init = PrimePower.__init__
 
@@ -64,7 +67,11 @@ def run_sweep(monkeypatch, *argv) -> list[tuple[tuple, dict]]:
         built.append((args, weakref.ref(self), self.tables))
 
     monkeypatch.setattr(PrimePower, "__init__", tracking)
-    assert cli.main([*argv, "--format", "json-lines", "--out", os.devnull]) == 0
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main([*argv, "--format", "json-lines"]) == 0
+    summary = json.loads(out.getvalue().splitlines()[-1])["summary"]
+    assert summary["instances"] > 0 and summary["passed"] == summary["instances"], summary
     return [(args, tables) for args, _, tables in built]
 
 
@@ -207,8 +214,8 @@ def test_binomial_tables_stop_at_the_binomial_cap():
     clear_binomial_tables()
     sweep = Sweep(primes=(13,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom", "lemma5", "chain-block", *CONJECTURE_SUITES):
-        for params in REGISTRY[suite_id].gen(sweep):
-            run_instance(suite_id, params, "both", sweep)
+        for _ in sweep_reports(suite_id, sweep):
+            pass
     assert all(fam._products for fam in QUARTICS)
     for fam in QUARTICS:
         assert all(c * n <= 10 for n in fam._products for c, _ in fam.binomials)

@@ -13,8 +13,10 @@ from operator import is_, itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import sweep_reports
+
 from hypercheck import _kernel, series
-from hypercheck.suites import REGISTRY, Sweep, primes_in, run_instance
+from hypercheck.suites import Sweep, primes_in
 from hypercheck.errors import InternalError, NonUnitDenominator
 from hypercheck.padic import PrimePower, Residue, is_prime, residue_from_rational
 from hypercheck.series import (
@@ -708,8 +710,7 @@ def test_each_binomial_is_computed_once(monkeypatch):
         fam._products.clear()
     sweep = Sweep(primes=primes_in(5, 31))
     for suite_id in ("lemma4", "lemma4-binom", "lemma5"):
-        for params in REGISTRY[suite_id].gen(sweep):
-            assert run_instance(suite_id, params, "both", sweep).passed
+        assert all(rep.passed for rep in sweep_reports(suite_id, sweep))
     assert seen
     repeats = {pair: k for pair, k in Counter(seen).items() if k > factor_slots(*pair)}
     assert repeats == {}

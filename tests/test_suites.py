@@ -12,6 +12,8 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sweep_reports
+
 from hypercheck import cli, identities, special, suites
 from hypercheck.errors import InternalError
 from hypercheck.padic import MAX_EXPONENT, PrimePower, Residue, residue_from_rational
@@ -422,9 +424,7 @@ def test_lemma4_rows_stop_at_the_binomial_cap(monkeypatch):
     monkeypatch.setattr(QuarticFamily, "binomial_product", recording)
     sweep = Sweep(primes=(101,), binomial_max=10)
     for suite_id in ("lemma4", "lemma4-binom"):
-        shard = suites.Shard(suite_id, 101, "both", sweep, None)
-        for params in REGISTRY[suite_id].gen.points(101, sweep):
-            rep = run_instance(suite_id, params, "both", sweep, None, shard)
+        for rep in sweep_reports(suite_id, sweep):
             assert rep.passed or rep.error.startswith("BudgetExceeded")
     assert seen
     assert all(c * n <= 10 for fam, n in seen for c, _ in fam.binomials)
@@ -637,13 +637,12 @@ RECORD_EXPONENTS = {
 def test_each_suite_reports_at_its_exponent(column, mod_exp):
     sweep = Sweep(primes=primes_in(5, 13), mod_exp=mod_exp, identity_max=3)
     seen = {}
-    for sid, suite in REGISTRY.items():
-        for params in suite.gen(sweep):
-            rep = run_instance(sid, params, "both", sweep)
-            assert rep.error is None, (sid, params, rep.error)
+    for sid in REGISTRY:
+        for rep in sweep_reports(sid, sweep):
+            assert rep.error is None, (sid, rep.params, rep.error)
             e = rep.modulus
             if e != "exact":
-                e = next(k for k in range(1, 7) if params["p"] ** k == int(rep.modulus))
+                e = next(k for k in range(1, 7) if rep.params["p"] ** k == int(rep.modulus))
             seen.setdefault(sid, set()).add(e)
     assert seen == {sid: column_sets[column] for sid, column_sets in RECORD_EXPONENTS.items()}
 
