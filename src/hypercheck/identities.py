@@ -11,11 +11,11 @@ the negation symmetry.  The hot sums run over integers and build one
 `Fraction` at the end: the alternating sums share one accumulator,
 `_alternating`, which walks the signed-binomial row by its ratio over
 weights that are integer numerators over one lcm denominator (harmonic
-numbers from `_harmonic_numerators`; the right sides read
-`special.harmonic_exact`); the convolution's right side is one Horner sum
-over a common denominator (`_convolution_sum`); the negation binomials are
-integers.  Every integer step that must divide exactly is a checked exact
-division (`_exact_div`).
+numbers from `_harmonic_numerators`, lcm(1..m) from `_lcm_upto`; the
+right sides read `special.harmonic_exact`); the convolution's right side
+is binary split by the exact oracle's `series._split`
+(`_convolution_sum`); the negation binomials are integers.  Every integer
+step that must divide exactly is a checked exact division (`_exact_div`).
 
 The exact sequences here are the partial-fraction weight
 T_k(x) = sum_{i<k} (1/(x+i) + 1/(1-x+i)) (`partial_fraction_weights`), its
@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .errors import InternalError, PoleInParameter
+from .series import _split
 from .special import harmonic_exact, signed_binomial
 
 
@@ -69,9 +70,20 @@ def _alternating(n: int, numerators: list, start: int = 0, den: int = 1) -> Frac
     return Fraction(total, den)
 
 
+# the latest m and lcm(1..m); O(1) memory
+_LCM: list[int] = [0, 1]
+
+
+def _lcm_upto(m: int) -> int:
+    """lcm(1..m), extending the latest one when m rises, rebuilt when it falls."""
+    j, den = _LCM if _LCM[0] <= m else (0, 1)
+    _LCM[:] = m, lcm(den, *range(j + 1, m + 1))
+    return _LCM[1]
+
+
 def _harmonic_numerators(m: int) -> tuple[list[int], int]:
     """H_0, ..., H_m as integer numerators over L = lcm(1..m), and L."""
-    den = lcm(*range(1, m + 1))
+    den = _lcm_upto(m)
     return list(accumulate((den // i for i in range(1, m + 1)), initial=0)), den
 
 
@@ -90,10 +102,11 @@ def harmonic_weighted_sum(n: int) -> tuple[Fraction, Fraction]:
 def tail_harmonic_sum(n: int) -> tuple[Fraction, Fraction]:
     """Sum of (-1)^k C(n,k)C(n+k,k) * (1/(n+1) + ... + 1/(n+k)) equals (-1)^n H_n.
 
-    The inner sums are running sums of numerators over lcm(n+1..2n),
-    independent of the harmonic-difference route of `harmonic_difference_chain`.
+    The inner sums are running sums of numerators over lcm(n+1..2n), which
+    is lcm(1..2n), independent of the harmonic-difference route of
+    `harmonic_difference_chain`.
     """
-    den = lcm(*range(n + 1, 2 * n + 1))
+    den = _lcm_upto(2 * n)
     inner = list(accumulate(den // (n + k) for k in range(1, n + 1)))
     rhs = Fraction(-1) ** n * harmonic_exact(n)
     return _alternating(n, inner, 1, den), rhs
@@ -193,21 +206,19 @@ def series_terms(x: Fraction, upto: int) -> list[Fraction]:
 
 
 def _convolution_sum(x: Fraction, k: int) -> Fraction:
-    """sum_{i<k} t_i/(k-i) as one integer over b^(2(k-1)) ((k-1)!)^2 lcm(1..k).
+    """sum_{i<k} t_i/(k-i), binary split as the exact oracle splits F(x; N).
 
-    With x = a/b, t_i = R_i / (b^(2i) (i!)^2) for the integer rising products
-    R_i = prod_{j<i} (a+jb)(b-a+jb); Horner's rule S <- S (b i)^2 +
-    R_i lcm(1..k)/(k-i) gives each summand its missing factors.
+    For x = a/b the summands' ratio at i is (a+ib)(b-a+ib)(k-i) /
+    ((b(i+1))^2 (k-1-i)) and the first is 1/k, so the sum is
+    (Q + T) / (k Q) for `series._split`'s (P, Q, T) over the ratios i < k-1.
     """
     if k == 0:
         return Fraction(0)
     a, b = x.numerator, x.denominator
-    span = lcm(*range(1, k + 1))
-    total, rising = 0, 1
-    for i in range(k):
-        total = total * (b * i) ** 2 + rising * (span // (k - i))
-        rising *= (a + i * b) * (b - a + i * b)
-    return Fraction(total, b ** (2 * (k - 1)) * factorial(k - 1) ** 2 * span)
+    nums = [(a + i * b) * (b - a + i * b) * (k - i) for i in range(k - 1)]
+    dens = [(b * i) ** 2 * (k - i) for i in range(1, k)]
+    _, q, t = _split(nums, dens, 0, k - 1)
+    return Fraction(q + t, k * q)
 
 
 def term_convolution_identity(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
@@ -215,7 +226,8 @@ def term_convolution_identity(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
 
     The left side reads the cached `series_terms` and
     `partial_fraction_weights` (which raises `PoleInParameter` first); the
-    right side is `_convolution_sum`, over integers.
+    right side is `_convolution_sum`, binary split over integers, and reads
+    neither table.
     """
     weight = partial_fraction_weights(x, k)[k]
     return series_terms(x, k)[k] * weight, _convolution_sum(x, k)

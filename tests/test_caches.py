@@ -159,6 +159,16 @@ def test_exact_tables_stay_within_the_caps_of_their_readers(monkeypatch):
     assert max(suites._ALTERNATING | suites._TAIL) < 31
 
 
+def test_euler_and_bernoulli_tables_stay_within_twice_the_largest_index(monkeypatch, capsys):
+    # the conjectures at p read B_k and E_k for k <= p - 2, and a rebuild at
+    # most doubles the tables, so they stay below 2 (p_max - 1)
+    monkeypatch.setattr(special, "_EULER", [1, 0])
+    monkeypatch.setattr(special, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+    assert cli.main(["conj", "--p-max", "97", "--format", "json-lines"]) == 0
+    capsys.readouterr()
+    assert 97 - 2 < len(special._EULER) == len(special._BERNOULLI) <= 2 * (97 - 1)
+
+
 def test_harmonic_rows_keep_only_the_latest_prime(monkeypatch):
     for suite_id in ("lemma2", "chain-backward"):
         built = run_sweep(monkeypatch, suite_id, "--p-max", "61")

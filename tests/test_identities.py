@@ -83,6 +83,14 @@ def test_alternating_matches_direct_sum(args):
     assert identities._alternating(n, numerators, start, den) == Fraction(direct, den)
 
 
+@given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=12))
+@example([0, 3, 3, 10, 4, 0, 400, 399])  # rises, repeats and falls
+def test_lcm_upto_extends_and_restarts(ms):
+    for m in ms:
+        got = identities._lcm_upto(m)
+        assert got == lcm(*range(1, m + 1)) == lcm(*range(m // 2 + 1, m + 1)), m
+
+
 @given(st.integers(min_value=0, max_value=400))
 @example(0)
 def test_harmonic_numerators_are_harmonic_numbers(m):
@@ -192,15 +200,46 @@ def test_term_convolution_identity(x, k):
 
 def _convolution_direct(x, k):
     """sum_{i<k} t_i/(k-i) summed as Fractions: the reference for the
-    integer Horner sum."""
+    binary-split sum."""
     terms = identities.series_terms(x, k)
     return sum((terms[i] / (k - i) for i in range(k)), Fraction(0))
+
+
+def _reference_convolution_sum(x, k):
+    """sum_{i<k} t_i/(k-i) as one integer over b^(2(k-1)) ((k-1)!)^2 lcm(1..k),
+    by Horner's rule: the right side before it was binary split.
+
+    With x = a/b, t_i = R_i / (b^(2i) (i!)^2) for the integer rising products
+    R_i = prod_{j<i} (a+jb)(b-a+jb); Horner's rule S <- S (b i)^2 +
+    R_i lcm(1..k)/(k-i) gives each summand its missing factors.
+    """
+    if k == 0:
+        return Fraction(0)
+    a, b = x.numerator, x.denominator
+    span = lcm(*range(1, k + 1))
+    total, rising = 0, 1
+    for i in range(k):
+        total = total * (b * i) ** 2 + rising * (span // (k - i))
+        rising *= (a + i * b) * (b - a + i * b)
+    return Fraction(total, b ** (2 * (k - 1)) * factorial(k - 1) ** 2 * span)
 
 
 @pytest.mark.parametrize("x", XS)
 def test_convolution_sum_matches_fraction_sum_for_quartic_x(x):
     for k in range(301):
-        assert identities._convolution_sum(x, k) == _convolution_direct(x, k)
+        got = identities._convolution_sum(x, k)
+        assert got == _reference_convolution_sum(x, k), k
+        assert got == _convolution_direct(x, k), k
+
+
+def test_convolution_sum_reads_no_term_or_weight_table(monkeypatch):
+    # the right side is split on its own, never from the left side's tables
+    monkeypatch.setattr(identities, "_TERMS", {})
+    monkeypatch.setattr(identities, "_PF", {})
+    for x in (*XS, Fraction(2, 5), Fraction(-3)):
+        for k in (0, 1, 2, 65, 300):
+            identities._convolution_sum(x, k)
+    assert identities._TERMS == {} and identities._PF == {}
 
 
 @given(
@@ -215,7 +254,8 @@ def test_convolution_sum_matches_fraction_sum(x, k):
         with pytest.raises(PoleInParameter):
             identities.term_convolution_identity(x, k)
         return
-    assert identities._convolution_sum(x, k) == _convolution_direct(x, k)
+    got = identities._convolution_sum(x, k)
+    assert got == _reference_convolution_sum(x, k) == _convolution_direct(x, k)
     lhs, rhs = identities.term_convolution_identity(x, k)
     assert lhs == rhs
 

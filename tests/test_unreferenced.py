@@ -25,3 +25,30 @@ def test_every_function_has_a_reference_in_src():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(d for d in defined if d[1] not in used) == []
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    # an import that its module never reads is dead weight, unless the
+    # module re-exports it by listing it in __all__
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append((path.name, name))
+    assert unread == []
