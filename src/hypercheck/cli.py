@@ -3,10 +3,11 @@
 ``verify [suite|alias ...] [options]`` expands the selection against the
 registry and runs the sweep one shard at a time: a shard is one value of a
 suite's first axis (one prime, or one identity index), whose instances
-share one `Shard`.  `run` calls `run_instance` for each instance, in
-generation order, in this process or across worker processes, a run of
-whole shards per task, and writes one line per instance in human,
-json-lines, or csv form.
+share one `Shard`.  `_shard` calls `run_instance` for each instance of a
+shard, in generation order, writes one line per instance in human,
+json-lines, or csv form and counts them: to the run's stream, or under
+``--workers``, where a task is a run of whole shards, to the text that each
+shard sends back to the parent, which writes it in generation order.
 
 `parse_args` is the only code that reads argv and the ``VERIFY_*``
 environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -279,27 +281,8 @@ def _emit_csv(rep: Report, writer) -> None:
     )
 
 
-# one record writer per format, picked once per run; csv's writes to a csv.writer
+# one record writer per format, picked once per shard; csv's writes to a csv.writer
 _EMITTERS = {"human": _emit_human, "json-lines": _emit_json, "csv": _emit_csv}
-
-
-class _Tally:
-    """Per-suite pass/fail/error counts."""
-
-    def __init__(self):
-        self.by_suite: dict[str, dict[str, int]] = {}
-
-    def add(self, rep: Report) -> None:
-        row = self.by_suite.get(rep.suite)
-        if row is None:
-            row = self.by_suite[rep.suite] = dict.fromkeys(
-                ("instances", "passed", "failed", "errors"), 0
-            )
-        row["instances"] += 1
-        row["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
-
-    def total(self, key: str) -> int:
-        return sum(row[key] for row in self.by_suite.values())
 
 
 def _config_echo(cfg: argparse.Namespace) -> dict:
@@ -331,7 +314,8 @@ def run(cfg: argparse.Namespace) -> int:
         return _write(cfg, _list_suites)
     sweep = cfg.sweep
     jobs = (
-        (sid, first, REGISTRY[sid].gen.points(first, sweep), cfg.engine, sweep, cfg.fault)
+        (sid, first, REGISTRY[sid].gen.points(first, sweep), cfg.engine, sweep, cfg.fault,
+         cfg.format)
         for sid in cfg.suites
         for first in REGISTRY[sid].gen.firsts(sweep)
     )
@@ -341,41 +325,50 @@ def run(cfg: argparse.Namespace) -> int:
         jobs = [(sid, first, list(points), *rest) for sid, first, points, *rest in jobs]
         workers = min(cfg.workers, sum(len(job[2]) for job in jobs), _usable_cpus())
     if workers < 2:  # 0 when there is no instance
-        shards = ((_shard(*job), None) for job in jobs)
-        return _write(cfg, partial(_report, cfg, shards))
+        return _write(cfg, lambda out: _report(cfg, (_shard(job, out) for job in jobs), out))
     # imported here: a serial run never pays for multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
         # about 64 tasks per worker: few enough that the cost of a task stays
-        # small next to its shards, many enough that the reports of a task
-        # of the largest shards stay small in both processes
+        # small next to its shards, many enough that the text of a task of
+        # the largest shards stays small in both processes
         chunksize = max(1, len(jobs) // (workers * 64))
         shards = pool.imap(_pooled, jobs, chunksize=chunksize)
         return _write(cfg, partial(_report, cfg, shards))
 
 
-def _shard(suite_id: str, first, points, engine: str, sweep: Sweep, fault: str | None):
-    """The reports of one shard: ``points``, the instances of ``suite_id`` at
-    the value ``first`` of its first axis, run in order under one `Shard`.
+def _shard(job: tuple, out) -> tuple[str, dict[str, int], InternalError | None]:
+    """Run one shard, writing its records to ``out`` in the run's format;
+    the suite id, the shard's summary row (instances, passed, failed and
+    errors) and the `InternalError` that ended the shard, if one did.
 
-    It looks ``run_instance`` up at each call: the benchmark's setup probe
-    rebinds that name to stop a run at its first instance.
+    ``job`` is (suite id, first, points, engine, sweep, fault suite,
+    format), ``points`` the instances at the value ``first`` of the suite's
+    first axis, run in order under one `Shard`.  ``run_instance`` is looked
+    up at each call: the benchmark's setup probe rebinds that name to stop
+    a run at its first instance.
     """
+    suite_id, first, points, engine, sweep, fault, fmt = job
     shard = Shard(suite_id, first, engine, sweep, fault)
-    for params in points:
-        yield run_instance(suite_id, params, engine, sweep, fault, shard)
-
-
-def _pooled(job: tuple) -> tuple[list[Report], InternalError | None]:
-    """`_shard` in a worker: its reports up to any internal error, and that
-    error, which the parent raises after those records."""
-    reports: list[Report] = []
+    emit = _EMITTERS[fmt]
+    sink = csv.writer(out, lineterminator="\n") if fmt == "csv" else out
+    counts, error = {"passed": 0, "failed": 0, "errors": 0}, None
     try:
-        reports.extend(_shard(*job))
+        for params in points:
+            rep = run_instance(suite_id, params, engine, sweep, fault, shard)
+            emit(rep, sink)
+            counts["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
     except InternalError as ex:
-        return reports, ex
-    return reports, None
+        error = ex
+    return suite_id, {"instances": sum(counts.values()), **counts}, error
+
+
+def _pooled(job: tuple) -> tuple[str, str, dict[str, int], InternalError | None]:
+    """`_shard` in a worker: the text of the shard's records, then its result."""
+    buf = io.StringIO()
+    suite_id, counts, error = _shard(job, buf)
+    return buf.getvalue(), suite_id, counts, error
 
 
 def _write(cfg: argparse.Namespace, emit) -> int:
@@ -406,38 +399,36 @@ def _write(cfg: argparse.Namespace, emit) -> int:
 
 
 def _report(cfg: argparse.Namespace, shards, out) -> int:
-    """Write the records of each (reports, error) shard, then its internal
-    error if any, and the summary to ``out``; the exit code."""
-    sink = out
+    """Take each shard's result from `_shard`, or from `_pooled` with its
+    text to write first; add its counts to its suite's row, raise its
+    internal error if any, and write the summary to ``out``; the exit code."""
     if cfg.format == "csv":
-        sink = csv.writer(out, lineterminator="\n")
-        sink.writerow(_CSV_COLUMNS)
-    emit = _EMITTERS[cfg.format]
-    tally = _Tally()
+        csv.writer(out, lineterminator="\n").writerow(_CSV_COLUMNS)
+    rows: dict[str, dict[str, int]] = {}  # a suite's row starts at its first record
+    totals = dict.fromkeys(("instances", "passed", "failed", "errors"), 0)
     internal_error = None
     t0 = time.perf_counter()
     try:
-        for reports, error in shards:
-            for rep in reports:
-                tally.add(rep)
-                emit(rep, sink)
+        for *text, suite_id, counts, error in shards:
+            out.writelines(text)
+            if counts["instances"]:
+                row = rows.setdefault(suite_id, dict.fromkeys(counts, 0))
+                for key, count in counts.items():
+                    row[key] += count
+                    totals[key] += count
             if error is not None:
                 raise error
     except InternalError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         internal_error = str(ex)
     elapsed = time.perf_counter() - t0
-    total = tally.total("instances")
-    failed = tally.total("failed")
+    total, passed, failed, errors = totals.values()
     if cfg.format == "json-lines":
         summary = {
             "summary": {
                 "version": __version__,
-                "instances": total,
-                "passed": tally.total("passed"),
-                "failed": failed,
-                "errors": tally.total("errors"),
-                "suites": tally.by_suite,
+                **totals,
+                "suites": rows,
                 "config": _config_echo(cfg),
                 "elapsed_s": round(elapsed, 3),
             }
@@ -447,8 +438,7 @@ def _report(cfg: argparse.Namespace, shards, out) -> int:
         out.write(_JSON.encode(summary) + "\n")
     elif cfg.format == "human" and internal_error is None:
         out.write(
-            f"ran {total} instances: {tally.total('passed')} passed, "
-            f"{failed} failed, {tally.total('errors')} errors "
+            f"ran {total} instances: {passed} passed, {failed} failed, {errors} errors "
             f"in {elapsed:.1f}s (verify {__version__})\n"
         )
     if internal_error is not None:

@@ -395,22 +395,14 @@ def check_lemma2(sweep, dual, ctx, p, d):
 def check_lemma4(sweep, dual, ctx, p, r, k, x):
     fam = _family(x)
     lhs = _term(dual, fam, k + r * p, ctx, sweep)
-    # right side: t_r t_k (1 + 2rp H_floor(px) + rp (T_k - 2 H_k)), each
-    # factor p-integral for the quartic x and p >= 5, so reduced one by one.
-    # x = a/b's row on ctx, grown in index order to k (past the binomial
-    # cap), holds t_i and p T_i from T_i's definition, not its closed form:
-    # each step adds p b/(a+jb) + p b/(b-a+jb).  The p H_n (n < p) are a row.
-    a, b = x.numerator, x.denominator
-    row = ctx.tables.setdefault(("lemma4", fam), [(1, 0)])
-    for i in range(len(row), k + 1):
-        u, v = a + (i - 1) * b, b - a + (i - 1) * b
-        pt = row[-1][1] + b * (special.p_over(u, ctx) + special.p_over(v, ctx))
-        row.append((fam.term_residue(i, ctx).value, pt % ctx.modulus))
-    term, pt = row[k]
+    # right side: t_r (t_k (1 + 2rp (H_floor(px) - H_k)) + rp t_k T_k), each
+    # part p-integral for the quartic x and p >= 5, so reduced one by one:
+    # t_k and t_k T_k from x's jet row on ctx (past the binomial cap), the
+    # p H_n (n < p) from the scaled harmonic row.  t_r by itself: r may pass p.
+    t_k, tt_k, _ = _term_row(fam, ctx)[k]
     h = special.harmonic_row(p - 1, ctx, scaled=True)
-    corr = 2 * h[special.floor_px(x, p)] + pt - 2 * h[k]
-    rhs = fam.term_residue(r, ctx) * term * (1 + r * corr)
-    return lhs, rhs
+    rest = t_k * (1 + 2 * r * (h[special.floor_px(x, p)] - h[k])) + r * p * tt_k
+    return lhs, fam.term_residue(r, ctx) * rest
 
 
 def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
@@ -438,7 +430,7 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     _need_series(p, sweep)
     m = special.floor_px(x, p)
     # integer rising products prod_{i<k} (m+1+i)(i-m) mod p: x's row on
-    # ctx, grown in index order to k like lemma4's
+    # ctx, grown in index order to k
     fam = _family(x)
     row = ctx.tables.setdefault(("poch", fam), [1])
     for i in range(len(row) - 1, k):
@@ -594,17 +586,17 @@ _CONJ_RHS: dict[Fraction, tuple[str, Fraction]] = {
 
 
 def _conj_rhs(x: Fraction, ctx: PrimePower) -> int:
-    p, e = ctx.p, ctx.e
-    if e <= 2:
+    # coeff p^2 poly mod p^e, which reads the p-integral poly only mod p^(e-2)
+    p = ctx.p
+    if ctx.e <= 2:
         return 0
-    sub = PrimePower(p, e - 2)
     kind, coeff = _CONJ_RHS[x]
     if kind == "euler-number":
-        poly = special.euler_number_mod(p - 3, sub)
+        poly = special.euler_number_mod(p - 3, ctx)
     elif kind == "euler-poly":
-        poly = special.euler_polynomial_mod(p - 3, Fraction(1, 4), sub)
+        poly = special.euler_polynomial_mod(p - 3, Fraction(1, 4), ctx)
     else:
-        poly = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), sub)
+        poly = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), ctx)
     return (residue_from_rational(coeff, ctx) * (p * p * poly.value)).value
 
 
@@ -639,7 +631,9 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
         raise BudgetExceeded(
             f"needs working precision p^{ctx.e + w}, cap is p^{padic.MAX_EXPONENT}"
         )
-    ctxw = PrimePower(p, ctx.e + w)
+    ctxw = ctx if w == 0 else ctx.tables.get(("precision", w))
+    if ctxw is None:  # one p^(e+w) per (shard, w), on the shard's ctx
+        ctxw = ctx.tables[("precision", w)] = PrimePower(p, ctx.e + w)
     eps = special.legendre(fam.character_arg, p)
     # scaled difference base^n (F(np) - eps F(n)) / (n^2 binprod(n)) mod p^e,
     # from both sums mod p^(e+w).  It is a p-adic integer when p^w divides

@@ -78,7 +78,7 @@ def run_sweep(monkeypatch, *argv) -> list[tuple[tuple, dict]]:
 def test_lemma4_rows_keep_only_the_latest_prime(monkeypatch):
     # one modulus per shard, (suite, prime), holding that prime's rows
     for suite_id, keys in (
-        ("lemma4", {"p-harmonic"} | {("lemma4", fam) for fam in QUARTICS}),
+        ("lemma4", {"p-harmonic"} | {("terms", fam) for fam in QUARTICS}),
         ("lemma4-binom", {"p-harmonic"}),
     ):
         built = run_sweep(monkeypatch, suite_id, "--p-max", "31")
@@ -183,6 +183,13 @@ def test_lemma1_and_lemma2_build_one_modulus_per_prime(monkeypatch):
         argv = ("lemma1", "lemma2", "--p-min", "13", "--p-max", "17", *mod_exp)
         built = run_sweep(monkeypatch, *argv)
         assert [args for args, _ in built] == [(13, 1), (17, 1)] * 2
+
+
+def test_conjectures_build_one_modulus_per_suite_and_prime(monkeypatch):
+    # past p = 17 no n <= 3 puts p in n^2 binprod(n), so each conj shard's
+    # sums and right side all live on its own mod-p^3 modulus
+    built = run_sweep(monkeypatch, "conj", "--p-min", "19", "--p-max", "97")
+    assert [args for args, _ in built] == [(p, 3) for p in primes_in(19, 97)] * 4
 
 
 def test_default_sweep_builds_one_modulus_per_suite_and_prime(monkeypatch):

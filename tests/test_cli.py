@@ -8,6 +8,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -654,14 +655,30 @@ def _strip_elapsed(stream: str) -> list[str]:
     return out
 
 
-def test_worker_count_does_not_change_output(capsys):
+@pytest.mark.parametrize("fmt", ["json-lines", "human", "csv"])
+def test_worker_count_does_not_change_output(capsys, fmt):
     argv = [
-        "thm1", "sun", "--p-min", "5", "--p-max", "13", "--format", "json-lines",
+        "thm1", "sun", "--p-min", "5", "--p-max", "13", "--format", fmt,
     ]
     code1, out1, _ = run_main(capsys, *argv, "--workers", "1")
     code2, out2, _ = run_main(capsys, *argv, "--workers", "4")
     assert code1 == code2 == 0
-    assert _strip_elapsed(out1) == _strip_elapsed(out2)
+    if fmt == "json-lines":
+        assert _strip_elapsed(out1) == _strip_elapsed(out2)
+    else:
+        assert _strip_format_elapsed(fmt, out1) == _strip_format_elapsed(fmt, out2)
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "human"])
+def test_a_sweep_of_shards_without_points_runs_nothing(capsys, fmt):
+    # rv's shards are its primes, and an empty --n leaves each without a point
+    code, out, err = run_main(capsys, "rv", "--n", ",,", "--p-max", "13", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "human":
+        assert out.startswith("ran 0 instances:") and out.count("\n") == 1
+    else:
+        summary = json.loads(out)["summary"]
+        assert summary["instances"] == 0 and summary["suites"] == {}
 
 
 class Pinned(NamedTuple):
@@ -1076,6 +1093,52 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(hypercheck.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _holds_report(obj) -> bool:
+    if isinstance(obj, suites.Report):
+        return True
+    if isinstance(obj, (tuple, list, dict)):
+        items = obj.items() if isinstance(obj, dict) else obj
+        return any(_holds_report(item) for item in items)
+    return False
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "human", "csv"])
+def test_pool_tasks_return_text_not_reports(capsys, monkeypatch, fmt):
+    # each pool task sends back its shards' text and counts, not a Report per
+    # instance; a pool that runs the tasks here, through pickle, writes the
+    # serial stream
+    returned = []
+
+    class FakePool:
+        def __init__(self, size):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            for item in items:
+                result = fn(pickle.loads(pickle.dumps(item)))
+                returned.append(result)
+                yield pickle.loads(pickle.dumps(result))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ("thm1", "lemma5", "rv-x", "--p-max", "13", "--format", fmt)
+    code1, out1, _ = run_main(capsys, *argv)
+    code2, out2, _ = run_main(capsys, *argv, "--workers", "2")
+    assert code1 == code2 == 1
+    assert len(returned) == 3 * len(suites.primes_in(5, 13))
+    assert not any(_holds_report(result) for result in returned)
+    if fmt == "json-lines":
+        assert _strip_elapsed(out1) == _strip_elapsed(out2)
+    else:
+        assert _strip_format_elapsed(fmt, out1) == _strip_format_elapsed(fmt, out2)
 
 
 def test_pool_never_outnumbers_instances(capsys, monkeypatch):

@@ -8,14 +8,14 @@ import hypercheck
 SRC = Path(hypercheck.__file__).resolve().parent
 
 
-def test_every_function_has_a_reference_in_src():
-    # a function that only tests or probes call belongs in the tests: it is
-    # a name with no use in src/ other than its own def (a call, an
-    # attribute read or an import)
+def _unreferenced(kinds: tuple) -> list[tuple[str, str]]:
+    """The (file, name) of each def of one of ``kinds`` in src/ whose name has
+    no use in src/ other than its own def (a call, an attribute read, an
+    import, or any other mention of the name)."""
     defined, used = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, kinds):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.add((path.name, node.name))
             elif isinstance(node, ast.Name):
@@ -24,7 +24,17 @@ def test_every_function_has_a_reference_in_src():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    assert sorted(d for d in defined if d[1] not in used) == []
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_every_function_has_a_reference_in_src():
+    # a function that only tests or probes call belongs in the tests
+    assert _unreferenced((ast.FunctionDef, ast.AsyncFunctionDef)) == []
+
+
+def test_every_class_has_a_reference_in_src():
+    # likewise a class that nothing in src/ builds, raises, checks or names
+    assert _unreferenced((ast.ClassDef,)) == []
 
 
 def test_every_module_level_import_is_read_in_its_module():
