@@ -7,7 +7,10 @@ share one `Shard`.  `_shard` calls `run_instance` for each instance of a
 shard, in generation order, writes one line per instance in human,
 json-lines, or csv form and counts them: to the run's stream, or under
 ``--workers``, where a task is a run of whole shards, to the text that each
-shard sends back to the parent, which writes it in generation order.
+shard sends back to the parent, which writes it in generation order.  A
+json-lines or csv record takes its params text from the suite's grid
+(`_Grid.texts`), which builds the shard's value once and each later axis
+value once, not once per record.
 
 `parse_args` is the only code that reads argv and the ``VERIFY_*``
 environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
@@ -32,7 +35,6 @@ then also carries ``"status": "internal-error"`` and the ``"error"`` message.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -41,6 +43,7 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -194,7 +197,7 @@ def _human_params(params: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in params.items())
 
 
-def _emit_human(rep: Report, out) -> None:
+def _emit_human(rep: Report, text: str, out) -> None:
     """Write one record's line, and its oracle line if a failure has one."""
     mod = "exact" if rep.modulus == "exact" else f"mod {rep.modulus}"
     if rep.error is not None:
@@ -214,30 +217,24 @@ def _emit_human(rep: Report, out) -> None:
 # the compact encoder of the json-lines summary record
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
-# one params object per key tuple the generators yield, with a %s for each value
-_PARAMS_TEMPLATES: dict[tuple, str] = {}
+
+def _ms(x) -> str:
+    """``repr(round(x, 3))``: below 1e12, x to 3 decimals has at most 15
+    digits, so its ``.3f`` text without trailing zeros is the shortest repr."""
+    if 0.0 <= x < 1e12 and x.__class__ is float:
+        text = f"{x:.3f}".rstrip("0")
+        return text if text[-1] != "." else text + "0"
+    return repr(round(x, 3))
 
 
-def _params_json(params: dict) -> str:
-    """``params`` as compact JSON: int values as digits, any other value as a string."""
-    keys = tuple(params)
-    template = _PARAMS_TEMPLATES.get(keys)
-    if template is None:
-        template = "{" + ",".join(_quote(k) + ":%s" for k in keys) + "}"
-        _PARAMS_TEMPLATES[keys] = template
-    values = []  # a plain loop: a comprehension's own frame costs more per record
-    for v in params.values():
-        values.append(v if v.__class__ is int else _quote(str(v)))
-    return template % tuple(values)
-
-
-def _emit_json(rep: Report, out) -> None:
-    """Write one record as the compact ``json`` encoder would; note, oracle, error if set."""
+def _emit_json(rep: Report, head: str, out) -> None:
+    """Write one record as the compact ``json`` encoder would, after
+    ``head``, its suite and params (`_Grid.texts`); note, oracle, error if set."""
+    lhs = _quote(rep.lhs)
     line = (
-        f'{{"suite":{_quote(rep.suite)},"params":{_params_json(rep.params)},'
-        f'"lhs":{_quote(rep.lhs)},"rhs":{_quote(rep.rhs)},'
+        f'{head},"lhs":{lhs},"rhs":{lhs if rep.rhs is rep.lhs else _quote(rep.rhs)},'
         f'"modulus":{_quote(rep.modulus)},"pass":{"true" if rep.passed else "false"},'
-        f'"engine":{_quote(rep.engine)},"elapsed_ms":{round(rep.elapsed_ms, 3)!r}'
+        f'"engine":{_quote(rep.engine)},"elapsed_ms":{_ms(rep.elapsed_ms)}'
     )
     if rep.note is not None:
         line += ',"note":' + _quote(rep.note)
@@ -248,40 +245,18 @@ def _emit_json(rep: Report, out) -> None:
     out.write(line + "}\n")
 
 
-_CSV_COLUMNS = (
-    "suite",
-    "params",
-    "lhs",
-    "rhs",
-    "modulus",
-    "pass",
-    "engine",
-    "elapsed_ms",
-    "note",
-    "oracle",
-    "error",
-)
+_CSV_COLUMNS = ("suite", "params", "lhs", "rhs", "modulus", "pass", "engine", "elapsed_ms",
+                "note", "oracle", "error")
 
 
-def _emit_csv(rep: Report, writer) -> None:
-    writer.writerow(
-        [
-            rep.suite,
-            _params_json(rep.params),
-            rep.lhs,
-            rep.rhs,
-            rep.modulus,
-            "true" if rep.passed else "false",
-            rep.engine,
-            f"{rep.elapsed_ms:.3f}",
-            rep.note or "",
-            rep.oracle or "",
-            rep.error or "",
-        ]
-    )
+def _emit_csv(rep: Report, params: str, writer) -> None:
+    writer.writerow((rep.suite, params, rep.lhs, rep.rhs, rep.modulus,
+                     "true" if rep.passed else "false", rep.engine, f"{rep.elapsed_ms:.3f}",
+                     rep.note or "", rep.oracle or "", rep.error or ""))
 
 
-# one record writer per format, picked once per shard; csv's writes to a csv.writer
+# one record writer per format, picked once per shard, called with a record, its
+# `_Grid.texts` text (none for human) and the sink; csv's writes to a csv.writer
 _EMITTERS = {"human": _emit_human, "json-lines": _emit_json, "csv": _emit_csv}
 
 
@@ -351,13 +326,18 @@ def _shard(job: tuple, out) -> tuple[str, dict[str, int], InternalError | None]:
     """
     suite_id, first, points, engine, sweep, fault, fmt = job
     shard = Shard(suite_id, first, engine, sweep, fault)
-    emit = _EMITTERS[fmt]
-    sink = csv.writer(out, lineterminator="\n") if fmt == "csv" else out
+    emit, sink = _EMITTERS[fmt], out
+    if fmt == "csv":
+        import csv  # only a csv run pays for the import
+
+        sink = csv.writer(out, lineterminator="\n")
+    head = f'{{"suite":{_quote(suite_id)},"params":' if fmt == "json-lines" else ""
+    texts = repeat("") if fmt == "human" else shard.suite.gen.texts(first, sweep, head)
     counts, error = {"passed": 0, "failed": 0, "errors": 0}, None
     try:
-        for params in points:
+        for params, text in zip(points, texts):
             rep = run_instance(suite_id, params, engine, sweep, fault, shard)
-            emit(rep, sink)
+            emit(rep, text, sink)
             counts["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
     except InternalError as ex:
         error = ex
@@ -403,7 +383,7 @@ def _report(cfg: argparse.Namespace, shards, out) -> int:
     text to write first; add its counts to its suite's row, raise its
     internal error if any, and write the summary to ``out``; the exit code."""
     if cfg.format == "csv":
-        csv.writer(out, lineterminator="\n").writerow(_CSV_COLUMNS)
+        out.write(",".join(_CSV_COLUMNS) + "\n")
     rows: dict[str, dict[str, int]] = {}  # a suite's row starts at its first record
     totals = dict.fromkeys(("instances", "passed", "failed", "errors"), 0)
     internal_error = None

@@ -22,13 +22,13 @@ reads quartic terms from the same walk.  The exact engine is the independent
 oracle: a window [a, b) is S(b) - S(a) mod p^e, where S(j) is the prefix
 sum of the terms below j (`window_residue_exact`).  The ratio factors do
 not depend on p, so F(x; p), F(x; n p) and F(x; p^2) at every prime are
-prefixes of one integer sequence per x.  `_blocks(x)`, keyed by x only,
-holds exact binary-splitting blocks of `_LEAF` consecutive factors, built
-in index order as requests reach them, and a prefix folds the blocks below
-its stop mod p^(2v+e), whatever was asked before.  The table keeps the
-blocks of the last `SERIES_LIMIT` series used (an `lru_cache`).
-`series_fraction` splits F(x; N) on its own as one exact rational, for
-the conjecture oracle's failure text.
+prefixes of one integer sequence per x.  `_blocks(num, den)`, keyed by
+x's numerator and denominator only, holds exact binary-splitting blocks
+of `_LEAF` consecutive factors, built in index order as requests reach
+them, and a prefix folds the blocks below its stop mod p^(2v+e), whatever
+was asked before.  The table keeps the blocks of the last `SERIES_LIMIT`
+series used (an `lru_cache`).  `series_fraction` splits F(x; N) on its
+own as one exact rational, for the conjecture oracle's failure text.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ SERIES_LIMIT = 8
 
 
 @lru_cache(maxsize=SERIES_LIMIT)
-def _blocks(x: Fraction) -> list[tuple[int, int, int]]:
-    """Entry i is `_split` (P, Q, T) of the ratio factors of F(x; N) from
-    i `_LEAF` up to (i + 1) `_LEAF`."""
+def _blocks(num: int, den: int) -> list[tuple[int, int, int]]:
+    """Entry i is `_split` (P, Q, T) of the ratio factors of F(num/den; N)
+    from i `_LEAF` up to (i + 1) `_LEAF`; integer keys, which hash faster
+    than a `Fraction`."""
     return []
 
 
@@ -117,7 +118,7 @@ def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
     pv = p ** (2 * v)
     mod = pv * ctx.modulus
     whole = j // _LEAF
-    blocks = _blocks(x)
+    blocks = _blocks(x.numerator, x.denominator)
     for lo in range(len(blocks) * _LEAF, whole * _LEAF, _LEAF):
         blocks.append(_split(*_ratio_factors(x, lo, lo + _LEAF), 0, _LEAF))
     nums, dens = _ratio_factors(x, whole * _LEAF, j)

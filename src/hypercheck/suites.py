@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, gcd
 
 from . import identities, padic, series, special
@@ -95,8 +96,8 @@ class Report:
 
     `_record` fills in lhs, rhs, modulus, passed, engine and any note or
     oracle from a check's sides, `_error_report` the error of a failed
-    instance; `run_instance` stamps ``suite``, ``params`` (the generator's
-    dict as it is; `cli` writes each non-int value as its string) and
+    instance; `run_instance` stamps ``suite``, ``params`` (the grid's point
+    as it is; `_Grid.texts` writes its JSON) and
     ``elapsed_ms``, and the engine of a dual-route record.  Equal field by field.
     """
 
@@ -277,17 +278,35 @@ class _Grid:
     sequence, is evaluated once per shard, whose points are their product
     (`points`).  An axis named None binds a domain of dicts, each merged
     into the point: a loop the product cannot state (b <= a), a loop order
-    unlike the key order, or keys that differ between points.
+    unlike the key order, or keys that differ between points.  `texts`
+    writes their JSON, each later axis's ``,"name":value`` parts once per run
+    of shards with an equal domain (a `Fraction` in a domain is never
+    integral, so equal domains print alike).
     """
 
     def __init__(self, *axes: tuple):
         (self.name, self.firsts), *self.later = axes
+        self.parts = [((), [])] * len(self.later)  # each later axis's last domain and parts
 
     def points(self, first, sweep: Sweep) -> Iterable[dict]:
         points = [{self.name: first}]
         for name, domain in self.later:
             points = _extend(points, name, domain(first, sweep))
         return points
+
+    def texts(self, first, sweep: Sweep, head: str) -> Iterable[str]:
+        """The JSON text of each of `points(first, sweep)`, in that order, after ``head``."""
+        texts = [f"{head}{{{_quote(self.name)}:{_json_value(first)}" + ("" if self.later else "}")]
+        for i, (name, domain) in enumerate(self.later):
+            values = domain(first, sweep)
+            if values != self.parts[i][0]:  # the last axis's parts carry the closing brace
+                close = "}" if i == len(self.later) - 1 else ""
+                self.parts[i] = values, [
+                    "".join([f",{_quote(k)}:{_json_value(v)}" for k, v in
+                             (point.items() if name is None else [(name, point)])]) + close
+                    for point in values]
+            texts = _append(texts, self.parts[i][1])
+        return texts
 
     def __call__(self, sweep: Sweep) -> Iterator[dict]:
         for first in self.firsts(sweep):
@@ -301,6 +320,16 @@ def _extend(points: Iterable[dict], name, values) -> Iterator[dict]:
     if name is None:
         return ({**point, **v} for point in points for v in values)
     return ({**point, name: v} for point in points for v in values)
+
+
+def _json_value(v) -> str:
+    """A params value as JSON: an int as its digits, any other value as its string."""
+    return str(v) if v.__class__ is int else _quote(str(v))
+
+
+def _append(texts: Iterable[str], parts: list[str]) -> Iterator[str]:
+    """Each of ``texts`` followed by each of ``parts``; a function for the reason `_extend` is."""
+    return (text + part for text in texts for part in parts)
 
 
 #: Axes that several suites share.  A later axis's domain takes (first

@@ -6,6 +6,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hypercheck
 from hypercheck import _kernel, cli, padic, series, suites
@@ -968,6 +970,18 @@ def _reference_line(rep: suites.Report) -> str:
     return json.dumps(rec, separators=(",", ":")) + "\n"
 
 
+def _grid_text(params: dict, head: str) -> str:
+    """``params`` as `_Grid.texts` writes it after ``head``: a grid of one
+    point, its first key, then the rest merged as one dict; the empty
+    point, which no grid makes, as ``{}``."""
+    if not params:
+        return head + "{}"
+    (name, first), *rest = params.items()
+    grid = suites._Grid((name, lambda sweep: [first]), (None, lambda first, sweep: [dict(rest)]))
+    [text] = grid.texts(first, None, head)
+    return text
+
+
 _AWKWARD_TEXT = 'a "quoted" \\ back\\slash, \x00\x07\t\n\x1f\x7f, caf\u00e9 \u2211 \U0001f600 \u2028'
 _PARAMS_CASES = [
     {"p": 7, "x": Fraction(1, 2)},
@@ -990,7 +1004,7 @@ def test_records_match_the_json_module_byte_for_byte():
             note=note, oracle=oracle, error=error,
         )
         buf = io.StringIO()
-        cli._emit_json(rep, buf)
+        cli._emit_json(rep, _grid_text(params, '{"suite":"conj-1/2","params":'), buf)
         assert buf.getvalue() == _reference_line(rep), rep
         count += 1
     assert count == 5 * 4**3 * 6 * 2
@@ -1004,12 +1018,85 @@ def test_csv_params_cell_matches_the_json_module():
             lhs="1", rhs="1", modulus="25", passed=True, engine="exact",
             suite="thm1", params=params, note=_AWKWARD_TEXT,
         )
-        cli._emit_csv(rep, writer)
+        cli._emit_csv(rep, _grid_text(params, ""), writer)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert [row[1] for row in rows] == [
         json.dumps(_json_params(params), separators=(",", ":"))
         for params in _PARAMS_CASES
     ]
+
+
+def test_rhs_that_is_the_lhs_is_quoted_once(monkeypatch):
+    # a passing exact record shares one string for both sides
+    lhs = "-" + "9" * 300
+    rep = suites.Report(lhs=lhs, rhs=lhs, modulus="exact", passed=True, engine="exact",
+                        suite="identity-negation", params={"b": 1, "k": 2})
+    quoted = []
+    monkeypatch.setattr(cli, "_quote", lambda text: quoted.append(text) or json.dumps(text))
+    buf = io.StringIO()
+    cli._emit_json(rep, _grid_text(rep.params, '{"suite":"identity-negation","params":'), buf)
+    assert buf.getvalue() == _reference_line(rep)
+    assert quoted.count(lhs) == 1
+
+
+@given(st.floats(min_value=0.0, max_value=1e13, exclude_max=True))
+@example(1.0625)
+@example(2.675)
+@example(0.0005)
+@example(1e-7)
+@example(-0.0)
+@example(math.nextafter(1e12, 0))
+# outside the .3f range: ints, 1e12 and up, negatives and non-finite floats
+@example(0)
+@example(7)
+@example(1e12)
+@example(1e16)
+@example(-2.5)
+@example(math.inf)
+@example(math.nan)
+def test_elapsed_text_is_repr_of_round(x):
+    assert cli._ms(x) == repr(round(x, 3))
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-(10**31), max_value=10**31),
+        st.fractions(max_value=0),
+        st.text(),
+        st.just(_AWKWARD_TEXT),
+    )
+)
+@example(-(10**30))
+@example(Fraction(-7, 3))
+def test_params_value_text_matches_the_json_module(v):
+    assert suites._json_value(v) == json.dumps(v if type(v) is int else str(v))
+
+
+@pytest.mark.parametrize("x", [None, "3,1/2,-2/7"])
+def test_grid_texts_match_the_json_module(monkeypatch, x):
+    # every point of every suite, None axes (lemma1, babbage, rv-x) included;
+    # each shard twice, the second time from the parts the first one built
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "5")
+    sweep = cli.parse_args(["--p-max", "13"] + ([] if x is None else ["--x", x])).sweep
+    for suite in suites.REGISTRY.values():
+        gen = suite.gen
+        for first in gen.firsts(sweep):
+            want = ["<" + json.dumps(_json_params(point), separators=(",", ":"))
+                    for point in gen.points(first, sweep)]
+            assert list(gen.texts(first, sweep, "<")) == want, (suite.id, first)
+            assert list(gen.texts(first, sweep, "<")) == want, (suite.id, first)
+
+
+def test_params_text_is_built_per_shard_and_axis_value(monkeypatch, tmp_path):
+    # identity-negation: 40 shards b of 41 k values each; the text of each b
+    # and of each k is built once, not once per record
+    monkeypatch.setenv("VERIFY_BUDGET_IDENTITY", "40")
+    calls, encode = [], suites._json_value
+    monkeypatch.setattr(suites, "_json_value", lambda v: calls.append(v) or encode(v))
+    out = tmp_path / "records.jsonl"
+    assert cli.main(["identity-negation", "--format", "json-lines", "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 40 * 41 + 1
+    assert len(calls) <= 40 + 41
 
 
 @pytest.mark.parametrize("x", [None, "3,1/2"])
@@ -1085,6 +1172,18 @@ def test_import_leaves_multiprocessing_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(hypercheck.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_json_lines_run_leaves_csv_unloaded():
+    # only a csv run pays for the csv module
+    code = (
+        "import os, sys, hypercheck.cli as cli; "
+        "code = cli.main(['thm1', '--p-max', '13', '--format', 'json-lines', '--out', os.devnull]); "
+        "print(code, 'csv' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hypercheck.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0 False\n"), proc.stderr
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():

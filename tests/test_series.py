@@ -259,8 +259,8 @@ def fresh_prefix_table(mp, series_limit=series.SERIES_LIMIT) -> list[tuple]:
     included."""
     made, build = [], series._blocks.__wrapped__
 
-    def blocks(x):
-        made.append((x, build(x)))
+    def blocks(num, den):
+        made.append((Fraction(num, den), build(num, den)))
         return made[-1][1]
 
     mp.setattr(series, "_blocks", lru_cache(maxsize=series_limit)(blocks))

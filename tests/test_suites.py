@@ -489,12 +489,14 @@ def test_conjecture_precision_cap_is_reported():
 
 
 def test_report_params_serialized():
-    # the record keeps the generator's dict; cli writes the Fraction as a string
-    params = {"p": 7, "x": F(1, 2)}
+    # the record keeps the grid's point; its text writes the Fraction as a string
+    sweep = Sweep(primes=(7,), x_values=(F(1, 2),))
+    gen = REGISTRY["thm1"].gen
+    [params], [head] = gen.points(7, sweep), gen.texts(7, sweep, '{"suite":"thm1","params":')
     rep = run_instance("thm1", params)
     assert rep.params is params
     buf = io.StringIO()
-    cli._emit_json(rep, buf)
+    cli._emit_json(rep, head, buf)
     assert '"params":{"p":7,"x":"1/2"}' in buf.getvalue()
     assert isinstance(rep.lhs, str) and isinstance(rep.modulus, str)
     assert rep.elapsed_ms >= 0.0
