@@ -8,9 +8,11 @@ shard, in generation order, writes one line per instance in human,
 json-lines, or csv form and counts them: to the run's stream, or under
 ``--workers``, where a task is a run of whole shards, to the text that each
 shard sends back to the parent, which writes it in generation order.  A
-json-lines or csv record takes its params text from the suite's grid
-(`_Grid.texts`), which builds the shard's value once and each later axis
-value once, not once per record.
+shard's instances are enumerated where it runs, by the suite's grid
+(`_Grid.shard`), each with the params text that a json-lines or csv record
+writes; the grid builds the shard's value once and each later axis value
+once, not once per record.  A pool job carries no instances, only the
+shard's suite and first value and the run's settings.
 
 `parse_args` is the only code that reads argv and the ``VERIFY_*``
 environment variables (``VERIFY_BUDGET_*`` and ``VERIFY_FAULT_INJECT``);
@@ -43,7 +45,6 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -229,7 +230,7 @@ def _ms(x) -> str:
 
 def _emit_json(rep: Report, head: str, out) -> None:
     """Write one record as the compact ``json`` encoder would, after
-    ``head``, its suite and params (`_Grid.texts`); note, oracle, error if set."""
+    ``head``, its suite and params (`_Grid.shard`); note, oracle, error if set."""
     lhs = _quote(rep.lhs)
     line = (
         f'{head},"lhs":{lhs},"rhs":{lhs if rep.rhs is rep.lhs else _quote(rep.rhs)},'
@@ -256,7 +257,7 @@ def _emit_csv(rep: Report, params: str, writer) -> None:
 
 
 # one record writer per format, picked once per shard, called with a record, its
-# `_Grid.texts` text (none for human) and the sink; csv's writes to a csv.writer
+# `_Grid.shard` text (which human ignores) and the sink; csv's writes to a csv.writer
 _EMITTERS = {"human": _emit_human, "json-lines": _emit_json, "csv": _emit_csv}
 
 
@@ -289,17 +290,16 @@ def run(cfg: argparse.Namespace) -> int:
         return _write(cfg, _list_suites)
     sweep = cfg.sweep
     jobs = (
-        (sid, first, REGISTRY[sid].gen.points(first, sweep), cfg.engine, sweep, cfg.fault,
-         cfg.format)
+        (sid, first, cfg.engine, sweep, cfg.fault, cfg.format)
         for sid in cfg.suites
         for first in REGISTRY[sid].gen.firsts(sweep)
     )
     workers = 1
     if cfg.workers > 1:
-        # the pool pickles each shard's points, so it gets lists
-        jobs = [(sid, first, list(points), *rest) for sid, first, points, *rest in jobs]
-        workers = min(cfg.workers, sum(len(job[2]) for job in jobs), _usable_cpus())
-    if workers < 2:  # 0 when there is no instance
+        # a pool task is a run of whole shards, so a shard keeps one worker busy at most
+        jobs = list(jobs)
+        workers = min(cfg.workers, len(jobs), _usable_cpus())
+    if workers < 2:  # 0 when there is no shard
         return _write(cfg, lambda out: _report(cfg, (_shard(job, out) for job in jobs), out))
     # imported here: a serial run never pays for multiprocessing
     from multiprocessing import Pool
@@ -318,13 +318,14 @@ def _shard(job: tuple, out) -> tuple[str, dict[str, int], InternalError | None]:
     the suite id, the shard's summary row (instances, passed, failed and
     errors) and the `InternalError` that ended the shard, if one did.
 
-    ``job`` is (suite id, first, points, engine, sweep, fault suite,
-    format), ``points`` the instances at the value ``first`` of the suite's
-    first axis, run in order under one `Shard`.  ``run_instance`` is looked
-    up at each call: the benchmark's setup probe rebinds that name to stop
-    a run at its first instance.
+    ``job`` is (suite id, first, engine, sweep, fault suite, format): the
+    shard is the suite's instances at the value ``first`` of its first axis,
+    which `_Grid.shard` enumerates here, in the process that runs them, each
+    with its params text, and which run in order under one `Shard`.
+    ``run_instance`` is looked up at each call: the benchmark's setup probe
+    rebinds that name to stop a run at its first instance.
     """
-    suite_id, first, points, engine, sweep, fault, fmt = job
+    suite_id, first, engine, sweep, fault, fmt = job
     shard = Shard(suite_id, first, engine, sweep, fault)
     emit, sink = _EMITTERS[fmt], out
     if fmt == "csv":
@@ -332,11 +333,10 @@ def _shard(job: tuple, out) -> tuple[str, dict[str, int], InternalError | None]:
 
         sink = csv.writer(out, lineterminator="\n")
     head = f'{{"suite":{_quote(suite_id)},"params":' if fmt == "json-lines" else ""
-    texts = repeat("") if fmt == "human" else shard.suite.gen.texts(first, sweep, head)
     counts, error = {"passed": 0, "failed": 0, "errors": 0}, None
     try:
-        for params, text in zip(points, texts):
-            rep = run_instance(suite_id, params, engine, sweep, fault, shard)
+        for params, text in shard.suite.gen.shard(first, sweep, head):
+            rep = run_instance(suite_id, params, shard)
             emit(rep, text, sink)
             counts["errors" if rep.error is not None else "passed" if rep.passed else "failed"] += 1
     except InternalError as ex:

@@ -97,8 +97,8 @@ class Report:
     `_record` fills in lhs, rhs, modulus, passed, engine and any note or
     oracle from a check's sides, `_error_report` the error of a failed
     instance; `run_instance` stamps ``suite``, ``params`` (the grid's point
-    as it is; `_Grid.texts` writes its JSON) and
-    ``elapsed_ms``, and the engine of a dual-route record.  Equal field by field.
+    as it is; `_Grid.shard` writes its JSON beside it) and ``elapsed_ms``,
+    and the engine of a dual-route record.  Equal field by field.
     """
 
     __slots__ = ("lhs", "rhs", "modulus", "passed", "engine", "suite", "params", "elapsed_ms",
@@ -275,28 +275,24 @@ class _Grid:
 
     Each value of the first domain, a function of the sweep (`firsts`), is a
     shard; each later domain, a function of (first value, sweep) returning a
-    sequence, is evaluated once per shard, whose points are their product
-    (`points`).  An axis named None binds a domain of dicts, each merged
-    into the point: a loop the product cannot state (b <= a), a loop order
-    unlike the key order, or keys that differ between points.  `texts`
-    writes their JSON, each later axis's ``,"name":value`` parts once per run
-    of shards with an equal domain (a `Fraction` in a domain is never
-    integral, so equal domains print alike).
+    sequence, is evaluated once per shard, whose points are their product.
+    An axis named None binds a domain of dicts, each merged into the point:
+    a loop the product cannot state (b <= a), a loop order unlike the key
+    order, or keys that differ between points.  `shard` yields each point
+    with its JSON text, each later axis's ``,"name":value`` parts built once
+    per run of shards with an equal domain (a `Fraction` in a domain is
+    never integral, so equal domains print alike).
     """
 
     def __init__(self, *axes: tuple):
         (self.name, self.firsts), *self.later = axes
         self.parts = [((), [])] * len(self.later)  # each later axis's last domain and parts
 
-    def points(self, first, sweep: Sweep) -> Iterable[dict]:
-        points = [{self.name: first}]
-        for name, domain in self.later:
-            points = _extend(points, name, domain(first, sweep))
-        return points
-
-    def texts(self, first, sweep: Sweep, head: str) -> Iterable[str]:
-        """The JSON text of each of `points(first, sweep)`, in that order, after ``head``."""
-        texts = [f"{head}{{{_quote(self.name)}:{_json_value(first)}" + ("" if self.later else "}")]
+    def shard(self, first, sweep: Sweep, head: str = "") -> Iterable[tuple[dict, str]]:
+        """Each point at the value ``first`` of the first axis, in generation
+        order, with its JSON text after ``head``."""
+        text = f"{head}{{{_quote(self.name)}:{_json_value(first)}" + ("" if self.later else "}")
+        pairs = [({self.name: first}, text)]
         for i, (name, domain) in enumerate(self.later):
             values = domain(first, sweep)
             if values != self.parts[i][0]:  # the last axis's parts carry the closing brace
@@ -305,31 +301,30 @@ class _Grid:
                     "".join([f",{_quote(k)}:{_json_value(v)}" for k, v in
                              (point.items() if name is None else [(name, point)])]) + close
                     for point in values]
-            texts = _append(texts, self.parts[i][1])
-        return texts
+            pairs = _extend(pairs, name, values, self.parts[i][1])
+        return pairs
 
     def __call__(self, sweep: Sweep) -> Iterator[dict]:
         for first in self.firsts(sweep):
-            yield from self.points(first, sweep)
+            for point, _ in self.shard(first, sweep):
+                yield point
 
 
-def _extend(points: Iterable[dict], name, values) -> Iterator[dict]:
-    """Each of ``points`` with each of ``values`` bound to ``name`` in turn,
-    or merged in where ``name`` is None; a function of its own, so that each
-    axis's generator keeps its own name and values."""
+def _extend(pairs: Iterable[tuple[dict, str]], name, values, parts: list[str]) -> Iterator:
+    """Each of ``pairs``, a point and its text, with each of ``values`` bound
+    to ``name`` in turn, or merged in where ``name`` is None, and the value's
+    part appended to the text; a function of its own, so that each axis's
+    generator keeps its own name, values and parts."""
     if name is None:
-        return ({**point, **v} for point in points for v in values)
-    return ({**point, name: v} for point in points for v in values)
+        return (({**point, **v}, text + part)
+                for point, text in pairs for v, part in zip(values, parts))
+    return (({**point, name: v}, text + part)
+            for point, text in pairs for v, part in zip(values, parts))
 
 
 def _json_value(v) -> str:
     """A params value as JSON: an int as its digits, any other value as its string."""
     return str(v) if v.__class__ is int else _quote(str(v))
-
-
-def _append(texts: Iterable[str], parts: list[str]) -> Iterator[str]:
-    """Each of ``texts`` followed by each of ``parts``; a function for the reason `_extend` is."""
-    return (text + part for text in texts for part in parts)
 
 
 #: Axes that several suites share.  A later axis's domain takes (first
@@ -713,8 +708,9 @@ class Suite:
     of theorem, identity, conjecture and exploratory.  ``gen`` is the
     instances' `_Grid` of (name, domain) axes, listed outermost first and
     keyed in that order, with p first in every suite that has a prime;
-    ``gen(sweep)`` yields the params dicts.  ``check(sweep, dual, ctx,
-    **params)`` returns `_record`'s args."""
+    ``gen.shard(first, sweep)`` yields one shard's params dicts with their
+    JSON texts, and ``gen(sweep)`` every shard's params dicts.
+    ``check(sweep, dual, ctx, **params)`` returns `_record`'s args."""
 
     def __init__(
         self, id: str, kind: str, exponent: int | None, gen: _Grid,
@@ -867,36 +863,21 @@ class Shard:
         return value
 
 
-def run_instance(
-    suite_id: str,
-    params: dict,
-    engine: str = "modular",
-    sweep: Sweep | None = None,
-    fault_suite: str | None = None,
-    shard: Shard | None = None,
-) -> Report:
-    """Run one instance under `engine`; domain errors become error reports, bugs
-    raise `InternalError`.
+def run_instance(suite_id: str, params: dict, shard: Shard) -> Report:
+    """Run one instance of ``suite_id`` in its `Shard`; domain errors become
+    error reports, bugs raise `InternalError`.
 
-    The runner passes the instance's `Shard`, built for the same engine,
-    sweep and fault suite; without one, the instance runs in a shard of its
-    own (at ``params["p"]``), whose modulus and rows no other call shares.
-    The check gets the shard's modulus and the shard as its ``dual``, and
-    `_record` builds the record from the sides it returns.  The first value
-    a check asks ``dual`` for is its primary value (its left side); when
-    ``fault_suite`` names this suite (the ``VERIFY_FAULT_INJECT`` self-test)
-    that value, on the route the engine reports (exact under ``exact``,
-    modular otherwise), is off by one, so ``both`` raises `InternalError`
-    and ``modular`` and ``exact`` report a failure.  Without a ``sweep`` the
-    check gets the primes 5..97 and `Sweep`'s default caps, whatever the
-    environment says.
+    The check gets the shard's sweep, its modulus and the shard as its
+    ``dual``, and `_record` builds the record from the sides it returns.
+    The first value a check asks ``dual`` for is its primary value (its left
+    side); when the shard's fault suite (the ``VERIFY_FAULT_INJECT``
+    self-test) is this suite, that value, on the route the engine reports
+    (exact under ``exact``, modular otherwise), is off by one, so ``both``
+    raises `InternalError` and ``modular`` and ``exact`` report a failure.
     """
     t0 = time.perf_counter()
+    shard.params, shard.route, shard.armed = params, None, shard.fault
     try:
-        if shard is None:
-            sweep = sweep or Sweep(primes_in(5, 97))
-            shard = Shard(suite_id, params.get("p"), engine, sweep, fault_suite)
-        shard.params, shard.route, shard.armed = params, None, shard.fault
         rep = _record(*shard.suite.check(shard.sweep, shard, shard.ctx, **params))
     except VerifyError as ex:
         rep = _error_report(ex)

@@ -1,6 +1,6 @@
 from hypothesis import settings
 
-from hypercheck.suites import REGISTRY, Shard, run_instance
+from hypercheck.suites import REGISTRY, Shard, Sweep, primes_in, run_instance
 
 # the sandbox pins everything to one contended core, so per-example wall-clock
 # deadlines flake on cold caches; example counts stay at their defaults
@@ -14,8 +14,18 @@ def sweep_reports(suite_id, sweep, engine="both"):
     gen = REGISTRY[suite_id].gen
     for first in gen.firsts(sweep):
         shard = Shard(suite_id, first, engine, sweep, None)
-        for params in gen.points(first, sweep):
-            yield run_instance(suite_id, params, engine, sweep, None, shard)
+        for params, _ in gen.shard(first, sweep):
+            yield run_instance(suite_id, params, shard)
+
+
+def run_one(suite_id, params, engine="modular", sweep=None, fault_suite=None):
+    """The report of one instance, run in a shard of its own (at
+    ``params["p"]``), whose modulus and rows no other call shares; without
+    a ``sweep``, the check gets the primes 5..97 and `Sweep`'s default caps,
+    whatever the environment says."""
+    sweep = sweep or Sweep(primes_in(5, 97))
+    shard = Shard(suite_id, params.get("p"), engine, sweep, fault_suite)
+    return run_instance(suite_id, params, shard)
 
 
 # acceptance criteria results recorded by tests/test_acceptance.py;

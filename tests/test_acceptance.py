@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import ACCEPTANCE_LINES, sweep_reports
+from conftest import ACCEPTANCE_LINES, run_one, sweep_reports
 
 from hypercheck import cli
 from hypercheck.errors import InternalError
@@ -24,7 +24,6 @@ from hypercheck.suites import (
     REGISTRY,
     Sweep,
     primes_in,
-    run_instance,
 )
 
 F = Fraction
@@ -222,7 +221,7 @@ def test_criterion_10_engine_equivalence_sampling():
     disagreements = bad = 0
     for sid, params in sample:
         try:
-            rep = run_instance(sid, params, engine="both", sweep=sweep)
+            rep = run_one(sid, params, engine="both", sweep=sweep)
         except InternalError:
             disagreements += 1
             continue

@@ -12,7 +12,7 @@ import weakref
 from fractions import Fraction
 from math import comb
 
-from conftest import sweep_reports
+from conftest import run_one, sweep_reports
 
 import hypercheck
 from hypercheck import cli, identities, series, special, suites
@@ -22,7 +22,6 @@ from hypercheck.suites import (
     CONJECTURE_SUITES,
     Sweep,
     primes_in,
-    run_instance,
 )
 
 
@@ -116,7 +115,7 @@ def test_lemma4_rows_read_no_exact_sequence(monkeypatch):
     for suite_id in ("lemma4", "lemma4-binom"):
         for fam in QUARTICS:
             params = {"p": p, "r": 0, "k": 0, "x": fam.x}
-            assert run_instance(suite_id, params, "modular", sweep).passed
+            assert run_one(suite_id, params, "modular", sweep).passed
     assert seen == []
     assert_exact_tables_empty()
 

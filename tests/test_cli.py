@@ -22,6 +22,8 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import run_one
+
 import hypercheck
 from hypercheck import _kernel, cli, padic, series, suites
 from hypercheck.errors import NonUnit, UsageError
@@ -458,10 +460,10 @@ def test_conjecture_reports_the_series_cap_before_the_binomial_cap(capsys, monke
 
 
 def test_budget_env_is_read_by_the_cli_only(capsys, monkeypatch):
-    # run_instance without a sweep keeps the default budgets, while verify
+    # an instance run without a sweep keeps the default budgets, while verify
     # still reads VERIFY_BUDGET_SERIES
     monkeypatch.setenv("VERIFY_BUDGET_SERIES", "6")
-    rep = suites.run_instance("rv", {"p": 7, "n": 1, "x": Fraction(1, 2)})
+    rep = run_one("rv", {"p": 7, "n": 1, "x": Fraction(1, 2)})
     assert rep.error is None and rep.passed
     code, out, _ = run_main(
         capsys,
@@ -672,15 +674,22 @@ def test_worker_count_does_not_change_output(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json-lines", "human"])
-def test_a_sweep_of_shards_without_points_runs_nothing(capsys, fmt):
-    # rv's shards are its primes, and an empty --n leaves each without a point
-    code, out, err = run_main(capsys, "rv", "--n", ",,", "--p-max", "13", "--format", fmt)
-    assert (code, err) == (0, "")
-    if fmt == "human":
-        assert out.startswith("ran 0 instances:") and out.count("\n") == 1
-    else:
-        summary = json.loads(out)["summary"]
-        assert summary["instances"] == 0 and summary["suites"] == {}
+def test_a_sweep_of_shards_without_points_runs_nothing(capsys, monkeypatch, fmt):
+    # rv's shards are its primes, and an empty --n leaves each without a
+    # point; under a pool, each shard is a task that writes nothing, as
+    # serially
+    monkeypatch.setattr(_InProcessPool, "log", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for workers in ("1", "2"):
+        code, out, err = run_main(capsys, "rv", "--n", ",,", "--p-max", "13", "--format", fmt,
+                                  "--workers", workers)
+        assert (code, err) == (0, "")
+        if fmt == "human":
+            assert out.startswith("ran 0 instances:") and out.count("\n") == 1
+        else:
+            summary = json.loads(out)["summary"]
+            assert summary["instances"] == 0 and summary["suites"] == {}
 
 
 class Pinned(NamedTuple):
@@ -971,14 +980,14 @@ def _reference_line(rep: suites.Report) -> str:
 
 
 def _grid_text(params: dict, head: str) -> str:
-    """``params`` as `_Grid.texts` writes it after ``head``: a grid of one
+    """``params`` as `_Grid.shard` writes it after ``head``: a grid of one
     point, its first key, then the rest merged as one dict; the empty
     point, which no grid makes, as ``{}``."""
     if not params:
         return head + "{}"
     (name, first), *rest = params.items()
     grid = suites._Grid((name, lambda sweep: [first]), (None, lambda first, sweep: [dict(rest)]))
-    [text] = grid.texts(first, None, head)
+    [(_, text)] = grid.shard(first, None, head)
     return text
 
 
@@ -1081,10 +1090,12 @@ def test_grid_texts_match_the_json_module(monkeypatch, x):
     for suite in suites.REGISTRY.values():
         gen = suite.gen
         for first in gen.firsts(sweep):
-            want = ["<" + json.dumps(_json_params(point), separators=(",", ":"))
-                    for point in gen.points(first, sweep)]
-            assert list(gen.texts(first, sweep, "<")) == want, (suite.id, first)
-            assert list(gen.texts(first, sweep, "<")) == want, (suite.id, first)
+            pairs = list(gen.shard(first, sweep, "<"))
+            assert [text for _, text in pairs] == [
+                "<" + json.dumps(_json_params(point), separators=(",", ":"))
+                for point, _ in pairs
+            ], (suite.id, first)
+            assert list(gen.shard(first, sweep, "<")) == pairs, (suite.id, first)
 
 
 def test_params_text_is_built_per_shard_and_axis_value(monkeypatch, tmp_path):
@@ -1097,6 +1108,27 @@ def test_params_text_is_built_per_shard_and_axis_value(monkeypatch, tmp_path):
     assert cli.main(["identity-negation", "--format", "json-lines", "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 40 * 41 + 1
     assert len(calls) <= 40 + 41
+
+
+@pytest.mark.parametrize(
+    "domain, sids",
+    [("_sun_xs", ("sun", "chain-reflect", "chain-jet")), ("_lemma1_forms", ("lemma1",))],
+    ids=["sun-x", "lemma1-forms"],
+)
+def test_each_later_domain_is_evaluated_once_per_shard(monkeypatch, tmp_path, domain, sids):
+    # a shard's points and their texts come from one walk of its domains
+    calls, fn = [], getattr(suites, domain)
+
+    def counted(first, sweep):
+        calls.append(first)
+        return fn(first, sweep)
+
+    for suite in suites.REGISTRY.values():
+        later = [(name, counted if d is fn else d) for name, d in suite.gen.later]
+        monkeypatch.setattr(suite.gen, "later", later)
+    out = tmp_path / "records"
+    assert cli.main([*sids, "--p-max", "13", "--format", "json-lines", "--out", str(out)]) == 0
+    assert calls == [5, 7, 11, 13] * len(sids)
 
 
 @pytest.mark.parametrize("x", [None, "3,1/2"])
@@ -1203,44 +1235,58 @@ def _holds_report(obj) -> bool:
     return False
 
 
+def _holds_params(obj) -> bool:
+    """Whether ``obj`` is or holds a dict, such as an instance's params."""
+    if isinstance(obj, dict):
+        return True
+    return isinstance(obj, (tuple, list)) and any(_holds_params(item) for item in obj)
+
+
+class _InProcessPool:
+    """A `multiprocessing.Pool` that runs its tasks here, through pickle, and
+    logs each job with its result."""
+
+    log: list = []
+
+    def __init__(self, size):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        for item in items:
+            result = fn(pickle.loads(pickle.dumps(item)))
+            self.log.append((item, result))
+            yield pickle.loads(pickle.dumps(result))
+
+
 @pytest.mark.parametrize("fmt", ["json-lines", "human", "csv"])
 def test_pool_tasks_return_text_not_reports(capsys, monkeypatch, fmt):
     # each pool task sends back its shards' text and counts, not a Report per
     # instance; a pool that runs the tasks here, through pickle, writes the
-    # serial stream
-    returned = []
-
-    class FakePool:
-        def __init__(self, size):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            for item in items:
-                result = fn(pickle.loads(pickle.dumps(item)))
-                returned.append(result)
-                yield pickle.loads(pickle.dumps(result))
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    # serial stream; a job names its shard and carries none of its points
+    log = []
+    monkeypatch.setattr(_InProcessPool, "log", log)
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = ("thm1", "lemma5", "rv-x", "--p-max", "13", "--format", fmt)
     code1, out1, _ = run_main(capsys, *argv)
     code2, out2, _ = run_main(capsys, *argv, "--workers", "2")
     assert code1 == code2 == 1
-    assert len(returned) == 3 * len(suites.primes_in(5, 13))
-    assert not any(_holds_report(result) for result in returned)
+    assert len(log) == 3 * len(suites.primes_in(5, 13))
+    assert not any(_holds_params(job) or _holds_report(result) for job, result in log)
     if fmt == "json-lines":
         assert _strip_elapsed(out1) == _strip_elapsed(out2)
     else:
         assert _strip_format_elapsed(fmt, out1) == _strip_format_elapsed(fmt, out2)
 
 
-def test_pool_never_outnumbers_instances(capsys, monkeypatch):
+def test_pool_never_outnumbers_shards(capsys, monkeypatch):
+    # a pool task is a run of whole shards, so a shard never keeps two workers busy
     sizes = []
 
     class FakePool:
@@ -1261,17 +1307,20 @@ def test_pool_never_outnumbers_instances(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     # six usable CPUs; no real process is started
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-    # thm1 has four instances at p = 5 and eight up to p = 7
-    for p_max, workers, passed in (("5", "64", 4), ("7", "3", 8), ("7", "64", 8)):
+    # thm1's shards are its primes, of four instances each: one shard at
+    # p = 5, which runs in this process, without a pool, two up to p = 7 and
+    # nine up to p = 31
+    for p_max, workers, passed in (("5", "64", 4), ("7", "64", 8), ("31", "3", 36),
+                                   ("31", "64", 36)):
         code, out, _ = run_main(capsys, "thm1", "--p-max", p_max, "--workers", workers)
         assert code == 0 and out.count("PASS") == passed
     # where the OS cannot say which CPUs a process may use, all of them count
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
-    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "64")
-    assert code == 0 and out.count("PASS") == 8
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "31", "--workers", "64")
+    assert code == 0 and out.count("PASS") == 36
     # one usable CPU runs in this process, without a pool
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    code, out, _ = run_main(capsys, "thm1", "--p-max", "7", "--workers", "64")
-    assert code == 0 and out.count("PASS") == 8
-    assert sizes == [4, 3, 6, 5]
+    code, out, _ = run_main(capsys, "thm1", "--p-max", "31", "--workers", "64")
+    assert code == 0 and out.count("PASS") == 36
+    assert sizes == [2, 3, 6, 5]

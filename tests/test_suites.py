@@ -12,7 +12,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sweep_reports
+from conftest import run_one, sweep_reports
 
 from hypercheck import cli, identities, special, suites
 from hypercheck.errors import InternalError
@@ -29,7 +29,6 @@ from hypercheck.suites import (
     Report,
     Sweep,
     primes_in,
-    run_instance,
 )
 
 F = Fraction
@@ -111,30 +110,30 @@ def test_generators_are_deterministic():
 
 # frozen worked examples, one per headline suite
 def test_worked_example_thm1():
-    rep = run_instance("thm1", {"p": 7, "x": F(1, 2)}, engine="both")
+    rep = run_one("thm1", {"p": 7, "x": F(1, 2)}, engine="both")
     assert rep.passed and rep.lhs == rep.rhs == "48" and rep.modulus == "49"
-    rep = run_instance("thm1", {"p": 5, "x": F(1, 2)}, engine="both")
+    rep = run_one("thm1", {"p": 5, "x": F(1, 2)}, engine="both")
     assert rep.passed and rep.lhs == "1" and rep.modulus == "25"
 
 
 def test_worked_example_rv():
-    rep = run_instance("rv", {"p": 5, "n": 2, "x": F(1, 2)}, engine="both")
+    rep = run_one("rv", {"p": 5, "n": 2, "x": F(1, 2)}, engine="both")
     # right side is 1 + 1/4 reduced: 1 + 19 = 20 mod 25
     assert rep.passed and rep.rhs == "20" and rep.modulus == "25"
 
 
 def test_worked_example_corollary():
-    rep = run_instance("corollary", {"p": 7, "r": 2, "x": F(1, 2)}, engine="both")
+    rep = run_one("corollary", {"p": 7, "r": 2, "x": F(1, 2)}, engine="both")
     assert rep.passed and rep.lhs == "1" and rep.modulus == "49"
 
 
 def test_worked_example_block_factorization():
-    rep = run_instance("chain-block", {"p": 5, "r": 1, "x": F(1, 2)}, engine="both")
+    rep = run_one("chain-block", {"p": 5, "r": 1, "x": F(1, 2)}, engine="both")
     assert rep.passed and rep.modulus == "25"
 
 
 def test_worked_example_shift():
-    rep = run_instance(
+    rep = run_one(
         "lemma4-binom", {"p": 5, "r": 1, "k": 2, "x": F(1, 2)}, engine="modular"
     )
     # C(14,7)^2 against C(2,1)^2 C(4,2)^2 (1 + 5(4H_4 - 4H_2)), both 24 mod 25
@@ -142,13 +141,13 @@ def test_worked_example_shift():
 
 
 def test_worked_example_conjecture_branch_sixth():
-    rep = run_instance("conj-1/6", {"p": 5, "n": 1, "x": F(1, 6)}, engine="both")
+    rep = run_one("conj-1/6", {"p": 5, "n": 1, "x": F(1, 6)}, engine="both")
     # right side -20 p^2 E_{p-3} = -20 * 25 * E_2 = 500 = 0 mod 125
     assert rep.passed and rep.rhs == "0" and rep.modulus == "125"
 
 
 def test_worked_example_gessel():
-    rep = run_instance("gessel", {"p": 5, "n": 1}, engine="both")
+    rep = run_one("gessel", {"p": 5, "n": 1}, engine="both")
     assert rep.passed and rep.lhs == rep.rhs == "5" and rep.modulus == "125"
 
 
@@ -192,7 +191,7 @@ REPRESENTATIVE = {
 
 @pytest.mark.parametrize("sid", sorted(REPRESENTATIVE))
 def test_representative_instance_passes(sid):
-    rep = run_instance(sid, REPRESENTATIVE[sid], engine="both")
+    rep = run_one(sid, REPRESENTATIVE[sid], engine="both")
     assert rep.error is None
     assert rep.passed, (rep.lhs, rep.rhs, rep.note)
 
@@ -357,18 +356,18 @@ def test_modular_rows_match_their_exact_references(p, e):
 
 
 def test_exploratory_suites_do_fail():
-    rep = run_instance("rv-x", {"p": 5, "n": 2, "x": F(1, 7)}, engine="both")
+    rep = run_one("rv-x", {"p": 5, "n": 2, "x": F(1, 7)}, engine="both")
     assert not rep.passed and rep.error is None
-    rep = run_instance("identity-shifted-printed", {"n": 3})
+    rep = run_one("identity-shifted-printed", {"n": 3})
     assert not rep.passed and rep.error is None
 
 
 def test_engine_labels():
     params = {"p": 7, "x": F(1, 2)}
-    assert run_instance("thm1", params, engine="modular").engine == "modular"
-    assert run_instance("thm1", params, engine="exact").engine == "exact"
-    assert run_instance("thm1", params, engine="both").engine == "modular"
-    assert run_instance("babbage", {"p": 7, "a": 3, "b": 1}).engine == "exact"
+    assert run_one("thm1", params, engine="modular").engine == "modular"
+    assert run_one("thm1", params, engine="exact").engine == "exact"
+    assert run_one("thm1", params, engine="both").engine == "modular"
+    assert run_one("babbage", {"p": 7, "a": 3, "b": 1}).engine == "exact"
 
 
 def test_engines_agree_on_random_instances():
@@ -377,21 +376,21 @@ def test_engines_agree_on_random_instances():
     for sid in ("thm1", "sun", "rv", "corollary", "lemma4", "lemma5",
                 "chain-reflect", "chain-jet", "chain-block", "chain-product"):
         for params in REGISTRY[sid].gen(sw):
-            rep = run_instance(sid, params, engine="both", sweep=sw)
+            rep = run_one(sid, params, engine="both", sweep=sw)
             assert rep.error is None and rep.passed
 
 
 def test_fault_injection_is_caught_by_oracle():
     params = {"p": 7, "x": F(1, 2)}
     with pytest.raises(InternalError):
-        run_instance("thm1", params, engine="both", fault_suite="thm1")
+        run_one("thm1", params, engine="both", fault_suite="thm1")
     # fault on a different suite leaves this one alone
-    rep = run_instance("thm1", params, engine="both", fault_suite="sun")
+    rep = run_one("thm1", params, engine="both", fault_suite="sun")
     assert rep.passed
 
 
 def test_fault_injection_without_oracle_is_a_plain_failure():
-    rep = run_instance(
+    rep = run_one(
         "thm1", {"p": 7, "x": F(1, 2)}, engine="modular", fault_suite="thm1"
     )
     assert not rep.passed and rep.error is None
@@ -399,11 +398,11 @@ def test_fault_injection_without_oracle_is_a_plain_failure():
 
 def test_budget_exceeded_becomes_error_report():
     sw = small_sweep(series_max=10)
-    rep = run_instance("rv", {"p": 11, "n": 2, "x": F(1, 2)}, sweep=sw)
+    rep = run_one("rv", {"p": 11, "n": 2, "x": F(1, 2)}, sweep=sw)
     assert rep.error is not None and rep.error.startswith("BudgetExceeded")
     assert not rep.passed
     sw = small_sweep(binomial_max=10)
-    rep = run_instance("babbage", {"p": 11, "a": 5, "b": 2}, sweep=sw)
+    rep = run_one("babbage", {"p": 11, "a": 5, "b": 2}, sweep=sw)
     assert rep.error is not None and rep.error.startswith("BudgetExceeded")
 
 
@@ -435,7 +434,7 @@ ORDER_CASES = [
 
 
 def order_record(suite_id: str, params: dict):
-    rep = run_instance(suite_id, params, "both", ORDER_SWEEP)
+    rep = run_one(suite_id, params, "both", ORDER_SWEEP)
     rep.elapsed_ms = 0.0
     return rep
 
@@ -457,7 +456,7 @@ def test_records_do_not_depend_on_instance_order(in_order_records, picks):
 
 
 def test_conjecture_failure_attaches_exact_oracle():
-    rep = run_instance(
+    rep = run_one(
         "conj-1/2",
         {"p": 7, "n": 1, "x": F(1, 2)},
         engine="modular",
@@ -474,7 +473,7 @@ def test_conjecture_divisibility_violation_report(monkeypatch, engine):
     # the same divisibility failure, labelled with the route that ran
     legendre = suites.special.legendre
     monkeypatch.setattr(suites.special, "legendre", lambda a, p: -legendre(a, p))
-    rep = run_instance("conj-1/2", {"p": 5, "n": 3, "x": F(1, 2)}, engine=engine)
+    rep = run_one("conj-1/2", {"p": 5, "n": 3, "x": F(1, 2)}, engine=engine)
     assert not rep.passed and rep.error is None and rep.lhs == ""
     assert rep.engine == ("exact" if engine == "exact" else "modular")
     assert rep.note.startswith("divisibility violation")
@@ -484,7 +483,7 @@ def test_conjecture_divisibility_violation_report(monkeypatch, engine):
 def test_conjecture_precision_cap_is_reported():
     # v_p(n^2 S(n)) grows without bound in n; past the window cap the
     # instance must surface as a budget error, never a silent wrong answer
-    rep = run_instance("conj-1/2", {"p": 5, "n": 25, "x": F(1, 2)})
+    rep = run_one("conj-1/2", {"p": 5, "n": 25, "x": F(1, 2)})
     assert rep.error is not None and "precision" in rep.error
 
 
@@ -492,8 +491,8 @@ def test_report_params_serialized():
     # the record keeps the grid's point; its text writes the Fraction as a string
     sweep = Sweep(primes=(7,), x_values=(F(1, 2),))
     gen = REGISTRY["thm1"].gen
-    [params], [head] = gen.points(7, sweep), gen.texts(7, sweep, '{"suite":"thm1","params":')
-    rep = run_instance("thm1", params)
+    [(params, head)] = gen.shard(7, sweep, '{"suite":"thm1","params":')
+    rep = run_one("thm1", params)
     assert rep.params is params
     buf = io.StringIO()
     cli._emit_json(rep, head, buf)
@@ -590,7 +589,7 @@ def test_every_series_engine_call_goes_through_series(monkeypatch):
         monkeypatch.setattr(suites.series, name, engine(getattr(suites.series, name)))
     sweep = Sweep(primes=(11,))
     for sid, suite in REGISTRY.items():
-        run_instance(sid, next(iter(suite.gen(sweep))), "both", sweep)
+        run_one(sid, next(iter(suite.gen(sweep))), "both", sweep)
     assert set(calls) == {"window_sum_mod", "window_residue_exact"}
     assert stray == []
 
@@ -604,7 +603,7 @@ def test_rv_general_domain_avoids_family_orbit():
 
 
 def test_mod_exp_override():
-    rep = run_instance(
+    rep = run_one(
         "thm1", {"p": 7, "x": F(1, 2)}, sweep=Sweep(primes=(7,), mod_exp=1)
     )
     assert rep.modulus == "7"
