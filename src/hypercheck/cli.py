@@ -302,15 +302,15 @@ def run(cfg: argparse.Namespace) -> int:
     if workers < 2:  # 0 when there is no shard
         return _write(cfg, lambda out: _report(cfg, (_shard(job, out) for job in jobs), out))
     # imported here: a serial run never pays for multiprocessing
-    from multiprocessing import Pool
+    from concurrent.futures import ProcessPoolExecutor
 
-    with Pool(workers) as pool:
-        # about 64 tasks per worker: few enough that the cost of a task stays
-        # small next to its shards, many enough that the text of a task of
-        # the largest shards stays small in both processes
+    pool = ProcessPoolExecutor(workers)
+    try:  # about 64 tasks per worker: few enough that a task's cost stays small next
+        # to its shards, many enough that the text of the largest shards' tasks stays small
         chunksize = max(1, len(jobs) // (workers * 64))
-        shards = pool.imap(_pooled, jobs, chunksize=chunksize)
-        return _write(cfg, partial(_report, cfg, shards))
+        return _write(cfg, partial(_report, cfg, pool.map(_pooled, jobs, chunksize=chunksize)))
+    finally:  # drops the tasks not started and kills no worker: one killed mid-result
+        pool.shutdown(cancel_futures=True)  # could leave `multiprocessing.Pool` hung
 
 
 def _shard(job: tuple, out) -> tuple[str, dict[str, int], InternalError | None]:

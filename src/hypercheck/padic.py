@@ -1,11 +1,13 @@
 """Arithmetic substrate: prime-power moduli and residues mod p^e.
 
-Everything downstream works with `Residue` (canonical value in [0, p^e)), a
-plain slotted class like `PrimePower`, built 148,181 times on the default sweep.
-Code that must keep p-divisible quantities exact carries them as plain
-integer pairs (v, u) meaning u * p^v and reduces once at the end; v comes
-from a theorem where one gives it (the exact oracle's denominators) and
-from `split_p_power` otherwise.  Rationals enter only through
+A residue mod p^e is a plain int in [0, p^e), and the `PrimePower` it
+belongs to travels beside it: a suite's shard owns the modulus, and the
+suites' `_record` reduces a check's int sides once, mod that modulus, so
+what comes between is plain int arithmetic.  Code that must keep
+p-divisible quantities exact carries them as plain integer pairs (v, u)
+meaning u * p^v and reduces once at the end; v comes from a theorem
+where one gives it (the exact oracle's denominators) and from
+`split_p_power` otherwise.  Rationals enter only through
 `residue_from_rational`, which rejects denominators divisible by p.
 """
 
@@ -105,51 +107,12 @@ class PrimePower:
         return f"PrimePower(p={self.p}, e={self.e})"
 
 
-class Residue:
-    """Slotted canonical residue in [0, p^e) with ring operations, equal by (value, ctx)."""
-
-    __slots__ = ("value", "ctx")
-
-    def __init__(self, value: int, ctx: PrimePower):
-        self.value, self.ctx = value % ctx.modulus, ctx
-
-    def __eq__(self, other):
-        return isinstance(other, Residue) and (self.value, self.ctx) == (other.value, other.ctx)
-
-    def __repr__(self):
-        return f"Residue(value={self.value}, ctx={self.ctx!r})"
-
-    def _lift(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._lift(other)
-        return v if v is NotImplemented else Residue(self.value + v, self.ctx)
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        return v if v is NotImplemented else Residue(self.value - v, self.ctx)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        return v if v is NotImplemented else Residue(self.value * v, self.ctx)
-
-    def __neg__(self):
-        return Residue(-self.value, self.ctx)
-
-
-def residue_from_rational(q: PadicInput, ctx: PrimePower) -> Residue:
-    """Reduce a p-integral rational mod p^e."""
+def residue_from_rational(q: PadicInput, ctx: PrimePower) -> int:
+    """Reduce a p-integral rational mod p^e, into [0, p^e)."""
     q = as_fraction(q)
     if q.denominator % ctx.p == 0:
         raise NonUnitDenominator(
             f"{q} has denominator divisible by {ctx.p}, cannot reduce mod {ctx.p}^{ctx.e}"
         )
     m = ctx.modulus
-    return Residue(q.numerator % m * pow(q.denominator % m, -1, m), ctx)
+    return q.numerator % m * pow(q.denominator % m, -1, m) % m

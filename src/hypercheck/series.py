@@ -42,7 +42,6 @@ from .errors import InternalError
 from .padic import (
     PadicInput,
     PrimePower,
-    Residue,
     as_fraction,
     require_p_integral,
     residue_from_rational,
@@ -98,7 +97,7 @@ def _split(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[int, int
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> Residue:
+def _prefix_residue(x: Fraction, stop: int, ctx: PrimePower) -> int:
     """The sum of the terms below ``stop`` reduced mod p^e, raising
     `InternalError` unless it is p-integral over a denominator whose p-power
     is the one Legendre's formula gives.
@@ -144,7 +143,7 @@ def series_fraction(x: PadicInput, stop: int) -> Fraction:
 
 def window_residue_exact(
     x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower
-) -> Residue:
+) -> int:
     """Sum of terms k_start <= k < k_stop, evaluated exactly, reduced mod p^e.
 
     The window is S(k_stop) - S(k_start), where S(j) is the prefix sum
@@ -158,19 +157,19 @@ def window_residue_exact(
     """
     x = require_p_integral(x, ctx.p)  # a Fraction: 3 and Fraction(3) share a table
     if k_stop <= k_start:
-        return Residue(0, ctx)
+        return 0
     low = _prefix_residue(x, k_start, ctx) if k_start else 0
-    return _prefix_residue(x, k_stop, ctx) - low
+    return (_prefix_residue(x, k_stop, ctx) - low) % ctx.modulus
 
 
 # --- modular engine --------------------------------------------------------
 
 
-def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) -> Residue:
+def window_sum_mod(x: PadicInput, k_start: int, k_stop: int, ctx: PrimePower) -> int:
     """Sum of terms k_start <= k < k_stop reduced mod p^e."""
     x = require_p_integral(x, ctx.p)
     xn, xd = x.numerator, x.denominator
-    return Residue(_kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop), ctx)
+    return _kernel.series_window_mod(xn, xd, ctx.p, ctx.e, k_start, k_stop)
 
 
 # --- the four quadratic-character families ---------------------------------
@@ -221,17 +220,17 @@ class QuarticFamily:
             self._products[n] = out
         return out
 
-    def term_residue(self, n: int, ctx: PrimePower) -> Residue:
+    def term_residue(self, n: int, ctx: PrimePower) -> int:
         """The term at index n mod p^e, reduced exactly from the binomial
         product; the base is 2^a 3^b, a unit for every admissible p >= 5."""
         m = ctx.modulus
-        return Residue(self.binomial_product(n) % m * pow(self.base, -n, m), ctx)
+        return self.binomial_product(n) % m * pow(self.base, -n, m) % m
 
-    def term_scaled(self, n: int, ctx: PrimePower) -> Residue:
+    def term_scaled(self, n: int, ctx: PrimePower) -> int:
         """The term at index n mod p^e, read from the modular engine's walk
         of F(x; N) (``_kernel.series_term_mod``)."""
         xn, xd = self.x.numerator, self.x.denominator
-        return Residue(_kernel.series_term_mod(xn, xd, ctx.p, ctx.e, n), ctx)
+        return _kernel.series_term_mod(xn, xd, ctx.p, ctx.e, n)
 
 
 QUARTICS: tuple[QuarticFamily, ...] = (

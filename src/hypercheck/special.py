@@ -22,20 +22,18 @@ from .errors import IndexTooLarge, InternalError, NonUnit, PDivisibleDenominator
 from .padic import (
     PadicInput,
     PrimePower,
-    Residue,
     as_fraction,
     require_p_integral,
     residue_from_rational,
 )
 
 
-def fermat_quotient(a: int, ctx: PrimePower) -> Residue:
-    """(a^(p-1) - 1)/p mod p, in the mod-p context ``ctx``."""
+def fermat_quotient(a: int, ctx: PrimePower) -> int:
+    """(a^(p-1) - 1)/p mod p, in [0, p), for the mod-p context ``ctx``."""
     p = ctx.p
     if a % p == 0:
         raise NonUnit(f"{a} is divisible by {p}")
-    q = (pow(a, p - 1, p * p) - 1) // p
-    return Residue(q, ctx)
+    return (pow(a, p - 1, p * p) - 1) // p
 
 
 def legendre(a: int, p: int) -> int:
@@ -85,12 +83,12 @@ def harmonic_exact(n: int) -> Fraction:
     return _H_EXACT[n]
 
 
-def harmonic_mod(n: int, ctx: PrimePower) -> Residue:
+def harmonic_mod(n: int, ctx: PrimePower) -> int:
     """H_n mod p^e by modular inversion; only indices below p are units."""
     _require_index("H", n)
     if n >= ctx.p:
         raise IndexTooLarge(f"H_{n} mod {ctx.p}^{ctx.e}: index must stay below p")
-    return Residue(harmonic_row(n, ctx)[n], ctx)
+    return harmonic_row(n, ctx)[n]
 
 
 def harmonic_row(n: int, ctx: PrimePower, scaled: bool = False) -> list[int]:
@@ -180,8 +178,8 @@ def euler_number_exact(m: int) -> int:
     return _tables("E", m)[0][m]
 
 
-def euler_number_mod(m: int, ctx: PrimePower) -> Residue:
-    return Residue(euler_number_exact(m), ctx)
+def euler_number_mod(m: int, ctx: PrimePower) -> int:
+    return euler_number_exact(m) % ctx.modulus
 
 
 def _appell_mod(m: int, coeffs: list[int], h: int, mod: int) -> int:
@@ -199,7 +197,7 @@ def _appell_mod(m: int, coeffs: list[int], h: int, mod: int) -> int:
     return total % mod
 
 
-def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
+def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> int:
     """B_m(arg) mod p^e = sum_k C(m,k) B_k arg^(m-k); rejects any needed
     B_k with p in its denominator.
 
@@ -208,7 +206,7 @@ def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residu
     B_(p-1).  Below it every B_k is p-integral and is reduced once.
     """
     p, mod = ctx.p, ctx.modulus
-    x = residue_from_rational(require_p_integral(arg, p), ctx).value
+    x = residue_from_rational(require_p_integral(arg, p), ctx)
     if m >= p - 1:
         raise PDivisibleDenominator(f"B_{p - 1} has {p} in its denominator")
     bern = _tables("B", m)[1]
@@ -216,18 +214,18 @@ def bernoulli_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residu
     coeffs = [
         b.numerator * pow(b.denominator, -1, mod) % mod if b else 0 for b in bern[: m + 1]
     ]
-    return Residue(_appell_mod(m, coeffs, x, mod), ctx)
+    return _appell_mod(m, coeffs, x, mod)
 
 
-def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> Residue:
+def euler_polynomial_mod(m: int, arg: PadicInput, ctx: PrimePower) -> int:
     """E_m(arg) mod p^e = 2^-m sum_k C(m,k) E_k (2 arg - 1)^(m-k), the
     expansion around 1/2 with its 2-power denominators gathered in front."""
     mod = ctx.modulus
     x = require_p_integral(arg, ctx.p)
-    h = residue_from_rational(2 * x - 1, ctx).value
+    h = residue_from_rational(2 * x - 1, ctx)
     euler = _tables("E", m)[0]
     coeffs = [e % mod for e in euler[: m + 1]]
-    return Residue(_appell_mod(m, coeffs, h, mod) * pow(2, -m, mod), ctx)
+    return _appell_mod(m, coeffs, h, mod) * pow(2, -m, mod) % mod
 
 
 # --- signed binomials ------------------------------------------------------

@@ -15,11 +15,16 @@ index.  The runner builds one `Shard` per shard and passes it to
 share, where e is ``--mod-exp`` if given and the suite's own exponent
 otherwise (lemma1 and lemma2 stay mod p; ``ctx`` is None for the exact
 suites), so a prime's tables go with its shard.  The shard is also the
-checks' ``dual(modular_fn, exact_fn)`` evaluator for values that have both
-a modular route (valuation-tracked term recurrence) and an exact route
-(exact evaluation reduced once at the end): it runs the modular route
-under ``modular``, the exact one under ``exact``, and both under ``both``,
-where any disagreement raises `InternalError`, and returns the value alone.
+checks' ``dual(ctx, modular_fn, exact_fn)`` evaluator for values mod
+``ctx``'s p^e that have both a modular route (valuation-tracked term
+recurrence) and an exact route (exact evaluation reduced once at the end):
+it runs the modular route under ``modular``, the exact one under
+``exact``, and both under ``both``, where any disagreement raises
+`InternalError`, and returns the value alone.
+
+A residue is a plain int.  A check need not reduce its int sides:
+`_record` reduces them once, mod the shard's modulus; a record whose
+right side is a `Fraction`, or whose shard has no modulus, is exact.
 `run_instance` builds every record from the sides a check returns: one of
 a check that asked ``dual`` names the route it reports (``"exact"`` under
 ``exact``, ``"modular"`` otherwise), and one of a single-route check says
@@ -49,7 +54,6 @@ from .errors import BudgetExceeded, InternalError, VerifyError
 from .padic import (
     PadicInput,
     PrimePower,
-    Residue,
     as_fraction,
     residue_from_rational,
     split_p_power,
@@ -119,16 +123,19 @@ class Report:
         )
 
 
-def _record(lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
-    """The record of lhs = rhs: mod the modulus of ``rhs`` for `Residue`
-    sides, exactly otherwise; a None ``lhs`` fails."""
-    if isinstance(rhs, Residue):
-        passed, modulus = lhs is not None and lhs.value == rhs.value, str(rhs.ctx.modulus)
-        lhs, rhs = "" if lhs is None else str(lhs.value), str(rhs.value)
-    else:
+def _record(ctx, lhs, rhs, engine="exact", note=None, oracle=None) -> Report:
+    """The record of lhs = rhs in a shard of modulus ``ctx``: int sides are
+    reduced mod ``ctx.modulus``, which is the record's modulus; the sides of
+    a shard without a modulus, or of a `Fraction` ``rhs``, are compared
+    exactly.  A None ``lhs`` fails, with empty text."""
+    if ctx is None or rhs.__class__ is Fraction:
         passed, modulus, lhs = lhs == rhs, "exact", str(lhs)
-        rhs = lhs if passed else str(rhs)
-    return Report(lhs, rhs, modulus, passed, engine, note=note, oracle=oracle)
+    else:
+        m = ctx.modulus
+        modulus, lhs, rhs = str(m), "" if lhs is None else str(lhs % m), str(rhs % m)
+        passed = lhs == rhs
+    return Report(lhs, lhs if passed else str(rhs), modulus, passed, engine, note=note,
+                  oracle=oracle)
 
 
 def _identity_check(fn):
@@ -205,23 +212,21 @@ def _need_family(fam: QuarticFamily, n: int, sweep: Sweep):
 
 def _series(
     dual: Shard, x: PadicInput, stop: int, ctx: PrimePower, sweep: Sweep, start: int = 0
-) -> Residue:
+) -> int:
     """The sum of the terms start <= k < stop of F(x; stop) mod p^e by the
     engine's route(s) (``dual``), under the series cap; the one way a check
     reaches a series engine."""
     _need_series(stop, sweep)
-    return dual(
-        lambda: series.window_sum_mod(x, start, stop, ctx),
-        lambda: series.window_residue_exact(x, start, stop, ctx),
-    )
+    return dual(ctx, lambda: series.window_sum_mod(x, start, stop, ctx),
+                lambda: series.window_residue_exact(x, start, stop, ctx))
 
 
-def _term(dual: Shard, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep) -> Residue:
+def _term(dual: Shard, fam: QuarticFamily, n: int, ctx: PrimePower, sweep: Sweep) -> int:
     """The term t_n of ``fam``'s series mod p^e by the engine's route(s)
     (``dual``), under the binomial cap; the one way a check reaches a
     quartic term."""
     _need_family(fam, n, sweep)
-    return dual(lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
+    return dual(ctx, lambda: fam.term_scaled(n, ctx), lambda: fam.term_residue(n, ctx))
 
 
 # --- domains ---------------------------------------------------------------
@@ -304,11 +309,6 @@ class _Grid:
             pairs = _extend(pairs, name, values, self.parts[i][1])
         return pairs
 
-    def __call__(self, sweep: Sweep) -> Iterator[dict]:
-        for first in self.firsts(sweep):
-            for point, _ in self.shard(first, sweep):
-                yield point
-
 
 def _extend(pairs: Iterable[tuple[dict, str]], name, values, parts: list[str]) -> Iterator:
     """Each of ``pairs``, a point and its text, with each of ``values`` bound
@@ -341,7 +341,9 @@ _SUN_X = ("x", _sun_xs)
 
 
 def _only(x: Fraction) -> tuple:
-    """The x axis of a suite of one quartic x: x itself unless --x drops it."""
+    """The x axis of a suite of one quartic x: the family's own x, which
+    `_family` finds by identity, unless --x drops it."""
+    x = QUARTIC_BY_X[x].x
     return "x", lambda p, sweep: [x] if x in _quartic_xs(sweep) else []
 
 
@@ -354,29 +356,23 @@ def _indices(start: int) -> Callable[[Sweep], range]:
 
 
 def check_thm1(sweep, dual, ctx, p, x):
-    lhs = _series(dual, x, p, ctx, sweep)
-    rhs = Residue(special.legendre(_family(x).character_arg, p), ctx)
-    return lhs, rhs
+    return _series(dual, x, p, ctx, sweep), special.legendre(_family(x).character_arg, p)
 
 
 def check_sun(sweep, dual, ctx, p, x):
-    lhs = _series(dual, x, p, ctx, sweep)
-    rhs = Residue(special.sign_of_least_residue(x, p), ctx)
-    return lhs, rhs
+    return _series(dual, x, p, ctx, sweep), special.sign_of_least_residue(x, p)
 
 
 def check_rv(sweep, dual, ctx, p, n, x):
     lhs = _series(dual, x, n * p, ctx, sweep)
     base = _series(dual, x, n, ctx, sweep)
-    rhs = base * special.sign_of_least_residue(x, p)
-    return lhs, rhs
+    return lhs, base * special.sign_of_least_residue(x, p)
 
 
 def check_corollary_px(sweep, dual, ctx, p, r, x):
     lhs = _series(dual, x, p**r, ctx, sweep)
     sgn = special.sign_of_least_residue(x, p)
-    rhs = Residue(1 if sgn == 1 or r % 2 == 0 else -1, ctx)
-    return lhs, rhs
+    return lhs, 1 if sgn == 1 or r % 2 == 0 else -1
 
 
 _EISENSTEIN_BASES = (2, 3, 5, 7, 10)
@@ -433,21 +429,19 @@ def check_lemma4_binom(sweep, dual, ctx, p, r, k, x):
     fam = _family(x)
     n = k + r * p
     _need_family(fam, n, sweep)
-    lhs = Residue(fam.binomial_product(n), ctx)
+    lhs = fam.binomial_product(n)
     # right side: b_r b_k (1 + rp (T_k - 2 H_k)), T_k in its closed form sum
     # c H_{dk}; each dk <= 6(p-1) < p^2, so p H_{dk} is a p-integral row entry
     h = special.harmonic_row(6 * k, ctx, scaled=True)
     corr = sum(c * h[d * k] for c, d in _PARTFRAC[fam]) - 2 * h[k]
     b_k = fam.binomial_product(k) % ctx.modulus
-    rhs = Residue(fam.binomial_product(r) * b_k * (1 + r * corr), ctx)
-    return lhs, rhs
+    return lhs, fam.binomial_product(r) * b_k * (1 + r * corr)
 
 
 def check_lemma5(sweep, dual, ctx, p, k, x):
     fam = _family(x)
     lhs = _term(dual, fam, k, ctx, sweep)
-    rhs = Residue(special.signed_binomial(special.floor_px(x, p), k), ctx)
-    return lhs, rhs
+    return lhs, special.signed_binomial(special.floor_px(x, p), k)
 
 
 def check_lemma5_poch(sweep, dual, ctx, p, k, x):
@@ -459,26 +453,21 @@ def check_lemma5_poch(sweep, dual, ctx, p, k, x):
     row = ctx.tables.setdefault(("poch", fam), [1])
     for i in range(len(row) - 1, k):
         row.append(row[-1] * (m + 1 + i) % ctx.modulus * (i - m) % ctx.modulus)
-    lhs = Residue(row[k], ctx)
     # (x)_k (1-x)_k = t_k (k!)^2, with t_k reduced before the product
     t_k, _, f2 = _term_row(fam, ctx)[k]
-    return lhs, Residue(t_k * f2, ctx), "modular"
+    return row[k], t_k * f2, "modular"
 
 
 def check_babbage(sweep, dual, ctx, p, a, b):
     _need_binomial(a * p, sweep)
-    lhs = Residue(comb(a * p, b * p), ctx)
-    rhs = Residue(comb(a, b), ctx)
-    return lhs, rhs
+    return comb(a * p, b * p), comb(a, b)
 
 
 # --- proof-chain suites ----------------------------------------------------
 
 
 def check_chain_reflect(sweep, dual, ctx, p, x):
-    lhs = _series(dual, -x, p, ctx, sweep)
-    rhs = Residue(-1 if special.least_residue(x, p) % 2 else 1, ctx)
-    return lhs, rhs
+    return _series(dual, -x, p, ctx, sweep), -1 if special.least_residue(x, p) % 2 else 1
 
 
 def _reflected_jet_sums(m: int, ctx: PrimePower) -> tuple[int, int, int]:
@@ -523,7 +512,7 @@ def check_chain_jet(sweep, dual, ctx, p, x):
 def check_chain_backward(sweep, dual, ctx, p, m):
     _need_series(p, sweep)
     # the backward-offset first-order piece of the jet
-    lhs = Residue(_reflected_jet_sums(m, ctx)[1], ctx)
+    lhs = _reflected_jet_sums(m, ctx)[1]
     rhs = special.harmonic_mod(m, ctx) * (1 if (m + 1) % 2 == 0 else -1)
     return lhs, rhs
 
@@ -565,9 +554,7 @@ def check_chain_block(sweep, dual, ctx, p, r, x):
 def check_chain_convolution(sweep, dual, ctx, p, x):
     _need_series(p, sweep)
     row, h = _term_row(_family(x), ctx), special.harmonic_row(p - 1, ctx)
-    lhs = Residue(sum(tt for _, tt, _ in row), ctx)
-    rhs = Residue(sum(t * h[i] for i, (t, _, _) in enumerate(row)), ctx)
-    return lhs, rhs
+    return sum(tt for _, tt, _ in row), sum(t * h[i] for i, (t, _, _) in enumerate(row))
 
 
 def check_chain_weighted(sweep, dual, ctx, p, x, form):
@@ -577,7 +564,7 @@ def check_chain_weighted(sweep, dual, ctx, p, x, form):
         h = special.harmonic_row(p - 1, ctx)
         row = _term_row(_family(x), ctx)
         total = sum(t * (2 * h[m] - h[k]) for k, (t, _, _) in enumerate(row))
-        return Residue(total, ctx), Residue(0, ctx)
+        return total, 0
     # m < p, so the binomial form stops at k = m: it is 2 H_m times the
     # identity-alt sum minus the identity-harmonic sum, both at n = m
     alt, _ = _case(_ALTERNATING, identities.alternating_binomial_sum, m)
@@ -594,9 +581,7 @@ def check_chain_product(sweep, dual, ctx, p, n, x):
 
 def check_gessel(sweep, dual, ctx, p, n):
     _need_binomial(2 * n * p, sweep)
-    lhs = Residue(special.apery_number(n * p), ctx)
-    rhs = Residue(special.apery_number(n), ctx)
-    return lhs, rhs
+    return special.apery_number(n * p), special.apery_number(n)
 
 
 # --- conjecture suites -----------------------------------------------------
@@ -621,7 +606,7 @@ def _conj_rhs(x: Fraction, ctx: PrimePower) -> int:
         poly = special.euler_polynomial_mod(p - 3, Fraction(1, 4), ctx)
     else:
         poly = special.bernoulli_polynomial_mod(p - 2, Fraction(1, 3), ctx)
-    return (residue_from_rational(coeff, ctx) * (p * p * poly.value)).value
+    return residue_from_rational(coeff, ctx) * p * p * poly % ctx.modulus
 
 
 def _conj_exact_scaled(fam, p, n, eps) -> Fraction:
@@ -643,7 +628,7 @@ def _conj_oracle(fam, p, n, eps, ctx: PrimePower) -> str:
     )
     if vden > 0:
         return head + "; not a p-adic integer"
-    return head + f"; reduces to {residue_from_rational(val, ctx).value} mod {ctx.modulus}"
+    return head + f"; reduces to {residue_from_rational(val, ctx)} mod {ctx.modulus}"
 
 
 def check_conjecture(sweep, dual, ctx, p, n, x):
@@ -665,21 +650,22 @@ def check_conjecture(sweep, dual, ctx, p, n, x):
     # x) puts p^2 in it too, so one rule holds for every engine: p^max(2, w).
     f_np = _series(dual, x, n * p, ctxw, sweep)
     f_n = _series(dual, x, n, ctxw, sweep)
-    diff = (f_np - f_n * eps).value
+    diff = (f_np - f_n * eps) % ctxw.modulus  # the one place two moduli meet
     key = ("conj", x)  # one right side per x on ctx, for every n
     if key not in ctx.tables:
         ctx.tables[key] = _conj_rhs(x, ctx)
-    rhs = Residue(ctx.tables[key], ctx)
+    rhs = ctx.tables[key]
+    # a failure names no engine: its record names the route that ran (`run_instance`)
     if diff % p ** max(2, w):
         note = (
             "divisibility violation: scaled difference is not a p-adic integer "
             "at the required valuation"
         )
-        return None, rhs, "exact", note, _conj_oracle(fam, p, n, eps, ctx)
+        return None, rhs, None, note, _conj_oracle(fam, p, n, eps, ctx)
     m = ctx.modulus
-    lhs = Residue(diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m), ctx)
-    if lhs.value != rhs.value:
-        return lhs, rhs, "exact", None, _conj_oracle(fam, p, n, eps, ctx)
+    lhs = diff // p**w * pow(fam.base, n, m) * pow(unit % m, -1, m) % m
+    if lhs != rhs:
+        return lhs, rhs, None, None, _conj_oracle(fam, p, n, eps, ctx)
     return lhs, rhs
 
 
@@ -708,9 +694,10 @@ class Suite:
     of theorem, identity, conjecture and exploratory.  ``gen`` is the
     instances' `_Grid` of (name, domain) axes, listed outermost first and
     keyed in that order, with p first in every suite that has a prime;
+    ``gen.firsts(sweep)`` lists the shards' first values, and
     ``gen.shard(first, sweep)`` yields one shard's params dicts with their
-    JSON texts, and ``gen(sweep)`` every shard's params dicts.
-    ``check(sweep, dual, ctx, **params)`` returns `_record`'s args."""
+    JSON texts.  ``check(sweep, dual, ctx, **params)`` returns `_record`'s
+    args after ``ctx``."""
 
     def __init__(
         self, id: str, kind: str, exponent: int | None, gen: _Grid,
@@ -829,10 +816,13 @@ class Shard:
     """What the instances at one value of a suite's first axis (a prime or an
     identity index) share: ``ctx``, the modulus p^e with its tables, e the
     suite's exponent or ``--mod-exp``, or None for an exact suite; and the
-    checks' ``dual(modular_fn, exact_fn)``, the shard itself, bound to the
-    run's engine, which checks reach only through `_series` and `_term`,
-    under their budget caps.  `run_instance` sets ``params``, the instance
-    running, and resets the route and the fault flag for each instance.
+    checks' ``dual(ctx, modular_fn, exact_fn)``, the shard itself, bound to
+    the run's engine, which checks reach only through `_series` and `_term`,
+    under their budget caps.  ``dual``'s ctx, the shard's or a conjecture's
+    working precision p^(e+w), is the modulus of both routes' ints, of the
+    fault perturbation and of a disagreement.  `run_instance` sets
+    ``params``, the instance running, and resets the route and the fault
+    flag for each instance.
     """
 
     __slots__ = ("suite", "engine", "sweep", "fault", "ctx", "params", "route", "armed")
@@ -845,20 +835,20 @@ class Shard:
             e = sweep.mod_exp or e
         self.ctx = None if e is None else PrimePower(first, e)
 
-    def __call__(self, modular_fn, exact_fn):
+    def __call__(self, ctx: PrimePower, modular_fn, exact_fn) -> int:
         engine = self.engine
         if engine == "exact":
             value, self.route = exact_fn(), "exact"
         else:
             value, self.route = modular_fn(), "modular"
         if self.armed:
-            value, self.armed = Residue(value.value + 1, value.ctx), False
+            value, self.armed = (value + 1) % ctx.modulus, False
         if engine == "both":
             ev = exact_fn()
-            if value.value != ev.value:
+            if value != ev:
                 raise InternalError(
                     f"engine disagreement in {self.suite.id} {self.params}: modular "
-                    f"{value.value} vs exact {ev.value} mod {value.ctx.p}^{value.ctx.e}"
+                    f"{value} vs exact {ev} mod {ctx.p}^{ctx.e}"
                 )
         return value
 
@@ -878,7 +868,7 @@ def run_instance(suite_id: str, params: dict, shard: Shard) -> Report:
     t0 = time.perf_counter()
     shard.params, shard.route, shard.armed = params, None, shard.fault
     try:
-        rep = _record(*shard.suite.check(shard.sweep, shard, shard.ctx, **params))
+        rep = _record(shard.ctx, *shard.suite.check(shard.sweep, shard, shard.ctx, **params))
     except VerifyError as ex:
         rep = _error_report(ex)
     except InternalError:

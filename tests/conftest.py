@@ -8,6 +8,15 @@ settings.register_profile("single-core", deadline=None)
 settings.load_profile("single-core")
 
 
+def points(suite_id, sweep):
+    """Every params dict of ``suite_id`` over ``sweep``, in generation order,
+    enumerated as the runner enumerates them: shard by shard."""
+    gen = REGISTRY[suite_id].gen
+    for first in gen.firsts(sweep):
+        for params, _ in gen.shard(first, sweep):
+            yield params
+
+
 def sweep_reports(suite_id, sweep, engine="both"):
     """The report of every instance of ``suite_id`` over ``sweep``, run as the
     runner runs them: each shard (value of the first axis) under one `Shard`."""

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import ACCEPTANCE_LINES, run_one, sweep_reports
+from conftest import ACCEPTANCE_LINES, points, run_one, sweep_reports
 
 from hypercheck import cli
 from hypercheck.errors import InternalError
@@ -216,7 +216,7 @@ def test_criterion_10_engine_equivalence_sampling():
         "thm1", "sun", "rv", "corollary", "lemma4", "lemma5",
         "chain-reflect", "chain-jet", "chain-block", "chain-product",
     ):
-        pool.extend((sid, params) for params in REGISTRY[sid].gen(sweep))
+        pool.extend((sid, params) for params in points(sid, sweep))
     sample = rng.sample(pool, 500)
     disagreements = bad = 0
     for sid, params in sample:

@@ -1,5 +1,6 @@
 """CLI parsing, output formats, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import inspect
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import run_one
+from conftest import points, run_one
 
 import hypercheck
 from hypercheck import _kernel, cli, padic, series, suites
@@ -257,6 +258,36 @@ def test_internal_error_mid_shard_keeps_the_records_before_it(
     summary = lines[-1]["summary"]
     assert summary["status"] == "internal-error" and summary["instances"] == 2
     assert summary["error"] == "thm1 {'p': 5, 'x': Fraction(1, 4)}: RuntimeError: third instance"
+
+
+def test_internal_error_under_a_pool_kills_no_worker(tmp_path, capsys, monkeypatch):
+    # a worker killed while it sends a result leaves the queue's lock taken,
+    # which can leave `multiprocessing.Pool.terminate` waiting forever; after
+    # an internal error the pool drops the shards not yet started and lets
+    # the running ones end
+    check = suites.REGISTRY["thm1"].check
+    terminate = multiprocessing.process.BaseProcess.terminate
+    killed = []
+
+    def broken(sweep, dual, ctx, p, x):
+        if p == 5:
+            raise RuntimeError("first shard")
+        return check(sweep, dual, ctx, p=p, x=x)
+
+    def spy(self):
+        killed.append(self.pid)
+        terminate(self)
+
+    monkeypatch.setattr(suites.REGISTRY["thm1"], "check", broken)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", spy)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_main(
+        capsys, "thm1", "--p-max", "31", "--format", "json-lines",
+        "--workers", "2", "--out", str(out),
+    )
+    assert code == 3 and "RuntimeError: first shard" in err
+    assert out.read_text().count("\n") == 1 and killed == []
 
 
 def test_lemma_checks_hash_no_fraction_per_instance(capsys, monkeypatch):
@@ -639,13 +670,14 @@ def test_error_records_name_no_route(capsys, monkeypatch):
         assert {r["engine"] for r in records} == {""}
 
 
-def test_fault_injected_conjecture_names_the_exact_route(capsys, monkeypatch):
-    # a divisibility violation found on the exact route alone names that route
+@pytest.mark.parametrize("engine", ["exact", "modular"])
+def test_fault_injected_conjecture_names_the_route_that_ran(capsys, monkeypatch, engine):
+    # a divisibility violation found on one route alone names that route
     monkeypatch.setenv("VERIFY_FAULT_INJECT", "conj-1/2")
-    records = _json_records(capsys, "conj-1/2", "--p-max", "7", "--engine", "exact")
+    records = _json_records(capsys, "conj-1/2", "--p-max", "7", "--engine", engine)
     assert len(records) == 6
     assert all(r["note"].startswith("divisibility violation") for r in records)
-    assert {r["engine"] for r in records} == {"exact"}
+    assert {r["engine"] for r in records} == {engine}
 
 
 def _strip_elapsed(stream: str) -> list[str]:
@@ -679,7 +711,7 @@ def test_a_sweep_of_shards_without_points_runs_nothing(capsys, monkeypatch, fmt)
     # point; under a pool, each shard is a task that writes nothing, as
     # serially
     monkeypatch.setattr(_InProcessPool, "log", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for workers in ("1", "2"):
         code, out, err = run_main(capsys, "rv", "--n", ",,", "--p-max", "13", "--format", fmt,
@@ -840,6 +872,24 @@ PINNED_STREAMS = {
         {}, 1, 397,
         "6413f6539aac68afe1581686cd87135c772d82de3b9204ac60b3ea3f091b7f4c",
     ),
+    # the fault-injection self-test, recorded before residues became plain
+    # ints: the perturbed value on the route the engine reports, and under
+    # `both` the disagreement, at a conjecture's working precision p^(e+w)
+    "fault-conj-both": Pinned(
+        ("conj-1/2", "--p-max", "7", "--n", "5", "--engine", "both"),
+        {"VERIFY_FAULT_INJECT": "conj-1/2"}, 3, 1,
+        "b6ed6c1036aa70658a97ad370d888a42b3714662b0ca18ad757017937772770c",
+    ),
+    **{
+        f"fault-thm1-{engine}": Pinned(
+            ("thm1", "--p-max", "13", "--engine", engine),
+            {"VERIFY_FAULT_INJECT": "thm1"}, 1, 17, digest,
+        )
+        for engine, digest in (
+            ("modular", "3c4f55b468300dbb40fbe074494aca0182c96de2ab5594625836bc4b5dd111e2"),
+            ("exact", "8f60c6c11cbf8b9a2b28306cc2160d31559ac46c5cecf1e9c468e2afaf52c730"),
+        )
+    },
 }
 
 
@@ -904,6 +954,20 @@ def test_row_suite_streams_match_pinned_digest(capsys, monkeypatch, name):
 
 def test_default_sweep_exact_stream_matches_pinned_digest(capsys, monkeypatch):
     assert_pinned(capsys, monkeypatch, "default-exact")
+
+
+@pytest.mark.parametrize("name", ["fault-conj-both", "fault-thm1-modular", "fault-thm1-exact"])
+def test_fault_injected_streams_match_pinned_digest(capsys, monkeypatch, name):
+    assert_pinned(capsys, monkeypatch, name)
+
+
+def test_fault_injected_disagreement_names_the_working_precision(capsys, monkeypatch):
+    # conj-1/2 at p = 5, n = 5 works mod 5^(3+2): the message names that
+    # modulus and the two routes' values there, the modular one off by one
+    out = _run_pinned(capsys, monkeypatch, PINNED_STREAMS["fault-conj-both"])
+    summary = json.loads(out)["summary"]
+    assert summary["status"] == "internal-error"
+    assert summary["error"].endswith("modular 1652 vs exact 1651 mod 5^5")
 
 
 def test_identity_stream_matches_pinned_digest(capsys, monkeypatch):
@@ -1140,7 +1204,7 @@ def test_generated_params_are_ints_fractions_or_strings(monkeypatch, x):
     sweep = cli.parse_args(["--p-max", "13"] + ([] if x is None else ["--x", x])).sweep
     seen = set()
     for suite in suites.REGISTRY.values():
-        for params in suite.gen(sweep):
+        for params in points(suite.id, sweep):
             assert all(key.isidentifier() for key in params), (suite.id, params)
             types = {type(v) for v in params.values()}
             assert types <= {int, Fraction, str}, (suite.id, params)
@@ -1243,7 +1307,7 @@ def _holds_params(obj) -> bool:
 
 
 class _InProcessPool:
-    """A `multiprocessing.Pool` that runs its tasks here, through pickle, and
+    """A `ProcessPoolExecutor` that runs its tasks here, through pickle, and
     logs each job with its result."""
 
     log: list = []
@@ -1251,13 +1315,10 @@ class _InProcessPool:
     def __init__(self, size):
         pass
 
-    def __enter__(self):
-        return self
+    def shutdown(self, cancel_futures=False):
+        pass
 
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, items, chunksize=1):
+    def map(self, fn, items, chunksize=1):
         for item in items:
             result = fn(pickle.loads(pickle.dumps(item)))
             self.log.append((item, result))
@@ -1271,7 +1332,7 @@ def test_pool_tasks_return_text_not_reports(capsys, monkeypatch, fmt):
     # serial stream; a job names its shard and carries none of its points
     log = []
     monkeypatch.setattr(_InProcessPool, "log", log)
-    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = ("thm1", "lemma5", "rv-x", "--p-max", "13", "--format", fmt)
     code1, out1, _ = run_main(capsys, *argv)
@@ -1295,16 +1356,13 @@ def test_pool_never_outnumbers_shards(capsys, monkeypatch):
         def __init__(self, size):
             sizes.append(size)
 
-        def __enter__(self):
-            return self
+        def shutdown(self, cancel_futures=False):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     # six usable CPUs; no real process is started
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     # thm1's shards are its primes, of four instances each: one shard at

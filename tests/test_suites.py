@@ -12,11 +12,11 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_one, sweep_reports
+from conftest import points, run_one, sweep_reports
 
 from hypercheck import cli, identities, special, suites
 from hypercheck.errors import InternalError
-from hypercheck.padic import MAX_EXPONENT, PrimePower, Residue, residue_from_rational
+from hypercheck.padic import MAX_EXPONENT, PrimePower, residue_from_rational
 from hypercheck.series import QUARTICS, QuarticFamily
 from hypercheck.special import floor_px, harmonic_exact
 from hypercheck.suites import (
@@ -96,7 +96,7 @@ def _generator_digest() -> str:
     h = hashlib.sha256()
     for sw in GENERATOR_SWEEPS:
         for sid in REGISTRY:
-            for params in REGISTRY[sid].gen(sw):
+            for params in points(sid, sw):
                 h.update(repr((sid, list(params.items()))).encode())
     return h.hexdigest()
 
@@ -104,7 +104,7 @@ def _generator_digest() -> str:
 def test_generators_are_deterministic():
     sw = small_sweep()
     for sid in REGISTRY:
-        assert list(REGISTRY[sid].gen(sw)) == list(REGISTRY[sid].gen(sw))
+        assert list(points(sid, sw)) == list(points(sid, sw))
     assert _generator_digest() == GENERATOR_DIGEST
 
 
@@ -199,7 +199,7 @@ def test_representative_instance_passes(sid):
 def test_representative_params_come_from_generators():
     sweep = Sweep(primes=primes_in(5, 13), identity_max=12)
     for sid, params in REPRESENTATIVE.items():
-        assert params in list(REGISTRY[sid].gen(sweep)), sid
+        assert params in list(points(sid, sweep)), sid
 
 
 def _reflected_jet_sums_exact(m, terms):
@@ -294,8 +294,8 @@ def _lemma4_rhs_per_instance(fam, p, r, k):
 
 def test_lemma4_rows_match_the_per_instance_rationals():
     # the left side is stubbed out: only the right side is under test
-    def dual(modular_fn, exact_fn):
-        return Residue(0, PrimePower(5, 1))
+    def dual(ctx, modular_fn, exact_fn):
+        return 0
 
     for p in primes_in(5, 101):
         refs = {
@@ -310,16 +310,17 @@ def test_lemma4_rows_match_the_per_instance_rationals():
             ctx = PrimePower(p, e)
             for (x, r, k), ref in refs.items():
                 params = {"p": p, "r": r, "k": k, "x": x}
+                # the right side each check returns, reduced as `_record` reduces it
                 got = (
-                    str(suites.check_lemma4(sweep, dual, ctx, **params)[1].value),
-                    str(suites.check_lemma4_binom(sweep, dual, ctx, **params)[1].value),
+                    suites.check_lemma4(sweep, dual, ctx, **params)[1] % ctx.modulus,
+                    suites.check_lemma4_binom(sweep, dual, ctx, **params)[1] % ctx.modulus,
                 )
-                want = tuple(str(residue_from_rational(q, ctx).value) for q in ref)
+                want = tuple(residue_from_rational(q, ctx) for q in ref)
                 assert got == want, (p, x, k, r, e)
 
 
-def _no_left_side(modular_fn, exact_fn):
-    return Residue(0, PrimePower(5, 1))
+def _no_left_side(ctx, modular_fn, exact_fn):
+    return 0
 
 
 @settings(max_examples=8)
@@ -330,7 +331,7 @@ def test_modular_rows_match_their_exact_references(p, e):
     ctx = PrimePower(p, e)
 
     def reduce(q):
-        return residue_from_rational(q, ctx).value
+        return residue_from_rational(q, ctx)
 
     for m in range(p):
         want = tuple(map(reduce, _reflected_jet_sums_exact(m, p)))
@@ -362,6 +363,44 @@ def test_exploratory_suites_do_fail():
     assert not rep.passed and rep.error is None
 
 
+def test_record_reduces_int_sides_mod_the_shard_modulus():
+    ctx = PrimePower(5, 2)
+    # int sides, negative or past the modulus, reduce mod the shard's 25
+    rep = suites._record(ctx, -1, 49)
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("24", "24", "25", True)
+    assert rep.engine == "exact"
+    rep = suites._record(ctx, 30, 5, "modular")
+    assert (rep.lhs, rep.rhs, rep.passed, rep.engine) == ("5", "5", True, "modular")
+    rep = suites._record(ctx, 28, -24)
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("3", "1", "25", False)
+    # a None left side fails, with empty text
+    rep = suites._record(ctx, None, 0, None, "a note", "an oracle")
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("", "0", "25", False)
+    assert (rep.note, rep.oracle) == ("a note", "an oracle")
+    # a Fraction right side under a modulus is exact: chain-weighted's binomial form
+    rep = suites._record(ctx, F(25, 2), F(0))
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("25/2", "0", "exact", False)
+    rep = suites._record(ctx, F(0), F(0))
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("0", "0", "exact", True)
+    # int sides in a shard without a modulus are exact: identity-negation's products
+    rep = suites._record(None, 30, 5)
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("30", "5", "exact", False)
+    rep = suites._record(None, -7, -7)
+    assert (rep.lhs, rep.rhs, rep.modulus, rep.passed) == ("-7", "-7", "exact", True)
+
+
+def test_family_checks_get_the_family_own_x():
+    # `_family` finds a family by identity, so every suite whose check asks
+    # it hands out the family's own x, never an equal x of its own
+    family_xs = [fam.x for fam in QUARTICS]
+    users = [sid for sid, suite in REGISTRY.items() if "_family" in suite.check.__code__.co_names]
+    assert {"thm1", "lemma4", "chain-weighted", *CONJECTURE_SUITES} <= set(users)
+    for sw in (*GENERATOR_SWEEPS, small_sweep(x_values=(F(2, 4), 3, F(1, 3)))):
+        for sid in users:
+            for params in points(sid, sw):
+                assert any(params["x"] is x for x in family_xs), (sid, params)
+
+
 def test_engine_labels():
     params = {"p": 7, "x": F(1, 2)}
     assert run_one("thm1", params, engine="modular").engine == "modular"
@@ -375,7 +414,7 @@ def test_engines_agree_on_random_instances():
     sw = small_sweep()
     for sid in ("thm1", "sun", "rv", "corollary", "lemma4", "lemma5",
                 "chain-reflect", "chain-jet", "chain-block", "chain-product"):
-        for params in REGISTRY[sid].gen(sw):
+        for params in points(sid, sw):
             rep = run_one(sid, params, engine="both", sweep=sw)
             assert rep.error is None and rep.passed
 
@@ -429,7 +468,7 @@ ORDER_SWEEP = small_sweep()
 ORDER_CASES = [
     (suite_id, params)
     for suite_id in ("lemma2", "lemma4", "lemma4-binom", "lemma5-poch", "chain-backward", "conj-1/3")
-    for params in REGISTRY[suite_id].gen(ORDER_SWEEP)
+    for params in points(suite_id, ORDER_SWEEP)
 ]
 
 
@@ -529,7 +568,7 @@ def test_sweep_and_report_survive_pickling():
 
 def test_sun_domain_contains_lifts_and_small_rationals():
     sw = Sweep(primes=(5,))
-    xs = [inst["x"] for inst in REGISTRY["sun"].gen(sw)]
+    xs = [inst["x"] for inst in points("sun", sw)]
     assert xs[:5] == [0, 1, 2, 3, 4]
     assert F(1, 2) in xs and F(5, 6) in xs
     # denominators divisible by p are excluded
@@ -538,9 +577,9 @@ def test_sun_domain_contains_lifts_and_small_rationals():
 
 def test_x_filter_restricts_families():
     sw = Sweep(primes=(7,), x_values=(F(1, 2), F(1, 6)))
-    assert [i["x"] for i in REGISTRY["thm1"].gen(sw)] == [F(1, 2), F(1, 6)]
+    assert [i["x"] for i in points("thm1", sw)] == [F(1, 2), F(1, 6)]
     sw = Sweep(primes=(7,), x_values=(F(1, 5),))
-    assert list(REGISTRY["thm1"].gen(sw)) == []
+    assert list(points("thm1", sw)) == []
 
 
 def test_x_filter_restricts_rv_x_conjectures_and_identities():
@@ -548,18 +587,18 @@ def test_x_filter_restricts_rv_x_conjectures_and_identities():
     # to p, and a conj suite or an identity over the quartic x runs only for
     # the given ones
     sw = Sweep(primes=(7,), n_values=(1, 2), x_values=(F(1, 7), F(2, 5), 3))
-    assert [(i["p"], i["n"], i["x"]) for i in REGISTRY["rv-x"].gen(sw)] == [
+    assert [(i["p"], i["n"], i["x"]) for i in points("rv-x", sw)] == [
         (7, 1, F(2, 5)), (7, 2, F(2, 5)), (7, 1, 3), (7, 2, 3),
     ]
     sw = Sweep(primes=(5, 7), x_values=(F(1, 2),))
-    ran = {sid: list(REGISTRY[sid].gen(sw)) for sid in CONJECTURE_SUITES}
+    ran = {sid: list(points(sid, sw)) for sid in CONJECTURE_SUITES}
     assert ran.pop("conj-1/2") == [
         {"p": p, "n": n, "x": F(1, 2)} for p in (5, 7) for n in (1, 2, 3)
     ]
     assert all(instances == [] for instances in ran.values())
     sw = Sweep(primes=(), x_values=(F(1, 6),), identity_max=1)
     for sid in ("identity-partfrac", "identity-convolution"):
-        assert list(REGISTRY[sid].gen(sw)) == [{"k": 0, "x": F(1, 6)}, {"k": 1, "x": F(1, 6)}]
+        assert list(points(sid, sw)) == [{"k": 0, "x": F(1, 6)}, {"k": 1, "x": F(1, 6)}]
 
 
 def test_every_series_engine_call_goes_through_series(monkeypatch):
@@ -589,14 +628,14 @@ def test_every_series_engine_call_goes_through_series(monkeypatch):
         monkeypatch.setattr(suites.series, name, engine(getattr(suites.series, name)))
     sweep = Sweep(primes=(11,))
     for sid, suite in REGISTRY.items():
-        run_one(sid, next(iter(suite.gen(sweep))), "both", sweep)
+        run_one(sid, next(points(sid, sweep)), "both", sweep)
     assert set(calls) == {"window_sum_mod", "window_residue_exact"}
     assert stray == []
 
 
 def test_rv_general_domain_avoids_family_orbit():
     sw = Sweep(primes=(7,), n_values=(1,))
-    xs = {inst["x"] for inst in REGISTRY["rv-x"].gen(sw)}
+    xs = {inst["x"] for inst in points("rv-x", sw)}
     for fam_x in (F(1, 2), F(1, 3), F(1, 4), F(1, 6)):
         assert fam_x not in xs and 1 - fam_x not in xs
     assert F(2, 5) in xs
